@@ -39,12 +39,30 @@ type App struct {
 	rng   *rand.Rand
 
 	concurrency int
-	nextClient  int
+	clients     []*request // closed-loop client slots, indexed by slot
+	spare       *request   // free list of open-loop request records
 	inFlight    int
 
 	window    []float64 // response times completed in the current period
+	drained   []float64 // the buffer the previous drain returned
 	completed int
 	started   bool
+}
+
+// request carries one request through the tier chain. A closed-loop
+// client slot owns one record for its lifetime and reuses it for every
+// request it issues; open-loop arrivals draw records from the app's free
+// list. Each record binds its callbacks once, so a request's trip
+// through the tiers allocates nothing.
+type request struct {
+	app     *App
+	slot    int      // closed-loop client slot; -1 for an open-loop arrival
+	alive   bool     // closed loop: thinking or in flight, not yet retired
+	tier    int      // next tier to visit
+	start   float64  // arrival time
+	visitFn func()   // r.visit, bound once
+	issueFn func()   // r.issue, bound once (closed loop only)
+	next    *request // free-list link (open loop only)
 }
 
 // New constructs an application. Call Start to launch the clients.
@@ -99,8 +117,10 @@ func (a *App) Allocations() []float64 {
 func (a *App) Concurrency() int { return a.concurrency }
 
 // SetConcurrency changes the client population at run time (the paper's
-// workload-increase experiments). Growth spawns clients immediately;
-// shrinkage retires clients as their in-flight requests complete.
+// workload-increase experiments). Clients occupy slots [0, n). Growth
+// spawns a client in every new slot whose previous client has retired;
+// one still thinking or in flight simply carries on. Shrinkage retires
+// clients as their in-flight requests complete.
 func (a *App) SetConcurrency(n int) {
 	if n < 0 {
 		//lint:ignore panicpolicy precondition: negative concurrency is a programming error
@@ -108,10 +128,12 @@ func (a *App) SetConcurrency(n int) {
 	}
 	old := a.concurrency
 	a.concurrency = n
-	if a.started && n > old {
-		for i := old; i < n; i++ {
-			a.spawnClient(a.nextClient)
-			a.nextClient++
+	if !a.started {
+		return
+	}
+	for slot := old; slot < n; slot++ {
+		if slot >= len(a.clients) || !a.clients[slot].alive {
+			a.spawnClient(slot)
 		}
 	}
 }
@@ -122,46 +144,84 @@ func (a *App) Start() {
 		return
 	}
 	a.started = true
-	for i := 0; i < a.concurrency; i++ {
-		a.spawnClient(a.nextClient)
-		a.nextClient++
+	for slot := 0; slot < a.concurrency; slot++ {
+		a.spawnClient(slot)
 	}
+}
+
+// newRequest makes a request record and binds its callbacks.
+func (a *App) newRequest(slot int) *request {
+	r := &request{app: a, slot: slot}
+	r.visitFn = r.visit
+	if slot >= 0 {
+		r.issueFn = r.issue
+	}
+	return r
 }
 
 // spawnClient starts one client slot with an initial randomized think so
 // clients do not arrive in lockstep.
 func (a *App) spawnClient(slot int) {
-	a.sim.After(a.think(), func() { a.issue(slot) })
+	for len(a.clients) <= slot {
+		a.clients = append(a.clients, a.newRequest(len(a.clients)))
+	}
+	c := a.clients[slot]
+	c.alive = true
+	a.sim.After(a.think(), c.issueFn)
 }
 
 // think samples an exponential think time.
 func (a *App) think() float64 { return a.rng.ExpFloat64() * a.cfg.ThinkTime }
 
-// issue sends one request through the tier chain on behalf of slot.
-func (a *App) issue(slot int) {
-	if slot >= a.concurrency {
-		return // retired while thinking
-	}
-	start := a.sim.Now()
-	a.inFlight++
-	a.visitTier(0, func() {
-		a.inFlight--
-		a.completed++
-		a.window = append(a.window, a.sim.Now()-start)
-		if slot >= a.concurrency {
-			return // retired
-		}
-		a.sim.After(a.think(), func() { a.issue(slot) })
-	})
-}
-
-// visitTier runs one request through tier i and then the next.
-func (a *App) visitTier(i int, done func()) {
-	if i >= len(a.tiers) {
-		done()
+// issue sends the client's next request through the tier chain, unless
+// the slot was retired while the client was thinking.
+func (r *request) issue() {
+	if r.slot >= r.app.concurrency {
+		r.alive = false
 		return
 	}
-	a.tiers[i].Submit(a.sampleDemand(i), func() { a.visitTier(i+1, done) })
+	r.app.begin(r)
+}
+
+// begin starts r's trip at the first tier.
+func (a *App) begin(r *request) {
+	r.start = a.sim.Now()
+	r.tier = 0
+	a.inFlight++
+	r.visit()
+}
+
+// visit submits the request to its next tier, or finishes it after the
+// last one.
+func (r *request) visit() {
+	a := r.app
+	i := r.tier
+	if i >= len(a.tiers) {
+		r.finish()
+		return
+	}
+	r.tier++
+	a.tiers[i].Submit(a.sampleDemand(i), r.visitFn)
+}
+
+// finish records the response time. A closed-loop client then thinks
+// before its next request, unless its slot was retired meanwhile; an
+// open-loop record returns to the free list.
+func (r *request) finish() {
+	a := r.app
+	a.inFlight--
+	a.completed++
+	a.window = append(a.window, a.sim.Now()-r.start)
+	if r.slot < 0 {
+		r.next = a.spare
+		a.spare = r
+		return
+	}
+	if r.slot >= a.concurrency {
+		r.alive = false
+		return
+	}
+	a.sim.After(a.think(), r.issueFn)
 }
 
 // sampleDemand draws a lognormal service demand for tier i.
@@ -203,9 +263,14 @@ func (a *App) Completed() int { return a.completed }
 // DrainResponseTimes returns the response times (seconds) completed since
 // the previous drain and resets the window. This is the paper's
 // application-level response time monitor sampled once per control period.
+//
+// The result is a view, valid until the next call: the window is double
+// buffered, and the next period's samples are written into the buffer
+// the previous call returned. Consume or copy it before draining again.
 func (a *App) DrainResponseTimes() []float64 {
 	w := a.window
-	a.window = nil
+	a.window = a.drained[:0]
+	a.drained = w
 	return w
 }
 

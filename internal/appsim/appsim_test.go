@@ -2,9 +2,11 @@ package appsim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"vdcpower/internal/devs"
+	"vdcpower/internal/race"
 	"vdcpower/internal/stats"
 )
 
@@ -333,5 +335,79 @@ func BenchmarkAppSimulation60s(b *testing.B) {
 		a := New(sim, twoTierConfig(11))
 		a.Start()
 		sim.RunUntil(60)
+	}
+}
+
+// Regression: regrowing after a shrink used to number the new clients
+// from a counter already past the new level, so every one of them
+// retired on its first request. Going 40→20→5→20 left throughput at a
+// quarter of the first 20-client phase.
+func TestAppSetConcurrencyRegrowth(t *testing.T) {
+	sim := devs.NewSimulator()
+	a := New(sim, twoTierConfig(7))
+	a.Start()
+	sim.RunUntil(60)
+	// Every client is either thinking, with one pending think event, or
+	// in flight; the only other events are one completion per busy tier.
+	clients := func() int {
+		n := sim.Pending() + a.InFlight()
+		for j := 0; j < a.NumTiers(); j++ {
+			if a.Tier(j).Len() > 0 {
+				n--
+			}
+		}
+		return n
+	}
+	phase := func(level int) float64 {
+		a.SetConcurrency(level)
+		sim.RunUntil(sim.Now() + 30) // let retirements and spawns settle
+		before := a.Completed()
+		for i := 0; i < 120; i++ {
+			sim.RunUntil(sim.Now() + 1)
+			if n := clients(); n != level {
+				t.Fatalf("level %d: %d clients", level, n)
+			}
+		}
+		return float64(a.Completed()-before) / 120
+	}
+	first := phase(20)
+	phase(5)
+	if regrown := phase(20); math.Abs(regrown-first) > 0.1*first {
+		t.Fatalf("regrown 20-client rate %.2f req/s, first 20-client phase %.2f", regrown, first)
+	}
+	// Regrowing before the retired clients have left must let them carry
+	// on, not start a second client in their slots.
+	a.SetConcurrency(10)
+	phase(40)
+}
+
+// Acceptance: once warmed, a control period of a closed-loop two-tier
+// application (drain the kernel, then drain the response window)
+// allocates nothing. Measured over whole periods via MemStats, so a
+// single allocation anywhere in 50 periods fails the gate.
+func TestWarmPeriodDrainZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation gate not meaningful under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sim := devs.NewSimulator()
+	a := New(sim, twoTierConfig(3))
+	a.Start()
+	period := func() {
+		sim.RunUntil(sim.Now() + 1)
+		a.DrainResponseTimes()
+	}
+	for i := 0; i < 300; i++ {
+		period()
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 50; i++ {
+		period()
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.Mallocs - before.Mallocs; d != 0 {
+		t.Fatalf("50 warmed periods allocated %d times, want 0", d)
 	}
 }

@@ -13,11 +13,12 @@ import (
 // the natural library extension for Internet-facing workloads and is
 // validated against M/G/1-PS theory in the tests.
 type OpenWorkload struct {
-	app  *App
-	sim  *devs.Simulator
-	rng  *rand.Rand
-	rate float64
-	on   bool
+	app      *App
+	sim      *devs.Simulator
+	rng      *rand.Rand
+	rate     float64
+	on       bool
+	arriveFn func() // o.arrive, bound once
 }
 
 // NewOpenWorkload attaches a Poisson source to the app. The app should
@@ -27,12 +28,14 @@ func NewOpenWorkload(sim *devs.Simulator, app *App, ratePerSec float64, seed int
 		//lint:ignore panicpolicy precondition: a nonpositive arrival rate is a programming error
 		panic("appsim: arrival rate must be positive")
 	}
-	return &OpenWorkload{
+	o := &OpenWorkload{
 		app:  app,
 		sim:  sim,
 		rng:  rand.New(rand.NewSource(seed)),
 		rate: ratePerSec,
 	}
+	o.arriveFn = o.arrive
+	return o
 }
 
 // Rate returns the current arrival rate (requests/second).
@@ -64,24 +67,28 @@ func (o *OpenWorkload) scheduleNext() {
 	if !o.on {
 		return
 	}
-	o.sim.After(o.rng.ExpFloat64()/o.rate, func() {
-		if !o.on {
-			return
-		}
-		o.app.injectRequest()
-		o.scheduleNext()
-	})
+	o.sim.After(o.rng.ExpFloat64()/o.rate, o.arriveFn)
+}
+
+// arrive injects one request and draws the next arrival.
+func (o *OpenWorkload) arrive() {
+	if !o.on {
+		return
+	}
+	o.app.injectRequest()
+	o.scheduleNext()
 }
 
 // injectRequest pushes one externally-generated request through the tier
 // chain, recording its response time in the same window the monitor
 // drains.
 func (a *App) injectRequest() {
-	start := a.sim.Now()
-	a.inFlight++
-	a.visitTier(0, func() {
-		a.inFlight--
-		a.completed++
-		a.window = append(a.window, a.sim.Now()-start)
-	})
+	r := a.spare
+	if r == nil {
+		r = a.newRequest(-1)
+	} else {
+		a.spare = r.next
+		r.next = nil
+	}
+	a.begin(r)
 }

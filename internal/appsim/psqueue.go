@@ -8,7 +8,6 @@
 package appsim
 
 import (
-	"container/heap"
 	"math"
 
 	"vdcpower/internal/devs"
@@ -19,22 +18,6 @@ import (
 type job struct {
 	vfinish float64 // virtual time of completion
 	done    func()
-	index   int // heap index
-}
-
-type jobHeap []*job
-
-func (h jobHeap) Len() int           { return len(h) }
-func (h jobHeap) Less(i, j int) bool { return h[i].vfinish < h[j].vfinish }
-func (h jobHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *jobHeap) Push(x any)        { j := x.(*job); j.index = len(*h); *h = append(*h, j) }
-func (h *jobHeap) Pop() any {
-	old := *h
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return j
 }
 
 // PSQueue is an egalitarian processor-sharing service station with a
@@ -53,10 +36,15 @@ type PSQueue struct {
 	desired    float64 // capacity requested by the controller
 	paused     int     // nesting count of active pauses
 	vnow       float64 // virtual clock (GHz·s of per-job service granted)
-	jobs       jobHeap
+	jobs       []job   // min-heap on vfinish
 	lastUpdate float64
-	next       *devs.Event
+	next       devs.Event
 	busyCycles float64 // integrated work served, GHz·s
+
+	// Callbacks bound once, so re-arming the completion event and ending
+	// a pause allocate nothing.
+	completeFn, resumeFn func()
+	finished             []func() // complete's scratch
 }
 
 // minCapacity guards against a zero allocation stalling the queue forever;
@@ -86,6 +74,8 @@ func NewPSQueue(sim *devs.Simulator, capacityGHz float64) *PSQueue {
 	q := &PSQueue{sim: sim, lastUpdate: sim.Now()}
 	q.desired = clampCapacity(capacityGHz)
 	q.capacity = q.desired
+	q.completeFn = q.complete
+	q.resumeFn = q.resume
 	return q
 }
 
@@ -107,14 +97,17 @@ func (q *PSQueue) Pause(seconds float64) {
 	q.paused++
 	q.capacity = minCapacity
 	q.reschedule()
-	q.sim.After(seconds, func() {
-		q.advance()
-		q.paused--
-		if q.paused == 0 {
-			q.capacity = q.desired
-		}
-		q.reschedule()
-	})
+	q.sim.After(seconds, q.resumeFn)
+}
+
+// resume ends one pause.
+func (q *PSQueue) resume() {
+	q.advance()
+	q.paused--
+	if q.paused == 0 {
+		q.capacity = q.desired
+	}
+	q.reschedule()
 }
 
 // Len returns the number of jobs in service.
@@ -149,8 +142,54 @@ func (q *PSQueue) Submit(demand float64, done func()) {
 	if !(demand > 0) || math.IsInf(demand, 1) {
 		demand = 1e-9
 	}
-	heap.Push(&q.jobs, &job{vfinish: q.vnow + demand, done: done})
+	q.push(job{vfinish: q.vnow + demand, done: done})
 	q.reschedule()
+}
+
+// push and pop are container/heap's Push and Pop over the value-typed
+// job slice, specialised. The sifts move a hole instead of swapping,
+// which makes the same comparisons in the same order and leaves the
+// same layout: jobs with equal vfinish (deterministic demands) must
+// leave in container/heap's order, or every same-seed golden would
+// change.
+func (q *PSQueue) push(j job) {
+	q.jobs = append(q.jobs, j)
+	h := q.jobs
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !(j.vfinish < h[p].vfinish) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = j
+}
+
+func (q *PSQueue) pop() job {
+	h := q.jobs
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].vfinish < h[c].vfinish {
+			c = r
+		}
+		if !(h[c].vfinish < last.vfinish) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	h[n] = job{}
+	q.jobs = h[:n]
+	return top
 }
 
 // advance moves the virtual clock forward to the present: each in-service
@@ -174,10 +213,8 @@ func (q *PSQueue) advance() {
 // same-timestamp storm of ROADMAP item 6.
 func (q *PSQueue) reschedule() {
 	if len(q.jobs) == 0 {
-		if q.next != nil {
-			q.next.Cancel()
-			q.next = nil
-		}
+		q.next.Cancel()
+		q.next = devs.Event{}
 		return
 	}
 	remaining := q.jobs[0].vfinish - q.vnow
@@ -186,24 +223,22 @@ func (q *PSQueue) reschedule() {
 	}
 	at := q.sim.Now() + remaining*float64(len(q.jobs))/q.capacity
 	//lint:ignore floatcompare coalescing only the bit-identical re-arm; an epsilon would drop genuinely distinct re-arms
-	if q.next != nil && !q.next.Cancelled() && q.next.Time == at {
+	if q.next.Pending() && q.next.Time() == at {
 		return
 	}
-	if q.next != nil {
-		q.next.Cancel()
-	}
-	q.next = q.sim.Schedule(at, q.complete)
-	q.next.Label = "psqueue.complete"
+	q.next.Cancel()
+	q.next = q.sim.Schedule(at, q.completeFn)
+	q.next.SetLabel("psqueue.complete")
 }
 
 // complete retires every job whose virtual finish time has been reached.
 func (q *PSQueue) complete() {
 	q.advance()
-	q.next = nil
+	q.next = devs.Event{}
 	const eps = 1e-12
-	var finished []*job
+	finished := q.finished[:0]
 	for len(q.jobs) > 0 && q.jobs[0].vfinish <= q.vnow+eps {
-		finished = append(finished, heap.Pop(&q.jobs).(*job))
+		finished = append(finished, q.pop().done)
 	}
 	// Zeno guard (ROADMAP item 6). At large sim times the head job's
 	// remaining virtual work can sit above eps while its ETA is below one
@@ -224,12 +259,13 @@ func (q *PSQueue) complete() {
 		if now+remaining*float64(len(q.jobs))/q.capacity == now {
 			q.vnow = q.jobs[0].vfinish
 			for len(q.jobs) > 0 && q.jobs[0].vfinish <= q.vnow+eps {
-				finished = append(finished, heap.Pop(&q.jobs).(*job))
+				finished = append(finished, q.pop().done)
 			}
 		}
 	}
 	q.reschedule()
-	for _, j := range finished {
-		j.done()
+	for _, done := range finished {
+		done()
 	}
+	q.finished = finished[:0]
 }

@@ -39,7 +39,9 @@ type ControlledApp interface {
 	// SetAllocation changes tier i's CPU allocation (GHz).
 	SetAllocation(tier int, ghz units.Hertz)
 	// DrainResponseTimes returns the response times (seconds) completed
-	// since the last call and resets the window.
+	// since the last call and resets the window. The result may be a
+	// view that is valid only until the next call; Step consumes it
+	// before returning.
 	DrainResponseTimes() []units.Second
 }
 

@@ -1,7 +1,6 @@
 package devs
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"strings"
@@ -93,16 +92,10 @@ func (s *Simulator) budgetError(reason string, st DrainStats) error {
 		At:       s.now,
 		Events:   st.Events,
 		SameTime: st.SameTime,
-		Pending:  len(s.heap) - s.cancelled,
+		Pending:  len(s.heap),
 	}
-	for _, e := range s.heap {
-		if e.cancelled {
-			continue
-		}
-		be.Sample = append(be.Sample, PendingEvent{Time: e.Time, Label: e.Label})
-		if len(be.Sample) == sampleSize {
-			break
-		}
+	for _, it := range s.heap[:min(sampleSize, len(s.heap))] {
+		be.Sample = append(be.Sample, PendingEvent{Time: it.at, Label: s.slab[it.idx].label})
 	}
 	return be
 }
@@ -116,18 +109,13 @@ func (s *Simulator) RunUntilBudget(t float64, b Budget) (DrainStats, error) {
 	var st DrainStats
 	var runTime float64 // instant of the current same-time run
 	run := 0            // events fired at runTime so far
-	for len(s.heap) > 0 && s.heap[0].Time <= t {
-		e := heap.Pop(&s.heap).(*Event)
-		if e.cancelled {
-			s.cancelled--
-			continue
-		}
-		s.now = e.Time
-		e.fn()
+	for len(s.heap) > 0 && s.heap[0].at <= t {
+		at := s.heap[0].at
+		s.fire()
 		st.Events++
 		//lint:ignore floatcompare same-instant detection must be exact; an epsilon would mistake distinct times for a Zeno run
-		if st.Events == 1 || e.Time != runTime {
-			runTime = e.Time
+		if st.Events == 1 || at != runTime {
+			runTime = at
 			run = 1
 		} else {
 			run++
@@ -137,12 +125,12 @@ func (s *Simulator) RunUntilBudget(t float64, b Budget) (DrainStats, error) {
 		}
 		// Trip only when queued work remains inside the horizon; a bound
 		// reached on the drain's final event is not an overrun.
-		more := len(s.heap) > 0 && s.heap[0].Time <= t
+		more := len(s.heap) > 0 && s.heap[0].at <= t
 		if b.MaxEvents > 0 && st.Events >= b.MaxEvents && more {
 			return st, s.budgetError(ReasonMaxEvents, st)
 		}
 		//lint:ignore floatcompare the same-time bound trips only if the next event shares this exact instant
-		if b.MaxSameTimeEvents > 0 && run >= b.MaxSameTimeEvents && more && s.heap[0].Time == runTime {
+		if b.MaxSameTimeEvents > 0 && run >= b.MaxSameTimeEvents && more && s.heap[0].at == runTime {
 			return st, s.budgetError(ReasonSameTime, st)
 		}
 		if b.Interrupt != nil && st.Events%interruptEvery == 0 && b.Interrupt() {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -46,8 +47,7 @@ func TestRunUntilBudgetMaxEventsTrip(t *testing.T) {
 	s := NewSimulator()
 	fired := 0
 	for i := 0; i < 100; i++ {
-		e := s.Schedule(float64(i), func() { fired++ })
-		e.Label = "tick"
+		s.Schedule(float64(i), func() { fired++ }).SetLabel("tick")
 	}
 	st, err := s.RunUntilBudget(1000, Budget{MaxEvents: 10})
 	if !errors.Is(err, ErrBudgetExceeded) {
@@ -107,6 +107,24 @@ func TestRunUntilBudgetNoTripOnFinalEvent(t *testing.T) {
 	}
 }
 
+// A cancelled event inside the horizon is not queued work: a bound
+// reached on the last live event must not trip because of it.
+func TestRunUntilBudgetNoTripOnCancelledTail(t *testing.T) {
+	s := NewSimulator()
+	for i := 0; i < 3; i++ {
+		s.Schedule(float64(i), func() {})
+	}
+	s.Schedule(5, func() {}).Cancel()
+	for _, b := range []Budget{{MaxEvents: 3}, {MaxSameTimeEvents: 1}} {
+		if _, err := s.RunUntilBudget(10, b); err != nil {
+			t.Fatalf("budget %+v tripped on a cancelled event: %v", b, err)
+		}
+	}
+	if s.Now() != 10 || s.Pending() != 0 {
+		t.Fatalf("Now = %v Pending = %d, want 10 and 0", s.Now(), s.Pending())
+	}
+}
+
 // A self-rescheduling event at the current instant is the Zeno-storm
 // signature; the same-time bound must cut it off.
 func TestRunUntilBudgetSameTimeTrip(t *testing.T) {
@@ -115,8 +133,7 @@ func TestRunUntilBudgetSameTimeTrip(t *testing.T) {
 	var storm func()
 	storm = func() {
 		fired++
-		e := s.Schedule(s.Now(), storm)
-		e.Label = "storm"
+		s.Schedule(s.Now(), storm).SetLabel("storm")
 	}
 	s.Schedule(1, storm)
 	st, err := s.RunUntilBudget(10, Budget{MaxSameTimeEvents: 50})
@@ -174,68 +191,113 @@ func TestRunUntilBudgetInterrupt(t *testing.T) {
 	}
 }
 
-// Satellite 1: heavy cancel churn must not bloat the heap. The lazy purge
-// keeps Pending() (and the backing heap) bounded even when most scheduled
-// events are cancelled before firing, as PSQueue re-arms do.
+// Heavy cancel churn must not bloat the queue. Cancel removes eagerly,
+// so Pending() counts exactly the live events and the slab recycles the
+// cancelled slots instead of growing, even when most scheduled events are
+// cancelled before firing, as PSQueue re-arms are.
 func TestCancelChurnKeepsPendingBounded(t *testing.T) {
 	s := NewSimulator()
-	fired := 0
-	var prev *Event
+	var fired []float64
+	var prev Event
 	const churn = 100_000
 	for i := 0; i < churn; i++ {
-		if prev != nil {
-			prev.Cancel()
-		}
-		prev = s.Schedule(float64(i+1), func() { fired++ })
-		if h := len(s.heap); h > 2*purgeThreshold+2 {
-			t.Fatalf("heap grew to %d entries after %d cancels", h, i)
+		prev.Cancel()
+		prev = s.Schedule(float64(i+1), func() { fired = append(fired, s.Now()) })
+		if p := s.Pending(); p != 1 {
+			t.Fatalf("Pending = %d after %d cancels, want 1", p, i)
 		}
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1 live event", s.Pending())
+	if n := len(s.slab); n > 2 {
+		t.Fatalf("slab grew to %d slots under cancel churn", n)
 	}
 	s.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want only the survivor", fired)
+	if len(fired) != 1 || fired[0] != churn {
+		t.Fatalf("fired %v, want only the survivor at %d", fired, churn)
 	}
 }
 
-// The purge must not disturb firing order among survivors.
+// Cancelling a random two-thirds of the queue must leave the survivors
+// firing in exactly (time, scheduling order) order.
 func TestPurgePreservesOrder(t *testing.T) {
 	s := NewSimulator()
 	rng := rand.New(rand.NewSource(3))
-	var events []*Event
-	var fired []float64
-	for i := 0; i < 2000; i++ {
-		at := rng.Float64() * 100
-		events = append(events, s.Schedule(at, func() { fired = append(fired, s.Now()) }))
+	type ev struct {
+		at float64
+		id int
 	}
-	// Cancel a random two-thirds to force purges mid-stream.
+	var events []Event
+	var want, fired []ev
+	for i := 0; i < 2000; i++ {
+		at := float64(rng.Intn(500)) / 5 // coarse grid: plenty of ties
+		id := i
+		events = append(events, s.Schedule(at, func() { fired = append(fired, ev{s.Now(), id}) }))
+		if i%3 == 0 {
+			want = append(want, ev{at, id})
+		}
+	}
 	for i, e := range events {
 		if i%3 != 0 {
 			e.Cancel()
 		}
 	}
-	s.Run()
-	for i := 1; i < len(fired); i++ {
-		if fired[i] < fired[i-1] {
-			t.Fatalf("order regressed at %d: %v then %v", i, fired[i-1], fired[i])
-		}
+	if s.Pending() != len(want) {
+		t.Fatalf("Pending = %d, want %d survivors", s.Pending(), len(want))
 	}
-	if len(fired) == 0 {
-		t.Fatal("no survivors fired")
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	s.Run()
+	if len(fired) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(fired), len(want))
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("firing %d = %+v, want %+v", i, fired[i], want[i])
+		}
 	}
 }
 
 func TestCancelIsIdempotent(t *testing.T) {
 	s := NewSimulator()
-	e := s.Schedule(1, func() {})
+	fired := 0
+	e := s.Schedule(1, func() { fired++ })
+	s.Schedule(2, func() { fired++ })
 	e.Cancel()
-	e.Cancel() // double-cancel must not double-count toward the purge
-	if s.cancelled != 1 {
-		t.Fatalf("cancelled = %d, want 1", s.cancelled)
+	e.Cancel() // double-cancel must not remove anything else
+	if s.Pending() != 1 {
+		t.Fatalf("Pending = %d, want 1", s.Pending())
+	}
+	// The cancelled slot is recycled by the next Schedule; the stale
+	// handle must not reach the new occupant.
+	s.Schedule(3, func() { fired++ })
+	e.Cancel()
+	e.SetLabel("stale")
+	if e.Pending() || s.Pending() != 2 {
+		t.Fatalf("stale handle touched the recycled slot: Pending = %d", s.Pending())
 	}
 	s.Run()
+	if fired != 2 {
+		t.Fatalf("fired = %d, want 2", fired)
+	}
+}
+
+// A warmed Schedule→fire cycle allocates nothing: the slab and heap are
+// reused, and the handle is a value.
+func TestScheduleFireZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation gate not meaningful under -race")
+	}
+	s := NewSimulator()
+	fn := func() {}
+	cycle := func() {
+		s.After(1, fn).SetLabel("x")
+		s.After(2, fn).Cancel()
+		s.After(1, fn)
+		s.Step()
+		s.Step()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Fatalf("Schedule/Cancel/fire cycle allocated %v times, want 0", n)
+	}
 }
 
 // Acceptance: the budget check on the hot drain path adds no allocations.

@@ -4,79 +4,103 @@
 //
 // Determinism: events at equal timestamps fire in scheduling order, so a
 // simulation driven by seeded randomness is fully reproducible.
+//
+// Allocation: events live in a value-typed slab recycled through a free
+// list, and the queue is a binary heap of plain (time, seq, slot) items,
+// so once the slab and heap have reached their high-water mark,
+// scheduling and firing allocate nothing. A callback that is a method
+// value or closure bound once by the caller keeps the whole
+// Schedule→fire cycle allocation-free.
 package devs
 
-import "container/heap"
-
-// Event is a scheduled callback. The zero Event is not valid; obtain
-// events from Simulator.Schedule or Simulator.After.
+// Event is a handle to a scheduled callback, returned by Schedule and
+// After. It is a small value; copy it freely. Every event carries a
+// unique sequence number that doubles as its slot's generation: once the
+// event fires or is cancelled its slot is recycled, the handle goes
+// stale, and every method on it becomes a harmless no-op. The zero
+// Event refers to no event.
 type Event struct {
-	Time float64
-	// Label names the event's provenance ("psqueue.complete", ...) so a
-	// budget-exceeded error can report what the stuck queue is made of.
-	// Optional; set it right after Schedule/After.
-	Label     string
-	fn        func()
-	sim       *Simulator
-	seq       uint64
-	index     int // heap index, -1 once popped or purged
-	cancelled bool
+	sim *Simulator
+	at  float64
+	seq uint64
+	idx int32
 }
 
-// Cancel prevents the event from firing. Cancelling an already fired or
-// cancelled event is a no-op. Cancelled events are reclaimed lazily: once
-// they outnumber live ones they are purged in one pass, so cancel-heavy
-// reschedule churn cannot bloat the heap.
-func (e *Event) Cancel() {
-	if e.cancelled {
-		return
-	}
-	e.cancelled = true
-	if e.sim != nil && e.index >= 0 {
-		e.sim.cancelled++
-		e.sim.maybePurge()
+// Time returns the virtual time the event was scheduled for. It stays
+// readable after the event has fired or been cancelled.
+func (e Event) Time() float64 { return e.at }
+
+// Pending reports whether the event is still queued: neither fired nor
+// cancelled.
+func (e Event) Pending() bool { return e.live() != nil }
+
+// Cancel removes the event from the queue so it never fires. Cancelling
+// a fired, cancelled or zero event is a no-op.
+func (e Event) Cancel() {
+	if sl := e.live(); sl != nil {
+		e.sim.remove(int(sl.pos))
 	}
 }
 
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e.cancelled }
+// SetLabel names the event's provenance ("psqueue.complete", ...) so a
+// budget-exceeded error can report what the stuck queue is made of. It
+// is a no-op on a stale handle.
+func (e Event) SetLabel(label string) {
+	if sl := e.live(); sl != nil {
+		sl.label = label
+	}
+}
 
-type eventHeap []*Event
+// live returns the event's slab entry while the event is queued, nil
+// once the handle is stale.
+func (e Event) live() *slot {
+	if e.sim == nil {
+		return nil
+	}
+	sl := &e.sim.slab[e.idx]
+	if sl.pos < 0 || sl.seq != e.seq {
+		return nil
+	}
+	return sl
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+// slot is one slab entry: the payload of a queued event, or a link in
+// the free list.
+type slot struct {
+	fn    func()
+	label string
+	seq   uint64 // sequence number of the current occupant
+	pos   int32  // heap position while queued, -1 while free
+	next  int32  // free-list link while free: 1 + next free index, 0 = end
+}
+
+// item is one heap entry. The ordering key is copied out of the slab so
+// sift comparisons never leave the heap array.
+type item struct {
+	at  float64
+	seq uint64
+	idx int32
+}
+
+// before orders items by (time, seq). seq is unique, so this is a strict
+// total order on any non-NaN times, and any correct heap over it pops
+// events in exactly one sequence.
+func (a item) before(b item) bool {
 	//lint:ignore floatcompare exact tie-break in event ordering; an epsilon would reorder events
-	if h[i].Time != h[j].Time {
-		return h[i].Time < h[j].Time
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
-// Simulator owns a virtual clock and the pending event queue.
+// Simulator owns a virtual clock and the pending event queue. The zero
+// value is ready to use.
 type Simulator struct {
-	now       float64
-	heap      eventHeap
-	seq       uint64
-	cancelled int // cancelled events still occupying heap slots
+	now  float64
+	seq  uint64
+	heap []item
+	slab []slot
+	free int32 // 1 + index of the first free slot; 0 when none
 }
 
 // NewSimulator returns a simulator with the clock at zero.
@@ -85,72 +109,48 @@ func NewSimulator() *Simulator { return &Simulator{} }
 // Now returns the current virtual time in seconds.
 func (s *Simulator) Now() float64 { return s.now }
 
-// Pending returns the number of live queued events. Cancelled events
-// awaiting the lazy purge are not counted: cancellation is immediate in
-// effect even when the tombstone lingers in the heap.
-func (s *Simulator) Pending() int { return len(s.heap) - s.cancelled }
+// Pending returns the number of queued events.
+func (s *Simulator) Pending() int { return len(s.heap) }
 
 // Schedule queues fn to run at absolute time at. Scheduling in the past
-// panics: it would silently reorder causality.
-func (s *Simulator) Schedule(at float64, fn func()) *Event {
-	if at < s.now {
+// or at NaN panics: either would silently reorder causality.
+func (s *Simulator) Schedule(at float64, fn func()) Event {
+	if !(at >= s.now) {
 		//lint:ignore panicpolicy simulator invariant: scheduling into the past means a broken model
 		panic("devs: scheduling event in the past")
 	}
-	e := &Event{Time: at, fn: fn, sim: s, seq: s.seq}
+	var idx int32
+	if s.free != 0 {
+		idx = s.free - 1
+		s.free = s.slab[idx].next
+	} else {
+		idx = int32(len(s.slab))
+		s.slab = append(s.slab, slot{})
+	}
+	seq := s.seq
 	s.seq++
-	heap.Push(&s.heap, e)
-	return e
-}
-
-// purgeThreshold is the minimum number of cancelled events before a purge
-// pass is worth its O(n) cost.
-const purgeThreshold = 64
-
-// maybePurge drops cancelled events from the heap once they outnumber the
-// live ones. Heap order after Init is determined solely by (Time, seq),
-// so a purge never changes the firing order of the surviving events.
-func (s *Simulator) maybePurge() {
-	if s.cancelled < purgeThreshold || s.cancelled*2 <= len(s.heap) {
-		return
-	}
-	live := s.heap[:0]
-	for _, e := range s.heap {
-		if e.cancelled {
-			e.index = -1
-			continue
-		}
-		e.index = len(live)
-		live = append(live, e)
-	}
-	for i := len(live); i < len(s.heap); i++ {
-		s.heap[i] = nil
-	}
-	s.heap = live
-	heap.Init(&s.heap)
-	s.cancelled = 0
+	sl := &s.slab[idx]
+	sl.fn = fn
+	sl.seq = seq
+	it := item{at: at, seq: seq, idx: idx}
+	s.heap = append(s.heap, it)
+	s.siftUp(len(s.heap)-1, it)
+	return Event{sim: s, at: at, seq: seq, idx: idx}
 }
 
 // After queues fn to run d seconds from now.
-func (s *Simulator) After(d float64, fn func()) *Event {
+func (s *Simulator) After(d float64, fn func()) Event {
 	return s.Schedule(s.now+d, fn)
 }
 
 // Step fires the earliest pending event, advancing the clock to its time.
-// It returns false if the queue is empty. Cancelled events are discarded
-// without firing.
+// It returns false if the queue is empty.
 func (s *Simulator) Step() bool {
-	for len(s.heap) > 0 {
-		e := heap.Pop(&s.heap).(*Event)
-		if e.cancelled {
-			s.cancelled--
-			continue
-		}
-		s.now = e.Time
-		e.fn()
-		return true
+	if len(s.heap) == 0 {
+		return false
 	}
-	return false
+	s.fire()
+	return true
 }
 
 // RunUntil fires every event with Time <= t and then advances the clock
@@ -164,4 +164,77 @@ func (s *Simulator) RunUntil(t float64) {
 func (s *Simulator) Run() {
 	for s.Step() {
 	}
+}
+
+// fire pops the earliest event, advances the clock to it and runs it.
+// The slot is recycled before the callback runs, so an event that
+// reschedules itself reuses its own slot.
+func (s *Simulator) fire() {
+	top := s.heap[0]
+	fn := s.slab[top.idx].fn
+	s.remove(0)
+	s.now = top.at
+	fn()
+}
+
+// remove deletes the heap entry at position pos and recycles its slot.
+func (s *Simulator) remove(pos int) {
+	idx := s.heap[pos].idx
+	n := len(s.heap) - 1
+	last := s.heap[n]
+	s.heap = s.heap[:n]
+	if pos < n {
+		if pos > 0 && last.before(s.heap[(pos-1)/2]) {
+			s.siftUp(pos, last)
+		} else {
+			s.siftDown(pos, last)
+		}
+	}
+	sl := &s.slab[idx]
+	sl.fn = nil
+	sl.label = ""
+	sl.pos = -1
+	sl.next = s.free
+	s.free = idx + 1
+}
+
+// siftUp settles it into the hole at position i, moving parents down
+// until its place is found.
+func (s *Simulator) siftUp(i int, it item) {
+	h := s.heap
+	for i > 0 {
+		p := (i - 1) / 2
+		if !it.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		s.slab[h[i].idx].pos = int32(i)
+		i = p
+	}
+	h[i] = it
+	s.slab[it.idx].pos = int32(i)
+}
+
+// siftDown settles it into the hole at position i, moving the smaller
+// child up until its place is found.
+func (s *Simulator) siftDown(i int, it item) {
+	h := s.heap
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(it) {
+			break
+		}
+		h[i] = h[c]
+		s.slab[h[i].idx].pos = int32(i)
+		i = c
+	}
+	h[i] = it
+	s.slab[it.idx].pos = int32(i)
 }

@@ -53,9 +53,12 @@ func TestCancel(t *testing.T) {
 	s := NewSimulator()
 	fired := false
 	e := s.Schedule(1, func() { fired = true })
+	if !e.Pending() || e.Time() != 1 {
+		t.Fatalf("before Cancel: Pending() = %v, Time() = %v", e.Pending(), e.Time())
+	}
 	e.Cancel()
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() = false")
+	if e.Pending() {
+		t.Fatal("Pending() = true after Cancel")
 	}
 	s.Run()
 	if fired {

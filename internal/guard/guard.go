@@ -61,23 +61,35 @@ func (b StepBudget) DevsBudget(interrupt func() bool) devs.Budget {
 // current step; Expired reports whether the armed deadline has passed;
 // Disarm invalidates it. Generation counters make a late timer firing
 // after Disarm or re-Arm harmless, so no timer bookkeeping races matter.
+// Disarm and re-Arm also stop the superseded timer, so a step that ends
+// in time leaves nothing queued in the runtime's timer heap pinning the
+// watchdog (and whatever owns it) until the deadline would have passed.
 type Watchdog struct {
-	gen     atomic.Uint64 // current arming generation; bumped by Arm and Disarm
-	expired atomic.Uint64 // generation whose deadline fired
+	gen     atomic.Uint64              // current arming generation; bumped by Arm and Disarm
+	expired atomic.Uint64              // generation whose deadline fired
+	timer   atomic.Pointer[time.Timer] // the armed deadline's timer, nil when none
 }
 
 // Arm starts (or restarts) the deadline. A non-positive duration arms
 // nothing: the step is unbounded in wall time.
 func (w *Watchdog) Arm(d time.Duration) {
 	g := w.gen.Add(1)
-	if d <= 0 {
-		return
+	var t *time.Timer
+	if d > 0 {
+		t = time.AfterFunc(d, func() { w.expired.Store(g) })
 	}
-	time.AfterFunc(d, func() { w.expired.Store(g) })
+	if old := w.timer.Swap(t); old != nil {
+		old.Stop()
+	}
 }
 
-// Disarm invalidates the current deadline.
-func (w *Watchdog) Disarm() { w.gen.Add(1) }
+// Disarm invalidates the current deadline and stops its timer.
+func (w *Watchdog) Disarm() {
+	w.gen.Add(1)
+	if t := w.timer.Swap(nil); t != nil {
+		t.Stop()
+	}
+}
 
 // Expired reports whether the currently armed deadline has passed. It is
 // safe to call from any goroutine, including a kernel drain's interrupt

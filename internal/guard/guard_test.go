@@ -3,6 +3,7 @@ package guard
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -138,5 +139,63 @@ func TestQuarantineCustomKnobs(t *testing.T) {
 	}
 	if q.Cooldown(4) != 12 {
 		t.Fatalf("cooldown = %d, want 12", q.Cooldown(4))
+	}
+}
+
+// Disarm and re-Arm must stop the superseded timer: an armed timer holds
+// the watchdog (and the server embedding it) reachable until it fires.
+func TestWatchdogStopsSupersededTimer(t *testing.T) {
+	var w Watchdog
+	w.Arm(time.Hour)
+	first := w.timer.Load()
+	if first == nil {
+		t.Fatal("Arm left no timer")
+	}
+	w.Arm(time.Hour)
+	if first.Stop() {
+		t.Fatal("re-Arm left the previous timer running")
+	}
+	second := w.timer.Load()
+	w.Disarm()
+	if second.Stop() {
+		t.Fatal("Disarm left the timer running")
+	}
+	if w.timer.Load() != nil {
+		t.Fatal("Disarm kept a timer")
+	}
+	w.Arm(0)
+	if w.timer.Load() != nil {
+		t.Fatal("a zero-duration Arm started a timer")
+	}
+}
+
+// Arm, Disarm and Expired race freely (serve's /health polls Expired
+// while the step loop arms and disarms); run under -race.
+func TestWatchdogConcurrentUse(t *testing.T) {
+	var w Watchdog
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				switch (g + i) % 3 {
+				case 0:
+					w.Arm(time.Duration(i%3) * time.Microsecond)
+				case 1:
+					w.Disarm()
+				default:
+					w.Expired()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	w.Disarm()
+	if w.Expired() {
+		t.Fatal("expired after the final Disarm")
+	}
+	if w.timer.Load() != nil {
+		t.Fatal("a timer survived the final Disarm")
 	}
 }
