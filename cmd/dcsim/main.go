@@ -28,6 +28,7 @@ import (
 	"vdcpower/internal/fault"
 	"vdcpower/internal/obs"
 	"vdcpower/internal/optimizer"
+	"vdcpower/internal/probe"
 	"vdcpower/internal/report"
 	"vdcpower/internal/telemetry"
 	"vdcpower/internal/trace"
@@ -161,7 +162,7 @@ func main() {
 		t := report.New("per-step series (IPAC)", "step", "hour", "power_W", "active_servers", "demand_GHz")
 		cfg := dcsim.DefaultConfig(tr, *series, optimizer.NewIPAC())
 		cfg.Telemetry = tracer.Track("main")
-		cfg.Obs = scorecard
+		cfg.Probe = probe.New(probe.Scorecard(scorecard))
 		if prof != nil {
 			cfg.Faults = fault.New(*prof)
 		}
@@ -306,24 +307,25 @@ func runChecked(tr *workload.Trace, sizes []int, tracer *telemetry.Tracer, prof 
 			checker := check.New(append(check.All(), check.VetoesRespected(aud))...)
 			cfg := dcsim.DefaultConfig(tr, n, cons)
 			cfg.WatchdogEverySteps = 4 // exercise the overload reliever too
-			cfg.Checker = checker
 			if prof != nil {
 				cfg.Faults = fault.New(*prof)
 			}
 			// One track per run: tracks are sequential execution units,
 			// and the checked sweep runs serially.
 			cfg.Telemetry = tracer.Track(fmt.Sprintf("%s-%d", pol.name, n))
+			var sc *obs.Scorecard
 			if scorecard != nil {
 				jc := scorecard.Config()
 				jc.Label = fmt.Sprintf("%s/%d", pol.name, n)
-				cfg.Obs = obs.New(jc)
+				sc = obs.New(jc)
 			}
+			cfg.Probe = probe.New(checker, probe.Scorecard(sc))
 			res, err := dcsim.Run(cfg)
 			if err != nil && checker.NumViolations() == 0 {
 				return err
 			}
 			if scorecard != nil {
-				if err := scorecard.Merge(cfg.Obs); err != nil {
+				if err := scorecard.Merge(sc); err != nil {
 					return fmt.Errorf("merging %s/%d scorecard: %w", pol.name, n, err)
 				}
 			}

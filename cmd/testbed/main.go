@@ -141,7 +141,7 @@ func tracedRun(cfg testbed.Config, path string) error {
 	if err := tb.AttachOptimizer(optimizer.NewIPAC(), 20, cluster.DefaultMigrationModel()); err != nil {
 		return err
 	}
-	tr := tb.AttachTelemetry(0, nil)
+	tr := tb.AttachTelemetry(0)
 	if _, err := tb.Run(600, nil); err != nil {
 		return err
 	}

@@ -17,6 +17,7 @@ import (
 	"vdcpower/internal/obs"
 	"vdcpower/internal/optimizer"
 	"vdcpower/internal/packing"
+	"vdcpower/internal/probe"
 	"vdcpower/internal/queueing"
 	"vdcpower/internal/stats"
 	"vdcpower/internal/sysid"
@@ -254,7 +255,7 @@ func fig6Run(e *Env, tk *telemetry.Track, inj *fault.Injector, sc *obs.Scorecard
 	cfg := dcsim.DefaultConfig(tr, e.DCVMs(), optimizer.NewIPAC())
 	cfg.Telemetry = tk
 	cfg.Faults = inj
-	cfg.Obs = sc
+	cfg.Probe = probe.New(probe.Scorecard(sc))
 	res, err := dcsim.Run(cfg)
 	return res, cfg, err
 }

@@ -5,8 +5,10 @@
 // increases active servers, Minimum Slack never worse than FFD), and a
 // Checker that observes a running simulation through typed events.
 //
-// The checker is opt-in: dcsim and testbed emit events only when a
-// Checker is attached, so production runs pay nothing. Hand-written
+// Event is also the stack's single fact vocabulary: testbed, dcsim and
+// serve emit every fact once, as an Event, into one nil-safe probe
+// (package probe), and the Checker is one of its subscribers next to the
+// controller-health scorecard and the metrics registry. Hand-written
 // figure tests exercise the scenarios somebody imagined; the checker
 // exists for the scenarios nobody did — randomized stress (package
 // check/quick) and fuzzing drive the same invariants over inputs no one
@@ -18,6 +20,7 @@ import (
 	"strings"
 
 	"vdcpower/internal/cluster"
+	"vdcpower/internal/mpc"
 	"vdcpower/internal/optimizer"
 	"vdcpower/internal/packing"
 )
@@ -49,41 +52,44 @@ const (
 	// EvGuard fires after one control period's bounded event drain,
 	// carrying the budget and what the drain actually did.
 	EvGuard
+	// EvBreaker fires whenever serve publishes its circuit breaker's
+	// state: at construction and on every tick that touches it.
+	EvBreaker
 )
+
+// kindNames indexes the event kind names by Kind.
+var kindNames = [...]string{
+	EvInit: "init", EvStep: "step", EvConsolidate: "consolidate", EvWatchdog: "watchdog",
+	EvPacking: "packing", EvMigration: "migration", EvCrash: "crash", EvControl: "control",
+	EvGuard: "guard", EvBreaker: "breaker",
+}
 
 // String names the event kind.
 func (k Kind) String() string {
-	switch k {
-	case EvInit:
-		return "init"
-	case EvStep:
-		return "step"
-	case EvConsolidate:
-		return "consolidate"
-	case EvWatchdog:
-		return "watchdog"
-	case EvPacking:
-		return "packing"
-	case EvMigration:
-		return "migration"
-	case EvCrash:
-		return "crash"
-	case EvControl:
-		return "control"
-	case EvGuard:
-		return "guard"
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
 // Event is one observation point. Fields beyond Kind and Step are
-// optional; invariants skip events lacking the data they need.
+// optional; subscribers skip events lacking the data they need. The
+// per-period payloads (Control, Guard) are values, so an unobserved run
+// builds them without allocating; pointer fields are valid only for the
+// duration of one delivery.
 type Event struct {
 	Kind Kind
 	Step int // trace step or control period; -1 when not applicable
 
+	TimeSec float64 // logical simulation time of the fact
+	Span    string  // telemetry span the fact was observed under (audit links)
+
 	// DC is the live data center (init, step, consolidate, watchdog).
 	DC *cluster.DataCenter
+	// Apps names a testbed's applications in order, and SetpointSec is
+	// their shared response-time target (init).
+	Apps        []string
+	SetpointSec float64
 
 	// Report is the optimizer's account of a consolidate/watchdog pass.
 	Report *optimizer.Report
@@ -92,6 +98,11 @@ type Event struct {
 	// OverloadedBefore counts servers that were overloaded when the
 	// consolidator was invoked (waking servers is then legitimate).
 	OverloadedBefore int
+	// ActiveBefore, when set on a consolidate/watchdog event, records
+	// which of DC.Servers were active before the pass (index-aligned).
+	ActiveBefore     []bool
+	Nodes, Widenings int  // the pass's branch-and-bound effort
+	Degraded         bool // the pass was skipped on an injected transient error
 
 	// PowerW is the instantaneous power accounted for this step and
 	// EnergyJ the cumulative energy so far; valid when the Has flags are
@@ -100,6 +111,13 @@ type Event struct {
 	EnergyJ   float64
 	HasPower  bool
 	HasEnergy bool
+	Active    int // powered-on servers after the step
+	// SLOMet is the step's data-center objective verdict (no active
+	// server overloaded); valid when HasSLO is set.
+	SLOMet, HasSLO bool
+	// Solve is the cumulative MPC solve tally over every controller; zero
+	// when the step ran no MPC layer.
+	Solve mpc.SolveStats
 
 	// MinSlack carries one observed Algorithm 1 invocation.
 	MinSlack *MinSlackObservation
@@ -109,10 +127,10 @@ type Event struct {
 	// LostVMs lists VM IDs dropped by a server crash under the "lose"
 	// policy (EvCrash); conservation laws remove them from their baseline.
 	LostVMs []string
-	// Control carries one controller step's degradation state (EvControl).
-	Control *ControlObservation
-	// Guard carries one bounded drain's budget accounting (EvGuard).
-	Guard *GuardObservation
+	Crash   CrashObservation   // the crashed server (EvCrash)
+	Control ControlObservation // one controller step (EvControl)
+	Guard   GuardObservation   // one bounded drain's budget accounting (EvGuard)
+	Breaker BreakerObservation // serve's circuit-breaker state (EvBreaker)
 }
 
 // MigrationObservation captures one two-phase migration transition.
@@ -123,27 +141,52 @@ type MigrationObservation struct {
 	Phase string // cluster.TxPhase: reserved, committed, rolled_back
 }
 
-// ControlObservation captures one response-time controller step for the
-// hold-window staleness law. It is a plain struct (no core dependency) the
-// harness fills from core.StepResult.
+// ControlObservation captures one response-time controller step. It is a
+// plain struct (no core dependency) the harness fills from
+// core.StepResult.
 type ControlObservation struct {
 	App        string
+	Index      int // the application's position in the init event's Apps
 	Held       bool
+	Dropped    bool // the measurement was lost or non-finite
 	HeldStreak int
 	HoldWindow int // the controller's configured bound (with defaults applied)
 	OpenLoop   bool
+	T90        float64 // measured 90-percentile response time (the held value when Held)
+	Relaxed    bool    // the MPC dropped its terminal constraint
+	// Residual is the one-step prediction error, valid when HasResidual.
+	Residual    float64
+	HasResidual bool
 }
 
 // GuardObservation captures one control period's bounded event drain for
 // the step-budget law: the limits in force, what the drain consumed, and
 // whether exhaustion was converted into an aborted (failed) step.
 type GuardObservation struct {
-	MaxEvents   int  // event budget in force; 0 = unbounded
-	Events      int  // events the drain fired
-	MaxSameTime int  // same-instant budget in force; 0 = unbounded
-	SameTime    int  // longest same-instant run observed
-	Tripped     bool // a budget bound (or watchdog) cut the drain short
-	Aborted     bool // the harness failed the step in response
+	MaxEvents   int   // event budget in force; 0 = unbounded
+	Events      int   // events the drain fired
+	MaxSameTime int   // same-instant budget in force; 0 = unbounded
+	SameTime    int   // longest same-instant run observed
+	Tripped     bool  // a budget bound (or watchdog) cut the drain short
+	Aborted     bool  // the harness failed the step in response
+	Wall        bool  // the wall-clock watchdog, not an event bound, tripped
+	Err         error // the budget error behind an abort
+}
+
+// CrashObservation describes one server crash.
+type CrashObservation struct {
+	Server    string
+	Evacuated int  // VMs re-placed on the surviving fleet
+	Lose      bool // the crash policy dropped the VMs (listed in LostVMs)
+}
+
+// BreakerObservation captures serve's circuit breaker as it is published.
+// States use serve's codes: 0 closed, 1 open, 2 half-open.
+type BreakerObservation struct {
+	State       int
+	Prev        int // the state before this publication
+	Cooldown    int // ticks left before an open breaker half-opens
+	ConsecFails int
 }
 
 // Violation records one broken invariant.

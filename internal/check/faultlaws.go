@@ -75,7 +75,7 @@ type holdWindowBounded struct{}
 func (holdWindowBounded) Name() string { return "core/hold-window-bounded" }
 
 func (holdWindowBounded) Check(ev Event) error {
-	if ev.Kind != EvControl || ev.Control == nil {
+	if ev.Kind != EvControl {
 		return nil
 	}
 	c := ev.Control

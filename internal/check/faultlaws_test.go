@@ -91,9 +91,9 @@ func TestNoDoublePlacementCatchesLyingPhase(t *testing.T) {
 func TestHoldWindowBoundedLaw(t *testing.T) {
 	law := holdWindowBounded{}
 	ok := []Event{
-		{Kind: EvControl, Control: &ControlObservation{App: "a", HoldWindow: 4}},
-		{Kind: EvControl, Control: &ControlObservation{App: "a", Held: true, HeldStreak: 4, HoldWindow: 4}},
-		{Kind: EvControl, Control: &ControlObservation{App: "a", Held: true, HeldStreak: 5, HoldWindow: 4, OpenLoop: true}},
+		{Kind: EvControl, Control: ControlObservation{App: "a", HoldWindow: 4}},
+		{Kind: EvControl, Control: ControlObservation{App: "a", Held: true, HeldStreak: 4, HoldWindow: 4}},
+		{Kind: EvControl, Control: ControlObservation{App: "a", Held: true, HeldStreak: 5, HoldWindow: 4, OpenLoop: true}},
 		{Kind: EvStep}, // non-control events are out of scope
 	}
 	for i, ev := range ok {
@@ -102,18 +102,18 @@ func TestHoldWindowBoundedLaw(t *testing.T) {
 		}
 	}
 	// Stale loop closure: streak past the window but still closed-loop.
-	err := law.Check(Event{Kind: EvControl, Control: &ControlObservation{
+	err := law.Check(Event{Kind: EvControl, Control: ControlObservation{
 		App: "a", Held: true, HeldStreak: 5, HoldWindow: 4}})
 	if err == nil || !strings.Contains(err.Error(), "closed the loop") {
 		t.Fatalf("stale closure not caught: %v", err)
 	}
 	// Premature open loop defeats the window's purpose.
-	err = law.Check(Event{Kind: EvControl, Control: &ControlObservation{
+	err = law.Check(Event{Kind: EvControl, Control: ControlObservation{
 		App: "a", Held: true, HeldStreak: 2, HoldWindow: 4, OpenLoop: true}})
 	if err == nil || !strings.Contains(err.Error(), "within window") {
 		t.Fatalf("premature open loop not caught: %v", err)
 	}
-	if err := law.Check(Event{Kind: EvControl, Control: &ControlObservation{App: "a"}}); err == nil {
+	if err := law.Check(Event{Kind: EvControl, Control: ControlObservation{App: "a"}}); err == nil {
 		t.Fatal("missing hold window bound not caught")
 	}
 }

@@ -21,7 +21,7 @@ type guardBudgetBounded struct{}
 func (guardBudgetBounded) Name() string { return "guard/step-budget-bounded" }
 
 func (guardBudgetBounded) Check(ev Event) error {
-	if ev.Kind != EvGuard || ev.Guard == nil {
+	if ev.Kind != EvGuard {
 		return nil
 	}
 	g := ev.Guard

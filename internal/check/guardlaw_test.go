@@ -6,7 +6,7 @@ import (
 )
 
 func guardEvent(g GuardObservation) Event {
-	return Event{Kind: EvGuard, Step: 1, Guard: &g}
+	return Event{Kind: EvGuard, Step: 1, Guard: g}
 }
 
 func TestGuardLawCleanObservations(t *testing.T) {
@@ -21,7 +21,7 @@ func TestGuardLawCleanObservations(t *testing.T) {
 	} {
 		ck.Observe(guardEvent(g))
 	}
-	// Non-guard events and nil Guard payloads are ignored.
+	// Non-guard events and empty Guard payloads are clean.
 	ck.Observe(Event{Kind: EvStep, Step: 2})
 	ck.Observe(Event{Kind: EvGuard, Step: 3})
 	if err := ck.Err(); err != nil {

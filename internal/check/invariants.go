@@ -20,8 +20,8 @@ const eps = 1e-6
 // active-server monotonicity law.
 func CountOverloaded(dc *cluster.DataCenter) int {
 	n := 0
-	for _, s := range dc.ActiveServers() {
-		if s.Overloaded() {
+	for _, s := range dc.Servers {
+		if s.State() == cluster.Active && s.Overloaded() {
 			n++
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"vdcpower/internal/check"
 	"vdcpower/internal/cluster"
 	"vdcpower/internal/optimizer"
+	"vdcpower/internal/probe"
 )
 
 // brokenConsolidator always fails its pass, like a wedged planner.
@@ -56,7 +57,7 @@ func TestCheckerCatchesWastefulIPAC(t *testing.T) {
 	checker := check.New(check.OptimizerInvariants()...)
 	cfg := DefaultConfig(tr, 40, wastefulIPAC{inner: optimizer.NewIPAC()})
 	cfg.FleetSize = 30 // keep the all-awake pathology cheap to simulate
-	cfg.Checker = checker
+	cfg.Probe = probe.New(checker)
 	res, err := Run(cfg)
 	if err == nil {
 		t.Fatal("server-waking IPAC variant not caught")
@@ -80,7 +81,7 @@ func TestCheckerCleanOnRealPolicies(t *testing.T) {
 		checker := check.New(check.All()...)
 		cfg := DefaultConfig(tr, 40, cons)
 		cfg.WatchdogEverySteps = 4
-		cfg.Checker = checker
+		cfg.Probe = probe.New(checker)
 		if _, err := Run(cfg); err != nil {
 			t.Fatalf("%s: %v", cons.Name(), err)
 		}

@@ -16,10 +16,10 @@ import (
 	"vdcpower/internal/cluster"
 	"vdcpower/internal/core"
 	"vdcpower/internal/fault"
-	"vdcpower/internal/obs"
 	"vdcpower/internal/optimizer"
 	"vdcpower/internal/packing"
 	"vdcpower/internal/power"
+	"vdcpower/internal/probe"
 	"vdcpower/internal/telemetry"
 	"vdcpower/internal/workload"
 )
@@ -82,12 +82,12 @@ type Config struct {
 	// for snapshotting (cluster.Snapshot) or custom inspection.
 	OnDone func(dc *cluster.DataCenter)
 
-	// Checker, if set, observes the run through typed events (initial
-	// placement, every consolidator/watchdog pass, every step's power
-	// accounting) and verifies the registered invariants. Violations do
-	// not stop the run; Run reports them as an error at the end. Nil
-	// means no checking and no overhead.
-	Checker *check.Checker
+	// Probe, if set, receives every fact of the run as a typed event: the
+	// initial placement, every migration transition, crash, consolidator
+	// and watchdog pass, and every step's power and SLO verdict. Run
+	// returns the probe's verdict (checker violations) as an error at the
+	// end. Nil observes nothing.
+	Probe *probe.Probe
 
 	// Telemetry, when non-nil, records the run's control flow as nested
 	// spans on this track: a "dcsim.run" root, consolidation and
@@ -98,11 +98,6 @@ type Config struct {
 	// cost. (Named Telemetry because Trace is the workload trace.)
 	Telemetry *telemetry.Track
 
-	// Metrics, when non-nil, receives run counters (migrations, vetoes,
-	// optimizer/watchdog passes, B&B nodes) and per-step power/active
-	// gauges. Nil disables publication at ~zero cost.
-	Metrics *telemetry.Registry
-
 	// Faults, when non-nil, injects the deterministic fault plane into the
 	// run: DVFS actuation failures, migration aborts (absorbed by the
 	// optimizer's retry protocol), transient consolidator/watchdog pass
@@ -110,15 +105,6 @@ type Config struct {
 	// (VMs evacuated or lost per the profile's policy). Same-seed fault
 	// runs are bit-reproducible. Nil disables injection at ~zero cost.
 	Faults *fault.Injector
-
-	// Obs, when non-nil, receives the run's controller-health scorecard
-	// observations: one SLO event per step (good = no active server
-	// overloaded), per-step power, optimizer/watchdog pass tallies with
-	// B&B node and widening deltas, crash records, and per-server on/off
-	// decisions in the audit ring. Everything recorded is derived from
-	// simulation state only, so same-seed runs score identically. Nil
-	// disables at ~zero cost.
-	Obs *obs.Scorecard
 }
 
 // DefaultConfig mirrors Section VI-B for the given trace slice size.
@@ -248,44 +234,19 @@ func Run(cfg Config) (Result, error) {
 			t.SetTrace(tk)
 		}
 	}
-	if cfg.Faults != nil {
-		cfg.Faults.AttachMetrics(cfg.Metrics)
-		if f, ok := cfg.Consolidator.(fault.Injectable); ok {
-			f.SetFaults(cfg.Faults)
-		}
+	if f, ok := cfg.Consolidator.(fault.Injectable); ok && cfg.Faults != nil {
+		f.SetFaults(cfg.Faults)
 	}
-	// With a checker attached, every two-phase migration transition is
-	// observed as it happens, so the no-double-placement law sees the
-	// reserved state, not just the settled post-pass placement.
+	// A probed run observes every two-phase migration transition as it
+	// happens, so the no-double-placement law sees the reserved state, not
+	// just the settled post-pass placement.
 	curStep := -1
-	if cfg.Checker != nil {
+	if cfg.Probe != nil {
 		dc.SetMigrationObserver(func(tx *cluster.MigrationTx) {
-			cfg.Checker.Observe(check.Event{
-				Kind: check.EvMigration,
-				Step: curStep,
-				DC:   dc,
-				Migration: &check.MigrationObservation{
-					VMID:  tx.VM().ID,
-					From:  tx.Source().ID,
-					To:    tx.Target().ID,
-					Phase: string(tx.Phase()),
-				},
-			})
+			cfg.Probe.Emit(check.Event{Kind: check.EvMigration, Step: curStep, DC: dc, Migration: &check.MigrationObservation{
+				VMID: tx.VM().ID, From: tx.Source().ID, To: tx.Target().ID, Phase: string(tx.Phase())}})
 		})
 	}
-	// Registry instruments resolve once, before the hot loop; on a nil
-	// registry they come back nil and every update below no-ops.
-	var (
-		mMigrations = cfg.Metrics.Counter("vdcpower_migrations_total", "VM live migrations committed by the consolidation layer")
-		mVetoed     = cfg.Metrics.Counter("vdcpower_migration_vetoes_total", "migrations rejected by the cost policy")
-		mPasses     = cfg.Metrics.Counter("vdcpower_optimizer_passes_total", "consolidator invocations", telemetry.Label{Key: "policy", Value: cfg.Consolidator.Name()})
-		mWatchdog   = cfg.Metrics.Counter("vdcpower_watchdog_passes_total", "on-demand overload reliever invocations")
-		mNodes      = cfg.Metrics.Counter("vdcpower_bnb_nodes_total", "Minimum Slack branch-and-bound nodes expanded")
-		gPower      = cfg.Metrics.Gauge("vdcpower_power_watts", "total data-center power draw")
-		gActive     = cfg.Metrics.Gauge("vdcpower_active_servers", "servers currently powered on")
-		mDegraded   = cfg.Metrics.Counter("vdcpower_degraded_steps_total", "optimizer passes skipped on an injected error while the run continued")
-	)
-
 	// Initial placement: FFD at the first step's demands — a neutral
 	// starting point shared by every policy — or at peak demands when
 	// provisioning statically.
@@ -306,9 +267,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	dc.SleepIdle()
-	if cfg.Checker != nil {
-		cfg.Checker.Observe(check.Event{Kind: check.EvInit, Step: -1, DC: dc})
-	}
+	cfg.Probe.Emit(check.Event{Kind: check.EvInit, Step: -1, DC: dc})
 
 	res := Result{
 		Policy:     cfg.Consolidator.Name(),
@@ -324,12 +283,9 @@ func Run(cfg Config) (Result, error) {
 	}()
 	var meter power.Meter
 	activeSum := 0.0
-	// Audit scratch for per-server on/off diffs around optimizer passes
-	// (allocated once; unused without a scorecard).
-	var prevActive []bool
-	if cfg.Obs != nil {
-		prevActive = make([]bool, len(dc.Servers))
-	}
+	// Which servers were active before each pass, so the pass facts can
+	// name every server switched on or off (allocated once).
+	activeBefore := make([]bool, len(dc.Servers))
 	// finish fills the aggregate fields from whatever the run accumulated,
 	// so error paths return a usable partial Result alongside the error
 	// (stepsDone counts fully accounted steps).
@@ -358,15 +314,10 @@ func Run(cfg Config) (Result, error) {
 			applyCrashes(dc, cfg, k, &res)
 		}
 		if k%cfg.OptimizeEverySteps == 0 {
-			overloaded := 0
-			if cfg.Checker != nil {
-				overloaded = check.CountOverloaded(dc)
-			}
+			overloaded := check.CountOverloaded(dc)
 			csp := tk.Start("dcsim.consolidate").Int("step", k)
-			nodesBefore, widsBefore := searchNodes(cfg.Consolidator)
-			if cfg.Obs != nil {
-				snapshotActive(dc, prevActive)
-			}
+			nodesBefore, widsBefore := optimizer.SearchEffort(cfg.Consolidator)
+			snapshotActive(dc, activeBefore)
 			rep, err := cfg.Consolidator.Consolidate(dc)
 			csp.Int("migrations", rep.Migrations).Int("vetoed", rep.Vetoed).End()
 			if err != nil {
@@ -378,40 +329,22 @@ func Run(cfg Config) (Result, error) {
 					return res, err
 				}
 				res.DegradedPasses++
-				mDegraded.Inc()
 			}
 			res.Migrations += rep.Migrations
 			res.Vetoed += rep.Vetoed
 			res.Unresolved += rep.Unresolved
 			res.FailedMoves += rep.FailedMoves
-			mPasses.Inc()
-			mMigrations.Add(float64(rep.Migrations))
-			mVetoed.Add(float64(rep.Vetoed))
-			nodesAfter, widsAfter := searchNodes(cfg.Consolidator)
-			mNodes.Add(float64(nodesAfter - nodesBefore))
-			if cfg.Obs != nil {
-				cfg.Obs.AddOptimizerPass(rep.Migrations, rep.Vetoed, rep.FailedMoves, rep.Unresolved, fault.IsInjected(err))
-				cfg.Obs.AddSearch(nodesAfter-nodesBefore, widsAfter-widsBefore)
-				auditServerDiffs(cfg.Obs, dc, prevActive, k, float64(k)*tr.StepSeconds,
-					cfg.Consolidator.Name(), "dcsim.consolidate")
-			}
-			if cfg.Checker != nil {
-				cfg.Checker.Observe(check.Event{
-					Kind:             check.EvConsolidate,
-					Step:             k,
-					DC:               dc,
-					Report:           &rep,
-					Policy:           cfg.Consolidator.Name(),
-					OverloadedBefore: overloaded,
-				})
-			}
+			nodesAfter, widsAfter := optimizer.SearchEffort(cfg.Consolidator)
+			cfg.Probe.Emit(check.Event{
+				Kind: check.EvConsolidate, Step: k, TimeSec: float64(k) * tr.StepSeconds, Span: "dcsim.consolidate",
+				DC: dc, Report: &rep, Policy: res.Policy, OverloadedBefore: overloaded, ActiveBefore: activeBefore,
+				Nodes: nodesAfter - nodesBefore, Widenings: widsAfter - widsBefore, Degraded: err != nil,
+			})
 		} else if cfg.WatchdogEverySteps > 0 && k%cfg.WatchdogEverySteps == 0 {
 			wCfg := packing.DefaultMinSlackConfig()
 			wCfg.Trace = tk
 			wsp := tk.Start("dcsim.watchdog").Int("step", k)
-			if cfg.Obs != nil {
-				snapshotActive(dc, prevActive)
-			}
+			snapshotActive(dc, activeBefore)
 			rep, err := optimizer.ResolveOverloadsWithFaults(dc, packing.VectorConstraint{CPUHeadroom: cfg.Headroom}, wCfg, cfg.Faults)
 			wsp.Int("migrations", rep.Migrations).End()
 			if err != nil {
@@ -420,28 +353,15 @@ func Run(cfg Config) (Result, error) {
 					return res, err
 				}
 				res.DegradedPasses++
-				mDegraded.Inc()
 			}
 			res.Migrations += rep.Migrations
 			res.WatchdogMoves += rep.Migrations
 			res.Unresolved += rep.Unresolved
 			res.FailedMoves += rep.FailedMoves
-			mWatchdog.Inc()
-			mMigrations.Add(float64(rep.Migrations))
-			if cfg.Obs != nil {
-				cfg.Obs.AddWatchdogPass(rep.Migrations, rep.FailedMoves, rep.Unresolved, fault.IsInjected(err))
-				auditServerDiffs(cfg.Obs, dc, prevActive, k, float64(k)*tr.StepSeconds,
-					"watchdog", "dcsim.watchdog")
-			}
-			if cfg.Checker != nil {
-				cfg.Checker.Observe(check.Event{
-					Kind:   check.EvWatchdog,
-					Step:   k,
-					DC:     dc,
-					Report: &rep,
-					Policy: "watchdog",
-				})
-			}
+			cfg.Probe.Emit(check.Event{
+				Kind: check.EvWatchdog, Step: k, TimeSec: float64(k) * tr.StepSeconds, Span: "dcsim.watchdog",
+				DC: dc, Report: &rep, Policy: "watchdog", ActiveBefore: activeBefore, Degraded: err != nil,
+			})
 		}
 		// Server-level frequency decision for the step, and energy
 		// accounting. Suspended servers are treated as powered off
@@ -487,27 +407,14 @@ func Run(cfg Config) (Result, error) {
 		}
 		dvfs.Float("power_w", stepPower).End()
 		nActive := dc.NumActive()
-		gPower.Set(stepPower)
-		gActive.Set(float64(nActive))
-		if cfg.Obs != nil {
-			cfg.Obs.ObserveStep()
-			// The paper's performance objective at data-center scale: no
-			// active server's demand exceeds its capacity this step.
-			cfg.Obs.ObserveSLO(res.OverloadSteps == overloadsBefore)
-			cfg.Obs.ObservePower(stepPower)
-		}
 		meter.Accumulate(stepPower, tr.StepSeconds)
-		if cfg.Checker != nil {
-			cfg.Checker.Observe(check.Event{
-				Kind:      check.EvStep,
-				Step:      k,
-				DC:        dc,
-				PowerW:    stepPower,
-				EnergyJ:   meter.Joules(),
-				HasPower:  true,
-				HasEnergy: true,
-			})
-		}
+		// The paper's performance objective at data-center scale: no
+		// active server's demand exceeds its capacity this step.
+		cfg.Probe.Emit(check.Event{
+			Kind: check.EvStep, Step: k, TimeSec: float64(k) * tr.StepSeconds, DC: dc,
+			PowerW: stepPower, EnergyJ: meter.Joules(), HasPower: true, HasEnergy: true,
+			Active: nActive, SLOMet: res.OverloadSteps == overloadsBefore, HasSLO: true,
+		})
 		activeSum += float64(nActive)
 		if cfg.OnStep != nil {
 			demand := 0.0
@@ -524,53 +431,14 @@ func Run(cfg Config) (Result, error) {
 	if cfg.OnDone != nil {
 		cfg.OnDone(dc)
 	}
-	if cfg.Checker != nil {
-		if err := cfg.Checker.Err(); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
-}
-
-// searchNodes reads a consolidator's accumulated branch-and-bound node
-// and widening counts through the optional SearchStats accessor (IPAC
-// wires one; other policies report 0). Harnesses publish deltas per pass.
-func searchNodes(c optimizer.Consolidator) (nodes, widenings int) {
-	if s, ok := c.(interface{ SearchStats() *packing.SearchStats }); ok {
-		if st := s.SearchStats(); st != nil {
-			return st.Nodes, st.Widenings
-		}
-	}
-	return 0, 0
+	return res, cfg.Probe.Err()
 }
 
 // snapshotActive records which servers are active into dst (len must
-// match dc.Servers) — the "before" side of an audit diff.
+// match dc.Servers) — the "before" side of a pass's on/off facts.
 func snapshotActive(dc *cluster.DataCenter, dst []bool) {
 	for i, s := range dc.Servers {
 		dst[i] = s.State() == cluster.Active
-	}
-}
-
-// auditServerDiffs records one audit decision per server whose active
-// state changed since prev was snapshotted — the "PAC turned server k
-// off because…" records of the scorecard's decision ring.
-func auditServerDiffs(sc *obs.Scorecard, dc *cluster.DataCenter, prev []bool, step int, timeSec float64, component, span string) {
-	ring := sc.Audit()
-	for i, s := range dc.Servers {
-		now := s.State() == cluster.Active
-		if now == prev[i] {
-			continue
-		}
-		action, reason := "server-off", "its load was packed onto fewer servers"
-		if now {
-			action, reason = "server-on", "woken to host re-placed load"
-		}
-		ring.Record(obs.Decision{
-			Step: step, TimeSec: timeSec,
-			Component: component, Action: action, Target: s.ID,
-			Reason: reason, Span: span,
-		})
 	}
 }
 
@@ -617,9 +485,9 @@ func initialPlacement(dc *cluster.DataCenter, vms []*cluster.VM, demands []float
 
 // applyCrashes fails the servers the fault plane schedules for step k, then
 // disposes of their VMs per the crash policy: evacuate re-places them on
-// the surviving fleet, lose drops them and reports the loss to the checker
-// so the conservation laws shrink their baseline instead of flagging a
-// phantom violation.
+// the surviving fleet, lose drops them and reports the loss in the crash
+// fact, so the conservation laws shrink their baseline instead of flagging
+// a phantom violation.
 func applyCrashes(dc *cluster.DataCenter, cfg Config, k int, res *Result) {
 	candidates := make([]string, 0, len(dc.Servers))
 	byID := make(map[string]*cluster.Server, len(dc.Servers))
@@ -637,29 +505,19 @@ func applyCrashes(dc *cluster.DataCenter, cfg Config, k int, res *Result) {
 		orphans := dc.Crash(srv)
 		res.Crashes++
 		var lost []string
-		reason := "crashed by the fault plane; its VMs were evacuated"
 		if cr.Policy == fault.Lose {
 			res.VMsLost += len(orphans)
 			for _, v := range orphans {
 				lost = append(lost, v.ID)
 			}
-			reason = "crashed by the fault plane; its VMs were lost"
 		} else {
 			res.VMsEvacuated += len(orphans)
 			evacuate(dc, orphans)
 		}
-		if cfg.Obs != nil {
-			evac := len(orphans) - len(lost)
-			cfg.Obs.RecordCrash(evac, len(lost))
-			cfg.Obs.Audit().Record(obs.Decision{
-				Step: k, TimeSec: float64(k) * cfg.Trace.StepSeconds,
-				Component: "fault-plane", Action: "server-crash", Target: srv.ID,
-				Reason: reason, Value: float64(len(orphans)),
-			})
-		}
-		if cfg.Checker != nil {
-			cfg.Checker.Observe(check.Event{Kind: check.EvCrash, Step: k, DC: dc, LostVMs: lost})
-		}
+		cfg.Probe.Emit(check.Event{
+			Kind: check.EvCrash, Step: k, TimeSec: float64(k) * cfg.Trace.StepSeconds, DC: dc, LostVMs: lost,
+			Crash: check.CrashObservation{Server: srv.ID, Evacuated: len(orphans) - len(lost), Lose: cr.Policy == fault.Lose},
+		})
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"vdcpower/internal/cluster"
 	"vdcpower/internal/fault"
 	"vdcpower/internal/optimizer"
+	"vdcpower/internal/probe"
 )
 
 // chaosProfile is a smoke-level everything-on profile: every fault class
@@ -37,7 +38,7 @@ func chaosConfig(t *testing.T, p fault.Profile) (Config, *check.Checker) {
 	cfg.WatchdogEverySteps = 4
 	cfg.Faults = fault.New(p)
 	checker := check.New(check.All()...)
-	cfg.Checker = checker
+	cfg.Probe = probe.New(checker)
 	return cfg, checker
 }
 

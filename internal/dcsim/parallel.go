@@ -8,6 +8,7 @@ import (
 	"vdcpower/internal/fault"
 	"vdcpower/internal/obs"
 	"vdcpower/internal/optimizer"
+	"vdcpower/internal/probe"
 	"vdcpower/internal/telemetry"
 	"vdcpower/internal/workload"
 )
@@ -81,19 +82,21 @@ func Fig6Sweep(trace *workload.Trace, sizes []int, policies []func() optimizer.C
 				cons := policies[j.polIdx]()
 				cfg := DefaultConfig(trace, sizes[j.sizeIdx], cons)
 				cfg.Telemetry = tk
-				cfg.Metrics = opt.Metrics
 				if opt.FaultProfile != nil {
 					cfg.Faults = fault.New(*opt.FaultProfile)
+					cfg.Faults.AttachMetrics(opt.Metrics)
 				}
+				var sc *obs.Scorecard
 				if opt.Obs != nil {
 					jc := opt.Obs.Config()
 					jc.Label = fmt.Sprintf("%s/%d", cons.Name(), sizes[j.sizeIdx])
-					cfg.Obs = obs.New(jc)
+					sc = obs.New(jc)
 				}
+				cfg.Probe = probe.New(probe.Scorecard(sc), probe.Metrics(opt.Metrics))
 				sp := tk.Start("dcsim.job").Int("vms", sizes[j.sizeIdx]).Str("policy", cons.Name())
 				res, err := Run(cfg)
 				sp.Float("per_vm_wh", res.EnergyPerVMWh).Bool("failed", err != nil).End()
-				results <- outcome{job: j, name: cons.Name(), perVM: res.EnergyPerVMWh, sc: cfg.Obs, err: err}
+				results <- outcome{job: j, name: cons.Name(), perVM: res.EnergyPerVMWh, sc: sc, err: err}
 			}
 		}()
 	}

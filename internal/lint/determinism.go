@@ -11,8 +11,10 @@ import (
 // runs must replay exactly from a profile seed), the benchmark
 // harness (whose statistics and compare verdicts must replay from
 // recorded samples; only its registered sampler edge may read time),
-// and the trace-replay engine (same-seed replays must be byte-identical;
-// only its registered pacer edge may read time).
+// the trace-replay engine (same-seed replays must be byte-identical;
+// only its registered pacer edge may read time), and the observers the
+// probe feeds (same-seed scorecards and checker verdicts must be
+// byte-identical).
 var simPackages = []string{
 	"internal/dcsim",
 	"internal/appsim",
@@ -23,6 +25,9 @@ var simPackages = []string{
 	"internal/fault",
 	"internal/bench",
 	"internal/trace",
+	"internal/obs",
+	"internal/check",
+	"internal/probe",
 }
 
 // bannedTimeFuncs read the wall clock, which differs between runs.
@@ -48,10 +53,10 @@ func DeterminismAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "determinism",
 		Doc: "forbid time.Now/Since/Until and global math/rand in simulation packages " +
-			"(dcsim, appsim, testbed, optimizer, packing, queueing, fault, bench); randomness " +
-			"must flow through a seeded *rand.Rand so runs reproduce bit-for-bit from a seed; " +
-			"clock reads are allowed only in a package's registered wall-clock edge file " +
-			"(bench: sampler.go)",
+			"(dcsim, appsim, testbed, optimizer, packing, queueing, fault, bench, trace, obs, " +
+			"check, probe); randomness must flow through a seeded *rand.Rand so runs reproduce " +
+			"bit-for-bit from a seed; clock reads are allowed only in a package's registered " +
+			"wall-clock edge file (bench: sampler.go, trace: pace.go)",
 		Applies: func(pkgPath string) bool { return pathHasSuffix(pkgPath, simPackages) },
 		Run:     runDeterminism,
 	}

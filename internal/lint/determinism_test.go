@@ -49,6 +49,22 @@ func flip(p float64) bool { return rand.Float64() < p }`,
 			want: []string{"rand.Float64"},
 		},
 		{
+			name:    "wall clock in a probe subscriber",
+			pkgPath: "vdcpower/internal/obs",
+			src: `package obs
+import "time"
+func stamp() int64 { return time.Now().UnixNano() }`,
+			want: []string{"time.Now"},
+		},
+		{
+			name:    "global rand in the invariant checker",
+			pkgPath: "vdcpower/internal/check",
+			src: `package check
+import "math/rand"
+func sample(n int) int { return rand.Intn(n) }`,
+			want: []string{"rand.Intn"},
+		},
+		{
 			name:    "non-simulation package is out of scope",
 			pkgPath: "vdcpower/internal/serve",
 			src: `package serve

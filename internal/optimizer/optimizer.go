@@ -26,6 +26,18 @@ type Consolidator interface {
 	Name() string
 }
 
+// SearchEffort reads a consolidator's accumulated branch-and-bound node
+// and widening counts through the optional SearchStats accessor (IPAC
+// wires one; other policies report 0). Harnesses report deltas per pass.
+func SearchEffort(c Consolidator) (nodes, widenings int) {
+	if s, ok := c.(interface{ SearchStats() *packing.SearchStats }); ok {
+		if st := s.SearchStats(); st != nil {
+			return st.Nodes, st.Widenings
+		}
+	}
+	return 0, 0
+}
+
 // Report summarizes one optimizer invocation.
 type Report struct {
 	Migrations   int // migrations performed

@@ -442,3 +442,18 @@ func BenchmarkIPAC50Servers(b *testing.B) {
 		}
 	}
 }
+
+// SearchEffort reads IPAC's accumulated branch-and-bound effort and
+// reports zero for policies that do not search.
+func TestSearchEffort(t *testing.T) {
+	if n, w := SearchEffort(NewPMapper()); n != 0 || w != 0 {
+		t.Fatalf("pMapper effort = %d/%d, want 0/0", n, w)
+	}
+	ipac := NewIPAC()
+	if _, err := ipac.Consolidate(scatteredDC(t)); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := SearchEffort(ipac); n == 0 || n != ipac.SearchStats().Nodes {
+		t.Fatalf("IPAC effort = %d nodes, stats say %d", n, ipac.SearchStats().Nodes)
+	}
+}

@@ -11,9 +11,11 @@ import (
 )
 
 // breakerGauges reads the breaker state/cooldown gauges and transition
-// counter straight off the registry.
+// counter straight off the registry (a lookup returns the live series).
 func breakerGauges(s *Server) (state, cooldown, trans float64) {
-	return s.gBreakState.Value(), s.gBreakCooldown.Value(), s.cBreakTrans.Value()
+	return s.metrics.Gauge("vdcpower_breaker_state", "").Value(),
+		s.metrics.Gauge("vdcpower_breaker_cooldown_ticks", "").Value(),
+		s.metrics.Counter("vdcpower_breaker_transitions_total", "").Value()
 }
 
 // TestBreakerTransitionSequence is the satellite regression test: drive

@@ -15,9 +15,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vdcpower/internal/check"
 	"vdcpower/internal/fault"
 	"vdcpower/internal/guard"
 	"vdcpower/internal/obs"
+	"vdcpower/internal/probe"
 	"vdcpower/internal/telemetry"
 	"vdcpower/internal/testbed"
 	"vdcpower/internal/trace"
@@ -64,21 +66,20 @@ type Server struct {
 	breakerThreshold int
 	breakerCooldown  int
 
-	metrics  *telemetry.Registry
-	tracer   *telemetry.Tracer
-	stepWall *telemetry.Histogram
-	stepErrs *telemetry.Counter
-	degraded *telemetry.Counter
-	snapshot func() (Status, error) // snapshotStatus, indirected so tests can inject failures
+	metrics   *telemetry.Registry
+	tracer    *telemetry.Tracer
+	stepWall  *telemetry.Histogram // wall-clock step latency for /metrics
+	stepWallQ *obs.Sketch          // the same samples, for /scorecard quantiles
+	stepErrs  *telemetry.Counter
+	degraded  *telemetry.Counter
+	snapshot  func() (Status, error) // snapshotStatus, indirected so tests can inject failures
 
-	// Controller-health scorecard: the testbed observes into it during
-	// Step (under the same mutex), the breaker publishes its transitions,
-	// and /scorecard serves the report.
-	obs            *obs.Scorecard
-	breakerState   int // obs.BreakerClosed/Open/HalfOpen mirror for gauges/audit
-	gBreakState    *telemetry.Gauge
-	gBreakCooldown *telemetry.Gauge
-	cBreakTrans    *telemetry.Counter
+	// The probe carries the testbed's facts and the breaker's into the
+	// controller-health scorecard and the metrics registry (emitted under
+	// the same mutex); /scorecard serves the report.
+	probe        *probe.Probe
+	obs          *obs.Scorecard
+	breakerState int // obs.BreakerClosed/Open/HalfOpen, as last published
 
 	// Bounded execution: each step's event drain runs under guardBudget
 	// with the watchdog as its wall-clock deadline, repeated budget
@@ -102,17 +103,19 @@ type liveDoc struct {
 
 // New wraps an already-constructed testbed and attaches telemetry to it:
 // the testbed's controllers, arbitrators, and optimizer record spans on
-// sim-time tracks, while the server itself measures the wall-clock cost
-// of each control period at this edge.
+// sim-time tracks, its facts reach the scorecard and the registry through
+// one probe, and the server itself measures the wall-clock cost of each
+// control period at this edge.
 func New(tb *testbed.Testbed) *Server {
 	s := &Server{tb: tb, maxHistory: 2048}
 	s.step = s.Step
 	s.snapshot = func() (Status, error) { return s.snapshotStatus(), nil }
 	s.metrics = telemetry.NewRegistry()
-	s.tracer = tb.AttachTelemetry(0, s.metrics)
+	s.tracer = tb.AttachTelemetry(0)
 	s.stepWall = s.metrics.Histogram("vdcpower_step_wall_seconds",
 		"wall-clock latency of one control period (measure, MPC solves, and actuation for every app)",
 		telemetry.ExponentialBuckets(1e-4, 4, 10))
+	s.stepWallQ = obs.NewSketch()
 	s.stepErrs = s.metrics.Counter("vdcpower_step_errors_total",
 		"control steps that failed (the background loop continues degraded)")
 	s.degraded = s.metrics.Counter("vdcpower_degraded_steps_total",
@@ -120,13 +123,9 @@ func New(tb *testbed.Testbed) *Server {
 	s.breakerThreshold = defaultBreakerThreshold
 	s.breakerCooldown = defaultBreakerCooldown
 	s.obs = obs.New(obs.Config{Label: "serve", SLOTargetSec: tb.Cfg.Setpoint})
-	tb.AttachObs(s.obs)
-	s.gBreakState = s.metrics.Gauge("vdcpower_breaker_state",
-		"circuit breaker state (0 closed, 1 open, 2 half-open)")
-	s.gBreakCooldown = s.metrics.Gauge("vdcpower_breaker_cooldown_ticks",
-		"ticks remaining before the open breaker half-opens (0 while closed)")
-	s.cBreakTrans = s.metrics.Counter("vdcpower_breaker_transitions_total",
-		"circuit breaker state transitions")
+	s.probe = probe.New(probe.Scorecard(s.obs), probe.Metrics(s.metrics))
+	tb.AttachProbe(s.probe)
+	s.publishBreaker(obs.BreakerClosed) // the initial state is the breaker's first fact
 	s.setGuard(guard.DefaultStepBudget())
 	s.refreshLive()
 	return s
@@ -173,36 +172,15 @@ func (s *Server) refreshLive() {
 	s.live.Store(&liveDoc{status: s.snapshotStatus(), health: h})
 }
 
-// publishBreaker mirrors the breaker's state into the metrics gauges and
-// the scorecard (which counts transitions for the report), records an
-// audit decision on every transition, and bumps the transition counter.
+// publishBreaker emits the breaker's state as a fact: the metrics
+// subscriber mirrors it into the state and cooldown gauges and counts
+// transitions, the scorecard mirrors it and audits every transition.
 // Callers hold s.mu.
 func (s *Server) publishBreaker(state int) {
-	s.gBreakState.Set(float64(state))
-	s.gBreakCooldown.Set(float64(s.cooldownLeft))
-	s.obs.RecordBreaker(state, s.cooldownLeft)
-	if state == s.breakerState {
-		return
-	}
-	action := map[int]string{
-		obs.BreakerClosed:   "breaker-close",
-		obs.BreakerOpen:     "breaker-open",
-		obs.BreakerHalfOpen: "breaker-half-open",
-	}[state]
-	reason := map[int]string{
-		obs.BreakerClosed:   "probe step succeeded",
-		obs.BreakerOpen:     "consecutive step failures reached the threshold",
-		obs.BreakerHalfOpen: "cooldown expired: probing with one real step",
-	}[state]
-	if s.breakerState == obs.BreakerHalfOpen && state == obs.BreakerOpen {
-		reason = "probe step failed: cooldown re-armed"
-	}
-	s.obs.Audit().Record(obs.Decision{
-		Step: s.totalSteps, TimeSec: s.tb.Sim.Now(),
-		Component: "serve", Action: action, Reason: reason,
-		Value: float64(s.consecFails), Span: "serve.step",
+	s.probe.Emit(check.Event{
+		Kind: check.EvBreaker, Step: s.totalSteps, TimeSec: s.tb.Sim.Now(), Span: "serve.step",
+		Breaker: check.BreakerObservation{State: state, Prev: s.breakerState, Cooldown: s.cooldownLeft, ConsecFails: s.consecFails},
 	})
-	s.cBreakTrans.Inc()
 	s.breakerState = state
 }
 
@@ -299,7 +277,9 @@ func (s *Server) Step() error {
 	if err != nil {
 		return err
 	}
-	s.stepWall.Observe(telemetry.WallClock() - start)
+	wall := telemetry.WallClock() - start
+	s.stepWall.Observe(wall)
+	s.stepWallQ.Observe(wall)
 	return nil
 }
 
@@ -697,9 +677,9 @@ func (s *Server) publishStatus(st Status) {
 	}
 }
 
-// StepWallQuantiles summarizes the wall-clock step-latency histogram
-// with interpolated quantiles (telemetry.Histogram.Quantile documents
-// the error bounds); zeros while no step has run yet.
+// StepWallQuantiles summarizes the wall-clock step latency from a
+// quantile sketch (obs.Sketch, ~5% relative error); zeros while no step
+// has run yet.
 type StepWallQuantiles struct {
 	Count  uint64  `json:"count"`
 	P50Sec float64 `json:"p50_sec"`
@@ -720,15 +700,8 @@ func (s *Server) handleScorecard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	doc := ScorecardDoc{Report: s.obs.Report()}
-	if n := s.stepWall.Count(); n > 0 {
-		doc.StepWall = StepWallQuantiles{
-			Count:  n,
-			P50Sec: s.stepWall.Quantile(0.5),
-			P90Sec: s.stepWall.Quantile(0.9),
-			P99Sec: s.stepWall.Quantile(0.99),
-		}
-	}
+	q := s.stepWallQ.Summary()
+	doc := ScorecardDoc{Report: s.obs.Report(), StepWall: StepWallQuantiles{Count: q.Count, P50Sec: q.P50, P90Sec: q.P90, P99Sec: q.P99}}
 	s.mu.Unlock()
 	writeJSON(w, doc)
 }

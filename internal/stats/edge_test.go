@@ -88,22 +88,3 @@ func TestRunningEmptyAndSingle(t *testing.T) {
 			r.N(), r.Mean(), r.Min(), r.Max(), r.StdDev())
 	}
 }
-
-func TestHistogramEdges(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatal("empty histogram quantile not NaN")
-	}
-	// Samples outside [Lo, Hi) clamp into the terminal bins.
-	h.Add(-100)
-	h.Add(100)
-	if h.Counts[0] != 1 || h.Counts[4] != 1 {
-		t.Fatalf("clamping failed: %v", h.Counts)
-	}
-	if h.Total() != 2 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if q := h.Quantile(1); q > 10 || q < 8 {
-		t.Fatalf("q1 = %v, want in last bin", q)
-	}
-}

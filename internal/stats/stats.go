@@ -173,64 +173,3 @@ func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f",
 		s.N, s.Mean, s.StdDev, s.Min, s.P50, s.P90, s.P99, s.Max)
 }
-
-// Histogram is a fixed-bin histogram over [Lo, Hi); samples outside the
-// range land in the first or last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over
-// [lo, hi). It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		//lint:ignore panicpolicy constructor precondition: a binless histogram is a programming error
-		panic("stats: histogram needs at least one bin")
-	}
-	if hi <= lo {
-		//lint:ignore panicpolicy constructor precondition: an empty range is a programming error
-		panic("stats: histogram needs hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	idx := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Quantile returns an approximate quantile (0..1) from bin boundaries.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return math.NaN()
-	}
-	target := q * float64(h.total)
-	cum := 0.0
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		next := cum + float64(c)
-		if next >= target {
-			var frac float64
-			if c > 0 {
-				frac = (target - cum) / float64(c)
-			}
-			return h.Lo + (float64(i)+frac)*width
-		}
-		cum = next
-	}
-	return h.Hi
-}

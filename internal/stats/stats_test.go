@@ -158,52 +158,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 1000; i++ {
-		h.Add(float64(i % 100))
-	}
-	if h.Total() != 1000 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	q := h.Quantile(0.9)
-	if q < 85 || q > 95 {
-		t.Fatalf("Quantile(0.9) = %v, want ~90", q)
-	}
-}
-
-func TestHistogramOutOfRange(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Add(-5)
-	h.Add(50)
-	if h.Counts[0] != 1 || h.Counts[9] != 1 {
-		t.Fatalf("out-of-range samples misplaced: %v", h.Counts)
-	}
-}
-
-func TestHistogramEmptyQuantile(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatal("expected NaN")
-	}
-}
-
-func TestNewHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func BenchmarkPercentile1k(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	xs := make([]float64, 1000)

@@ -104,52 +104,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) from the bucket
-// counts, linearly interpolating inside the containing bucket — the
-// same estimator as Prometheus' histogram_quantile. Error bounds:
-// samples are assumed uniform within a bucket, so the estimate is off
-// by at most that bucket's width (the first bucket interpolates from a
-// lower edge of 0); rank q*count lands exactly on a bucket boundary at
-// the boundary value; samples beyond the last finite bound clamp to
-// it, so upper-tail quantiles are underestimates once the +Inf bucket
-// is populated. Returns NaN when the histogram is empty or unbucketed,
-// q is outside [0, 1], or h is nil.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || math.IsNaN(q) || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 || len(h.bounds) == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(h.count)
-	cum := uint64(0)
-	for i, bound := range h.bounds {
-		cum += h.counts[i]
-		if float64(cum) < rank {
-			continue
-		}
-		if h.counts[i] == 0 {
-			// An empty bucket can only match with rank exactly on its
-			// lower boundary (a later empty bucket leaves cum short of
-			// rank and the walk continues past it), so the estimate is
-			// that edge: 0 for the first bucket.
-			if i == 0 {
-				return 0
-			}
-			return h.bounds[i-1]
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = h.bounds[i-1]
-		}
-		prev := float64(cum - h.counts[i])
-		return lower + (bound-lower)*(rank-prev)/float64(h.counts[i])
-	}
-	return h.bounds[len(h.bounds)-1] // +Inf bucket clamps to last finite bound
-}
-
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 {
 	if h == nil {

@@ -1,0 +1,47 @@
+package testbed
+
+import (
+	"testing"
+
+	"vdcpower/internal/obs"
+	"vdcpower/internal/probe"
+	"vdcpower/internal/race"
+	"vdcpower/internal/telemetry"
+)
+
+// TestObservedPeriodAllocatesNoMoreThanBare: with the health scorecard
+// and the metrics registry subscribed, a warmed control period allocates
+// no more than the same period unobserved — the probe's subscribers
+// resolve their instruments once and fold facts in place.
+func TestObservedPeriodAllocatesNoMoreThanBare(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates shadow state")
+	}
+	perPeriod := func(observed bool) float64 {
+		cfg := DefaultConfig()
+		cfg.IdentPeriods = 40
+		tb, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if observed {
+			sc := obs.New(obs.Config{SLOTargetSec: cfg.Setpoint})
+			tb.AttachProbe(probe.New(probe.Scorecard(sc), probe.Metrics(telemetry.NewRegistry())))
+		}
+		for i := 0; i < 10; i++ {
+			if _, err := tb.Run(cfg.Period, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := tb.Run(cfg.Period, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	bare, observed := perPeriod(false), perPeriod(true)
+	if observed > bare {
+		t.Fatalf("an observed period allocates %v times, an unobserved one %v", observed, bare)
+	}
+	t.Logf("allocations per period: %v unobserved, %v observed", bare, observed)
+}

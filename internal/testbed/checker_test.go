@@ -6,6 +6,7 @@ import (
 	"vdcpower/internal/check"
 	"vdcpower/internal/cluster"
 	"vdcpower/internal/optimizer"
+	"vdcpower/internal/probe"
 )
 
 // TestAttachCheckerCleanRun drives the full closed loop — identification,
@@ -25,9 +26,9 @@ func TestAttachCheckerCleanRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := check.New(check.All()...)
-	tb.AttachChecker(c)
+	tb.AttachProbe(probe.New(c))
 	if c.Events() == 0 {
-		t.Fatal("AttachChecker did not record the baseline placement")
+		t.Fatal("attaching the probe did not report the baseline placement")
 	}
 	if _, err := tb.Run(20*cfg.Period, nil); err != nil {
 		t.Fatalf("checked run failed: %v", err)
@@ -42,8 +43,8 @@ func TestAttachCheckerCleanRun(t *testing.T) {
 	}
 }
 
-// TestAttachCheckerNilDetaches ensures a nil checker is a true detach —
-// the loop keeps running without observing events.
+// TestAttachCheckerNilDetaches ensures a nil probe is a true detach —
+// the loop keeps running without its former checker observing events.
 func TestAttachCheckerNilDetaches(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumApps = 1
@@ -55,9 +56,9 @@ func TestAttachCheckerNilDetaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := check.New(check.ClusterInvariants()...)
-	tb.AttachChecker(c)
+	tb.AttachProbe(probe.New(c))
 	before := c.Events()
-	tb.AttachChecker(nil)
+	tb.AttachProbe(nil)
 	if _, err := tb.Run(3*cfg.Period, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"vdcpower/internal/cluster"
 	"vdcpower/internal/fault"
 	"vdcpower/internal/optimizer"
+	"vdcpower/internal/probe"
 )
 
 // TestFaultedRunStaysClean drives the full closed loop with every fault
@@ -34,7 +35,7 @@ func TestFaultedRunStaysClean(t *testing.T) {
 	})
 	tb.AttachFaults(inj)
 	c := check.New(check.All()...)
-	tb.AttachChecker(c)
+	tb.AttachProbe(probe.New(c))
 	if _, err := tb.Run(25*cfg.Period, nil); err != nil {
 		t.Fatalf("faulted run aborted: %v", err)
 	}
@@ -65,7 +66,7 @@ func TestTotalDropoutGoesOpenLoop(t *testing.T) {
 	})
 	tb.AttachFaults(inj)
 	c := check.New(check.FaultInvariants()...)
-	tb.AttachChecker(c)
+	tb.AttachProbe(probe.New(c))
 	recs, err := tb.Run(8*cfg.Period, nil)
 	if err != nil {
 		t.Fatalf("starved run aborted: %v", err)

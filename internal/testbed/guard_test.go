@@ -10,6 +10,7 @@ import (
 	"vdcpower/internal/fault"
 	"vdcpower/internal/guard"
 	"vdcpower/internal/obs"
+	"vdcpower/internal/probe"
 )
 
 // A starvation-level budget must convert the period into a typed abort
@@ -20,9 +21,8 @@ func TestRunStepBudgetAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := obs.New(obs.Config{})
-	tb.AttachObs(sc)
 	ck := check.New(check.GuardInvariants()...)
-	tb.AttachChecker(ck)
+	tb.AttachProbe(probe.New(ck, probe.Scorecard(sc)))
 
 	recs, err := tb.Run(40, nil)
 	if err != nil {
@@ -83,9 +83,8 @@ func TestRunInjectedBudgetExhaustionRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := obs.New(obs.Config{})
-	tb.AttachObs(sc)
 	ck := check.New(check.GuardInvariants()...)
-	tb.AttachChecker(ck)
+	tb.AttachProbe(probe.New(ck, probe.Scorecard(sc)))
 	tb.AttachFaults(fault.New(fault.Profile{Seed: 3, Guard: fault.GuardProfile{ExhaustProb: 1, UntilStep: 2}}))
 
 	aborts := 0
@@ -122,7 +121,7 @@ func TestRunByteIdenticalUnderUntrippedBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc := obs.New(obs.Config{})
-		tb.AttachObs(sc)
+		tb.AttachProbe(probe.New(probe.Scorecard(sc)))
 		tb.SetStepBudget(budget)
 		recs, err := tb.Run(100, nil)
 		if err != nil {

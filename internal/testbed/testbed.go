@@ -22,10 +22,9 @@ import (
 	"vdcpower/internal/guard"
 	"vdcpower/internal/mat"
 	"vdcpower/internal/mpc"
-	"vdcpower/internal/obs"
 	"vdcpower/internal/optimizer"
-	"vdcpower/internal/packing"
 	"vdcpower/internal/power"
+	"vdcpower/internal/probe"
 	"vdcpower/internal/stats"
 	"vdcpower/internal/sysid"
 	"vdcpower/internal/telemetry"
@@ -101,11 +100,10 @@ type Testbed struct {
 
 	appEnergyWh []float64 // per-app attributed energy (see energy.go)
 
-	checker  *check.Checker
-	checkedJ float64 // cumulative energy reported to the checker
+	probe   *probe.Probe
+	energyJ float64 // cumulative energy reported to the probe
 
-	tracer  *telemetry.Tracer
-	metrics *telemetry.Registry
+	tracer *telemetry.Tracer
 
 	faults      *fault.Injector
 	periodCount int // control periods executed across every Run call
@@ -114,10 +112,6 @@ type Testbed struct {
 	// The zero budget imposes no bound, preserving the unguarded behavior
 	// byte for byte.
 	stepBudget devs.Budget
-
-	obs          *obs.Scorecard // optional health scorecard (AttachObs)
-	obsApps      []int          // scorecard app index per application
-	prevOpenLoop []bool         // per controller, for audit transition records
 }
 
 // New builds the testbed, runs the identification experiment on the first
@@ -296,7 +290,6 @@ func (tb *Testbed) AttachFaults(inj *fault.Injector) {
 	if f, ok := tb.cons.(fault.Injectable); ok {
 		f.SetFaults(inj)
 	}
-	inj.AttachMetrics(tb.metrics)
 }
 
 // SetStepBudget bounds every subsequent control period's event drain.
@@ -308,19 +301,17 @@ func (tb *Testbed) AttachFaults(inj *fault.Injector) {
 // testbed itself never reads a real clock.
 func (tb *Testbed) SetStepBudget(b devs.Budget) { tb.stepBudget = b }
 
-// AttachTelemetry wires span tracing and metrics into the testbed. It
-// builds a tracer on the simulator clock — spans carry logical sim-time,
-// so same-seed runs trace identically and the determinism analyzer
-// stays green — and gives each controller its own "mpc-<app>" track,
-// the arbitrators a shared "arbitrate" track, and the data center plus
-// any attached consolidator an "optimizer" track. Per-period counters
-// and histograms publish into reg (nil disables metrics). capacity <= 0
-// selects the default track capacity. The returned tracer is the export
-// handle (Snapshot → telemetry.WriteChromeTrace).
-func (tb *Testbed) AttachTelemetry(capacity int, reg *telemetry.Registry) *telemetry.Tracer {
+// AttachTelemetry wires span tracing into the testbed. It builds a tracer
+// on the simulator clock — spans carry logical sim-time, so same-seed
+// runs trace identically and the determinism analyzer stays green — and
+// gives each controller its own "mpc-<app>" track, the arbitrators a
+// shared "arbitrate" track, and the data center plus any attached
+// consolidator an "optimizer" track. capacity <= 0 selects the default
+// track capacity. The returned tracer is the export handle (Snapshot →
+// telemetry.WriteChromeTrace).
+func (tb *Testbed) AttachTelemetry(capacity int) *telemetry.Tracer {
 	tr := telemetry.New(tb.Sim.Now, capacity)
 	tb.tracer = tr
-	tb.metrics = reg
 	for i, ctl := range tb.Controllers {
 		ctl.SetTrace(tr.Track("mpc-" + tb.Apps[i].Name))
 	}
@@ -333,108 +324,48 @@ func (tb *Testbed) AttachTelemetry(capacity int, reg *telemetry.Registry) *telem
 	if t, ok := tb.cons.(telemetry.Traceable); ok {
 		t.SetTrace(otk)
 	}
-	tb.faults.AttachMetrics(reg)
 	return tr
 }
 
-// searchStats reads the consolidator's accumulated B&B node and
-// widening counts via the optional SearchStats accessor (0 when
-// unavailable).
-func searchStats(c optimizer.Consolidator) (nodes, widenings int) {
-	if s, ok := c.(interface{ SearchStats() *packing.SearchStats }); ok {
-		if st := s.SearchStats(); st != nil {
-			return st.Nodes, st.Widenings
-		}
+// AttachProbe makes the testbed emit every fact it observes into p: an
+// EvInit with the placement, the applications and their set point now,
+// then per control period the bounded drain (EvGuard), every controller
+// step (EvControl), every consolidator pass (EvConsolidate) and the power
+// accounting (EvStep). Run returns the probe's verdict after the loop.
+// Nil detaches.
+func (tb *Testbed) AttachProbe(p *probe.Probe) {
+	tb.probe = p
+	tb.energyJ = 0
+	apps := make([]string, len(tb.Apps))
+	for i, app := range tb.Apps {
+		apps[i] = app.Name
 	}
-	return 0, 0
-}
-
-// AttachObs wires a controller-health scorecard through the testbed:
-// every application is registered against the run's set point, each
-// control period records measurement-plane flags, prediction residuals,
-// response times, power, and the aggregated MPC solve tallies, and the
-// consolidation layer reports its passes and B&B effort. Open-loop
-// transitions land in the scorecard's decision audit ring. Nil detaches.
-func (tb *Testbed) AttachObs(sc *obs.Scorecard) {
-	tb.obs = sc
-	tb.obsApps = tb.obsApps[:0]
-	tb.prevOpenLoop = make([]bool, len(tb.Controllers))
-	if sc == nil {
-		return
-	}
-	for _, app := range tb.Apps {
-		tb.obsApps = append(tb.obsApps, sc.RegisterApp(app.Name, tb.Cfg.Setpoint))
-	}
-}
-
-// AttachChecker makes the testbed report its run to the invariant checker
-// (package check): the current placement as the baseline, every
-// consolidator pass, and every control period's power accounting. Run
-// returns the checker's verdict as an error after the control loop. Nil
-// detaches.
-func (tb *Testbed) AttachChecker(c *check.Checker) {
-	tb.checker = c
-	tb.checkedJ = 0
-	if c != nil {
-		c.Observe(check.Event{Kind: check.EvInit, Step: -1, DC: tb.DC})
-	}
-}
-
-// tierOf maps a VM back to its (application, tier) indices.
-func (tb *Testbed) tierOf(vm *cluster.VM) (int, int, bool) {
-	idx, ok := tb.vmIndex[vm.ID]
-	return idx[0], idx[1], ok
+	p.Emit(check.Event{Kind: check.EvInit, Step: -1, TimeSec: tb.Sim.Now(), DC: tb.DC, Apps: apps, SetpointSec: tb.Cfg.Setpoint})
 }
 
 // consolidate runs one optimizer invocation and applies migration
 // downtime to the moved tiers.
 func (tb *Testbed) consolidate(period int) error {
-	overloaded := 0
-	if tb.checker != nil {
-		overloaded = check.CountOverloaded(tb.DC)
-	}
-	nodesBefore, widsBefore := searchStats(tb.cons)
+	overloaded := check.CountOverloaded(tb.DC)
+	nodesBefore, widsBefore := optimizer.SearchEffort(tb.cons)
 	rep, err := tb.cons.Consolidate(tb.DC)
 	if err != nil && !fault.IsInjected(err) {
 		return err
 	}
 	// An injected transient error still logs its (empty) report and fault
 	// records below, then surfaces to Run, which skips the pass.
-	nodesAfter, widsAfter := searchStats(tb.cons)
-	tb.metrics.Counter("vdcpower_optimizer_passes_total", "consolidator invocations",
-		telemetry.Label{Key: "policy", Value: tb.cons.Name()}).Inc()
-	tb.metrics.Counter("vdcpower_migrations_total", "VM live migrations committed by the consolidation layer").Add(float64(rep.Migrations))
-	tb.metrics.Counter("vdcpower_migration_vetoes_total", "migrations rejected by the cost policy").Add(float64(rep.Vetoed))
-	tb.metrics.Counter("vdcpower_bnb_nodes_total", "Minimum Slack branch-and-bound nodes expanded").Add(float64(nodesAfter - nodesBefore))
-	tb.obs.AddOptimizerPass(rep.Migrations, rep.Vetoed, rep.FailedMoves, rep.Unresolved, fault.IsInjected(err))
-	tb.obs.AddSearch(nodesAfter-nodesBefore, widsAfter-widsBefore)
-	if tb.obs != nil && rep.ActiveAfter != rep.ActiveBefore {
-		action, reason := "servers-off", "consolidation packed the load onto fewer servers"
-		if rep.ActiveAfter > rep.ActiveBefore {
-			action, reason = "servers-on", "consolidation spread load to relieve overload"
-		}
-		tb.obs.Audit().Record(obs.Decision{
-			Step: period, TimeSec: tb.Sim.Now(),
-			Component: tb.cons.Name(), Action: action, Reason: reason,
-			Value: float64(rep.ActiveAfter - rep.ActiveBefore), Span: "optimizer",
-		})
-	}
+	nodesAfter, widsAfter := optimizer.SearchEffort(tb.cons)
 	for _, mv := range rep.Moves {
-		if i, j, ok := tb.tierOf(mv.VM); ok {
-			tb.Apps[i].PauseTier(j, tb.migModel.Downtime(mv.VM.MemoryGB))
+		if idx, ok := tb.vmIndex[mv.VM.ID]; ok {
+			tb.Apps[idx[0]].PauseTier(idx[1], tb.migModel.Downtime(mv.VM.MemoryGB))
 		}
 	}
 	tb.OptimizerLogs = append(tb.OptimizerLogs, rep)
-	if tb.checker != nil {
-		tb.checker.Observe(check.Event{
-			Kind:             check.EvConsolidate,
-			Step:             period,
-			DC:               tb.DC,
-			Report:           &rep,
-			Policy:           tb.cons.Name(),
-			OverloadedBefore: overloaded,
-		})
-	}
+	tb.probe.Emit(check.Event{
+		Kind: check.EvConsolidate, Step: period, TimeSec: tb.Sim.Now(), Span: "optimizer",
+		DC: tb.DC, Report: &rep, Policy: tb.cons.Name(), OverloadedBefore: overloaded,
+		Nodes: nodesAfter - nodesBefore, Widenings: widsAfter - widsBefore, Degraded: fault.IsInjected(err),
+	})
 	return err
 }
 
@@ -454,28 +385,16 @@ type PeriodRecord struct {
 func (tb *Testbed) Run(duration float64, hook func(period int, now float64)) ([]PeriodRecord, error) {
 	periods := int(duration / tb.Cfg.Period)
 	records := make([]PeriodRecord, 0, periods)
-	// Telemetry instruments resolve once, before the loop; on a detached
-	// testbed they are nil and every use below no-ops.
 	tk := tb.tracer.Track("testbed")
-	var (
-		mPeriods = tb.metrics.Counter("vdcpower_control_periods_total", "MPC control periods executed (one per application per period)")
-		mRelax   = tb.metrics.Counter("vdcpower_terminal_relaxations_total", "control periods where the MPC relaxed the terminal constraint")
-		gPower   = tb.metrics.Gauge("vdcpower_power_watts", "total data-center power draw")
-		gActive  = tb.metrics.Gauge("vdcpower_active_servers", "servers currently powered on")
-	)
-	hT90 := make([]*telemetry.Histogram, len(tb.Apps))
-	for i, app := range tb.Apps {
-		hT90[i] = tb.metrics.Histogram("vdcpower_t90_seconds", "per-application 90-percentile response time", nil,
-			telemetry.Label{Key: "app", Value: app.Name})
-	}
 	t0 := tb.Sim.Now()
 	for k := 0; k < periods; k++ {
 		if hook != nil {
 			hook(k, tb.Sim.Now()-t0)
 		}
-		// The fault plane's step cursor counts periods across Run calls,
-		// so stepping one period at a time (serve) injects the same
-		// schedule as one long run.
+		// The period index counts across Run calls, so stepping one period
+		// at a time (serve) injects the same fault schedule, invokes the
+		// optimizer at the same cadence and reports the same facts as one
+		// long run.
 		p := tb.periodCount
 		tb.periodCount++
 		tb.faults.SetStep(p)
@@ -486,46 +405,22 @@ func (tb *Testbed) Run(duration float64, hook func(period int, now float64)) ([]
 			budget = devs.Budget{MaxEvents: 1}
 		}
 		stats, derr := tb.Sim.RunUntilBudget(tb.Sim.Now()+tb.Cfg.Period, budget)
-		tb.obs.RecordDrain(stats.Events, stats.SameTime)
-		if tb.checker != nil {
-			tb.checker.Observe(check.Event{
-				Kind: check.EvGuard,
-				Step: p,
-				Guard: &check.GuardObservation{
-					MaxEvents:   budget.MaxEvents,
-					Events:      stats.Events,
-					MaxSameTime: budget.MaxSameTimeEvents,
-					SameTime:    stats.SameTime,
-					Tripped:     derr != nil,
-					Aborted:     derr != nil,
-				},
-			})
+		g := check.GuardObservation{MaxEvents: budget.MaxEvents, Events: stats.Events, MaxSameTime: budget.MaxSameTimeEvents,
+			SameTime: stats.SameTime, Tripped: derr != nil, Aborted: derr != nil, Err: derr}
+		if derr != nil {
+			var be *devs.BudgetError
+			g.Wall = errors.As(derr, &be) && be.Reason == devs.ReasonInterrupt
 		}
+		tb.probe.Emit(check.Event{Kind: check.EvGuard, Step: p, TimeSec: tb.Sim.Now(), Span: "testbed.period", Guard: g})
 		if derr != nil {
 			// Budget exhausted: fail the step bounded instead of hanging.
 			// The records so far are the partial result; the caller's
 			// breaker reacts to the typed abort.
-			wall := false
-			var be *devs.BudgetError
-			if errors.As(derr, &be) {
-				wall = be.Reason == devs.ReasonInterrupt
-			}
-			tb.obs.RecordBudgetTrip(wall)
-			tb.obs.Audit().Record(obs.Decision{
-				Step:      p,
-				TimeSec:   tb.Sim.Now() - t0,
-				Component: "guard",
-				Action:    "step-abort",
-				Target:    "testbed",
-				Reason:    derr.Error(),
-				Value:     float64(stats.Events),
-				Span:      "testbed.period",
-			})
-			return records, &guard.StepAbort{Period: p, Wall: wall, Err: derr}
+			return records, &guard.StepAbort{Period: p, Wall: g.Wall, Err: derr}
 		}
 		psp := tk.Start("testbed.period").Int("period", k)
-		tb.obs.ObserveStep()
-		rec := PeriodRecord{Time: tb.Sim.Now() - t0, T90: make([]float64, len(tb.Apps))}
+		now := tb.Sim.Now()
+		rec := PeriodRecord{Time: now - t0, T90: make([]float64, len(tb.Apps))}
 		for i, ctl := range tb.Controllers {
 			res, err := ctl.Step()
 			if err != nil {
@@ -535,55 +430,23 @@ func (tb *Testbed) Run(duration float64, hook func(period int, now float64)) ([]
 			rec.T90[i] = res.T90
 			if res.TerminalRelaxed {
 				rec.Relaxed++
-				mRelax.Inc()
-			}
-			mPeriods.Inc()
-			hT90[i].Observe(res.T90)
-			if tb.obs != nil {
-				tb.obs.RecordControl(res.Held, res.Dropped, res.OpenLoop, res.HeldStreak)
-				if res.HasResidual {
-					tb.obs.ObserveResidual(res.Residual)
-				}
-				// A held period carries no fresh measurement — it must not
-				// produce an SLO sample or a response observation.
-				if !res.Held {
-					tb.obs.ObserveResponse(tb.obsApps[i], res.T90)
-				}
-				if res.OpenLoop != tb.prevOpenLoop[i] {
-					action, reason := "open-loop", "hold window exhausted: frozen at the last-good allocation"
-					if !res.OpenLoop {
-						action, reason = "close-loop", "valid measurement returned: resuming MPC control"
-					}
-					tb.obs.Audit().Record(obs.Decision{
-						Step: p, TimeSec: tb.Sim.Now(),
-						Component: "controller", Action: action, Target: tb.Apps[i].Name,
-						Reason: reason, Value: float64(res.HeldStreak), Span: "mpc-" + tb.Apps[i].Name,
-					})
-					tb.prevOpenLoop[i] = res.OpenLoop
-				}
 			}
 			for j, d := range ctl.Demands() {
 				tb.vms[i][j].Demand = d
 			}
-			if tb.checker != nil {
-				tb.checker.Observe(check.Event{
-					Kind: check.EvControl,
-					Step: p,
-					Control: &check.ControlObservation{
-						App:        tb.Apps[i].Name,
-						Held:       res.Held,
-						HeldStreak: res.HeldStreak,
-						HoldWindow: ctl.HoldWindow(),
-						OpenLoop:   res.OpenLoop,
-					},
-				})
-			}
+			tb.probe.Emit(check.Event{Kind: check.EvControl, Step: p, TimeSec: now, Control: check.ControlObservation{
+				App: tb.Apps[i].Name, Index: i,
+				Held: res.Held, Dropped: res.Dropped, HeldStreak: res.HeldStreak,
+				HoldWindow: ctl.HoldWindow(), OpenLoop: res.OpenLoop,
+				T90: res.T90, Relaxed: res.TerminalRelaxed,
+				Residual: res.Residual, HasResidual: res.HasResidual,
+			}})
 		}
 		// Data-center level: consolidation on the long time scale. An
 		// injected transient error degrades the pass — skipped, retried at
 		// the next interval; real errors still abort the run.
-		if tb.cons != nil && (k+1)%tb.consEvery == 0 {
-			if err := tb.consolidate(k); err != nil && !fault.IsInjected(err) {
+		if tb.cons != nil && (p+1)%tb.consEvery == 0 {
+			if err := tb.consolidate(p); err != nil && !fault.IsInjected(err) {
 				psp.End()
 				return nil, err
 			}
@@ -603,36 +466,19 @@ func (tb *Testbed) Run(duration float64, hook func(period int, now float64)) ([]
 			}
 		}
 		rec.PowerW = tb.DC.TotalPower()
-		gPower.Set(rec.PowerW)
-		gActive.Set(float64(tb.DC.NumActive()))
-		if tb.obs != nil {
-			tb.obs.ObservePower(rec.PowerW)
-			var solve mpc.SolveStats
-			for _, ctl := range tb.Controllers {
-				solve.Add(ctl.SolveStats())
-			}
-			tb.obs.SetMPC(solve.Solves, solve.WarmAttempts, solve.ColdRetries, solve.Relaxations, solve.Fallbacks)
+		var solve mpc.SolveStats
+		for _, ctl := range tb.Controllers {
+			solve.Add(ctl.SolveStats())
 		}
 		psp.Float("power_w", rec.PowerW).Int("relaxed", rec.Relaxed).End()
 		tb.attributeEnergy(tb.Cfg.Period)
-		if tb.checker != nil {
-			tb.checkedJ += rec.PowerW * tb.Cfg.Period
-			tb.checker.Observe(check.Event{
-				Kind:      check.EvStep,
-				Step:      k,
-				DC:        tb.DC,
-				PowerW:    rec.PowerW,
-				EnergyJ:   tb.checkedJ,
-				HasPower:  true,
-				HasEnergy: true,
-			})
-		}
+		tb.energyJ += rec.PowerW * tb.Cfg.Period
+		tb.probe.Emit(check.Event{
+			Kind: check.EvStep, Step: p, TimeSec: tb.Sim.Now(), DC: tb.DC,
+			PowerW: rec.PowerW, EnergyJ: tb.energyJ, HasPower: true, HasEnergy: true,
+			Active: tb.DC.NumActive(), Solve: solve,
+		})
 		records = append(records, rec)
 	}
-	if tb.checker != nil {
-		if err := tb.checker.Err(); err != nil {
-			return records, err
-		}
-	}
-	return records, nil
+	return records, tb.probe.Err()
 }

@@ -7,6 +7,7 @@ import (
 
 	"vdcpower/internal/cluster"
 	"vdcpower/internal/optimizer"
+	"vdcpower/internal/probe"
 	"vdcpower/internal/telemetry"
 )
 
@@ -38,7 +39,8 @@ func TestIntegratedTraceCoversBothLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	tr := tb.AttachTelemetry(0, reg)
+	tr := tb.AttachTelemetry(0)
+	tb.AttachProbe(probe.New(probe.Metrics(reg)))
 	if _, err := tb.Run(200, nil); err != nil {
 		t.Fatal(err)
 	}
