@@ -32,11 +32,12 @@ type Config struct {
 // App is a running multi-tier application: a chain of PS-queue tiers
 // driven by a closed-loop client population.
 type App struct {
-	Name  string
-	sim   *devs.Simulator
-	cfg   Config
-	tiers []*PSQueue
-	rng   *rand.Rand
+	Name   string
+	sim    *devs.Simulator
+	cfg    Config
+	tiers  []*PSQueue
+	demand []lognormal // per tier, fitted from cfg.Tiers
+	rng    *rand.Rand
 
 	concurrency int
 	clients     []*request // closed-loop client slots, indexed by slot
@@ -78,6 +79,7 @@ func New(sim *devs.Simulator, cfg Config) *App {
 	if cfg.ThinkTime <= 0 {
 		cfg.ThinkTime = 1.0
 	}
+	cfg.Tiers = append([]TierConfig(nil), cfg.Tiers...) // the app owns its tiers
 	a := &App{
 		Name:        cfg.Name,
 		sim:         sim,
@@ -87,8 +89,28 @@ func New(sim *devs.Simulator, cfg Config) *App {
 	}
 	for _, tc := range cfg.Tiers {
 		a.tiers = append(a.tiers, NewPSQueue(sim, tc.InitialAllocation))
+		a.demand = append(a.demand, fitLognormal(tc))
 	}
 	return a
+}
+
+// lognormal is one tier's fitted demand distribution, exp(mu + sigma·Z)
+// with Z standard normal. A tier whose DemandCV is not positive is fixed:
+// every demand is exactly mean, and no random number is drawn.
+type lognormal struct {
+	fixed     bool
+	mean      float64
+	mu, sigma float64
+}
+
+// fitLognormal matches a lognormal to the tier's demand mean and CV. It
+// runs when the tier is configured, not per draw.
+func fitLognormal(tc TierConfig) lognormal {
+	if tc.DemandCV <= 0 {
+		return lognormal{fixed: true, mean: tc.DemandMean}
+	}
+	sigma := math.Sqrt(math.Log(1 + tc.DemandCV*tc.DemandCV))
+	return lognormal{mean: tc.DemandMean, mu: math.Log(tc.DemandMean) - sigma*sigma/2, sigma: sigma}
 }
 
 // NumTiers returns the number of tiers.
@@ -226,13 +248,11 @@ func (r *request) finish() {
 
 // sampleDemand draws a lognormal service demand for tier i.
 func (a *App) sampleDemand(i int) float64 {
-	tc := a.cfg.Tiers[i]
-	if tc.DemandCV <= 0 {
-		return tc.DemandMean
+	d := &a.demand[i]
+	if d.fixed {
+		return d.mean
 	}
-	sigma := math.Sqrt(math.Log(1 + tc.DemandCV*tc.DemandCV))
-	mu := math.Log(tc.DemandMean) - sigma*sigma/2
-	return math.Exp(mu + sigma*a.rng.NormFloat64())
+	return math.Exp(d.mu + d.sigma*a.rng.NormFloat64())
 }
 
 // PauseTier stalls tier i for the given duration — the downtime of a
@@ -249,6 +269,7 @@ func (a *App) SetDemandMean(tier int, mean float64) {
 		panic("appsim: nonpositive demand mean")
 	}
 	a.cfg.Tiers[tier].DemandMean = mean
+	a.demand[tier] = fitLognormal(a.cfg.Tiers[tier])
 }
 
 // DemandMean returns tier i's current mean per-request service demand.

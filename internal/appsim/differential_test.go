@@ -196,3 +196,45 @@ func TestAppMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// refSampleDemand is the per-draw lognormal formula the fitted tier
+// parameters replaced: sigma and mu recomputed from the tier's mean and
+// CV on every draw.
+func refSampleDemand(tc TierConfig, rng *rand.Rand) float64 {
+	if tc.DemandCV <= 0 {
+		return tc.DemandMean
+	}
+	sigma := math.Sqrt(math.Log(1 + tc.DemandCV*tc.DemandCV))
+	mu := math.Log(tc.DemandMean) - sigma*sigma/2
+	return math.Exp(mu + sigma*rng.NormFloat64())
+}
+
+// The fitted sampler must draw bit-identical demands to the per-draw
+// formula from the same seed, across SetDemandMean changes, at CV 0 and
+// 1, at an arbitrary CV, and at a CV so small its fitted sigma is 0 (a
+// random tier all the same, which still draws a normal variate).
+func TestSampleDemandMatchesPerDrawFormula(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		ops := rand.New(rand.NewSource(1000 + seed))
+		tiers := []TierConfig{
+			{DemandMean: 0.03, DemandCV: 0},
+			{DemandMean: 0.02, DemandCV: 1},
+			{DemandMean: 0.01 + 0.04*ops.Float64(), DemandCV: 2 * ops.Float64()},
+			{DemandMean: 0.05, DemandCV: 1e-10},
+		}
+		a := New(devs.NewSimulator(), Config{Tiers: tiers, Seed: seed})
+		ref := rand.New(rand.NewSource(seed))
+		for draw := 0; draw < 2000; draw++ {
+			i := ops.Intn(len(tiers))
+			if ops.Intn(40) == 0 {
+				mean := 0.005 + 0.1*ops.Float64()
+				a.SetDemandMean(i, mean)
+				tiers[i].DemandMean = mean
+			}
+			got, want := a.sampleDemand(i), refSampleDemand(tiers[i], ref)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d draw %d tier %d: sampled %v, per-draw formula %v", seed, draw, i, got, want)
+			}
+		}
+	}
+}

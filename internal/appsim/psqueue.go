@@ -38,13 +38,11 @@ type PSQueue struct {
 	vnow       float64 // virtual clock (GHz·s of per-job service granted)
 	jobs       []job   // min-heap on vfinish
 	lastUpdate float64
-	next       devs.Event
-	busyCycles float64 // integrated work served, GHz·s
+	next       *devs.Timer // the head job's completion
+	busyCycles float64     // integrated work served, GHz·s
 
-	// Callbacks bound once, so re-arming the completion event and ending
-	// a pause allocate nothing.
-	completeFn, resumeFn func()
-	finished             []func() // complete's scratch
+	resumeFn func()   // q.resume, bound once so ending a pause allocates nothing
+	finished []func() // complete's scratch
 }
 
 // minCapacity guards against a zero allocation stalling the queue forever;
@@ -74,7 +72,7 @@ func NewPSQueue(sim *devs.Simulator, capacityGHz float64) *PSQueue {
 	q := &PSQueue{sim: sim, lastUpdate: sim.Now()}
 	q.desired = clampCapacity(capacityGHz)
 	q.capacity = q.desired
-	q.completeFn = q.complete
+	q.next = sim.NewTimer("psqueue.complete", q.complete)
 	q.resumeFn = q.resume
 	return q
 }
@@ -205,16 +203,15 @@ func (q *PSQueue) advance() {
 	q.busyCycles += dt * q.capacity
 }
 
-// reschedule re-arms the next-completion event. A re-arm that lands at
+// reschedule re-arms the next-completion timer. A re-arm that lands at
 // the exact time already armed is coalesced into a no-op: Submit and
-// SetCapacity churn would otherwise cancel and recreate the event on
-// every call, bloating the kernel heap with dead entries and — once the
-// completion time collapses onto the current instant — feeding the
-// same-timestamp storm of ROADMAP item 6.
+// SetCapacity churn would otherwise draw a fresh sequence number on
+// every call, reordering the completion behind same-instant work and —
+// once the completion time collapses onto the current instant — feeding
+// the same-timestamp storm of ROADMAP item 6.
 func (q *PSQueue) reschedule() {
 	if len(q.jobs) == 0 {
-		q.next.Cancel()
-		q.next = devs.Event{}
+		q.next.Stop()
 		return
 	}
 	remaining := q.jobs[0].vfinish - q.vnow
@@ -226,15 +223,13 @@ func (q *PSQueue) reschedule() {
 	if q.next.Pending() && q.next.Time() == at {
 		return
 	}
-	q.next.Cancel()
-	q.next = q.sim.Schedule(at, q.completeFn)
-	q.next.SetLabel("psqueue.complete")
+	q.next.Reset(at)
 }
 
 // complete retires every job whose virtual finish time has been reached.
+// The kernel has disarmed the timer before calling it.
 func (q *PSQueue) complete() {
 	q.advance()
-	q.next = devs.Event{}
 	const eps = 1e-12
 	finished := q.finished[:0]
 	for len(q.jobs) > 0 && q.jobs[0].vfinish <= q.vnow+eps {

@@ -9,8 +9,9 @@ import (
 
 // refPSQueue is the PS queue the value-typed job heap replaced, kept as a
 // test-only reference for the differential tests: *refJob objects in a
-// container/heap and a fresh closure per pause. Its only change is the
-// move from *devs.Event pointers to devs.Event handles.
+// container/heap and a fresh closure per pause. Its only change is that
+// its completion re-arm, once an event Cancel + Schedule, is a
+// devs.Timer Stop or Reset, the kernel's only cancellable form.
 type refPSQueue struct {
 	sim        *devs.Simulator
 	capacity   float64
@@ -19,7 +20,7 @@ type refPSQueue struct {
 	vnow       float64
 	jobs       refJobHeap
 	lastUpdate float64
-	next       devs.Event
+	next       *devs.Timer
 	busyCycles float64
 }
 
@@ -48,6 +49,7 @@ func newRefPSQueue(sim *devs.Simulator, capacityGHz float64) *refPSQueue {
 	q := &refPSQueue{sim: sim, lastUpdate: sim.Now()}
 	q.desired = clampCapacity(capacityGHz)
 	q.capacity = q.desired
+	q.next = sim.NewTimer("psqueue.complete", q.complete)
 	return q
 }
 
@@ -109,8 +111,7 @@ func (q *refPSQueue) advance() {
 
 func (q *refPSQueue) reschedule() {
 	if len(q.jobs) == 0 {
-		q.next.Cancel()
-		q.next = devs.Event{}
+		q.next.Stop()
 		return
 	}
 	remaining := q.jobs[0].vfinish - q.vnow
@@ -121,14 +122,11 @@ func (q *refPSQueue) reschedule() {
 	if q.next.Pending() && q.next.Time() == at {
 		return
 	}
-	q.next.Cancel()
-	q.next = q.sim.Schedule(at, q.complete)
-	q.next.SetLabel("psqueue.complete")
+	q.next.Reset(at)
 }
 
 func (q *refPSQueue) complete() {
 	q.advance()
-	q.next = devs.Event{}
 	const eps = 1e-12
 	var finished []*refJob
 	for len(q.jobs) > 0 && q.jobs[0].vfinish <= q.vnow+eps {

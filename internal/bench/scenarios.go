@@ -612,8 +612,9 @@ func runTraceReplay(e *Env) (Metrics, error) {
 // that fed ROADMAP item 6's wedge) drained period by period through
 // RunUntilBudget under the default step budget. The budget never trips
 // here — the scenario prices what a guarded healthy drain costs, so a
-// regression in the budget bookkeeping (or the kernel's lazy purge)
-// shows up as a latency shift.
+// regression in the budget bookkeeping (or in re-arming the queue's
+// completion timer, which every Submit and SetCapacity does) shows up
+// as a latency shift.
 func runGuardWedge(e *Env) (Metrics, error) {
 	sim := devs.NewSimulator()
 	q := appsim.NewPSQueue(sim, 2.5)

@@ -3,6 +3,7 @@ package devs
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -58,8 +59,8 @@ type BudgetError struct {
 	At       float64        // virtual time when the drain stopped
 	Events   int            // events fired before the trip
 	SameTime int            // longest same-instant run observed
-	Pending  int            // live events still queued
-	Sample   []PendingEvent // up to sampleSize pending events, for diagnosis
+	Pending  int            // events still queued plus armed timers
+	Sample   []PendingEvent // the up to sampleSize earliest pending entries, in firing order
 }
 
 const sampleSize = 4
@@ -86,31 +87,45 @@ func (e *BudgetError) Unwrap() error { return ErrBudgetExceeded }
 
 // budgetError builds the trip diagnosis. Cold path: it only runs when a
 // drain is being aborted, so its allocations never tax a healthy drain.
+// The sample is the earliest pending work in firing order, across both
+// queues; one-shot events carry no label.
 func (s *Simulator) budgetError(reason string, st DrainStats) error {
 	be := &BudgetError{
 		Reason:   reason,
 		At:       s.now,
 		Events:   st.Events,
 		SameTime: st.SameTime,
-		Pending:  len(s.heap),
+		Pending:  s.Pending(),
 	}
-	for _, it := range s.heap[:min(sampleSize, len(s.heap))] {
-		be.Sample = append(be.Sample, PendingEvent{Time: it.at, Label: s.slab[it.idx].label})
+	type pending struct {
+		key
+		label string
+	}
+	all := make([]pending, 0, s.Pending())
+	for _, e := range s.events {
+		all = append(all, pending{key: e.key})
+	}
+	for _, a := range s.timers {
+		all = append(all, pending{key: a.key, label: a.t.label})
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].before(all[j].key) })
+	for _, p := range all[:min(sampleSize, len(all))] {
+		be.Sample = append(be.Sample, PendingEvent{Time: p.at, Label: p.label})
 	}
 	return be
 }
 
-// RunUntilBudget fires every event with Time <= t, subject to the budget,
-// and then advances the clock to exactly t. When a bound trips it stops
-// mid-drain — the clock rests at the last fired event — and returns the
-// stats so far plus a *BudgetError. With a zero Budget it behaves exactly
-// like RunUntil and never returns an error.
+// RunUntilBudget fires everything pending with Time <= t, subject to the
+// budget, and then advances the clock to exactly t. When a bound trips it
+// stops mid-drain — the clock rests at the last fired event — and returns
+// the stats so far plus a *BudgetError. With a zero Budget it behaves
+// exactly like RunUntil and never returns an error.
 func (s *Simulator) RunUntilBudget(t float64, b Budget) (DrainStats, error) {
 	var st DrainStats
 	var runTime float64 // instant of the current same-time run
 	run := 0            // events fired at runTime so far
-	for len(s.heap) > 0 && s.heap[0].at <= t {
-		at := s.heap[0].at
+	at, ok := s.peek()
+	for ok && at <= t {
 		s.fire()
 		st.Events++
 		//lint:ignore floatcompare same-instant detection must be exact; an epsilon would mistake distinct times for a Zeno run
@@ -125,12 +140,13 @@ func (s *Simulator) RunUntilBudget(t float64, b Budget) (DrainStats, error) {
 		}
 		// Trip only when queued work remains inside the horizon; a bound
 		// reached on the drain's final event is not an overrun.
-		more := len(s.heap) > 0 && s.heap[0].at <= t
+		at, ok = s.peek()
+		more := ok && at <= t
 		if b.MaxEvents > 0 && st.Events >= b.MaxEvents && more {
 			return st, s.budgetError(ReasonMaxEvents, st)
 		}
 		//lint:ignore floatcompare the same-time bound trips only if the next event shares this exact instant
-		if b.MaxSameTimeEvents > 0 && run >= b.MaxSameTimeEvents && more && s.heap[0].at == runTime {
+		if b.MaxSameTimeEvents > 0 && run >= b.MaxSameTimeEvents && more && at == runTime {
 			return st, s.budgetError(ReasonSameTime, st)
 		}
 		if b.Interrupt != nil && st.Events%interruptEvery == 0 && b.Interrupt() {

@@ -2,6 +2,7 @@ package devs
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -47,7 +48,7 @@ func TestRunUntilBudgetMaxEventsTrip(t *testing.T) {
 	s := NewSimulator()
 	fired := 0
 	for i := 0; i < 100; i++ {
-		s.Schedule(float64(i), func() { fired++ }).SetLabel("tick")
+		s.NewTimer("tick", func() { fired++ }).Reset(float64(i))
 	}
 	st, err := s.RunUntilBudget(1000, Budget{MaxEvents: 10})
 	if !errors.Is(err, ErrBudgetExceeded) {
@@ -72,9 +73,9 @@ func TestRunUntilBudgetMaxEventsTrip(t *testing.T) {
 	if len(be.Sample) != sampleSize {
 		t.Fatalf("Sample size = %d, want %d", len(be.Sample), sampleSize)
 	}
-	for _, p := range be.Sample {
-		if p.Label != "tick" {
-			t.Fatalf("Sample label = %q, want tick", p.Label)
+	for i, p := range be.Sample {
+		if p.Label != "tick" || p.Time != float64(10+i) {
+			t.Fatalf("Sample[%d] = %+v, want tick@%d", i, p, 10+i)
 		}
 	}
 	if !strings.Contains(be.Error(), "tick@") {
@@ -107,14 +108,16 @@ func TestRunUntilBudgetNoTripOnFinalEvent(t *testing.T) {
 	}
 }
 
-// A cancelled event inside the horizon is not queued work: a bound
+// A stopped timer inside the horizon is not queued work: a bound
 // reached on the last live event must not trip because of it.
 func TestRunUntilBudgetNoTripOnCancelledTail(t *testing.T) {
 	s := NewSimulator()
 	for i := 0; i < 3; i++ {
 		s.Schedule(float64(i), func() {})
 	}
-	s.Schedule(5, func() {}).Cancel()
+	tm := s.NewTimer("t", func() {})
+	tm.Reset(5)
+	tm.Stop()
 	for _, b := range []Budget{{MaxEvents: 3}, {MaxSameTimeEvents: 1}} {
 		if _, err := s.RunUntilBudget(10, b); err != nil {
 			t.Fatalf("budget %+v tripped on a cancelled event: %v", b, err)
@@ -130,16 +133,19 @@ func TestRunUntilBudgetNoTripOnCancelledTail(t *testing.T) {
 func TestRunUntilBudgetSameTimeTrip(t *testing.T) {
 	s := NewSimulator()
 	fired := 0
-	var storm func()
-	storm = func() {
+	var storm *Timer
+	storm = s.NewTimer("storm", func() {
 		fired++
-		s.Schedule(s.Now(), storm).SetLabel("storm")
-	}
-	s.Schedule(1, storm)
+		storm.Reset(s.Now())
+	})
+	storm.Reset(1)
 	st, err := s.RunUntilBudget(10, Budget{MaxSameTimeEvents: 50})
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Reason != ReasonSameTime {
 		t.Fatalf("err = %v, want same-time trip", err)
+	}
+	if len(be.Sample) != 1 || be.Sample[0] != (PendingEvent{Time: 1, Label: "storm"}) {
+		t.Fatalf("Sample = %+v, want [storm@1]", be.Sample)
 	}
 	if st.SameTime < 50 {
 		t.Fatalf("SameTime = %d, want >= 50", st.SameTime)
@@ -191,33 +197,35 @@ func TestRunUntilBudgetInterrupt(t *testing.T) {
 	}
 }
 
-// Heavy cancel churn must not bloat the queue. Cancel removes eagerly,
-// so Pending() counts exactly the live events and the slab recycles the
-// cancelled slots instead of growing, even when most scheduled events are
-// cancelled before firing, as PSQueue re-arms are.
+// Heavy re-arm churn must not bloat the queue. A timer moves in place,
+// so Pending() counts exactly the live work and the timer heap holds one
+// entry per armed timer, however often each is reset or stopped, as
+// PSQueue re-arms are.
 func TestCancelChurnKeepsPendingBounded(t *testing.T) {
 	s := NewSimulator()
 	var fired []float64
-	var prev Event
+	tm := s.NewTimer("t", func() { fired = append(fired, s.Now()) })
 	const churn = 100_000
 	for i := 0; i < churn; i++ {
-		prev.Cancel()
-		prev = s.Schedule(float64(i+1), func() { fired = append(fired, s.Now()) })
+		if i%3 == 0 {
+			tm.Stop()
+		}
+		tm.Reset(float64(i + 1))
 		if p := s.Pending(); p != 1 {
-			t.Fatalf("Pending = %d after %d cancels, want 1", p, i)
+			t.Fatalf("Pending = %d after %d re-arms, want 1", p, i)
 		}
 	}
-	if n := len(s.slab); n > 2 {
-		t.Fatalf("slab grew to %d slots under cancel churn", n)
+	if n := cap(s.timers); n > 1 {
+		t.Fatalf("timer heap grew to %d entries under re-arm churn", n)
 	}
 	s.Run()
 	if len(fired) != 1 || fired[0] != churn {
-		t.Fatalf("fired %v, want only the survivor at %d", fired, churn)
+		t.Fatalf("fired %v, want only the last arming at %d", fired, churn)
 	}
 }
 
-// Cancelling a random two-thirds of the queue must leave the survivors
-// firing in exactly (time, scheduling order) order.
+// Stopping a random two-thirds of the armed timers must leave the
+// survivors firing in exactly (time, arming order) order.
 func TestPurgePreservesOrder(t *testing.T) {
 	s := NewSimulator()
 	rng := rand.New(rand.NewSource(3))
@@ -225,19 +233,21 @@ func TestPurgePreservesOrder(t *testing.T) {
 		at float64
 		id int
 	}
-	var events []Event
+	var timers []*Timer
 	var want, fired []ev
 	for i := 0; i < 2000; i++ {
 		at := float64(rng.Intn(500)) / 5 // coarse grid: plenty of ties
 		id := i
-		events = append(events, s.Schedule(at, func() { fired = append(fired, ev{s.Now(), id}) }))
+		tm := s.NewTimer("t", func() { fired = append(fired, ev{s.Now(), id}) })
+		tm.Reset(at)
+		timers = append(timers, tm)
 		if i%3 == 0 {
 			want = append(want, ev{at, id})
 		}
 	}
-	for i, e := range events {
+	for i, tm := range timers {
 		if i%3 != 0 {
-			e.Cancel()
+			tm.Stop()
 		}
 	}
 	if s.Pending() != len(want) {
@@ -258,20 +268,23 @@ func TestPurgePreservesOrder(t *testing.T) {
 func TestCancelIsIdempotent(t *testing.T) {
 	s := NewSimulator()
 	fired := 0
-	e := s.Schedule(1, func() { fired++ })
-	s.Schedule(2, func() { fired++ })
-	e.Cancel()
-	e.Cancel() // double-cancel must not remove anything else
-	if s.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", s.Pending())
+	tm := s.NewTimer("t", func() { fired++ })
+	tm.Reset(1)
+	other := s.NewTimer("u", func() { fired++ })
+	other.Reset(2)
+	tm.Stop()
+	tm.Stop() // double-stop must not remove anything else
+	if s.Pending() != 1 || !other.Pending() {
+		t.Fatalf("Pending = %d, other armed %v; want 1, true", s.Pending(), other.Pending())
 	}
-	// The cancelled slot is recycled by the next Schedule; the stale
-	// handle must not reach the new occupant.
-	s.Schedule(3, func() { fired++ })
-	e.Cancel()
-	e.SetLabel("stale")
-	if e.Pending() || s.Pending() != 2 {
-		t.Fatalf("stale handle touched the recycled slot: Pending = %d", s.Pending())
+	// A fired timer is idle: stopping it must not reach the timer that
+	// took its heap position.
+	third := s.NewTimer("v", func() { fired++ })
+	third.Reset(3)
+	s.Step()
+	other.Stop()
+	if s.Pending() != 1 || !third.Pending() {
+		t.Fatalf("stopping a fired timer touched another: Pending = %d", s.Pending())
 	}
 	s.Run()
 	if fired != 2 {
@@ -279,24 +292,82 @@ func TestCancelIsIdempotent(t *testing.T) {
 	}
 }
 
-// A warmed Schedule→fire cycle allocates nothing: the slab and heap are
-// reused, and the handle is a value.
+// The budget-error sample is the earliest pending work in firing order,
+// across one-shot events and timers, whatever the heap layouts.
+func TestBudgetErrorSampleIsEarliestInFiringOrder(t *testing.T) {
+	s := NewSimulator()
+	rng := rand.New(rand.NewSource(5))
+	type pend struct {
+		at    float64
+		seq   int
+		label string
+	}
+	var want []pend
+	seq := 0
+	for i := 0; i < 200; i++ {
+		at := 1 + float64(rng.Intn(40))/4
+		if rng.Intn(2) == 0 {
+			s.Schedule(at, func() {})
+			want = append(want, pend{at, seq, ""})
+		} else {
+			label := fmt.Sprintf("t%d", i)
+			s.NewTimer(label, func() {}).Reset(at)
+			want = append(want, pend{at, seq, label})
+		}
+		seq++
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].at != want[j].at {
+			return want[i].at < want[j].at
+		}
+		return want[i].seq < want[j].seq
+	})
+	s.Schedule(0.5, func() {})
+	_, err := s.RunUntilBudget(100, Budget{MaxEvents: 1})
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Pending != len(want) {
+		t.Fatalf("err = %v, want a max-events trip with %d pending", err, len(want))
+	}
+	for i, p := range be.Sample {
+		if p.Time != want[i].at || p.Label != want[i].label {
+			t.Fatalf("Sample[%d] = %+v, want %s@%v", i, p, want[i].label, want[i].at)
+		}
+	}
+	if len(be.Sample) != sampleSize {
+		t.Fatalf("Sample size = %d, want %d", len(be.Sample), sampleSize)
+	}
+}
+
+// A warmed Schedule→fire cycle, and a Reset/Stop/fire cycle of timers
+// including one that re-arms from its own callback, allocate nothing:
+// both heaps are reused and entries are values.
 func TestScheduleFireZeroAlloc(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation gate not meaningful under -race")
 	}
 	s := NewSimulator()
 	fn := func() {}
+	tm := s.NewTimer("x", fn)
+	rearms := 0
+	var self *Timer
+	self = s.NewTimer("self", func() {
+		if rearms++; rearms%2 == 1 {
+			self.Reset(s.Now())
+		}
+	})
 	cycle := func() {
-		s.After(1, fn).SetLabel("x")
-		s.After(2, fn).Cancel()
 		s.After(1, fn)
-		s.Step()
-		s.Step()
+		tm.Reset(s.Now() + 2)
+		tm.Reset(s.Now() + 1) // move while armed
+		tm.Stop()
+		tm.Reset(s.Now() + 0.5) // arm while idle
+		self.Reset(s.Now() + 1)
+		for s.Step() {
+		}
 	}
 	cycle()
 	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
-		t.Fatalf("Schedule/Cancel/fire cycle allocated %v times, want 0", n)
+		t.Fatalf("Schedule/Reset/Stop/fire cycle allocated %v times, want 0", n)
 	}
 }
 

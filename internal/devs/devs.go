@@ -2,90 +2,35 @@
 // clock and a priority queue of callbacks. It underlies the multi-tier
 // application simulator that stands in for the paper's Xen/RUBBoS testbed.
 //
-// Determinism: events at equal timestamps fire in scheduling order, so a
-// simulation driven by seeded randomness is fully reproducible.
+// Work is queued in two forms. Schedule and After queue one-shot,
+// fire-and-forget callbacks. A Timer is a re-armable event: Reset moves
+// it to a new time and Stop disarms it, which is how a PS queue keeps its
+// single next-completion event current without queueing dead entries.
 //
-// Allocation: events live in a value-typed slab recycled through a free
-// list, and the queue is a binary heap of plain (time, seq, slot) items,
-// so once the slab and heap have reached their high-water mark,
-// scheduling and firing allocate nothing. A callback that is a method
-// value or closure bound once by the caller keeps the whole
-// Schedule→fire cycle allocation-free.
+// Determinism: every Schedule and every Reset draws a sequence number
+// from one counter, and queued work fires in (time, sequence) order, so
+// events at equal timestamps fire in scheduling order and a simulation
+// driven by seeded randomness is fully reproducible.
+//
+// Allocation: one-shot events are plain (time, seq, fn) entries of a
+// binary heap, and armed timers sit in a second, indexed binary heap, so
+// once both heaps have reached their high-water mark, scheduling,
+// re-arming and firing allocate nothing. A callback that is a method
+// value or closure bound once by the caller keeps the whole cycle
+// allocation-free.
 package devs
 
-// Event is a handle to a scheduled callback, returned by Schedule and
-// After. It is a small value; copy it freely. Every event carries a
-// unique sequence number that doubles as its slot's generation: once the
-// event fires or is cancelled its slot is recycled, the handle goes
-// stale, and every method on it becomes a harmless no-op. The zero
-// Event refers to no event.
-type Event struct {
-	sim *Simulator
+// key orders queued work: by virtual time, then by the sequence number
+// drawn when the work was queued.
+type key struct {
 	at  float64
 	seq uint64
-	idx int32
 }
 
-// Time returns the virtual time the event was scheduled for. It stays
-// readable after the event has fired or been cancelled.
-func (e Event) Time() float64 { return e.at }
-
-// Pending reports whether the event is still queued: neither fired nor
-// cancelled.
-func (e Event) Pending() bool { return e.live() != nil }
-
-// Cancel removes the event from the queue so it never fires. Cancelling
-// a fired, cancelled or zero event is a no-op.
-func (e Event) Cancel() {
-	if sl := e.live(); sl != nil {
-		e.sim.remove(int(sl.pos))
-	}
-}
-
-// SetLabel names the event's provenance ("psqueue.complete", ...) so a
-// budget-exceeded error can report what the stuck queue is made of. It
-// is a no-op on a stale handle.
-func (e Event) SetLabel(label string) {
-	if sl := e.live(); sl != nil {
-		sl.label = label
-	}
-}
-
-// live returns the event's slab entry while the event is queued, nil
-// once the handle is stale.
-func (e Event) live() *slot {
-	if e.sim == nil {
-		return nil
-	}
-	sl := &e.sim.slab[e.idx]
-	if sl.pos < 0 || sl.seq != e.seq {
-		return nil
-	}
-	return sl
-}
-
-// slot is one slab entry: the payload of a queued event, or a link in
-// the free list.
-type slot struct {
-	fn    func()
-	label string
-	seq   uint64 // sequence number of the current occupant
-	pos   int32  // heap position while queued, -1 while free
-	next  int32  // free-list link while free: 1 + next free index, 0 = end
-}
-
-// item is one heap entry. The ordering key is copied out of the slab so
-// sift comparisons never leave the heap array.
-type item struct {
-	at  float64
-	seq uint64
-	idx int32
-}
-
-// before orders items by (time, seq). seq is unique, so this is a strict
-// total order on any non-NaN times, and any correct heap over it pops
-// events in exactly one sequence.
-func (a item) before(b item) bool {
+// before orders keys by (time, seq). seq is unique across both queues,
+// so this is a strict total order on any non-NaN times, and any correct
+// pair of heaps over it fires work in exactly one sequence.
+func (a key) before(b key) bool {
 	//lint:ignore floatcompare exact tie-break in event ordering; an epsilon would reorder events
 	if a.at != b.at {
 		return a.at < b.at
@@ -93,14 +38,78 @@ func (a item) before(b item) bool {
 	return a.seq < b.seq
 }
 
-// Simulator owns a virtual clock and the pending event queue. The zero
-// value is ready to use.
+// event is one queued one-shot callback.
+type event struct {
+	key
+	fn func()
+}
+
+// armed is one armed timer's heap entry. The key is copied out of the
+// timer so sift comparisons never leave the heap array.
+type armed struct {
+	key
+	t *Timer
+}
+
+// Timer is a re-armable event, created by Simulator.NewTimer. While
+// armed it sits in the simulator's timer heap; Reset moves it in place
+// and Stop takes it out. A timer is disarmed before its callback runs,
+// so the callback may re-arm it.
+type Timer struct {
+	sim   *Simulator
+	fn    func()
+	label string
+	at    float64
+	pos   int32 // position in the timer heap while armed, -1 while idle
+}
+
+// NewTimer returns an idle timer that runs fn when it fires. The label
+// names its provenance ("psqueue.complete", ...) so a budget-exceeded
+// error can report what a stuck queue is made of.
+func (s *Simulator) NewTimer(label string, fn func()) *Timer {
+	return &Timer{sim: s, fn: fn, label: label, pos: -1}
+}
+
+// Time returns the virtual time the timer was last armed for. It stays
+// readable after the timer has fired or been stopped.
+func (t *Timer) Time() float64 { return t.at }
+
+// Pending reports whether the timer is armed: neither fired nor stopped
+// since its last Reset.
+func (t *Timer) Pending() bool { return t.pos >= 0 }
+
+// Reset arms the timer for absolute time at, moving it if it is already
+// armed. It draws a fresh sequence number, exactly as a Schedule would,
+// so a Reset orders among ties as cancelling the timer and scheduling
+// anew would. Arming in the past or at NaN panics, as Schedule does.
+func (t *Timer) Reset(at float64) {
+	s := t.sim
+	k := s.nextKey(at)
+	t.at = at
+	it := armed{key: k, t: t}
+	if t.pos < 0 {
+		s.timers = append(s.timers, it)
+		s.siftUpTimer(len(s.timers)-1, it)
+		return
+	}
+	s.moveTimer(int(t.pos), it)
+}
+
+// Stop disarms the timer so it does not fire. Stopping an idle timer is
+// a no-op. Stop draws no sequence number.
+func (t *Timer) Stop() {
+	if t.pos >= 0 {
+		t.sim.removeTimer(int(t.pos))
+	}
+}
+
+// Simulator owns a virtual clock and the pending work: a heap of one-shot
+// events and a heap of armed timers. The zero value is ready to use.
 type Simulator struct {
-	now  float64
-	seq  uint64
-	heap []item
-	slab []slot
-	free int32 // 1 + index of the first free slot; 0 when none
+	now    float64
+	seq    uint64
+	events []event // min-heap on key
+	timers []armed // min-heap on key; each timer's pos tracks its entry
 }
 
 // NewSimulator returns a simulator with the clock at zero.
@@ -109,132 +118,186 @@ func NewSimulator() *Simulator { return &Simulator{} }
 // Now returns the current virtual time in seconds.
 func (s *Simulator) Now() float64 { return s.now }
 
-// Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.heap) }
+// Pending returns the number of queued events plus armed timers.
+func (s *Simulator) Pending() int { return len(s.events) + len(s.timers) }
 
-// Schedule queues fn to run at absolute time at. Scheduling in the past
-// or at NaN panics: either would silently reorder causality.
-func (s *Simulator) Schedule(at float64, fn func()) Event {
+// nextKey validates at and draws the next sequence number. Queueing in
+// the past or at NaN panics: either would silently reorder causality.
+func (s *Simulator) nextKey(at float64) key {
 	if !(at >= s.now) {
 		//lint:ignore panicpolicy simulator invariant: scheduling into the past means a broken model
 		panic("devs: scheduling event in the past")
 	}
-	var idx int32
-	if s.free != 0 {
-		idx = s.free - 1
-		s.free = s.slab[idx].next
-	} else {
-		idx = int32(len(s.slab))
-		s.slab = append(s.slab, slot{})
-	}
-	seq := s.seq
+	k := key{at: at, seq: s.seq}
 	s.seq++
-	sl := &s.slab[idx]
-	sl.fn = fn
-	sl.seq = seq
-	it := item{at: at, seq: seq, idx: idx}
-	s.heap = append(s.heap, it)
-	s.siftUp(len(s.heap)-1, it)
-	return Event{sim: s, at: at, seq: seq, idx: idx}
+	return k
 }
 
-// After queues fn to run d seconds from now.
-func (s *Simulator) After(d float64, fn func()) Event {
-	return s.Schedule(s.now+d, fn)
+// Schedule queues fn to run once at absolute time at. Scheduling in the
+// past or at NaN panics.
+func (s *Simulator) Schedule(at float64, fn func()) {
+	e := event{key: s.nextKey(at), fn: fn}
+	s.events = append(s.events, e)
+	h := s.events
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p].key) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
 }
 
-// Step fires the earliest pending event, advancing the clock to its time.
-// It returns false if the queue is empty.
+// After queues fn to run once, d seconds from now.
+func (s *Simulator) After(d float64, fn func()) {
+	s.Schedule(s.now+d, fn)
+}
+
+// Step fires the earliest pending event or timer, advancing the clock to
+// its time. It returns false if nothing is pending.
 func (s *Simulator) Step() bool {
-	if len(s.heap) == 0 {
+	if s.Pending() == 0 {
 		return false
 	}
 	s.fire()
 	return true
 }
 
-// RunUntil fires every event with Time <= t and then advances the clock
-// to exactly t. It is RunUntilBudget with no budget: the drain cannot be
-// interrupted.
+// RunUntil fires everything pending with Time <= t and then advances the
+// clock to exactly t. It is RunUntilBudget with no budget: the drain
+// cannot be interrupted.
 func (s *Simulator) RunUntil(t float64) {
 	_, _ = s.RunUntilBudget(t, Budget{})
 }
 
-// Run drains the queue completely.
+// Run drains the queues completely.
 func (s *Simulator) Run() {
 	for s.Step() {
 	}
 }
 
-// fire pops the earliest event, advances the clock to it and runs it.
-// The slot is recycled before the callback runs, so an event that
-// reschedules itself reuses its own slot.
-func (s *Simulator) fire() {
-	top := s.heap[0]
-	fn := s.slab[top.idx].fn
-	s.remove(0)
-	s.now = top.at
-	fn()
+// timerFirst reports whether the timer heap's top fires next: it is
+// armed, and earlier by (time, seq) than any queued one-shot event.
+func (s *Simulator) timerFirst() bool {
+	return len(s.timers) > 0 && (len(s.events) == 0 || s.timers[0].before(s.events[0].key))
 }
 
-// remove deletes the heap entry at position pos and recycles its slot.
-func (s *Simulator) remove(pos int) {
-	idx := s.heap[pos].idx
-	n := len(s.heap) - 1
-	last := s.heap[n]
-	s.heap = s.heap[:n]
-	if pos < n {
-		if pos > 0 && last.before(s.heap[(pos-1)/2]) {
-			s.siftUp(pos, last)
-		} else {
-			s.siftDown(pos, last)
-		}
+// peek returns the time of the earliest pending work; ok is false when
+// nothing is pending.
+func (s *Simulator) peek() (at float64, ok bool) {
+	switch {
+	case s.timerFirst():
+		return s.timers[0].at, true
+	case len(s.events) > 0:
+		return s.events[0].at, true
 	}
-	sl := &s.slab[idx]
-	sl.fn = nil
-	sl.label = ""
-	sl.pos = -1
-	sl.next = s.free
-	s.free = idx + 1
+	return 0, false
 }
 
-// siftUp settles it into the hole at position i, moving parents down
-// until its place is found.
-func (s *Simulator) siftUp(i int, it item) {
-	h := s.heap
-	for i > 0 {
-		p := (i - 1) / 2
-		if !it.before(h[p]) {
+// fire runs the earliest pending work, advancing the clock to it. At
+// least one heap must be non-empty. A timer leaves its heap before its
+// callback runs, so the callback may re-arm it.
+func (s *Simulator) fire() {
+	if s.timerFirst() {
+		top := s.timers[0]
+		s.removeTimer(0)
+		s.now = top.at
+		top.t.fn()
+		return
+	}
+	top := s.events[0]
+	s.popEvent()
+	s.now = top.at
+	top.fn()
+}
+
+// popEvent deletes the earliest one-shot event.
+func (s *Simulator) popEvent() {
+	h := s.events
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the callback reference
+	h = h[:n]
+	s.events = h
+	if n == 0 {
+		return
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		h[i] = h[p]
-		s.slab[h[i].idx].pos = int32(i)
-		i = p
+		if r := c + 1; r < n && h[r].before(h[c].key) {
+			c = r
+		}
+		if !h[c].before(last.key) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	h[i] = it
-	s.slab[it.idx].pos = int32(i)
+	h[i] = last
 }
 
-// siftDown settles it into the hole at position i, moving the smaller
-// child up until its place is found.
-func (s *Simulator) siftDown(i int, it item) {
-	h := s.heap
+// removeTimer takes the timer at heap position pos out of the heap and
+// marks it idle.
+func (s *Simulator) removeTimer(pos int) {
+	h := s.timers
+	h[pos].t.pos = -1
+	n := len(h) - 1
+	last := h[n]
+	h[n] = armed{}
+	s.timers = h[:n]
+	if pos < n {
+		s.moveTimer(pos, last)
+	}
+}
+
+// moveTimer settles it into the hole at position i, sifting up or down
+// as its key requires.
+func (s *Simulator) moveTimer(i int, it armed) {
+	if i > 0 && it.before(s.timers[(i-1)/2].key) {
+		s.siftUpTimer(i, it)
+		return
+	}
+	h := s.timers
 	n := len(h)
 	for {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && h[r].before(h[c]) {
+		if r := c + 1; r < n && h[r].before(h[c].key) {
 			c = r
 		}
-		if !h[c].before(it) {
+		if !h[c].before(it.key) {
 			break
 		}
 		h[i] = h[c]
-		s.slab[h[i].idx].pos = int32(i)
+		h[i].t.pos = int32(i)
 		i = c
 	}
 	h[i] = it
-	s.slab[it.idx].pos = int32(i)
+	it.t.pos = int32(i)
+}
+
+// siftUpTimer settles it into the hole at position i, moving parents down
+// until its place is found.
+func (s *Simulator) siftUpTimer(i int, it armed) {
+	h := s.timers
+	for i > 0 {
+		p := (i - 1) / 2
+		if !it.before(h[p].key) {
+			break
+		}
+		h[i] = h[p]
+		h[i].t.pos = int32(i)
+		i = p
+	}
+	h[i] = it
+	it.t.pos = int32(i)
 }

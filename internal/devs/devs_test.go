@@ -1,6 +1,8 @@
 package devs
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -49,32 +51,107 @@ func TestAfterUsesCurrentTime(t *testing.T) {
 	}
 }
 
+// Stopping an armed timer cancels its firing.
 func TestCancel(t *testing.T) {
 	s := NewSimulator()
 	fired := false
-	e := s.Schedule(1, func() { fired = true })
-	if !e.Pending() || e.Time() != 1 {
-		t.Fatalf("before Cancel: Pending() = %v, Time() = %v", e.Pending(), e.Time())
+	tm := s.NewTimer("t", func() { fired = true })
+	if tm.Pending() {
+		t.Fatal("a new timer is armed")
 	}
-	e.Cancel()
-	if e.Pending() {
-		t.Fatal("Pending() = true after Cancel")
+	tm.Reset(1)
+	if !tm.Pending() || tm.Time() != 1 || s.Pending() != 1 {
+		t.Fatalf("after Reset: Pending() = %v, Time() = %v, sim Pending = %d", tm.Pending(), tm.Time(), s.Pending())
+	}
+	tm.Stop()
+	if tm.Pending() || s.Pending() != 0 {
+		t.Fatalf("after Stop: Pending() = %v, sim Pending = %d", tm.Pending(), s.Pending())
+	}
+	if tm.Time() != 1 {
+		t.Fatalf("Time() = %v after Stop, want 1", tm.Time())
 	}
 	s.Run()
 	if fired {
-		t.Fatal("cancelled event fired")
+		t.Fatal("stopped timer fired")
 	}
 }
 
 func TestCancelDoesNotBlockOthers(t *testing.T) {
 	s := NewSimulator()
 	fired := 0
-	e := s.Schedule(1, func() { fired++ })
+	tm := s.NewTimer("t", func() { fired++ })
+	tm.Reset(1)
 	s.Schedule(1, func() { fired++ })
-	e.Cancel()
+	s.NewTimer("u", func() { fired++ }).Reset(1)
+	tm.Stop()
 	s.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
+	if fired != 2 {
+		t.Fatalf("fired = %d, want 2", fired)
+	}
+}
+
+// A Reset draws a fresh sequence number, so it orders among ties exactly
+// as cancelling the timer and scheduling anew would: behind everything
+// queued before it, ahead of everything queued after.
+func TestTimerResetOrdersLikeSchedule(t *testing.T) {
+	s := NewSimulator()
+	var order []string
+	tm := s.NewTimer("t", func() { order = append(order, "timer") })
+	tm.Reset(5)
+	s.Schedule(5, func() { order = append(order, "a") })
+	tm.Reset(5) // same instant, fresh sequence number: now behind a
+	s.Schedule(5, func() { order = append(order, "b") })
+	s.Run()
+	if got := fmt.Sprint(order); got != "[a timer b]" {
+		t.Fatalf("order = %s, want [a timer b]", got)
+	}
+}
+
+// Reset moves an armed timer in place, earlier or later, and never
+// queues a second entry for it.
+func TestTimerResetMovesArmedTimer(t *testing.T) {
+	s := NewSimulator()
+	var fired []float64
+	timers := make([]*Timer, 8)
+	for i := range timers {
+		timers[i] = s.NewTimer("t", func() { fired = append(fired, s.Now()) })
+		timers[i].Reset(float64(10 + i))
+	}
+	timers[7].Reset(1)  // latest to earliest
+	timers[0].Reset(20) // earliest to latest
+	timers[4].Reset(14) // in place
+	if s.Pending() != len(timers) {
+		t.Fatalf("Pending = %d, want %d", s.Pending(), len(timers))
+	}
+	s.Run()
+	want := []float64{1, 11, 12, 13, 14, 15, 16, 20}
+	if fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+}
+
+// A timer is disarmed before its callback runs, so the callback sees it
+// idle and may re-arm it.
+func TestTimerRearmsFromItsCallback(t *testing.T) {
+	s := NewSimulator()
+	var times []float64
+	var tm *Timer
+	tm = s.NewTimer("tick", func() {
+		if tm.Pending() {
+			t.Fatal("timer still armed inside its callback")
+		}
+		times = append(times, s.Now())
+		if len(times) < 4 {
+			tm.Reset(s.Now() + 2)
+		}
+	})
+	tm.Reset(1)
+	s.Run()
+	if fmt.Sprint(times) != "[1 3 5 7]" {
+		t.Fatalf("timer fired at %v, want [1 3 5 7]", times)
+	}
+	if tm.Pending() || s.Pending() != 0 {
+		t.Fatal("timer still armed after the run")
 	}
 }
 
@@ -110,12 +187,27 @@ func TestSchedulePastPanics(t *testing.T) {
 	s := NewSimulator()
 	s.Schedule(5, func() {})
 	s.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	s.Schedule(1, func() {})
+	tm := s.NewTimer("t", func() {})
+	tm.Reset(6)
+	for name, queue := range map[string]func(){
+		"schedule past": func() { s.Schedule(1, func() {}) },
+		"schedule NaN":  func() { s.Schedule(math.NaN(), func() {}) },
+		"reset past":    func() { tm.Reset(1) },
+		"reset NaN":     func() { tm.Reset(math.NaN()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic", name)
+				}
+			}()
+			queue()
+		}()
+	}
+	// A rejected Reset leaves an armed timer where it was.
+	if !tm.Pending() || tm.Time() != 6 || s.Pending() != 1 {
+		t.Fatalf("after rejected Resets: Pending() = %v Time() = %v sim Pending = %d", tm.Pending(), tm.Time(), s.Pending())
+	}
 }
 
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
@@ -150,7 +242,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 func TestPending(t *testing.T) {
 	s := NewSimulator()
 	s.Schedule(1, func() {})
-	s.Schedule(2, func() {})
+	s.NewTimer("t", func() {}).Reset(2)
 	if s.Pending() != 2 {
 		t.Fatalf("Pending = %d", s.Pending())
 	}

@@ -3,65 +3,78 @@ package devs
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
 // kernel is the surface the differential driver exercises, implemented by
-// the slab kernel and by the reference copy of the kernel it replaced.
+// the split kernel and by the reference copy of the kernel it replaced.
+// Timers are numbered in creation order.
 type kernel interface {
-	schedule(id int, at float64, fn func(), label string)
-	after(id int, d float64, fn func(), label string)
-	cancel(id int)
-	live(id int) bool
+	schedule(at float64, fn func())
+	after(d float64, fn func())
+	newTimer(label string, fn func())
+	reset(id int, at float64)
+	stop(id int)
+	armed(id int) bool
 	now() float64
 	pending() int
 	step() bool
 	runUntil(t float64, b Budget) (DrainStats, error)
 }
 
-type slabKernel struct {
-	s       *Simulator
-	handles map[int]Event
+type splitKernel struct {
+	s      *Simulator
+	timers []*Timer
 }
 
-func (k *slabKernel) schedule(id int, at float64, fn func(), label string) {
-	e := k.s.Schedule(at, fn)
-	e.SetLabel(label)
-	k.handles[id] = e
+func (k *splitKernel) schedule(at float64, fn func()) { k.s.Schedule(at, fn) }
+func (k *splitKernel) after(d float64, fn func())     { k.s.After(d, fn) }
+func (k *splitKernel) newTimer(label string, fn func()) {
+	k.timers = append(k.timers, k.s.NewTimer(label, fn))
 }
-func (k *slabKernel) after(id int, d float64, fn func(), label string) {
-	e := k.s.After(d, fn)
-	e.SetLabel(label)
-	k.handles[id] = e
-}
-func (k *slabKernel) cancel(id int)    { k.handles[id].Cancel() }
-func (k *slabKernel) live(id int) bool { return k.handles[id].Pending() }
-func (k *slabKernel) now() float64     { return k.s.Now() }
-func (k *slabKernel) pending() int     { return k.s.Pending() }
-func (k *slabKernel) step() bool       { return k.s.Step() }
-func (k *slabKernel) runUntil(t float64, b Budget) (DrainStats, error) {
+func (k *splitKernel) reset(id int, at float64) { k.timers[id].Reset(at) }
+func (k *splitKernel) stop(id int)              { k.timers[id].Stop() }
+func (k *splitKernel) armed(id int) bool        { return k.timers[id].Pending() }
+func (k *splitKernel) now() float64             { return k.s.Now() }
+func (k *splitKernel) pending() int             { return k.s.Pending() }
+func (k *splitKernel) step() bool               { return k.s.Step() }
+func (k *splitKernel) runUntil(t float64, b Budget) (DrainStats, error) {
 	return k.s.RunUntilBudget(t, b)
 }
 
+// refKernel maps a timer onto the reference kernel's one-shot events:
+// Reset is Cancel + Schedule, Stop is Cancel.
 type refKernel struct {
-	s       *refSimulator
-	handles map[int]*refEvent
+	s      *refSimulator
+	timers []*refTimer
 }
 
-func (k *refKernel) schedule(id int, at float64, fn func(), label string) {
-	e := k.s.Schedule(at, fn)
-	e.Label = label
-	k.handles[id] = e
+type refTimer struct {
+	label string
+	fn    func()
+	ev    *refEvent
 }
-func (k *refKernel) after(id int, d float64, fn func(), label string) {
-	e := k.s.After(d, fn)
-	e.Label = label
-	k.handles[id] = e
+
+func (k *refKernel) schedule(at float64, fn func()) { k.s.Schedule(at, fn) }
+func (k *refKernel) after(d float64, fn func())     { k.s.After(d, fn) }
+func (k *refKernel) newTimer(label string, fn func()) {
+	k.timers = append(k.timers, &refTimer{label: label, fn: fn})
 }
-func (k *refKernel) cancel(id int) { k.handles[id].Cancel() }
-func (k *refKernel) live(id int) bool {
-	e := k.handles[id]
-	return !e.cancelled && e.index >= 0
+func (k *refKernel) reset(id int, at float64) {
+	tm := k.timers[id]
+	k.stop(id)
+	tm.ev = k.s.Schedule(at, tm.fn)
+	tm.ev.Label = tm.label
+}
+func (k *refKernel) stop(id int) {
+	if ev := k.timers[id].ev; ev != nil {
+		ev.Cancel()
+	}
+}
+func (k *refKernel) armed(id int) bool {
+	ev := k.timers[id].ev
+	return ev != nil && !ev.cancelled && ev.index >= 0
 }
 func (k *refKernel) now() float64 { return k.s.Now() }
 func (k *refKernel) pending() int { return k.s.Pending() }
@@ -70,61 +83,83 @@ func (k *refKernel) runUntil(t float64, b Budget) (DrainStats, error) {
 	return k.s.RunUntilBudget(t, b)
 }
 
-var diffLabels = []string{"", "a", "b", "psqueue.complete"}
+var diffLabels = []string{"a", "b", "psqueue.complete"}
+
+// diffTimers is how many timers the driver creates; every third one
+// re-arms itself from its own callback.
+const diffTimers = 7
 
 // driveKernel applies a seeded random sequence of operations to k and
 // returns everything observable: the firing sequence, the clock, Pending,
-// DrainStats and the BudgetError fields. Budget-error samples are checked
-// in place: each must name a live pending event with its label.
-func driveKernel(t *testing.T, k kernel, seed int64, ops int) []string {
-	t.Helper()
+// which timers are armed, DrainStats and every BudgetError field,
+// including the exact provenance sample.
+func driveKernel(k kernel, seed int64, ops int) []string {
 	rng := rand.New(rand.NewSource(seed))
 	var log []string
-	type meta struct {
-		at    float64
-		label string
-	}
-	var events []meta
-	var fire func(id int) func()
-	// add schedules a new event; a fired event may add follow-ups, some at
-	// its own instant, so same-time runs and Zeno-like chains occur. The
-	// follow-ups are a pure function of the firing event's id, so both
-	// kernels see identical requests as long as they fire identically.
-	add := func(after bool, d float64, label string) {
-		id := len(events)
-		at := k.now() + d
-		events = append(events, meta{at: at, label: label})
+	fired := 0
+	// follow issues the deterministic follow-up work of one firing: a pure
+	// function of the firing's identity, so both kernels see identical
+	// requests as long as they fire identically. Follow-ups include
+	// one-shot events and timer re-arms, some at the current instant, so
+	// same-time runs and Zeno-like chains occur.
+	var follow func(h uint64)
+	var fireEvent func(id int) func()
+	events := 0
+	schedule := func(after bool, d float64) {
+		id := events
+		events++
 		if after {
-			k.after(id, d, fire(id), label)
+			k.after(d, fireEvent(id))
 		} else {
-			k.schedule(id, at, fire(id), label)
+			k.schedule(k.now()+d, fireEvent(id))
 		}
 	}
-	fire = func(id int) func() {
+	follow = func(h uint64) {
+		fired++
+		if fired > 4000 {
+			return
+		}
+		for n := int(h>>60) % 3; n > 0; n-- {
+			h = h*6364136223846793005 + 1442695040888963407
+			d := float64((h>>40)%4) * 0.5
+			switch (h >> 20) % 3 {
+			case 0:
+				k.reset(int((h>>8)%diffTimers), k.now()+d)
+			default:
+				schedule(h>>63 == 1, d)
+			}
+		}
+	}
+	fireEvent = func(id int) func() {
 		return func() {
 			log = append(log, fmt.Sprintf("fire %d at %v", id, k.now()))
-			if len(events) > 4000 {
-				return
-			}
-			h := uint64(id)*0x9E3779B97F4A7C15 + uint64(seed)
-			for n := int(h>>60) % 3; n > 0; n-- {
-				h = h*6364136223846793005 + 1442695040888963407
-				add(h>>63 == 1, float64((h>>40)%4)*0.5, diffLabels[(h>>20)%4])
-			}
+			follow(uint64(id)*0x9E3779B97F4A7C15 + uint64(seed))
 		}
+	}
+	timerFires := make([]uint64, diffTimers)
+	for i := 0; i < diffTimers; i++ {
+		k.newTimer(diffLabels[i%len(diffLabels)], func() {
+			log = append(log, fmt.Sprintf("timer %d at %v armed %v", i, k.now(), k.armed(i)))
+			timerFires[i]++
+			h := (uint64(i)+1)*0xC2B2AE3D27D4EB4F + timerFires[i]*0x165667B19E3779F9 + uint64(seed)
+			if i%3 == 0 && fired < 4000 && h>>62 != 0 {
+				k.reset(i, k.now()+float64((h>>30)%3)*0.25)
+			}
+			follow(h)
+		})
 	}
 	for op := 0; op < ops; op++ {
 		switch r := rng.Intn(20); {
+		case r < 5:
+			schedule(false, float64(rng.Intn(8))*0.25)
 		case r < 7:
-			add(false, float64(rng.Intn(8))*0.25, diffLabels[rng.Intn(len(diffLabels))])
-		case r < 10:
-			add(true, float64(rng.Intn(8))*0.25, diffLabels[rng.Intn(len(diffLabels))])
+			schedule(true, float64(rng.Intn(8))*0.25)
+		case r < 11:
+			// Armed or idle.
+			k.reset(rng.Intn(diffTimers), k.now()+float64(rng.Intn(8))*0.25)
+		case r < 13:
+			k.stop(rng.Intn(diffTimers))
 		case r < 14:
-			if len(events) > 0 {
-				// Any handle: live, fired, cancelled or already recycled.
-				k.cancel(rng.Intn(len(events)))
-			}
-		case r < 15:
 			log = append(log, fmt.Sprintf("step %v", k.step()))
 		default:
 			var b Budget
@@ -141,78 +176,104 @@ func driveKernel(t *testing.T, k kernel, seed int64, ops int) []string {
 			log = append(log, fmt.Sprintf("drain %+v", st))
 			if err != nil {
 				be := err.(*BudgetError)
-				log = append(log, fmt.Sprintf("trip %s at %v events %d same %d pending %d sample %d",
-					be.Reason, be.At, be.Events, be.SameTime, be.Pending, len(be.Sample)))
-				if want := min(sampleSize, be.Pending); len(be.Sample) != want {
-					t.Fatalf("seed %d: sample of %d, want %d", seed, len(be.Sample), want)
-				}
-				for _, p := range be.Sample {
-					found := false
-					for id, m := range events {
-						if k.live(id) && m.at == p.Time && m.label == p.Label {
-							found = true
-							break
-						}
-					}
-					if !found {
-						t.Fatalf("seed %d: sample %+v is not a live pending event", seed, p)
-					}
-				}
+				log = append(log, fmt.Sprintf("trip %s at %v events %d same %d pending %d sample %+v",
+					be.Reason, be.At, be.Events, be.SameTime, be.Pending, be.Sample))
 			}
 		}
-		log = append(log, fmt.Sprintf("now %v pending %d", k.now(), k.pending()))
+		armed := 0
+		for i := 0; i < diffTimers; i++ {
+			if k.armed(i) {
+				armed |= 1 << i
+			}
+		}
+		log = append(log, fmt.Sprintf("now %v pending %d armed %b", k.now(), k.pending(), armed))
 	}
 	return log
 }
 
-// The slab kernel must be observationally identical to the kernel it
-// replaced under random schedule/cancel/drain sequences.
-func TestSlabKernelMatchesReference(t *testing.T) {
-	for seed := int64(0); seed < 150; seed++ {
-		got := driveKernel(t, &slabKernel{s: NewSimulator(), handles: map[int]Event{}}, seed, 250)
-		want := driveKernel(t, &refKernel{s: &refSimulator{}, handles: map[int]*refEvent{}}, seed, 250)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d observations, reference %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: observation %d = %q, reference %q", seed, i, got[i], want[i])
-			}
+// diverges reports the first observation at which two logs differ.
+func diverges(got, want []string) (int, bool) {
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			return i, true
 		}
 	}
+	if len(got) != len(want) {
+		return min(len(got), len(want)), true
+	}
+	return 0, false
+}
+
+// The split kernel must be observationally identical to the kernel it
+// replaced under random schedule/reset/stop/drain sequences.
+func TestKernelMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 150; seed++ {
+		got := driveKernel(&splitKernel{s: NewSimulator()}, seed, 250)
+		want := driveKernel(&refKernel{s: &refSimulator{}}, seed, 250)
+		if i, bad := diverges(got, want); bad {
+			t.Fatalf("seed %d: observation %d =\n%v\nreference\n%v", seed, i, entry(got, i), entry(want, i))
+		}
+	}
+}
+
+// entry returns log line i, or a marker past the log's end.
+func entry(log []string, i int) string {
+	if i < len(log) {
+		return log[i]
+	}
+	return "(end of log)"
 }
 
 // The differential driver must notice a kernel that fires ties out of
-// scheduling order.
-func TestSlabKernelDifferentialCatchesTieReorder(t *testing.T) {
-	diverged := false
-	for seed := int64(0); seed < 50 && !diverged; seed++ {
-		got := driveKernel(t, &lifoKernel{slabKernel{s: NewSimulator(), handles: map[int]Event{}}}, seed, 250)
-		want := driveKernel(t, &refKernel{s: &refSimulator{}, handles: map[int]*refEvent{}}, seed, 250)
-		for i := range min(len(got), len(want)) {
-			if got[i] != want[i] {
-				diverged = true
-				break
-			}
+// scheduling order, and one that breaks ties between a one-shot event and
+// a timer by queue instead of by sequence number.
+func TestKernelDifferentialCatchesTieReorder(t *testing.T) {
+	for name, mutant := range map[string]func() kernel{
+		"lifo":        func() kernel { return &lifoKernel{splitKernel{s: NewSimulator()}} },
+		"timer-first": func() kernel { return &timerFirstKernel{splitKernel{s: NewSimulator()}} },
+	} {
+		caught := false
+		for seed := int64(0); seed < 50 && !caught; seed++ {
+			_, caught = diverges(driveKernel(mutant(), seed, 250), driveKernel(&refKernel{s: &refSimulator{}}, seed, 250))
+		}
+		if !caught {
+			t.Errorf("the %s mutant went unnoticed", name)
 		}
 	}
-	if !diverged {
-		t.Fatal("a kernel breaking FIFO ties went unnoticed")
+}
+
+// rekeyLast rewrites the sequence number of the one-shot event queued
+// last and restores the heap property. A sorted array is a valid heap.
+func rekeyLast(s *Simulator, seq func(uint64) uint64) {
+	for i := range s.events {
+		if s.events[i].seq == s.seq-1 {
+			s.events[i].seq = seq(s.events[i].seq)
+		}
 	}
+	sort.Slice(s.events, func(i, j int) bool { return s.events[i].before(s.events[j].key) })
 }
 
 // lifoKernel breaks ties last-in-first-out: it inverts the sequence
-// number of every event it schedules, so among equal times the latest
-// such event sorts first.
-type lifoKernel struct{ slabKernel }
+// number of every one-shot event it schedules, so among equal times the
+// latest such event sorts first.
+type lifoKernel struct{ splitKernel }
 
-func (k *lifoKernel) schedule(id int, at float64, fn func(), label string) {
-	k.slabKernel.schedule(id, at, fn, label)
-	e := k.handles[id]
-	sl := &k.s.slab[e.idx]
-	sl.seq = ^e.seq
-	it := k.s.heap[sl.pos]
-	it.seq = sl.seq
-	k.s.siftDown(int(sl.pos), it) // the key only grew
-	k.handles[id] = Event{sim: k.s, at: at, seq: sl.seq, idx: e.idx}
+func (k *lifoKernel) schedule(at float64, fn func()) {
+	k.s.Schedule(at, fn)
+	rekeyLast(k.s, func(seq uint64) uint64 { return ^seq })
 }
+
+func (k *lifoKernel) after(d float64, fn func()) { k.schedule(k.s.Now()+d, fn) }
+
+// timerFirstKernel breaks ties between the queues by queue: it moves
+// every one-shot event's sequence number behind every timer's, so an
+// armed timer fires before any one-shot event at its instant, whichever
+// was queued first. Ties within each queue keep their order.
+type timerFirstKernel struct{ splitKernel }
+
+func (k *timerFirstKernel) schedule(at float64, fn func()) {
+	k.s.Schedule(at, fn)
+	rekeyLast(k.s, func(seq uint64) uint64 { return seq | 1<<63 })
+}
+
+func (k *timerFirstKernel) after(d float64, fn func()) { k.schedule(k.s.Now()+d, fn) }

@@ -1,16 +1,22 @@
 package devs
 
-import "container/heap"
+import (
+	"container/heap"
+	"sort"
+)
 
-// This file keeps the kernel the slab replaced, as a test-only reference
-// for the differential tests: *refEvent objects in a container/heap,
-// cancellation by tombstone, and a lazy purge once tombstones outnumber
-// live events. It is the replaced code with its names prefixed, and one
-// fix: the budget trip checks skip tombstones at the heap top. The
+// This file keeps the original pointer-based kernel, as a test-only
+// reference for the differential tests: *refEvent objects in one
+// container/heap, cancellation by tombstone, and a lazy purge once
+// tombstones outnumber live events. A timer maps onto it as Cancel +
+// Schedule. It is the replaced code with its names prefixed, and two
+// changes. The budget trip checks skip tombstones at the heap top: the
 // replaced kernel peeked at the raw top, so a cancelled event inside the
 // horizon could trip a bound on the drain's final live event, which its
 // own contract ("a bound reached on the drain's final event is not an
-// overrun") rules out.
+// overrun") rules out. And the budget-error sample is the earliest four
+// live events in firing order, as the kernel's is, instead of the first
+// four of the heap array.
 
 type refEvent struct {
 	Time      float64
@@ -140,14 +146,15 @@ func (s *refSimulator) budgetError(reason string, st DrainStats) error {
 		SameTime: st.SameTime,
 		Pending:  len(s.heap) - s.cancelled,
 	}
+	var live refEventHeap
 	for _, e := range s.heap {
-		if e.cancelled {
-			continue
+		if !e.cancelled {
+			live = append(live, e)
 		}
+	}
+	sort.Slice(live, live.Less)
+	for _, e := range live[:min(sampleSize, len(live))] {
 		be.Sample = append(be.Sample, PendingEvent{Time: e.Time, Label: e.Label})
-		if len(be.Sample) == sampleSize {
-			break
-		}
 	}
 	return be
 }

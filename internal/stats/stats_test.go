@@ -56,6 +56,78 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
+// sortPercentile is the sort-based definition Percentile's selection
+// replaced: copy, sort.Float64s, interpolate between closest ranks.
+func sortPercentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	if p < 0 {
+		p = 0
+	}
+	if p > 100 {
+		p = 100
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	n := len(sorted)
+	if n == 1 {
+		return sorted[0]
+	}
+	rank := p / 100 * float64(n-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// Percentile must return exactly what the sort-based definition returns,
+// on every window size up to 300 and on inputs full of ties, infinities
+// and NaNs, without touching its input.
+func TestPercentileMatchesSortDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	special := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1), 1}
+	fixed := []float64{0, 50, 90, 95, 99, 100}
+	for n := 1; n <= 300; n++ {
+		for trial := 0; trial < 4; trial++ {
+			xs := make([]float64, n)
+			levels := 1 + rng.Intn(n) // few levels: many ties
+			for i := range xs {
+				switch r := rng.Intn(20); {
+				case r < 2:
+					xs[i] = special[rng.Intn(len(special))]
+				case r < 10:
+					xs[i] = float64(rng.Intn(levels))
+				default:
+					xs[i] = rng.NormFloat64()
+				}
+			}
+			switch trial {
+			case 1:
+				sort.Float64s(xs)
+			case 2:
+				sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
+			}
+			orig := append([]float64(nil), xs...)
+			ps := append([]float64{-5 + 110*rng.Float64(), 100 * rng.Float64()}, fixed...)
+			for _, p := range ps {
+				got, want := Percentile(xs, p), sortPercentile(xs, p)
+				if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("n %d trial %d p %v: Percentile = %v, sort definition %v\ninput %v", n, trial, p, got, want, orig)
+				}
+			}
+			for i := range xs {
+				if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+					t.Fatalf("n %d: Percentile modified its input at %d", n, i)
+				}
+			}
+		}
+	}
+}
+
 func TestMeanStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); got != 5 {

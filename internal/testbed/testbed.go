@@ -146,7 +146,7 @@ func New(cfg Config) (*Testbed, error) {
 	for i := 0; i < cfg.NumApps; i++ {
 		app := appsim.New(tb.Sim, appsim.Config{
 			Name:        fmt.Sprintf("App%d", i+1),
-			Tiers:       append([]appsim.TierConfig(nil), tiers...),
+			Tiers:       tiers,
 			Concurrency: cfg.Concurrency,
 			ThinkTime:   1.0,
 			Seed:        cfg.Seed + int64(i)*977,
