@@ -486,22 +486,36 @@ func runPackingMinSlack(e *Env) (Metrics, error) {
 	return Metrics{"slack-gain-ghz": ffdBin.Slack() - res.Slack}, nil
 }
 
+// ffdItemIDs and ffdBinIDs name packing/ffd's items and bins. They are
+// formatted once: fmt caches its printers in a sync.Pool, which the race
+// detector empties at random, so formatting per op would make the op's
+// allocation count vary under -race.
+var ffdItemIDs, ffdBinIDs = formatIDs("vm%03d", 200), formatIDs("s%02d", 60)
+
+func formatIDs(format string, n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf(format, i)
+	}
+	return ids
+}
+
 func runPackingFFD(_ *Env) (Metrics, error) {
 	// A fresh seeded instance per op: generation is ~100x cheaper than
 	// the packing pass it feeds, and the fixed seed keeps every op
 	// identical.
 	rng := rand.New(rand.NewSource(7))
-	items := make([]packing.Item, 200)
+	items := make([]packing.Item, len(ffdItemIDs))
 	for i := range items {
 		items[i] = packing.Item{
-			ID:  fmt.Sprintf("vm%03d", i),
+			ID:  ffdItemIDs[i],
 			CPU: 0.5 + 2.5*rng.Float64(),
 			Mem: 0.25 + 1.25*rng.Float64(),
 		}
 	}
-	bins := make([]*packing.Bin, 60)
+	bins := make([]*packing.Bin, len(ffdBinIDs))
 	for i := range bins {
-		bins[i] = &packing.Bin{ID: fmt.Sprintf("s%02d", i), CPUCap: 12, MemCap: 16}
+		bins[i] = &packing.Bin{ID: ffdBinIDs[i], CPUCap: 12, MemCap: 16}
 	}
 	_, unplaced := packing.FirstFitDecreasing(items, bins, packing.VectorConstraint{})
 	used := 0

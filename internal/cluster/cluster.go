@@ -284,9 +284,14 @@ type Migration struct {
 	To   *Server
 }
 
-// DataCenter is the collection of servers plus a VM→server index.
+// DataCenter is the collection of servers plus a VM→server index and a
+// server-ID index.
 type DataCenter struct {
+	// Servers is the fleet in construction order. No caller appends to it
+	// or replaces an element after NewDataCenter: the server-ID index
+	// behind Server is built once, from this slice.
 	Servers  []*Server
+	servers  map[string]*Server      // server ID → server
 	index    map[string]*Server      // VM ID → hosting server
 	trace    *telemetry.Track        // set via SetTrace; nil keeps tracing off
 	inflight map[string]*MigrationTx // VM ID → reserved two-phase migration
@@ -301,15 +306,15 @@ func (dc *DataCenter) SetTrace(tk *telemetry.Track) { dc.trace = tk }
 func NewDataCenter(servers []*Server) (*DataCenter, error) {
 	dc := &DataCenter{
 		Servers:  servers,
+		servers:  make(map[string]*Server, len(servers)),
 		index:    make(map[string]*Server),
 		inflight: make(map[string]*MigrationTx),
 	}
-	seen := map[string]bool{}
 	for _, s := range servers {
-		if seen[s.ID] {
+		if dc.servers[s.ID] != nil {
 			return nil, fmt.Errorf("cluster: duplicate server ID %q", s.ID)
 		}
-		seen[s.ID] = true
+		dc.servers[s.ID] = s
 		for _, v := range s.vms {
 			dc.index[v.ID] = s
 		}
@@ -342,6 +347,9 @@ func (dc *DataCenter) Place(v *VM, srv *Server) error {
 
 // HostOf returns the server hosting VM id, or nil.
 func (dc *DataCenter) HostOf(id string) *Server { return dc.index[id] }
+
+// Server returns the server with the given ID, or nil.
+func (dc *DataCenter) Server(id string) *Server { return dc.servers[id] }
 
 // Migrate moves v to target (live migration). The source server is left
 // active; the optimizer decides separately whether to sleep it. Migrate
@@ -387,8 +395,17 @@ func (dc *DataCenter) ActiveServers() []*Server {
 	return out
 }
 
-// NumActive returns the count of active servers.
-func (dc *DataCenter) NumActive() int { return len(dc.ActiveServers()) }
+// NumActive returns the count of active servers. It counts in place, so
+// per-step callers allocate nothing.
+func (dc *DataCenter) NumActive() int {
+	n := 0
+	for _, s := range dc.Servers {
+		if s.state == Active {
+			n++
+		}
+	}
+	return n
+}
 
 // TotalPower returns the current total power draw in watts.
 func (dc *DataCenter) TotalPower() float64 {

@@ -455,28 +455,22 @@ func initialPlacement(dc *cluster.DataCenter, vms []*cluster.VM, demands []float
 		})
 	}
 	items := make([]packing.Item, len(vms))
-	byID := map[string]*cluster.VM{}
 	for i, v := range vms {
 		items[i] = packing.Item{ID: v.ID, CPU: demands[i], Mem: v.MemoryGB}
-		byID[v.ID] = v
 	}
 	asg, unplaced := packing.FirstFitDecreasing(items, bins, packing.VectorConstraint{})
 	if len(unplaced) > 0 {
 		return fmt.Errorf("dcsim: %d VMs could not be placed initially", len(unplaced))
 	}
-	serverByID := map[string]*cluster.Server{}
-	for _, s := range dc.Servers {
-		serverByID[s.ID] = s
-	}
 	// Iterate the item slice, not the assignment map: map order is
 	// random per process and would make per-server VM order — and with
-	// it floating-point summation — nondeterministic.
-	for _, it := range items {
+	// it floating-point summation — nondeterministic. items[i] is vms[i].
+	for i, it := range items {
 		binID, ok := asg[it.ID]
 		if !ok {
 			continue
 		}
-		if err := dc.Place(byID[it.ID], serverByID[binID]); err != nil {
+		if err := dc.Place(vms[i], dc.Server(binID)); err != nil {
 			return err
 		}
 	}
@@ -490,15 +484,13 @@ func initialPlacement(dc *cluster.DataCenter, vms []*cluster.VM, demands []float
 // a phantom violation.
 func applyCrashes(dc *cluster.DataCenter, cfg Config, k int, res *Result) {
 	candidates := make([]string, 0, len(dc.Servers))
-	byID := make(map[string]*cluster.Server, len(dc.Servers))
 	for _, s := range dc.Servers {
-		byID[s.ID] = s
 		if s.State() == cluster.Active {
 			candidates = append(candidates, s.ID)
 		}
 	}
 	for _, cr := range cfg.Faults.Crashes(k, candidates) {
-		srv := byID[cr.Server]
+		srv := dc.Server(cr.Server)
 		if srv == nil || srv.State() == cluster.Failed {
 			continue
 		}

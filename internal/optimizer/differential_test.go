@@ -1,0 +1,387 @@
+package optimizer
+
+// Differential test of the consolidation pass against its per-round
+// rebuild in reference_test.go. Two identical data centers go through
+// the same seeded history — demands redrawn between passes so servers
+// overload, cordons and crashes, a vetoing policy, a fault plane with
+// migration aborts and pass errors, and a DryRun on a clone before each
+// live pass — one under IPAC and one under refIPAC. After every pass
+// the reports, the fleet and the search effort must agree exactly.
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"vdcpower/internal/cluster"
+	"vdcpower/internal/fault"
+	"vdcpower/internal/packing"
+	"vdcpower/internal/power"
+	"vdcpower/internal/race"
+)
+
+// hashVeto vetoes a deterministic quarter of the moves, keyed on the VM
+// and the target.
+type hashVeto struct{}
+
+func (hashVeto) Allow(vm *cluster.VM, _, to *cluster.Server, _ float64) bool {
+	h := fnv.New32a()
+	h.Write([]byte(vm.ID + ">" + to.ID))
+	return h.Sum32()%4 != 0
+}
+
+func (hashVeto) Name() string { return "hash-veto" }
+
+// diffWorld is one side of the differential run.
+type diffWorld struct {
+	dc    *cluster.DataCenter
+	cons  Consolidator
+	stats *packing.SearchStats
+	inj   *fault.Injector
+}
+
+// buildDiffDC materialises a seeded fleet: servers of the three types
+// in a seeded mix, VMs piled onto the first third of the fleet (so some
+// servers start overloaded), the rest asleep.
+func buildDiffDC(t *testing.T, seed int64, n int) *cluster.DataCenter {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	types := power.AllTypes()
+	servers := make([]*cluster.Server, n)
+	for i := range servers {
+		servers[i] = cluster.NewServer(fmt.Sprintf("s%03d", i), types[r.Intn(len(types))])
+	}
+	dc, err := cluster.NewDataCenter(servers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := n/3 + 1
+	for i := 0; i < n+r.Intn(n); i++ {
+		v := &cluster.VM{ID: fmt.Sprintf("vm%04d", i), Demand: 0.2 + 2.8*r.Float64(), MemoryGB: 0.25 + 1.75*r.Float64()}
+		if err := dc.Place(v, servers[r.Intn(hosts)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dc.SleepIdle()
+	return dc
+}
+
+// mutate applies one seeded between-pass change to both worlds: new
+// demands for every VM, DVFS on the active servers, and now and then a
+// cordon change or a crash whose orphans are re-placed.
+func mutate(t *testing.T, r *rand.Rand, worlds [2]*diffWorld) {
+	t.Helper()
+	vms := worlds[0].dc.VMs()
+	demand := make([]float64, len(vms))
+	scale := 0.3 + 0.7*r.Float64() // some passes see no overload
+	for i := range demand {
+		demand[i] = scale * (0.1 + 3.4*r.Float64())
+	}
+	n := len(worlds[0].dc.Servers)
+	cordon, crash := -1, -1
+	if r.Intn(3) == 0 {
+		cordon = r.Intn(n)
+	}
+	if r.Intn(4) == 0 {
+		crash = r.Intn(n)
+	}
+	for _, w := range worlds {
+		for i, v := range w.dc.VMs() {
+			v.Demand = demand[i]
+		}
+		if cordon >= 0 {
+			s := w.dc.Servers[cordon]
+			if s.Cordoned() {
+				s.Uncordon()
+			} else {
+				s.Cordon()
+			}
+		}
+		if crash >= 0 {
+			orphans := w.dc.Crash(w.dc.Servers[crash])
+			for k, v := range orphans {
+				for j := 0; j < n; j++ {
+					s := w.dc.Servers[(crash+1+k+j)%n]
+					if s.State() != cluster.Failed && !s.Cordoned() {
+						if err := w.dc.Place(v, s); err != nil {
+							t.Fatal(err)
+						}
+						break
+					}
+				}
+			}
+		}
+		for _, s := range w.dc.Servers {
+			if s.State() == cluster.Active {
+				s.ApplyDVFS()
+			}
+		}
+	}
+}
+
+// diffMoves renders a report's moves as (VM, from, to) ID triples.
+func diffMoves(rep Report) []string {
+	out := make([]string, len(rep.Moves))
+	for i, m := range rep.Moves {
+		out[i] = m.VM.ID + ":" + m.From.ID + ">" + m.To.ID
+	}
+	return out
+}
+
+// compareReports reports the first difference between two pass reports.
+func compareReports(what string, got, want Report, gotErr, wantErr error) error {
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		return fmt.Errorf("%s: error %v, reference %v", what, gotErr, wantErr)
+	}
+	g, w := got, want
+	g.Moves, w.Moves, g.FaultLog, w.FaultLog = nil, nil, nil, nil
+	if fmt.Sprintf("%+v", g) != fmt.Sprintf("%+v", w) {
+		return fmt.Errorf("%s: report %+v, reference %+v", what, g, w)
+	}
+	if !slices.Equal(diffMoves(got), diffMoves(want)) {
+		return fmt.Errorf("%s: moves %v, reference %v", what, diffMoves(got), diffMoves(want))
+	}
+	if !slices.Equal(got.FaultLog, want.FaultLog) {
+		return fmt.Errorf("%s: fault log %v, reference %v", what, got.FaultLog, want.FaultLog)
+	}
+	return nil
+}
+
+// compareFleets reports the first server whose state, frequency or VM
+// order differs.
+func compareFleets(what string, got, want *cluster.DataCenter) error {
+	for i, s := range got.Servers {
+		ref := want.Servers[i]
+		//lint:ignore floatcompare frequencies come verbatim from the P-state table
+		if s.State() != ref.State() || s.Freq() != ref.Freq() || s.Cordoned() != ref.Cordoned() {
+			return fmt.Errorf("%s: server %s is %v at %v GHz, reference %v at %v GHz",
+				what, s.ID, s.State(), s.Freq(), ref.State(), ref.Freq())
+		}
+		if !slices.Equal(vmIDs(s), vmIDs(ref)) {
+			return fmt.Errorf("%s: server %s hosts %v, reference %v", what, s.ID, vmIDs(s), vmIDs(ref))
+		}
+	}
+	return got.CheckInvariants()
+}
+
+func vmIDs(s *cluster.Server) []string {
+	var out []string
+	for _, v := range s.VMs() {
+		out = append(out, v.ID)
+	}
+	return out
+}
+
+// diffTally counts what the seeded histories exercised, so the test can
+// show its coverage holds.
+type diffTally struct {
+	passes, overloaded, migrations, vetoed, unresolved, failed, passErrors, aborts, cordonedDonors, widened int
+}
+
+// runDifferential drives one seeded history through both passes and
+// returns the first disagreement.
+func runDifferential(t *testing.T, seed int64, tally *diffTally) error {
+	r := rand.New(rand.NewSource(seed))
+	n := 20 + r.Intn(381)
+	var policy CostPolicy = AllowAll{}
+	if r.Intn(2) == 0 {
+		policy = hashVeto{}
+	}
+	maxRounds := 0
+	if r.Intn(4) == 0 {
+		maxRounds = 1 + r.Intn(5)
+	}
+	profile := fault.Profile{Seed: seed,
+		Migration: fault.MigrationProfile{AbortProb: 0.3 * r.Float64(), MaxRetries: r.Intn(3)},
+		Optimizer: fault.OptimizerProfile{ErrorProb: 0.2 * r.Float64()}}
+	faulty := r.Intn(3) != 0
+	passes := 3 + r.Intn(4)
+
+	ipac := NewIPAC()
+	ipac.Policy, ipac.MaxRounds = policy, maxRounds
+	refCfg := packing.DefaultMinSlackConfig()
+	refCfg.Stats, refCfg.Pool = &packing.SearchStats{}, packing.NewPool()
+	ref := &refIPAC{Constraint: ipac.Constraint, MinSlack: refCfg, Policy: policy, MaxRounds: maxRounds}
+	worlds := [2]*diffWorld{
+		{dc: buildDiffDC(t, seed, n), cons: ipac, stats: ipac.MinSlack.Stats},
+		{dc: buildDiffDC(t, seed, n), cons: ref, stats: refCfg.Stats},
+	}
+	if faulty {
+		for _, w := range worlds {
+			w.inj = fault.New(profile)
+		}
+		ipac.SetFaults(worlds[0].inj)
+		ref.Faults = worlds[1].inj
+	}
+	if crash := r.Intn(n); r.Intn(2) == 0 {
+		for _, w := range worlds {
+			w.dc.Crash(w.dc.Servers[crash]) // its VMs are lost
+		}
+	}
+	if host := r.Intn(n/3 + 1); r.Intn(2) == 0 {
+		for _, w := range worlds {
+			w.dc.Servers[host].Cordon()
+		}
+	}
+	for pass := 0; pass < passes; pass++ {
+		what := fmt.Sprintf("seed %d (%d servers, %s, faults %v) pass %d", seed, n, policy.Name(), faulty, pass)
+		if pass > 0 {
+			mutate(t, r, worlds)
+		}
+		var dry, reps [2]Report
+		var dryErrs, errs [2]error
+		var deltas [2]float64
+		var stats [2]packing.SearchStats
+		overloaded := 0
+		for _, s := range worlds[0].dc.Servers {
+			if s.State() == cluster.Active && s.Overloaded() {
+				overloaded++
+			}
+		}
+		cordonedDonor := false
+		for _, s := range worlds[0].dc.Servers {
+			cordonedDonor = cordonedDonor || (s.Cordoned() && s.State() == cluster.Active && s.NumVMs() > 0)
+		}
+		for i, w := range worlds {
+			w.inj.SetStep(pass)
+			before := *w.stats
+			dry[i], deltas[i], dryErrs[i] = DryRun(w.cons, w.dc)
+			reps[i], errs[i] = w.cons.Consolidate(w.dc)
+			stats[i] = packing.SearchStats{
+				Calls: w.stats.Calls - before.Calls, Nodes: w.stats.Nodes - before.Nodes,
+				Widenings: w.stats.Widenings - before.Widenings, Exhausted: w.stats.Exhausted - before.Exhausted}
+		}
+		if err := compareReports(what+" dry run", dry[0], dry[1], dryErrs[0], dryErrs[1]); err != nil {
+			return err
+		}
+		//lint:ignore floatcompare the dry runs must agree bit for bit
+		if deltas[0] != deltas[1] {
+			return fmt.Errorf("%s: dry-run power delta %v, reference %v", what, deltas[0], deltas[1])
+		}
+		if err := compareReports(what, reps[0], reps[1], errs[0], errs[1]); err != nil {
+			return err
+		}
+		if err := compareFleets(what, worlds[0].dc, worlds[1].dc); err != nil {
+			return err
+		}
+		if stats[0] != stats[1] {
+			return fmt.Errorf("%s: search effort %+v, reference %+v", what, stats[0], stats[1])
+		}
+		tally.passes++
+		tally.overloaded += min(overloaded, 1)
+		tally.migrations += reps[0].Migrations
+		tally.vetoed += reps[0].Vetoed
+		tally.unresolved += reps[0].Unresolved
+		tally.failed += reps[0].FailedMoves
+		tally.widened += stats[0].Widenings
+		if cordonedDonor {
+			tally.cordonedDonors++
+		}
+		for _, rec := range reps[0].FaultLog {
+			switch rec.Kind {
+			case fault.OptimizerError:
+				tally.passErrors++
+			case fault.MigrationAbort:
+				tally.aborts++
+			}
+		}
+	}
+	return nil
+}
+
+// TestIPACMatchesReference drives 50 seeded histories through IPAC and
+// the per-round rebuild side by side.
+func TestIPACMatchesReference(t *testing.T) {
+	seeds := 50
+	if testing.Short() {
+		seeds = 10
+	}
+	var tally diffTally
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			if err := runDifferential(t, seed, &tally); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Logf("exercised: %+v", tally)
+	for name, n := range map[string]int{"overloaded passes": tally.overloaded, "migrations": tally.migrations,
+		"vetoes": tally.vetoed, "failed moves": tally.failed, "pass errors": tally.passErrors,
+		"migration aborts": tally.aborts, "passes with a cordoned donor": tally.cordonedDonors, "widenings": tally.widened} {
+		if n == 0 {
+			t.Errorf("the histories never exercised %s", name)
+		}
+	}
+}
+
+// fleetSizeDC builds the allocation gate's data center: 40 active
+// servers with the same VMs, one of them overloaded, then sleeping
+// servers up to the fleet size. The sleeping servers' IDs sort after the
+// active ones, so relief wakes the same server on every fleet size.
+func fleetSizeDC(t *testing.T, fleet int) *cluster.DataCenter {
+	t.Helper()
+	types := power.AllTypes()
+	servers := make([]*cluster.Server, fleet)
+	for i := range servers {
+		servers[i] = cluster.NewServer(fmt.Sprintf("s%04d", i), types[i%len(types)])
+	}
+	dc, err := cluster.NewDataCenter(servers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 160; i++ {
+		host := servers[i%40]
+		demand := 0.3 + 1.2*r.Float64()
+		if i%40 == 0 {
+			demand = host.Spec.Capacity() // overloads its host
+		}
+		v := &cluster.VM{ID: fmt.Sprintf("vm%03d", i), Demand: demand, MemoryGB: 0.5}
+		if err := dc.Place(v, host); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dc.SleepIdle()
+	return dc
+}
+
+// passMallocs measures one warmed IPAC pass with an overload on a fleet
+// of the given size: the heap objects allocated by the pass alone.
+func passMallocs(t *testing.T, fleet int) (uint64, Report) {
+	ipac := NewIPAC()
+	for i := 0; i < 2; i++ { // warm the pool on identical passes
+		if _, err := ipac.Consolidate(fleetSizeDC(t, fleet)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dc := fleetSizeDC(t, fleet)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rep, err := ipac.Consolidate(dc)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs, rep
+}
+
+// TestPassAllocsIndependentOfFleetSize: a warmed pass allocates for the
+// VMs it moves and the servers it works on, not for the sleeping rest of
+// the fleet. Per-pass maps or bins over every server would grow with it.
+func TestPassAllocsIndependentOfFleetSize(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates shadow state")
+	}
+	small, smallRep := passMallocs(t, 300)
+	large, largeRep := passMallocs(t, 3000)
+	if smallRep.Migrations == 0 || smallRep.Migrations != largeRep.Migrations {
+		t.Fatalf("the passes differ: %s vs %s", smallRep, largeRep)
+	}
+	if small != large {
+		t.Fatalf("a warmed pass allocates %d objects on 300 servers but %d on 3000 (%s)", small, large, largeRep)
+	}
+}

@@ -37,8 +37,8 @@ func DryRun(cons Consolidator, dc *cluster.DataCenter) (Report, float64, error) 
 	for i := range rep.Moves {
 		rep.Moves[i] = cluster.Migration{
 			VM:   findVM(dc, rep.Moves[i].VM.ID),
-			From: findServer(dc, rep.Moves[i].From.ID),
-			To:   findServer(dc, rep.Moves[i].To.ID),
+			From: dc.Server(rep.Moves[i].From.ID),
+			To:   dc.Server(rep.Moves[i].To.ID),
 		}
 	}
 	return rep, powerDelta, nil
@@ -52,15 +52,6 @@ func findVM(dc *cluster.DataCenter, id string) *cluster.VM {
 	for _, v := range host.VMs() {
 		if v.ID == id {
 			return v
-		}
-	}
-	return nil
-}
-
-func findServer(dc *cluster.DataCenter, id string) *cluster.Server {
-	for _, s := range dc.Servers {
-		if s.ID == id {
-			return s
 		}
 	}
 	return nil

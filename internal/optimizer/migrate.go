@@ -41,7 +41,7 @@ func migrateWithRetry(dc *cluster.DataCenter, vm *cluster.VM, target *cluster.Se
 		if err != nil {
 			return false, err
 		}
-		//lint:ignore hotalloc one record per committed migration; the report is unbounded by design
+		//lint:ignore hotalloc per-pass output: the report carries one record per committed migration
 		rep.Moves = append(rep.Moves, mig)
 		rep.Migrations++
 		return true, nil

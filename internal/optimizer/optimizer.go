@@ -101,19 +101,27 @@ func EstimateBenefit(vm *cluster.VM, from, to *cluster.Server) float64 {
 	return benefit
 }
 
-// binFor views a server as a packing bin carrying its current load.
-func binFor(s *cluster.Server) *packing.Bin {
-	//lint:ignore hotalloc one bin view per candidate server per drain round: planning state, not per-iteration churn
-	b := &packing.Bin{
-		ID:         s.ID,
-		CPUCap:     s.Spec.Capacity(),
-		MemCap:     s.Spec.MemoryGB,
-		Efficiency: s.Spec.Efficiency(),
-	}
+// loadBin makes the zero bin b a view of server s carrying its current
+// load minus the VMs in skip. It adds the VMs in s.VMs() order, so two
+// views of the same server carry the same sums, bit for bit.
+func loadBin(b *packing.Bin, s *cluster.Server, skip []shedding) *packing.Bin {
+	b.ID, b.CPUCap, b.MemCap, b.Efficiency = s.ID, s.Spec.Capacity(), s.Spec.MemoryGB, s.Spec.Efficiency()
 	for _, v := range s.VMs() {
-		b.Add(packing.Item{ID: v.ID, CPU: v.Demand, Mem: v.MemoryGB})
+		if !isShed(skip, v) {
+			b.Add(itemFor(v))
+		}
 	}
 	return b
+}
+
+// isShed reports whether v is in the shed list.
+func isShed(shed []shedding, v *cluster.VM) bool {
+	for _, sh := range shed {
+		if sh.vm == v {
+			return true
+		}
+	}
+	return false
 }
 
 // itemFor views a VM as a packing item.

@@ -1,8 +1,9 @@
 package optimizer
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"vdcpower/internal/cluster"
 	"vdcpower/internal/fault"
@@ -17,34 +18,65 @@ import (
 // out. Bins are mutated to carry the planned load. It returns the
 // assignment and any items no bin admitted.
 func PAC(items []packing.Item, bins []*packing.Bin, cons packing.Constraint, cfg packing.MinSlackConfig) (packing.Assignment, []packing.Item) {
-	sp := cfg.Trace.Start("optimizer.pac").Int("items", len(items)).Int("bins", len(bins))
-	packing.SortBinsByEfficiency(bins)
+	pl := &packing.Plan{Items: items, Bins: bins}
+	place(pl, cons, cfg)
 	asg := packing.Assignment{}
-	remaining := append([]packing.Item(nil), items...)
-	for _, b := range bins {
-		if len(remaining) == 0 {
+	for i, b := range pl.Targets {
+		if b != nil {
+			asg[items[i].ID] = b.ID
+		}
+	}
+	return asg, pl.Rest
+}
+
+// place is PAC on plan storage: it packs pl.Items onto pl.Bins, records
+// in pl.Targets the bin each item was planned onto (nil if none) and
+// leaves the unplaced items in pl.Rest, in their original order. It
+// returns how many items stayed unplaced.
+func place(pl *packing.Plan, cons packing.Constraint, cfg packing.MinSlackConfig) int {
+	sp := cfg.Trace.Start("optimizer.pac").Int("items", len(pl.Items)).Int("bins", len(pl.Bins))
+	packing.SortBinsByEfficiency(pl.Bins)
+	pl.Targets = slices.Grow(pl.Targets[:0], len(pl.Items))[:len(pl.Items)]
+	clear(pl.Targets)
+	rest := append(pl.Rest[:0], pl.Items...)
+	for _, b := range pl.Bins {
+		if len(rest) == 0 {
 			break
 		}
-		res := packing.MinimumSlack(b, remaining, cons, cfg)
+		res := packing.MinimumSlack(b, rest, cons, cfg)
 		if len(res.Chosen) == 0 {
 			continue
 		}
-		chosen := map[string]bool{}
 		for _, it := range res.Chosen {
 			b.Add(it)
-			asg[it.ID] = b.ID
-			chosen[it.ID] = true
 		}
-		kept := remaining[:0]
-		for _, it := range remaining {
-			if !chosen[it.ID] {
-				kept = append(kept, it)
+		// Rebuild the rest from the items no bin has taken, in order. It
+		// only shrinks, so it is rewritten in place.
+		n := 0
+		for i, it := range pl.Items {
+			if pl.Targets[i] == nil && chosen(res.Chosen, it.ID) {
+				pl.Targets[i] = b
+			}
+			if pl.Targets[i] == nil {
+				rest[n] = it
+				n++
 			}
 		}
-		remaining = kept
+		rest = rest[:n]
 	}
-	sp.Int("placed", len(asg)).Int("unplaced", len(remaining)).End()
-	return asg, remaining
+	pl.Rest = rest
+	sp.Int("placed", len(pl.Items)-len(rest)).Int("unplaced", len(rest)).End()
+	return len(rest)
+}
+
+// chosen reports whether the search result holds the item with this ID.
+func chosen(res []packing.Item, id string) bool {
+	for _, it := range res {
+		if it.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // IPAC is the Incremental Power Aware Consolidation algorithm: each
@@ -64,6 +96,41 @@ type IPAC struct {
 	Faults *fault.Injector
 
 	trace *telemetry.Track // set via SetTrace; nil keeps tracing off
+	pass  passState        // the pass's lists of servers and VMs, reused
+}
+
+// passState holds the lists of cluster objects a pass works through:
+// the donor order, the donor's VMs and the shed list. The bins and items
+// a pass plans with live in the MinSlack pool (packing.Plan). Only the
+// capacity of these lists carries over from one pass to the next:
+// release clears them, so the consolidator keeps no pointer into a data
+// center — a DryRun clone included — between passes.
+type passState struct {
+	donors []donorKey
+	vms    []*cluster.VM
+	shed   []shedding
+}
+
+// donorKey is a server with its drain-order key, computed once per pass:
+// Spec.Efficiency copies the whole spec.
+type donorKey struct {
+	s     *cluster.Server
+	eff   float64
+	tried bool
+}
+
+// shedding is one VM overload relief moves off its server.
+type shedding struct {
+	vm   *cluster.VM
+	from *cluster.Server
+}
+
+// release clears the lists, keeping their capacity.
+func (st *passState) release() {
+	clear(st.donors[:cap(st.donors)])
+	clear(st.vms[:cap(st.vms)])
+	clear(st.shed[:cap(st.shed)])
+	st.donors, st.vms, st.shed = st.donors[:0], st.vms[:0], st.shed[:0]
 }
 
 // SetFaults implements fault.Injectable; harnesses wire the fault plane by
@@ -85,7 +152,8 @@ func (o *IPAC) SearchStats() *packing.SearchStats { return o.MinSlack.Stats }
 
 // NewIPAC returns an IPAC with the default constraint (CPU with 10%
 // headroom to absorb demand growth between invocations, plus memory),
-// the default Minimum Slack tuning, and the allow-all cost policy.
+// the default Minimum Slack tuning, and the allow-all cost policy. Its
+// pool serves the searches and lends the passes their planning storage.
 func NewIPAC() *IPAC {
 	ms := packing.DefaultMinSlackConfig()
 	ms.Stats = &packing.SearchStats{}
@@ -105,10 +173,13 @@ func (o *IPAC) UsesDVFS() bool { return true }
 func (o *IPAC) Name() string { return "IPAC" }
 
 // Consolidate implements Consolidator.
+//
+//vdc:hotpath fig6/energy-per-vm
 func (o *IPAC) Consolidate(dc *cluster.DataCenter) (Report, error) {
 	rep := Report{ActiveBefore: dc.NumActive()}
 	root := o.trace.Start("ipac.consolidate").Int("active_before", rep.ActiveBefore)
 	defer func() {
+		o.pass.release()
 		root.Int("rounds", rep.Rounds).Int("migrations", rep.Migrations).
 			Int("vetoed", rep.Vetoed).Int("active_after", rep.ActiveAfter).End()
 	}()
@@ -121,7 +192,7 @@ func (o *IPAC) Consolidate(dc *cluster.DataCenter) (Report, error) {
 		rep.ActiveAfter = dc.NumActive()
 		return rep, err
 	}
-	if err := o.resolveOverloads(dc, &rep); err != nil {
+	if err := resolveOverloads(dc, o.Constraint, o.MinSlack, o.Faults, &rep, &o.pass); err != nil {
 		return rep, err
 	}
 
@@ -129,13 +200,12 @@ func (o *IPAC) Consolidate(dc *cluster.DataCenter) (Report, error) {
 	if maxRounds <= 0 {
 		maxRounds = len(dc.Servers)
 	}
-	tried := map[string]bool{}
+	o.orderDonors(dc)
 	for round := 0; round < maxRounds; round++ {
-		donor := o.pickDonor(dc, tried)
+		donor := o.pickDonor()
 		if donor == nil {
 			break
 		}
-		tried[donor.ID] = true
 		rep.Rounds++
 		rsp := o.trace.Start("ipac.round").Str("donor", donor.ID)
 		reduced := o.drain(dc, donor, &rep)
@@ -149,69 +219,75 @@ func (o *IPAC) Consolidate(dc *cluster.DataCenter) (Report, error) {
 	return rep, nil
 }
 
-// pickDonor returns the next server to drain: cordoned servers first
-// (maintenance outranks optimization), then the least power-efficient
-// active non-empty server not yet tried, or nil.
-func (o *IPAC) pickDonor(dc *cluster.DataCenter, tried map[string]bool) *cluster.Server {
-	var cand []*cluster.Server
-	for _, s := range dc.ActiveServers() {
-		if s.NumVMs() > 0 && !tried[s.ID] {
-			cand = append(cand, s)
+// orderDonors sorts the servers active after overload relief into drain
+// order: cordoned servers first (maintenance outranks optimization),
+// then the least power-efficient, then by ID. The key cannot change
+// within a pass — cordons and specs are fixed, and drain rounds never
+// wake a server — so the first server in this order that is still
+// active, non-empty and untried is the one a per-round sort of the
+// candidates would pick.
+func (o *IPAC) orderDonors(dc *cluster.DataCenter) {
+	o.pass.donors = o.pass.donors[:0]
+	for _, s := range dc.Servers {
+		if s.State() == cluster.Active {
+			o.pass.donors = append(o.pass.donors, donorKey{s: s, eff: s.Spec.Efficiency()})
 		}
 	}
-	if len(cand) == 0 {
-		return nil
+	slices.SortFunc(o.pass.donors, compareDonors)
+}
+
+func compareDonors(a, b donorKey) int {
+	if a.s.Cordoned() != b.s.Cordoned() {
+		if a.s.Cordoned() {
+			return -1
+		}
+		return 1
 	}
-	sort.Slice(cand, func(i, j int) bool {
-		if cand[i].Cordoned() != cand[j].Cordoned() {
-			return cand[i].Cordoned()
+	if c := cmp.Compare(a.eff, b.eff); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.s.ID, b.s.ID)
+}
+
+// pickDonor returns the next server to drain — the first in drain order
+// that is active, non-empty and not yet tried — and marks it tried, or
+// returns nil.
+func (o *IPAC) pickDonor() *cluster.Server {
+	for i := range o.pass.donors {
+		d := &o.pass.donors[i]
+		if !d.tried && d.s.State() == cluster.Active && d.s.NumVMs() > 0 {
+			d.tried = true
+			return d.s
 		}
-		ei, ej := cand[i].Spec.Efficiency(), cand[j].Spec.Efficiency()
-		//lint:ignore floatcompare exact tie-break for a deterministic sort order
-		if ei != ej {
-			return ei < ej
-		}
-		return cand[i].ID < cand[j].ID
-	})
-	return cand[0]
+	}
+	return nil
 }
 
 // drain plans moving every VM off donor via PAC onto the other active
 // servers and commits the plan if it empties the donor. It reports
 // whether the active-server count was reduced.
-//
-//vdc:hotpath fig6/energy-per-vm
 func (o *IPAC) drain(dc *cluster.DataCenter, donor *cluster.Server, rep *Report) bool {
-	vms := donor.VMs()
-	items := make([]packing.Item, 0, len(vms))
-	vmByID := make(map[string]*cluster.VM, len(vms))
-	for _, v := range vms {
-		//lint:ignore hotalloc items is preallocated to len(vms) just above; this append never grows it
-		items = append(items, itemFor(v))
-		vmByID[v.ID] = v
+	// The donor's VMs in ID order, and its items in the same order: the
+	// i-th item is vms[i], and migrations commit in ID order.
+	vms := append(o.pass.vms[:0], donor.VMs()...)
+	slices.SortFunc(vms, compareVMIDs)
+	o.pass.vms = vms
+	pl := o.MinSlack.Pool.Plan()
+	pl.Items = slices.Grow(pl.Items, len(vms))[:len(vms)]
+	for i, v := range vms {
+		pl.Items[i] = itemFor(v)
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
-
-	active := dc.ActiveServers()
-	bins := make([]*packing.Bin, 0, len(active))
-	for _, s := range active {
-		if s != donor && !s.Cordoned() {
-			//lint:ignore hotalloc bins is preallocated to len(active) just above; this append never grows it
-			bins = append(bins, binFor(s))
+	for i, s := range dc.Servers {
+		if s.State() == cluster.Active && s != donor && !s.Cordoned() {
+			loadBin(pl.AddBin(i), s, nil)
 		}
 	}
-	asg, unplaced := PAC(items, bins, o.Constraint, o.MinSlack)
-	if len(unplaced) > 0 {
+	if place(pl, o.Constraint, o.MinSlack) > 0 {
 		return false // the donor cannot be emptied: no reduction possible
 	}
-	serverByID := map[string]*cluster.Server{}
-	for _, s := range dc.Servers {
-		serverByID[s.ID] = s
-	}
 	emptied := true
-	for _, it := range items {
-		vm := vmByID[it.ID]
-		target := serverByID[asg[it.ID]]
+	for i, vm := range vms {
+		target := dc.Server(pl.Targets[i].ID)
 		if !o.Policy.Allow(vm, donor, target, EstimateBenefit(vm, donor, target)) {
 			rep.Vetoed++
 			emptied = false
@@ -237,13 +313,7 @@ func (o *IPAC) drain(dc *cluster.DataCenter, donor *cluster.Server, rep *Report)
 	return emptied
 }
 
-// resolveOverloads sheds VMs from servers whose demand exceeds capacity
-// (a workload increase since the last invocation) and re-places them via
-// PAC, waking sleeping servers if necessary. Shedding always commits:
-// it is a correctness fix, not an optimization.
-func (o *IPAC) resolveOverloads(dc *cluster.DataCenter, rep *Report) error {
-	return resolveOverloads(dc, o.Constraint, o.MinSlack, o.Faults, rep)
-}
+func compareVMIDs(a, b *cluster.VM) int { return cmp.Compare(a.ID, b.ID) }
 
 // ResolveOverloads is the on-demand overload reliever of Section III:
 // between two invocations of the full optimizer, "an unexpected increase
@@ -262,86 +332,72 @@ func ResolveOverloads(dc *cluster.DataCenter, cons packing.Constraint, cfg packi
 // instead of failing the pass.
 func ResolveOverloadsWithFaults(dc *cluster.DataCenter, cons packing.Constraint, cfg packing.MinSlackConfig, inj *fault.Injector) (Report, error) {
 	rep := Report{ActiveBefore: dc.NumActive()}
-	err := resolveOverloads(dc, cons, cfg, inj, &rep)
+	err := resolveOverloads(dc, cons, cfg, inj, &rep, &passState{})
 	rep.ActiveAfter = dc.NumActive()
 	return rep, err
 }
 
-func resolveOverloads(dc *cluster.DataCenter, cons packing.Constraint, msCfg packing.MinSlackConfig, inj *fault.Injector, rep *Report) error {
+// resolveOverloads sheds VMs from servers whose demand exceeds capacity
+// (a workload increase since the last invocation) and re-places them via
+// PAC, waking sleeping servers if necessary. Shedding always commits:
+// it is a correctness fix, not an optimization. Its bins and items come
+// from msCfg's pool when it has one; st holds the shed list.
+//
+//vdc:hotpath fig6/energy-per-vm
+func resolveOverloads(dc *cluster.DataCenter, cons packing.Constraint, msCfg packing.MinSlackConfig, inj *fault.Injector, rep *Report, st *passState) error {
 	sp := msCfg.Trace.Start("optimizer.resolve_overloads")
 	before := rep.Migrations
 	defer func() {
 		sp.Int("unresolved", rep.Unresolved).Int("migrations", rep.Migrations-before).End()
 	}()
-	type shedding struct {
-		vm   *cluster.VM
-		from *cluster.Server
-	}
-	var shed []shedding
-	shedIDs := map[string]bool{}
-	for _, s := range dc.ActiveServers() {
-		if !s.Overloaded() {
+	st.shed = st.shed[:0]
+	for _, s := range dc.Servers {
+		if s.State() != cluster.Active || !s.Overloaded() {
 			continue
 		}
-		vms := append([]*cluster.VM(nil), s.VMs()...)
 		// Shed the largest VMs first: fewest migrations to relieve the
 		// overload.
-		sort.Slice(vms, func(i, j int) bool {
-			//lint:ignore floatcompare exact tie-break for a deterministic sort order
-			if vms[i].Demand != vms[j].Demand {
-				return vms[i].Demand > vms[j].Demand
-			}
-			return vms[i].ID < vms[j].ID
-		})
+		vms := append(st.vms[:0], s.VMs()...)
+		slices.SortFunc(vms, compareShedOrder)
+		st.vms = vms
 		excess := s.TotalDemand() - s.Spec.Capacity()
 		for _, v := range vms {
 			if excess <= 0 {
 				break
 			}
-			shed = append(shed, shedding{vm: v, from: s})
-			shedIDs[v.ID] = true
+			//lint:ignore hotalloc high-water-mark growth: the shed list keeps its capacity from pass to pass
+			st.shed = append(st.shed, shedding{vm: v, from: s})
 			excess -= v.Demand
 		}
 	}
-	if len(shed) == 0 {
+	if len(st.shed) == 0 {
 		return nil
 	}
 	// Bins: every non-cordoned, non-failed server (sleeping ones may be
-	// woken), minus the shed VMs.
-	var bins []*packing.Bin
-	for _, s := range dc.Servers {
+	// woken), minus the shed VMs. The shed list is grouped by server in
+	// fleet order, so shed[own:next] is the current server's.
+	pl := msCfg.Pool.Plan()
+	next := 0
+	for i, s := range dc.Servers {
+		own := next
+		for next < len(st.shed) && st.shed[next].from == s {
+			next++
+		}
 		if s.Cordoned() || s.State() == cluster.Failed {
 			continue
 		}
-		b := &packing.Bin{
-			ID:         s.ID,
-			CPUCap:     s.Spec.Capacity(),
-			MemCap:     s.Spec.MemoryGB,
-			Efficiency: s.Spec.Efficiency(),
-		}
-		for _, v := range s.VMs() {
-			if !shedIDs[v.ID] {
-				b.Add(packing.Item{ID: v.ID, CPU: v.Demand, Mem: v.MemoryGB})
-			}
-		}
-		bins = append(bins, b)
+		loadBin(pl.AddBin(i), s, st.shed[own:next])
 	}
-	items := make([]packing.Item, len(shed))
-	for i, sh := range shed {
-		items[i] = itemFor(sh.vm)
+	pl.Items = slices.Grow(pl.Items, len(st.shed))[:len(st.shed)]
+	for i, sh := range st.shed {
+		pl.Items[i] = itemFor(sh.vm)
 	}
-	asg, unplaced := PAC(items, bins, cons, msCfg)
-	rep.Unresolved += len(unplaced)
-	serverByID := map[string]*cluster.Server{}
-	for _, s := range dc.Servers {
-		serverByID[s.ID] = s
-	}
-	for _, sh := range shed {
-		binID, ok := asg[sh.vm.ID]
-		if !ok {
+	rep.Unresolved += place(pl, cons, msCfg)
+	for i, sh := range st.shed {
+		if pl.Targets[i] == nil {
 			continue // unplaced: the overload stays (reported)
 		}
-		target := serverByID[binID]
+		target := dc.Server(pl.Targets[i].ID)
 		if target == sh.from {
 			continue // re-packed in place
 		}
@@ -355,4 +411,13 @@ func resolveOverloads(dc *cluster.DataCenter, cons packing.Constraint, msCfg pac
 		}
 	}
 	return nil
+}
+
+// compareShedOrder orders a server's VMs for shedding: largest demand
+// first, with an exact ID tie-break.
+func compareShedOrder(a, b *cluster.VM) int {
+	if c := cmp.Compare(b.Demand, a.Demand); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }

@@ -135,7 +135,7 @@ func (p *PMapper) Consolidate(dc *cluster.DataCenter) (Report, error) {
 	// Receivers as bins with their current load, most efficient first.
 	var recvBins []*packing.Bin
 	for _, r := range receivers {
-		recvBins = append(recvBins, binFor(r))
+		recvBins = append(recvBins, loadBin(&packing.Bin{}, r, nil))
 	}
 	packing.SortBinsByEfficiency(recvBins)
 	migItems := make([]packing.Item, len(migList))
@@ -145,16 +145,12 @@ func (p *PMapper) Consolidate(dc *cluster.DataCenter) (Report, error) {
 	asg, notPlaced := packing.FirstFitDecreasing(migItems, recvBins, p.Constraint)
 	rep.Unresolved += len(notPlaced)
 
-	serverByID := map[string]*cluster.Server{}
-	for _, s := range dc.Servers {
-		serverByID[s.ID] = s
-	}
 	for _, pd := range migList {
 		binID, ok := asg[pd.vm.ID]
 		if !ok {
 			continue
 		}
-		to := serverByID[binID]
+		to := dc.Server(binID)
 		if to == pd.from {
 			continue
 		}

@@ -1,0 +1,164 @@
+package packing
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// maxItems admits at most k items per bin. It reads the bin's item list,
+// so it sees whether the probe bin carries the chosen stack.
+type maxItems struct{ k int }
+
+func (c maxItems) Fits(b *Bin, extra []Item) bool { return len(b.Items())+len(extra) <= c.k }
+func (c maxItems) Name() string                   { return fmt.Sprintf("max-%d-items", c.k) }
+
+// both is the conjunction of two constraints.
+type both struct{ a, b Constraint }
+
+func (c both) Fits(b *Bin, extra []Item) bool { return c.a.Fits(b, extra) && c.b.Fits(b, extra) }
+func (c both) Name() string                   { return c.a.Name() + "+" + c.b.Name() }
+
+// diffInstance draws a seeded bin, already loaded (with a removal, so its
+// sums are not a fresh re-sum), and a candidate list.
+func diffInstance(r *rand.Rand, seed int64) (*Bin, []Item) {
+	b := &Bin{ID: "b", CPUCap: 4 + 12*r.Float64(), MemCap: 8 + 24*r.Float64()}
+	for i := 0; i < r.Intn(6); i++ {
+		b.Add(Item{ID: fmt.Sprintf("old%d", i), CPU: 0.1 + 1.9*r.Float64(), Mem: 0.5 + 2*r.Float64()})
+	}
+	if len(b.Items()) > 2 {
+		b.Remove(b.Items()[1].ID)
+	}
+	items := make([]Item, r.Intn(16))
+	for i := range items {
+		items[i] = Item{ID: fmt.Sprintf("s%d-vm%02d", seed, i), CPU: 0.05 + 2.95*r.Float64(), Mem: 0.25 + 3*r.Float64()}
+		if i > 0 && r.Intn(5) == 0 {
+			items[i].CPU = items[i-1].CPU // exact ties exercise the ID order
+		}
+	}
+	return b, items
+}
+
+// sameResult reports how got differs from the reference, or "".
+func sameResult(got, want MinSlackResult) string {
+	//lint:ignore floatcompare the search must reach the reference's slack bit for bit
+	if got.Slack != want.Slack || got.Nodes != want.Nodes || got.Widened != want.Widened ||
+		got.Exhausted != want.Exhausted || len(got.Chosen) != len(want.Chosen) {
+		return fmt.Sprintf("got %+v, reference %+v", got, want)
+	}
+	for i := range want.Chosen {
+		if got.Chosen[i] != want.Chosen[i] {
+			return fmt.Sprintf("chosen[%d] = %+v, reference %+v", i, got.Chosen[i], want.Chosen[i])
+		}
+	}
+	return ""
+}
+
+// TestMinimumSlackMatchesReference compares the probe-bin search with
+// the re-summing search it replaced, pooled and pool-less, under the
+// vector constraint with and without headroom and under constraints
+// that read the bin's items. Node budgets are drawn small enough that
+// widening and exhaustion occur.
+func TestMinimumSlackMatchesReference(t *testing.T) {
+	pool := NewPool()
+	widened, exhausted, chosen := 0, 0, 0
+	for seed := int64(1); seed <= 400; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		b, items := diffInstance(r, seed)
+		cfg := DefaultMinSlackConfig()
+		cfg.Epsilon = 0.2 * r.Float64()
+		cfg.MaxNodes = []int{5, 40, 300, 20000}[r.Intn(4)]
+		k := len(b.Items()) + 1 + r.Intn(4)
+		for _, cons := range []Constraint{
+			VectorConstraint{}, VectorConstraint{CPUHeadroom: 0.1},
+			maxItems{k: k}, both{VectorConstraint{CPUHeadroom: 0.1}, maxItems{k: k}},
+		} {
+			want := refMinimumSlack(b, items, cons, cfg)
+			plain := MinimumSlack(b, items, cons, cfg)
+			cfg.Pool = pool
+			pooled := MinimumSlack(b, items, cons, cfg)
+			cfg.Pool = nil
+			if d := sameResult(plain, want); d != "" {
+				t.Fatalf("seed %d, %s, pool-less: %s", seed, cons.Name(), d)
+			}
+			if d := sameResult(pooled, want); d != "" {
+				t.Fatalf("seed %d, %s, pooled: %s", seed, cons.Name(), d)
+			}
+			if want.Widened {
+				widened++
+			}
+			if want.Exhausted {
+				exhausted++
+			}
+			chosen += len(want.Chosen)
+		}
+	}
+	if widened == 0 || exhausted == 0 || chosen == 0 {
+		t.Fatalf("instances too easy: %d widened, %d exhausted, %d items chosen", widened, exhausted, chosen)
+	}
+}
+
+// TestFirstFitAllocsIndependentOfBins: FirstFit's constraint checks
+// share one single-item slice, so scanning more bins allocates nothing
+// more.
+func TestFirstFitAllocsIndependentOfBins(t *testing.T) {
+	var cons Constraint = VectorConstraint{}
+	allocs := func(nBins int) float64 {
+		items := []Item{{ID: "a", CPU: 3, Mem: 1}, {ID: "b", CPU: 3, Mem: 1}}
+		bins := make([]*Bin, nBins)
+		for i := range bins {
+			bins[i] = &Bin{ID: fmt.Sprint(i), CPUCap: 1, MemCap: 4} // too small for the items
+		}
+		last := bins[nBins-1]
+		last.CPUCap = 8 // only the last bin admits them
+		return testing.AllocsPerRun(20, func() {
+			last.items, last.cpuUsed, last.memUsed = last.items[:0], 0, 0
+			FirstFit(items, bins, cons)
+		})
+	}
+	if few, many := allocs(4), allocs(400); few != many {
+		t.Fatalf("FirstFit allocates %v objects scanning 4 bins, %v scanning 400", few, many)
+	}
+}
+
+// TestPlanAddBinReusesStorage: AddBin returns the same zeroed bin for
+// the same index, keeps its item storage, and a rebuilt bin carries the
+// sums of a fresh one bit for bit.
+func TestPlanAddBinReusesStorage(t *testing.T) {
+	pool := NewPool()
+	fill := func(b *Bin) {
+		b.ID, b.CPUCap = "x", 10
+		for i := 0; i < 5; i++ {
+			b.Add(Item{ID: fmt.Sprint(i), CPU: 0.1 * float64(i+1), Mem: 0.3})
+		}
+	}
+	pl := pool.Plan()
+	first := pl.AddBin(7)
+	fill(first)
+	pl.Items = append(pl.Items, Item{ID: "stale"})
+	pl = pool.Plan()
+	if len(pl.Bins) != 0 || len(pl.Items) != 0 {
+		t.Fatalf("a new lend keeps %d bins and %d items", len(pl.Bins), len(pl.Items))
+	}
+	again := pl.AddBin(7)
+	if again != first || again.ID != "" || len(again.Items()) != 0 || again.CPUUsed() != 0 || again.MemUsed() != 0 {
+		t.Fatalf("index 7 came back as %p %+v, want %p zeroed", again, again, first)
+	}
+	if cap(again.items) < 5 {
+		t.Fatalf("item storage dropped: cap %d", cap(again.items))
+	}
+	fill(again)
+	fresh := &Bin{}
+	fill(fresh)
+	//lint:ignore floatcompare a rebuilt bin must carry a fresh bin's sums bit for bit
+	if again.CPUUsed() != fresh.CPUUsed() || again.MemUsed() != fresh.MemUsed() {
+		t.Fatalf("rebuilt sums %v/%v, fresh %v/%v", again.CPUUsed(), again.MemUsed(), fresh.CPUUsed(), fresh.MemUsed())
+	}
+	if pl.Bins[0] != again || len(pl.Bins) != 1 {
+		t.Fatalf("AddBin did not append to Bins: %v", pl.Bins)
+	}
+	var nilPool *Pool
+	if a, b := nilPool.Plan(), nilPool.Plan(); a == b {
+		t.Fatal("a nil pool shares its planning storage")
+	}
+}

@@ -78,7 +78,7 @@ func (b *Bin) Remove(id string) bool {
 // the total size of the items exceeds the size of the bin").
 type Constraint interface {
 	// Fits reports whether bin can accept extra on top of its current
-	// items.
+	// items. It must not retain b or extra: callers reuse both.
 	Fits(b *Bin, extra []Item) bool
 	// Name identifies the constraint in diagnostics.
 	Name() string
@@ -131,9 +131,11 @@ type MinSlackConfig struct {
 }
 
 // Pool holds the reusable buffers of Algorithm 1's search — an
-// arena for the sort/suffix/stack/best-set state that one MinimumSlack
+// arena for the sort/suffix/probe/best-set state that one MinimumSlack
 // call needs — so a consolidator solving one bin after another reuses
-// the same backing arrays instead of reallocating them per call.
+// the same backing arrays instead of reallocating them per call. It
+// also lends the consolidator's planning storage (Plan), so a pass
+// reuses its bin views and item lists too.
 //
 // A Pool serves one search at a time (not safe for concurrent use),
 // and when it is set MinSlackResult.Chosen aliases pool-owned memory
@@ -143,13 +145,59 @@ type MinSlackConfig struct {
 type Pool struct {
 	sorted  []Item
 	suffix  []units.Hertz
-	chosen  []Item
+	probe   []Item // the probe bin's items: the bin's, then the chosen stack
 	bestSet []Item
 	search  mbsSearch
+	plan    Plan
 }
 
 // NewPool returns an empty pool; capacity grows on first use.
 func NewPool() *Pool { return &Pool{} }
+
+// Plan is the planning storage of a caller that views many servers as
+// bins and packs items onto them, round after round: IPAC's overload
+// relief and drain rounds. It is scratch. A Plan lent by a Pool is
+// valid until the next Pool.Plan call, and only the capacity of its
+// buffers carries over from one lend to the next.
+type Plan struct {
+	Bins    []*Bin // the bins to pack onto
+	Items   []Item // the items to place
+	Targets []*Bin // Targets[i] is the bin Items[i] was planned onto, nil if none
+	Rest    []Item // the packer's list of items not yet planned
+	views   []*Bin // AddBin's bins, allocated on first use of each index
+}
+
+// Plan lends the pool's planning storage with Bins and Items emptied. A
+// nil pool returns fresh storage, so pool-less callers allocate as they
+// would without one.
+func (p *Pool) Plan() *Plan {
+	if p == nil {
+		return &Plan{}
+	}
+	p.plan.Bins = p.plan.Bins[:0]
+	p.plan.Items = p.plan.Items[:0]
+	return &p.plan
+}
+
+// AddBin appends planning bin i to Bins and returns it as a zero Bin
+// for the caller to fill. Index i is the same bin on every call, and it
+// keeps its item storage: a caller that always views its i-th server as
+// bin i keeps each bin's storage at that server's high-water mark. The
+// load is rebuilt from zero every time, so the bin's sums are those of a
+// new bin filled in the same order, bit for bit.
+func (pl *Plan) AddBin(i int) *Bin {
+	if i >= len(pl.views) {
+		pl.views = append(pl.views, make([]*Bin, i+1-len(pl.views))...)
+	}
+	b := pl.views[i]
+	if b == nil {
+		b = &Bin{}
+		pl.views[i] = b
+	}
+	*b = Bin{items: b.items[:0]}
+	pl.Bins = append(pl.Bins, b)
+	return b
+}
 
 // SearchStats aggregates Algorithm 1 search effort across calls.
 // Harnesses read it via the optional SearchStats() accessor on
@@ -183,6 +231,15 @@ func MinimumSlack(b *Bin, candidates []Item, cons Constraint, cfg MinSlackConfig
 		cfg.MaxNodes = DefaultMinSlackConfig().MaxNodes
 	}
 	pool := cfg.Pool
+	// The search state lives in the pool. Without one it is allocated:
+	// the probe bin escapes through the constraint interface, so the
+	// state cannot live on the stack.
+	var s *mbsSearch
+	if pool != nil {
+		s = &pool.search
+	} else {
+		s = new(mbsSearch)
+	}
 	// MBS explores items in decreasing size order: large items first
 	// prunes the search fastest.
 	var sorted []Item
@@ -205,12 +262,22 @@ func MinimumSlack(b *Bin, candidates []Item, cons Constraint, cfg MinSlackConfig
 	for i := len(sorted) - 1; i >= 0; i-- {
 		suffix[i] = suffix[i+1] + sorted[i].CPU
 	}
-	s := &mbsSearch{}
+	// The probe bin is the bin with the chosen stack planned on top: its
+	// items are the bin's followed by the stack, and its sums grow by one
+	// addition per push. The stack can never exceed the candidate count,
+	// so one buffer (reused from the pool when present) serves the whole
+	// search.
+	var probe []Item
 	if pool != nil {
-		s = &pool.search
+		probe = growItems(pool.probe, len(b.items)+len(sorted))
+		pool.probe = probe
+	} else {
+		probe = make([]Item, 0, len(b.items)+len(sorted))
 	}
 	*s = mbsSearch{
-		bin:     b,
+		probe: Bin{ID: b.ID, CPUCap: b.CPUCap, MemCap: b.MemCap, Efficiency: b.Efficiency,
+			items: append(probe, b.items...), cpuUsed: b.cpuUsed, memUsed: b.memUsed},
+		base:    len(b.items),
 		items:   sorted,
 		suffix:  suffix,
 		cons:    cons,
@@ -223,17 +290,7 @@ func MinimumSlack(b *Bin, candidates []Item, cons Constraint, cfg MinSlackConfig
 		s.bestSet = pool.bestSet[:0]
 	}
 	sp := cfg.Trace.Start("packing.minslack").Int("candidates", len(candidates))
-	// The chosen stack can never exceed the candidate count, so one
-	// up-front allocation (reused from the pool when present) serves the
-	// whole search: every append in dfs grows into this capacity.
-	var stack []Item
-	if pool != nil {
-		stack = growItems(pool.chosen, len(sorted))
-		pool.chosen = stack
-	} else {
-		stack = make([]Item, 0, len(sorted))
-	}
-	s.dfs(0, b.Slack(), stack)
+	s.dfs(0, b.Slack())
 	chosen := s.bestSet
 	if pool != nil {
 		pool.bestSet = s.bestSet
@@ -290,7 +347,8 @@ func growItems(buf []Item, n int) []Item {
 }
 
 type mbsSearch struct {
-	bin       *Bin
+	probe     Bin // the bin's items followed by the chosen stack
+	base      int // the bin's item count: the stack is probe.items[base:]
 	items     []Item
 	suffix    []units.Hertz
 	cons      Constraint
@@ -306,16 +364,23 @@ type mbsSearch struct {
 }
 
 // dfs explores subsets of items[from:] given the current slack and the
-// stack of chosen items.
+// stack of chosen items on the probe bin.
+//
+// Each candidate is judged as Fits(probe, candidate): the probe carries
+// the bin's items and the stack, and its sums are the running sums
+// ((used + c1) + …) + ck-1, so VectorConstraint adds the candidate to
+// exactly the value it would reach re-summing the whole stack. A pop
+// restores the saved sums rather than subtracting, so no rounding
+// drifts in.
 //
 //vdc:hotpath packing/minslack
-func (s *mbsSearch) dfs(from int, slack units.Hertz, chosen []Item) {
+func (s *mbsSearch) dfs(from int, slack units.Hertz) {
 	if s.done {
 		return
 	}
 	if slack < s.best {
 		s.best = slack
-		s.bestSet = append(s.bestSet[:0], chosen...)
+		s.bestSet = append(s.bestSet[:0], s.probe.items[s.base:]...)
 	}
 	if s.best <= s.eps {
 		s.done = true // ε-optimal: stop the whole search
@@ -347,15 +412,19 @@ func (s *mbsSearch) dfs(from int, slack units.Hertz, chosen []Item) {
 		if it.CPU > slack+1e-12 {
 			continue // cannot fit by CPU alone
 		}
-		//lint:ignore hotalloc the stack is preallocated to cap len(items) in MinimumSlack; this append never grows it
-		chosen = append(chosen, it)
-		if s.cons.Fits(s.bin, chosen) {
-			s.dfs(i+1, slack-it.CPU, chosen)
-			if s.done {
-				return
-			}
+		if !s.cons.Fits(&s.probe, s.items[i:i+1]) {
+			continue
 		}
-		chosen = chosen[:len(chosen)-1]
+		p := &s.probe
+		n, cpu, mem := len(p.items), p.cpuUsed, p.memUsed
+		p.items = p.items[:n+1] // within the capacity MinimumSlack reserved
+		p.items[n] = it
+		p.cpuUsed, p.memUsed = cpu+it.CPU, mem+it.Mem
+		s.dfs(i+1, slack-it.CPU)
+		p.items, p.cpuUsed, p.memUsed = p.items[:n], cpu, mem
+		if s.done {
+			return
+		}
 	}
 }
 
@@ -368,10 +437,14 @@ type Assignment map[string]string
 func FirstFit(items []Item, bins []*Bin, cons Constraint) (Assignment, []Item) {
 	asg := Assignment{}
 	var unplaced []Item
+	// One single-item slice serves every check: a fresh one per check
+	// escapes through the interface and allocates once per bin scanned.
+	one := make([]Item, 1)
 	for _, it := range items {
+		one[0] = it
 		placed := false
 		for _, b := range bins {
-			if cons.Fits(b, []Item{it}) {
+			if cons.Fits(b, one) {
 				b.Add(it)
 				asg[it.ID] = b.ID
 				placed = true
@@ -412,11 +485,13 @@ func BestFitDecreasing(items []Item, bins []*Bin, cons Constraint) (Assignment, 
 	})
 	asg := Assignment{}
 	var unplaced []Item
+	one := make([]Item, 1) // reused for every check, as in FirstFit
 	for _, it := range sorted {
+		one[0] = it
 		var best *Bin
 		bestSlack := units.Hertz(0)
 		for _, b := range bins {
-			if !cons.Fits(b, []Item{it}) {
+			if !cons.Fits(b, one) {
 				continue
 			}
 			sl := b.Slack() - it.CPU
@@ -454,6 +529,7 @@ func Validate(asg Assignment, items []Item, bins []*Bin, cons Constraint) error 
 	for _, b := range bins {
 		byID[b.ID] = &Bin{ID: b.ID, CPUCap: b.CPUCap, MemCap: b.MemCap}
 	}
+	one := make([]Item, 1) // reused for every check, as in FirstFit
 	for _, it := range items {
 		binID, ok := asg[it.ID]
 		if !ok {
@@ -463,7 +539,8 @@ func Validate(asg Assignment, items []Item, bins []*Bin, cons Constraint) error 
 		if !ok {
 			return fmt.Errorf("packing: assignment names unknown bin %q", binID)
 		}
-		if !cons.Fits(b, []Item{it}) {
+		one[0] = it
+		if !cons.Fits(b, one) {
 			return fmt.Errorf("packing: item %q violates %s on bin %q", it.ID, cons.Name(), binID)
 		}
 		b.Add(it)
