@@ -86,8 +86,6 @@ func BenchmarkAblationEconomicMPC(b *testing.B) { benchScenario(b, "ablation/eco
 
 func BenchmarkMPCSolve(b *testing.B) { benchScenario(b, "mpc/solve") }
 
-func BenchmarkQueueingMVA(b *testing.B) { benchScenario(b, "queueing/mva") }
-
 func BenchmarkPackingMinSlack(b *testing.B) { benchScenario(b, "packing/minslack") }
 
 func BenchmarkPackingFFD(b *testing.B) { benchScenario(b, "packing/ffd") }

@@ -1,12 +1,16 @@
 // Command vdcreplay drives the trace-replay subsystem: it fabricates
-// schema-valid raw corpora in the public trace formats, and it builds
-// (or live-streams) deterministic, optionally distorted replays of
-// them as workload traces the simulators consume.
+// schema-valid raw corpora in the public trace formats or this repo's
+// synthetic workload trace, and it builds (or live-streams)
+// deterministic, optionally distorted replays of them as workload traces
+// the simulators consume. The workload formats write the synthetic
+// workload.Generate trace that cmd/dcsim generates from the same -vms and
+// -seed; their -steps must cover whole days of 96 15-minute steps.
 //
 // Usage:
 //
 //	vdcreplay -gen google-usage -vms 40 -steps 12 -out corpus.csv
 //	vdcreplay -gen azure-vm -vms 40 -steps 12 -gzip -out corpus.csv.gz
+//	vdcreplay -gen workload-gob -vms 5415 -steps 672 -seed 2008 -out t.gob
 //	vdcreplay -spec replay.json -out trace.csv -provenance prov.json
 //	vdcreplay -spec replay.json -pace            # stream records, paced
 package main
@@ -22,6 +26,7 @@ import (
 	"strings"
 
 	"vdcpower/internal/trace"
+	"vdcpower/internal/workload"
 )
 
 func main() {
@@ -39,9 +44,9 @@ func run(args []string, stdout io.Writer) error {
 		out     = fs.String("out", "", "output file; empty prints a summary (build) or streams to stdout (-pace)")
 		provP   = fs.String("provenance", "", "write replay provenance JSON to this file")
 		pace    = fs.Bool("pace", false, "stream records against the wall clock at the spec's speedup instead of building a trace")
-		gen     = fs.String("gen", "", "fabricate a corpus in this format (google-usage or azure-vm) instead of replaying")
+		gen     = fs.String("gen", "", "fabricate a corpus in this format (google-usage, azure-vm, workload-csv or workload-gob) instead of replaying")
 		vms     = fs.Int("vms", 40, "with -gen: number of VMs")
-		steps   = fs.Int("steps", 12, "with -gen: 15-minute grid steps per VM")
+		steps   = fs.Int("steps", 12, "with -gen: 15-minute grid steps per VM (a multiple of 96 for the workload formats)")
 		samples = fs.Int("samples", 3, "with -gen: raw rows per grid step")
 		seed    = fs.Int64("seed", 1, "with -gen: fabrication seed")
 		gapP    = fs.Float64("gap-prob", 0, "with -gen: per-(VM,step) probability of a dropped step")
@@ -71,10 +76,13 @@ func run(args []string, stdout io.Writer) error {
 
 // runGen fabricates a corpus.
 func runGen(format string, cfg trace.FabConfig, gz bool, out string, stdout io.Writer) error {
+	write, err := generator(format, cfg)
+	if err != nil {
+		return err
+	}
 	var w io.Writer = stdout
 	var f *os.File
 	if out != "" {
-		var err error
 		if f, err = os.Create(out); err != nil {
 			return err
 		}
@@ -85,16 +93,7 @@ func runGen(format string, cfg trace.FabConfig, gz bool, out string, stdout io.W
 		zw = gzip.NewWriter(w)
 		w = zw
 	}
-	var rows int
-	var err error
-	switch format {
-	case trace.FormatGoogleUsage:
-		rows, err = trace.WriteGoogleUsage(w, cfg)
-	case trace.FormatAzureVM:
-		rows, err = trace.WriteAzureVM(w, cfg)
-	default:
-		err = fmt.Errorf("unknown -gen format %q (%s or %s)", format, trace.FormatGoogleUsage, trace.FormatAzureVM)
-	}
+	rows, err := write(w)
 	if err == nil && zw != nil {
 		err = zw.Close()
 	}
@@ -110,6 +109,36 @@ func runGen(format string, cfg trace.FabConfig, gz bool, out string, stdout io.W
 		fmt.Printf("fabricated %d %s rows (%d VMs × %d steps) → %s\n", rows, format, cfg.VMs, cfg.Steps, out)
 	}
 	return nil
+}
+
+// stepsPerDay is one day of the 15-minute control grid.
+const stepsPerDay = 96
+
+// generator returns the writer of one -gen format and the number of rows
+// it writes, checking the request before any file is created. The
+// workload formats write one row per VM.
+func generator(format string, cfg trace.FabConfig) (func(io.Writer) (int, error), error) {
+	switch format {
+	case trace.FormatGoogleUsage:
+		return func(w io.Writer) (int, error) { return trace.WriteGoogleUsage(w, cfg) }, nil
+	case trace.FormatAzureVM:
+		return func(w io.Writer) (int, error) { return trace.WriteAzureVM(w, cfg) }, nil
+	case trace.FormatWorkloadCSV, trace.FormatWorkloadGob:
+		if cfg.Steps <= 0 || cfg.Steps%stepsPerDay != 0 {
+			return nil, fmt.Errorf("-gen %s needs -steps to be a positive multiple of %d (whole days), got %d", format, stepsPerDay, cfg.Steps)
+		}
+		tr, err := workload.Generate(workload.GenConfig{NumVMs: cfg.VMs, Days: cfg.Steps / stepsPerDay, StepsPerHour: 4, Seed: cfg.Seed})
+		if err != nil {
+			return nil, err
+		}
+		write := tr.WriteGob
+		if format == trace.FormatWorkloadCSV {
+			write = tr.WriteCSV
+		}
+		return func(w io.Writer) (int, error) { return tr.NumVMs(), write(w) }, nil
+	}
+	return nil, fmt.Errorf("unknown -gen format %q (%s, %s, %s or %s)", format,
+		trace.FormatGoogleUsage, trace.FormatAzureVM, trace.FormatWorkloadCSV, trace.FormatWorkloadGob)
 }
 
 // runBuild assembles the replayed trace and writes it plus provenance.

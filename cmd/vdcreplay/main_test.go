@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vdcpower/internal/workload"
 )
 
 func write(t *testing.T, path, content string) {
@@ -111,6 +114,44 @@ func TestRunErrors(t *testing.T) {
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Fatalf("%s: no error", name)
+		}
+	}
+}
+
+// The workload formats write workload.Generate's trace, one day per 96
+// steps, in the encoding its own writers produce.
+func TestGenWorkloadFormats(t *testing.T) {
+	dir := t.TempDir()
+	want, err := workload.Generate(workload.GenConfig{NumVMs: 7, Days: 2, StepsPerHour: 4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for format, encode := range map[string]func(io.Writer) error{
+		"workload-csv": want.WriteCSV,
+		"workload-gob": want.WriteGob,
+	} {
+		out := filepath.Join(dir, format)
+		if err := run([]string{"-gen", format, "-vms", "7", "-steps", "192", "-seed", "5", "-out", out}, &bytes.Buffer{}); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(read(t, out), buf.Bytes()) {
+			t.Fatalf("-gen %s differs from workload.Generate's own encoding", format)
+		}
+	}
+}
+
+func TestGenWorkloadRejectsPartialDays(t *testing.T) {
+	for _, steps := range []string{"0", "-96", "12", "100"} {
+		out := filepath.Join(t.TempDir(), "t.gob")
+		if err := run([]string{"-gen", "workload-gob", "-steps", steps, "-out", out}, &bytes.Buffer{}); err == nil {
+			t.Fatalf("-steps %s accepted", steps)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Fatalf("-steps %s left %s behind", steps, out)
 		}
 	}
 }

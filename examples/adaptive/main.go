@@ -11,14 +11,13 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"math/rand"
 
 	"vdcpower/internal/appsim"
 	"vdcpower/internal/core"
 	"vdcpower/internal/devs"
 	"vdcpower/internal/mat"
-	"vdcpower/internal/stats"
 	"vdcpower/internal/sysid"
+	"vdcpower/internal/units"
 )
 
 const (
@@ -42,22 +41,11 @@ func buildApp(sim *devs.Simulator) *appsim.App {
 }
 
 func identify(sim *devs.Simulator, app *appsim.App, seed int64) *sysid.Model {
-	rng := rand.New(rand.NewSource(seed))
-	sim.RunUntil(sim.Now() + 40)
-	app.DrainResponseTimes()
-	ds := &sysid.Dataset{}
-	for k := 0; k < 100; k++ {
-		c := mat.Vec{0.3 + 1.4*rng.Float64(), 0.3 + 1.4*rng.Float64()}
-		t90 := stats.Percentile(app.DrainResponseTimes(), 90)
-		if math.IsNaN(t90) {
-			t90 = 0
-		}
-		ds.Append(t90, c)
-		app.SetAllocation(0, c[0])
-		app.SetAllocation(1, c[1])
-		sim.RunUntil(sim.Now() + period)
-	}
-	model, err := sysid.Identify(ds, 1, 2, 2)
+	model, _, err := core.Identify(app, func(d units.Second) { sim.RunUntil(sim.Now() + d) }, core.Experiment{
+		Warmup: 40, Periods: 100, Period: period,
+		CMin: 0, CMax: 2, // each tier excited over [0.3, 1.7] GHz
+		Seed: seed,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -121,7 +109,11 @@ func main() {
 	fmt.Printf("%-22s mean |T90 - 1000ms| after change: %4.0f ms  (%d model refits)\n",
 		"adaptive model:      ", adaptiveErr*1000, refits)
 	fmt.Println()
-	fmt.Println("Feedback alone corrects steady-state offset, but the stale gains make")
-	fmt.Println("the static loop sluggish/noisy after the change; the adaptive controller")
-	fmt.Println("re-identifies the plant online and recovers crisper tracking.")
+	if adaptiveErr < staticErr {
+		fmt.Printf("The adaptive model tracked the set point %.0f ms closer: re-identifying\n", (staticErr-adaptiveErr)*1000)
+		fmt.Println("the plant online recovered what the stale gains lost.")
+	} else {
+		fmt.Printf("The static model tracked the set point %.0f ms closer: feedback alone\n", (adaptiveErr-staticErr)*1000)
+		fmt.Printf("corrected for the stale gains, and %d online refits did not help.\n", refits)
+	}
 }

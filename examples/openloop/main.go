@@ -9,15 +9,13 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
-	"math/rand"
 
 	"vdcpower/internal/appsim"
 	"vdcpower/internal/core"
 	"vdcpower/internal/devs"
 	"vdcpower/internal/mat"
 	"vdcpower/internal/stats"
-	"vdcpower/internal/sysid"
+	"vdcpower/internal/units"
 )
 
 const (
@@ -43,25 +41,15 @@ func main() {
 
 	// Identify under mid-range traffic.
 	fmt.Println("identifying under 15 req/s...")
-	sim.RunUntil(40)
-	app.DrainResponseTimes()
-	rng := rand.New(rand.NewSource(8))
-	ds := &sysid.Dataset{}
-	for k := 0; k < 120; k++ {
-		// Keep every tier clearly above the open-system stability
-		// threshold (rate x demand = 0.3/0.45 GHz): unlike the paper's
-		// closed clients, open queues diverge at full utilization.
-		c := mat.Vec{0.7 + 1.8*rng.Float64(), 0.7 + 1.8*rng.Float64()}
-		t90 := stats.Percentile(app.DrainResponseTimes(), 90)
-		if math.IsNaN(t90) {
-			t90 = 0
-		}
-		ds.Append(t90, c)
-		app.SetAllocation(0, c[0])
-		app.SetAllocation(1, c[1])
-		sim.RunUntil(sim.Now() + period)
-	}
-	model, err := sysid.Identify(ds, 1, 2, 2)
+	model, _, err := core.Identify(app, func(d units.Second) { sim.RunUntil(sim.Now() + d) }, core.Experiment{
+		Warmup: 40, Periods: 120, Period: period,
+		// Excite each tier over [0.7, 2.5] GHz, the middle 70% of the
+		// bounds, clearly above the open-system stability threshold
+		// (rate x demand = 0.3/0.45 GHz): unlike the paper's closed
+		// clients, open queues diverge at full utilization.
+		CMin: 0.314, CMax: 2.886,
+		Seed: 8,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

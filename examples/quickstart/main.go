@@ -12,15 +12,11 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
-	"math/rand"
 
 	"vdcpower/internal/appsim"
 	"vdcpower/internal/core"
 	"vdcpower/internal/devs"
-	"vdcpower/internal/mat"
-	"vdcpower/internal/stats"
-	"vdcpower/internal/sysid"
+	"vdcpower/internal/units"
 )
 
 func main() {
@@ -48,22 +44,11 @@ func main() {
 	// Step 1 — system identification: excite the CPU allocations and fit
 	// the ARX model of Eq. (1).
 	fmt.Println("identifying the response time model...")
-	sim.RunUntil(40)
-	app.DrainResponseTimes()
-	rng := rand.New(rand.NewSource(42))
-	ds := &sysid.Dataset{}
-	for k := 0; k < 120; k++ {
-		c := mat.Vec{0.3 + 1.6*rng.Float64(), 0.3 + 1.6*rng.Float64()}
-		t90 := stats.Percentile(app.DrainResponseTimes(), 90)
-		if math.IsNaN(t90) {
-			t90 = 0
-		}
-		ds.Append(t90, c)
-		app.SetAllocation(0, c[0])
-		app.SetAllocation(1, c[1])
-		sim.RunUntil(sim.Now() + period)
-	}
-	model, err := sysid.Identify(ds, 1, 2, 2)
+	model, _, err := core.Identify(app, func(d units.Second) { sim.RunUntil(sim.Now() + d) }, core.Experiment{
+		Warmup: 40, Periods: 120, Period: period,
+		CMin: 0, CMax: 2.2, // each tier excited over [0.33, 1.87] GHz
+		Seed: 42,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

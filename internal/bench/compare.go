@@ -36,7 +36,7 @@ const hotAllocFloor = 8
 // allocFloorFor picks the alloc-shift floor for a scenario.
 func allocFloorFor(name string) float64 {
 	switch name {
-	case "mpc/solve", "packing/minslack", "queueing/mva":
+	case "mpc/solve", "packing/minslack":
 		return hotAllocFloor
 	}
 	return allocFloor

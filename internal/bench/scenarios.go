@@ -18,13 +18,11 @@ import (
 	"vdcpower/internal/optimizer"
 	"vdcpower/internal/packing"
 	"vdcpower/internal/probe"
-	"vdcpower/internal/queueing"
 	"vdcpower/internal/stats"
 	"vdcpower/internal/sysid"
 	"vdcpower/internal/telemetry"
 	"vdcpower/internal/testbed"
 	"vdcpower/internal/trace"
-	"vdcpower/internal/units"
 )
 
 // Default builds the full scenario registry: the paper's figures
@@ -111,11 +109,6 @@ func Default() *Registry {
 		Name: "mpc/solve",
 		Doc:  "100 closed-loop MPC periods (Eq. 2 solve per period)",
 		Run:  runMPCSolve,
-	})
-	r.mustRegister(&Scenario{
-		Name: "queueing/mva",
-		Doc:  "exact MVA solves across a population sweep of a 3-tier network",
-		Run:  runQueueingMVA,
 	})
 	r.mustRegister(&Scenario{
 		Name: "packing/minslack",
@@ -444,27 +437,6 @@ func runMPCSolve(_ *Env) (Metrics, error) {
 		return nil, err
 	}
 	return Metrics{"solves": 100}, nil
-}
-
-func runQueueingMVA(_ *Env) (Metrics, error) {
-	// The paper's 3-tier shape: web, app, and db demands per visit plus
-	// client think time. Sweeping the population through one Solver and
-	// one Result exercises the O(n·k) recursion the //vdc:hotpath
-	// annotation on Solver.Solve declares, with steady-state buffer reuse.
-	net := &queueing.Network{
-		ThinkTime: 1.0,
-		Demands:   []units.Second{0.008, 0.025, 0.012},
-	}
-	var s queueing.Solver
-	var res queueing.Result
-	total := 0.0
-	for n := 1; n <= 200; n++ {
-		if err := s.Solve(net, n, &res); err != nil {
-			return nil, err
-		}
-		total += res.ResponseTime
-	}
-	return Metrics{"solves": 200, "sum-response-s": total}, nil
 }
 
 func runPackingMinSlack(e *Env) (Metrics, error) {

@@ -23,7 +23,6 @@ var wantMetrics = map[string][]string{
 	"ablation/migration-cost": {"energy-cost-pct", "migrations-avoided"},
 	"ablation/economic-mpc":   {"ghz-saved"},
 	"mpc/solve":               {"solves"},
-	"queueing/mva":            {"solves", "sum-response-s"},
 	"packing/minslack":        {"slack-gain-ghz"},
 	"packing/ffd":             {"bins-used", "unplaced"},
 	"lint/module":             {"packages"},

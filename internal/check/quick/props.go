@@ -63,9 +63,6 @@ func Properties() []Property {
 		{"packing/pool-reuse-exact", func(s int64) error {
 			return minSlackPoolReuseExact(packing.MinimumSlack, s)
 		}, 20},
-		{"queueing/solver-reuse-exact", func(s int64) error {
-			return mvaSolverReuseExact((*queueing.Solver).Solve, s)
-		}, 20},
 		{"obs/sketch-merge-commutative", func(s int64) error {
 			return sketchMergeCommutative(realSketchMerge, s)
 		}, 20},
@@ -523,53 +520,6 @@ func minSlackPoolReuseExact(fn minSlackFn, seed int64) error {
 	for i := range plain.Chosen {
 		if res.Chosen[i] != plain.Chosen[i] {
 			return fmt.Errorf("pooled item %d = %+v, plain %+v", i, res.Chosen[i], plain.Chosen[i])
-		}
-	}
-	return nil
-}
-
-// mvaSolverFn is the shape of the reusable MVA solve, injectable for
-// mutation tests.
-type mvaSolverFn func(s *queueing.Solver, net *queueing.Network, n int, res *queueing.Result) error
-
-// mvaSolverReuseExact: a Solver and Result dirtied by a larger network
-// reproduce package Solve bit for bit on the next network — buffer reuse
-// must never leak state between solves (ROADMAP item 2).
-func mvaSolverReuseExact(solve mvaSolverFn, seed int64) error {
-	r := NewRand(seed)
-	var s queueing.Solver
-	var res queueing.Result
-	big := Network(r)
-	for len(big.Demands) < 4 { // ensure the dirtying pass is the larger one
-		big.Demands = append(big.Demands, uniform(r, 0.005, 0.1))
-	}
-	if err := solve(&s, big, 1+r.Intn(40), &res); err != nil {
-		return err
-	}
-	net := Network(r)
-	n := r.Intn(40)
-	want, err := queueing.Solve(net, n)
-	if err != nil {
-		return err
-	}
-	if err := solve(&s, net, n, &res); err != nil {
-		return err
-	}
-	//lint:ignore floatcompare buffer reuse must be bitwise invisible
-	if res.Throughput != want.Throughput || res.ResponseTime != want.ResponseTime || res.N != want.N {
-		return fmt.Errorf("reused solver: X=%v R=%v N=%d, fresh X=%v R=%v N=%d",
-			res.Throughput, res.ResponseTime, res.N, want.Throughput, want.ResponseTime, want.N)
-	}
-	if len(res.StationResp) != len(want.StationResp) {
-		return fmt.Errorf("reused solver kept %d stations, fresh %d", len(res.StationResp), len(want.StationResp))
-	}
-	for i := range want.StationResp {
-		//lint:ignore floatcompare buffer reuse must be bitwise invisible
-		bad := res.StationResp[i] != want.StationResp[i] || res.QueueLen[i] != want.QueueLen[i] || res.Utilization[i] != want.Utilization[i]
-		if bad {
-			return fmt.Errorf("station %d: reused (%v,%v,%v), fresh (%v,%v,%v)", i,
-				res.StationResp[i], res.QueueLen[i], res.Utilization[i],
-				want.StationResp[i], want.QueueLen[i], want.Utilization[i])
 		}
 	}
 	return nil

@@ -224,24 +224,6 @@ func TestPoolReuseExactCatchesPoolPathDivergence(t *testing.T) {
 	})
 }
 
-func TestSolverReuseExactCatchesStateLeak(t *testing.T) {
-	// Broken solver: a residue of the previous call's answer bleeds into
-	// the next one, as an uncleared scratch buffer would.
-	prev := 0.0
-	broken := func(s *queueing.Solver, net *queueing.Network, n int, res *queueing.Result) error {
-		if err := s.Solve(net, n, res); err != nil {
-			return err
-		}
-		res.Throughput += 1e-6 * prev
-		prev = res.Throughput
-		return nil
-	}
-	expectCaught(t, "solver state leak", func(s int64) error {
-		prev = 0
-		return mvaSolverReuseExact(broken, s)
-	})
-}
-
 func TestMigrationConservationCatchesVMLoss(t *testing.T) {
 	// Broken walk: its fifth step decommissions a VM instead of migrating
 	// it, then keeps walking the survivors.

@@ -11,6 +11,7 @@ import (
 	"vdcpower/internal/power"
 	"vdcpower/internal/stats"
 	"vdcpower/internal/sysid"
+	"vdcpower/internal/units"
 )
 
 // fakeApp is a linear plant implementing ControlledApp: its "response
@@ -227,23 +228,11 @@ func TestControllerOnSimulatedApp(t *testing.T) {
 	app.Start()
 	const period = 4.0
 
-	// Identify a model by exciting the allocations, as in Section IV-B.
-	ds := &sysid.Dataset{}
-	rng := newLCG(7)
-	sim.RunUntil(20) // warm up
-	app.DrainResponseTimes()
-	for k := 0; k < 120; k++ {
-		c := mat.Vec{0.4 + 1.2*rng.next(), 0.4 + 1.2*rng.next()}
-		t90 := stats.Percentile(app.DrainResponseTimes(), 90)
-		if math.IsNaN(t90) {
-			t90 = 0
-		}
-		ds.Append(t90, c)
-		app.SetAllocation(0, c[0])
-		app.SetAllocation(1, c[1])
-		sim.RunUntil(sim.Now() + period)
-	}
-	model, err := sysid.Identify(ds, 1, 2, 2)
+	// Identify a model by exciting the allocations over [0.4, 1.6] GHz,
+	// the middle 70% of the bounds, as in Section IV-B.
+	model, _, err := Identify(app, func(d units.Second) { sim.RunUntil(sim.Now() + d) }, Experiment{
+		Warmup: 20, Periods: 120, Period: period, CMin: 0.143, CMax: 1.857, Seed: 7,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,16 +257,6 @@ func TestControllerOnSimulatedApp(t *testing.T) {
 	if math.Abs(mean-1.0) > 0.35 {
 		t.Fatalf("closed loop settled at %v, want ≈1.0s", mean)
 	}
-}
-
-// newLCG gives the identification loop a tiny deterministic generator
-// without importing math/rand in two places.
-type lcg struct{ s uint64 }
-
-func newLCG(seed uint64) *lcg { return &lcg{s: seed} }
-func (l *lcg) next() float64 {
-	l.s = l.s*6364136223846793005 + 1442695040888963407
-	return float64(l.s>>11) / float64(1<<53)
 }
 
 func TestArbitratorSelectsFrequencyAndGrants(t *testing.T) {

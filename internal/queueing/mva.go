@@ -56,47 +56,21 @@ type Result struct {
 }
 
 // Solve runs exact MVA for population n. Complexity O(n · stations).
-// It is the allocating convenience form of Solver.Solve.
 func Solve(net *Network, n int) (Result, error) {
-	var s Solver
-	var res Result
-	if err := s.Solve(net, n, &res); err != nil {
+	if err := net.Validate(); err != nil {
 		return Result{}, err
 	}
-	return res, nil
-}
-
-// Solver runs exact MVA through reusable scratch: a zero Solver is ready
-// to use, and repeated Solve calls through the same Solver (and the same
-// Result) allocate nothing once the buffers reach the largest station
-// count seen (ROADMAP item 2). A Solver serves one call at a time.
-type Solver struct {
-	q []float64 // queue lengths at population m-1
-}
-
-// Solve runs exact MVA for population n into res, resizing res's slices
-// only when the station count outgrows their capacity.
-//
-//vdc:hotpath queueing/mva
-func (s *Solver) Solve(net *Network, n int, res *Result) error {
-	if err := net.Validate(); err != nil {
-		return err
-	}
 	if n < 0 {
-		return errors.New("queueing: negative population")
+		return Result{}, errors.New("queueing: negative population")
 	}
 	k := len(net.Demands)
-	if cap(s.q) < k {
-		s.q = make([]float64, k)
+	res := Result{
+		N:           n,
+		StationResp: make([]units.Second, k),
+		QueueLen:    make([]float64, k),
+		Utilization: make([]units.Fraction, k),
 	}
-	q := s.q[:k]
-	clear(q)
-	res.N = n
-	res.Throughput = 0
-	res.ResponseTime = 0
-	res.StationResp = growSeconds(res.StationResp, k)
-	res.QueueLen = growFloats(res.QueueLen, k)
-	res.Utilization = growFractions(res.Utilization, k)
+	q := res.QueueLen // queue lengths at population m-1, and finally at n
 	for m := 1; m <= n; m++ {
 		total := net.ThinkTime
 		for i := 0; i < k; i++ {
@@ -113,41 +87,9 @@ func (s *Solver) Solve(net *Network, n int, res *Result) error {
 	}
 	for i := 0; i < k; i++ {
 		res.ResponseTime += res.StationResp[i]
-		res.QueueLen[i] = q[i]
 		res.Utilization[i] = res.Throughput * net.Demands[i]
 	}
-	return nil
-}
-
-// growSeconds returns buf with length n and zeroed contents, reusing its
-// backing array when the capacity suffices.
-func growSeconds(buf []units.Second, n int) []units.Second {
-	if cap(buf) < n {
-		buf = make([]units.Second, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}
-
-// growFloats is growSeconds for plain float64 slices.
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		buf = make([]float64, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}
-
-// growFractions is growSeconds for utilization slices.
-func growFractions(buf []units.Fraction, n int) []units.Fraction {
-	if cap(buf) < n {
-		buf = make([]units.Fraction, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
+	return res, nil
 }
 
 // BottleneckBounds returns the asymptotic bounds of the network: the

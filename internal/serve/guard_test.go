@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -211,4 +212,51 @@ func TestSetpointStormCompletesBounded(t *testing.T) {
 	if g := s.obs.Report().Guard; g.BudgetTrips != 0 {
 		t.Fatalf("healthy storm tripped %d budgets", g.BudgetTrips)
 	}
+}
+
+// A Stop/Start restart must leave the breaker's published state in
+// agreement: /health, the metrics gauges and the scorecard report the
+// same breaker, before the restart, after it, and after a further failed
+// step. The open breaker keeps cooling down across the restart.
+func TestRestartKeepsBreakerStateConsistent(t *testing.T) {
+	s := testServer(t)
+	captureLog(t)
+	h := s.Handler()
+	agree := func(when string) {
+		t.Helper()
+		doc, _ := healthDoc(t, s)
+		gauges := map[string]string{}
+		for _, line := range strings.Split(get(t, h, "/metrics").Body.String(), "\n") {
+			if f := strings.Fields(line); len(f) == 2 {
+				gauges[f[0]] = f[1]
+			}
+		}
+		var sc ScorecardDoc
+		if err := json.Unmarshal(get(t, h, "/scorecard").Body.Bytes(), &sc); err != nil {
+			t.Fatal(err)
+		}
+		wantGauge, wantState := "0", "closed"
+		if doc.BreakerOpen {
+			wantGauge, wantState = "1", "open"
+		}
+		if gauges["vdcpower_breaker_state"] != wantGauge || sc.Breaker.State != wantState {
+			t.Fatalf("%s: /health breaker_open=%v, gauge %s, scorecard %q", when,
+				doc.BreakerOpen, gauges["vdcpower_breaker_state"], sc.Breaker.State)
+		}
+		if cd := gauges["vdcpower_breaker_cooldown_ticks"]; cd != strconv.Itoa(sc.Breaker.CooldownTicks) {
+			t.Fatalf("%s: cooldown gauge %s, scorecard %d", when, cd, sc.Breaker.CooldownTicks)
+		}
+	}
+	for i := 0; i < defaultBreakerThreshold; i++ {
+		s.recordStep(&brokenStep{})
+	}
+	agree("after opening")
+	s.Start(time.Hour)
+	s.Stop()
+	agree("after a restart")
+	if doc, code := healthDoc(t, s); code != http.StatusServiceUnavailable || !doc.BreakerOpen {
+		t.Fatalf("restart closed the open breaker: /health %d %+v", code, doc)
+	}
+	s.recordStep(&brokenStep{})
+	agree("after a further failed step")
 }

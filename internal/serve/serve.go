@@ -290,7 +290,9 @@ func (s *Server) Step() error {
 // breakerThreshold consecutive failures the circuit breaker opens — steps
 // are skipped for breakerCooldown ticks to let a wedged dependency
 // recover — then a single probe step half-opens it; success closes the
-// breaker and clears the error, failure re-arms the cooldown.
+// breaker and clears the error, failure re-arms the cooldown. Degraded
+// state survives a Stop/Start restart: an open breaker keeps cooling
+// down, and only a successful step clears it.
 func (s *Server) Start(interval time.Duration) {
 	s.mu.Lock()
 	if s.stop != nil {
@@ -298,11 +300,6 @@ func (s *Server) Start(interval time.Duration) {
 		return
 	}
 	s.stop = make(chan struct{})
-	s.lastErr = nil
-	s.consecFails = 0
-	s.breakerOpen = false
-	s.quar.RecordRecovery()
-	s.refreshLive()
 	stop := s.stop
 	s.mu.Unlock()
 	s.wg.Add(1)
@@ -530,18 +527,17 @@ func (s *Server) handleCordon(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, srv := range s.tb.DC.Servers {
-		if srv.ID == id {
-			if state == "on" {
-				srv.Cordon()
-			} else {
-				srv.Uncordon()
-			}
-			writeJSON(w, map[string]any{"server": id, "cordoned": srv.Cordoned()})
-			return
-		}
+	srv := s.tb.DC.Server(id)
+	if srv == nil {
+		http.Error(w, "unknown server", http.StatusBadRequest)
+		return
 	}
-	http.Error(w, "unknown server", http.StatusBadRequest)
+	if state == "on" {
+		srv.Cordon()
+	} else {
+		srv.Uncordon()
+	}
+	writeJSON(w, map[string]any{"server": id, "cordoned": srv.Cordoned()})
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {

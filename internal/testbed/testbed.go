@@ -10,8 +10,6 @@ package testbed
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 
 	"vdcpower/internal/appsim"
 	"vdcpower/internal/check"
@@ -20,14 +18,13 @@ import (
 	"vdcpower/internal/devs"
 	"vdcpower/internal/fault"
 	"vdcpower/internal/guard"
-	"vdcpower/internal/mat"
 	"vdcpower/internal/mpc"
 	"vdcpower/internal/optimizer"
 	"vdcpower/internal/power"
 	"vdcpower/internal/probe"
-	"vdcpower/internal/stats"
 	"vdcpower/internal/sysid"
 	"vdcpower/internal/telemetry"
+	"vdcpower/internal/units"
 )
 
 // Config sizes the testbed. The zero value is not valid; use
@@ -118,6 +115,32 @@ type Testbed struct {
 // application, fits the shared ARX(1,2) model, and attaches a response
 // time controller to every application.
 func New(cfg Config) (*Testbed, error) {
+	tb, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := tb.identify(); err != nil {
+		return nil, err
+	}
+	for _, app := range tb.Apps {
+		ctlCfg := core.DefaultControllerConfig(tb.Model, cfg.Setpoint)
+		ctlCfg.SensorID = app.Name // scope fault-plane sensor decisions per app
+		for i := range ctlCfg.CMin {
+			ctlCfg.CMin[i] = cfg.CMin
+			ctlCfg.CMax[i] = cfg.CMax
+		}
+		ctl, err := core.NewResponseTimeController(app, ctlCfg)
+		if err != nil {
+			return nil, err
+		}
+		tb.Controllers = append(tb.Controllers, ctl)
+	}
+	return tb, nil
+}
+
+// build assembles the data center and places and starts every
+// application, leaving identification and control to New.
+func build(cfg Config) (*Testbed, error) {
 	if cfg.NumServers < 1 || cfg.NumApps < 1 {
 		return nil, fmt.Errorf("testbed: need at least one server and app, got %d/%d", cfg.NumServers, cfg.NumApps)
 	}
@@ -171,74 +194,35 @@ func New(cfg Config) (*Testbed, error) {
 		tb.vms = append(tb.vms, tiers)
 		app.Start()
 	}
-
-	if err := tb.identify(); err != nil {
-		return nil, err
-	}
-
-	for _, app := range tb.Apps {
-		ctlCfg := core.DefaultControllerConfig(tb.Model, cfg.Setpoint)
-		ctlCfg.SensorID = app.Name // scope fault-plane sensor decisions per app
-		for i := range ctlCfg.CMin {
-			ctlCfg.CMin[i] = cfg.CMin
-			ctlCfg.CMax[i] = cfg.CMax
-		}
-		ctl, err := core.NewResponseTimeController(app, ctlCfg)
-		if err != nil {
-			return nil, err
-		}
-		tb.Controllers = append(tb.Controllers, ctl)
-	}
 	return tb, nil
 }
 
 // identify runs the Section IV-B identification experiment on App1 and
-// fits the shared model.
+// keeps the fitted model, which every application shares. It then
+// restores every application's initial allocations and empties its
+// response window before control starts.
 func (tb *Testbed) identify() error {
-	cfg := tb.Cfg
-	app := tb.Apps[0]
-	rng := rand.New(rand.NewSource(cfg.Seed + 10007))
-	tb.Sim.RunUntil(tb.Sim.Now() + cfg.IdentWarmupSec)
-	app.DrainResponseTimes()
-	nTiers := app.NumTiers()
-	ds := &sysid.Dataset{}
-	for k := 0; k < cfg.IdentPeriods; k++ {
-		c := make(mat.Vec, nTiers)
-		for j := range c {
-			c[j] = cfg.CMin + (cfg.CMax-cfg.CMin)*(0.15+0.7*rng.Float64())
-		}
-		t90 := stats.Percentile(app.DrainResponseTimes(), 90)
-		if math.IsNaN(t90) {
-			t90 = 0
-		}
-		ds.Append(t90, c)
-		for j := range c {
-			app.SetAllocation(j, c[j])
-		}
-		tb.Sim.RunUntil(tb.Sim.Now() + cfg.Period)
-	}
-	model, err := sysid.Identify(ds, 1, 2, nTiers)
+	initial := tb.Apps[0].Allocations() // every application starts alike
+	var err error
+	tb.Model, tb.Fit, err = core.Identify(tb.Apps[0], func(d units.Second) { tb.Sim.RunUntil(tb.Sim.Now() + d) }, tb.Cfg.experiment())
 	if err != nil {
-		return fmt.Errorf("testbed: identification failed: %w", err)
-	}
-	fit, err := sysid.Evaluate(model, ds)
-	if err != nil {
-		return fmt.Errorf("testbed: model evaluation failed: %w", err)
-	}
-	tb.Model = model
-	tb.Fit = fit
-	// Restore a neutral operating point before control starts.
-	tiers := cfg.Tiers
-	if len(tiers) == 0 {
-		tiers = appTiers()
+		return fmt.Errorf("testbed: %w", err)
 	}
 	for _, a := range tb.Apps {
-		for j := range tiers {
-			a.SetAllocation(j, tiers[j].InitialAllocation)
+		for j, c := range initial {
+			a.SetAllocation(j, c)
 		}
 		a.DrainResponseTimes()
 	}
 	return nil
+}
+
+// experiment is the identification experiment New runs on App1.
+func (cfg Config) experiment() core.Experiment {
+	return core.Experiment{
+		Warmup: cfg.IdentWarmupSec, Periods: cfg.IdentPeriods, Period: cfg.Period,
+		CMin: cfg.CMin, CMax: cfg.CMax, Seed: cfg.Seed + 10007,
+	}
 }
 
 // AttachOptimizer enables the data-center level of Figure 1 during Run:
