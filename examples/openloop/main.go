@@ -36,7 +36,7 @@ func main() {
 		ThinkTime:   1.0,
 		Seed:        2,
 	})
-	src := appsim.NewOpenWorkload(sim, app, 15, 3)
+	src := appsim.NewOpenWorkload(app, 15, 3)
 	src.Start()
 
 	// Identify under mid-range traffic.

@@ -1,10 +1,6 @@
 package appsim
 
-import (
-	"math/rand"
-
-	"vdcpower/internal/devs"
-)
+import "math/rand"
 
 // OpenWorkload drives an App with Poisson arrivals at a configurable
 // rate instead of a closed client population — the traffic model of a
@@ -14,23 +10,22 @@ import (
 // validated against M/G/1-PS theory in the tests.
 type OpenWorkload struct {
 	app      *App
-	sim      *devs.Simulator
 	rng      *rand.Rand
 	rate     float64
 	on       bool
 	arriveFn func() // o.arrive, bound once
 }
 
-// NewOpenWorkload attaches a Poisson source to the app. The app should
-// be constructed with Concurrency 0 so no closed clients compete.
-func NewOpenWorkload(sim *devs.Simulator, app *App, ratePerSec float64, seed int64) *OpenWorkload {
+// NewOpenWorkload attaches a Poisson source to the app. Arrivals are
+// queued on the app's own simulator, with its tiers. The app should be
+// constructed with Concurrency 0 so no closed clients compete.
+func NewOpenWorkload(app *App, ratePerSec float64, seed int64) *OpenWorkload {
 	if ratePerSec <= 0 {
 		//lint:ignore panicpolicy precondition: a nonpositive arrival rate is a programming error
 		panic("appsim: arrival rate must be positive")
 	}
 	o := &OpenWorkload{
 		app:  app,
-		sim:  sim,
 		rng:  rand.New(rand.NewSource(seed)),
 		rate: ratePerSec,
 	}
@@ -67,7 +62,7 @@ func (o *OpenWorkload) scheduleNext() {
 	if !o.on {
 		return
 	}
-	o.sim.After(o.rng.ExpFloat64()/o.rate, o.arriveFn)
+	o.app.sim.After(o.rng.ExpFloat64()/o.rate, o.arriveFn)
 }
 
 // arrive injects one request and draws the next arrival.

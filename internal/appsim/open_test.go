@@ -2,6 +2,7 @@ package appsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vdcpower/internal/devs"
@@ -24,7 +25,7 @@ func TestOpenWorkloadGeneratesTraffic(t *testing.T) {
 	sim := devs.NewSimulator()
 	app := openApp(sim, 1.0, 1)
 	app.Start()
-	src := NewOpenWorkload(sim, app, 20, 2)
+	src := NewOpenWorkload(app, 20, 2)
 	src.Start()
 	src.Start() // idempotent
 	sim.RunUntil(100)
@@ -37,7 +38,7 @@ func TestOpenWorkloadGeneratesTraffic(t *testing.T) {
 func TestOpenWorkloadStop(t *testing.T) {
 	sim := devs.NewSimulator()
 	app := openApp(sim, 1.0, 3)
-	src := NewOpenWorkload(sim, app, 50, 4)
+	src := NewOpenWorkload(app, 50, 4)
 	src.Start()
 	sim.RunUntil(20)
 	src.Stop()
@@ -54,7 +55,7 @@ func TestOpenWorkloadStop(t *testing.T) {
 func TestOpenWorkloadSetRate(t *testing.T) {
 	sim := devs.NewSimulator()
 	app := openApp(sim, 2.0, 5)
-	src := NewOpenWorkload(sim, app, 5, 6)
+	src := NewOpenWorkload(app, 5, 6)
 	src.Start()
 	sim.RunUntil(100)
 	low := app.Completed()
@@ -73,9 +74,9 @@ func TestOpenWorkloadValidation(t *testing.T) {
 	sim := devs.NewSimulator()
 	app := openApp(sim, 1.0, 7)
 	for _, f := range []func(){
-		func() { NewOpenWorkload(sim, app, 0, 1) },
-		func() { NewOpenWorkload(sim, app, -3, 1) },
-		func() { NewOpenWorkload(sim, app, 1, 1).SetRate(0) },
+		func() { NewOpenWorkload(app, 0, 1) },
+		func() { NewOpenWorkload(app, -3, 1) },
+		func() { NewOpenWorkload(app, 1, 1).SetRate(0) },
 	} {
 		func() {
 			defer func() {
@@ -141,7 +142,7 @@ func TestOpenWorkloadMatchesMG1PS(t *testing.T) {
 			ThinkTime:   1.0,
 			Seed:        11,
 		})
-		src := NewOpenWorkload(sim, app, lambda, 13)
+		src := NewOpenWorkload(app, lambda, 13)
 		src.Start()
 		sim.RunUntil(500) // warm up
 		app.DrainResponseTimes()
@@ -152,5 +153,39 @@ func TestOpenWorkloadMatchesMG1PS(t *testing.T) {
 		if math.Abs(mean-want)/want > 0.08 {
 			t.Fatalf("cv=%v: mean sojourn %v, M/G/1-PS predicts %v", cv, mean, want)
 		}
+	}
+}
+
+// An open workload on an application in a domain, drained through the
+// parent, queues its arrivals with the application's tiers: it gives
+// the same response times as on a standalone simulator, alongside a
+// closed application in a sibling domain.
+func TestOpenWorkloadInDomainMatchesStandalone(t *testing.T) {
+	run := func(sim, drain *devs.Simulator) []float64 {
+		app := openApp(sim, 1.0, 21)
+		NewOpenWorkload(app, 30, 22).Start()
+		var rts []float64
+		for k := 1; k <= 50; k++ {
+			drain.RunUntil(float64(k) * 4)
+			rts = append(rts, app.DrainResponseTimes()...)
+		}
+		return rts
+	}
+	standalone := devs.NewSimulator()
+	want := run(standalone, standalone)
+	parent := devs.NewSimulator()
+	sibling := New(parent.NewDomain(), Config{
+		Name:        "closed",
+		Tiers:       []TierConfig{{DemandMean: 0.03, DemandCV: 1, InitialAllocation: 1}},
+		Concurrency: 20,
+		Seed:        23,
+	})
+	sibling.Start()
+	got := run(parent.NewDomain(), parent)
+	if len(want) < 5000 || !slices.Equal(got, want) {
+		t.Fatalf("in a domain: %d response times, standalone %d; equal %v", len(got), len(want), slices.Equal(got, want))
+	}
+	if sibling.Completed() == 0 {
+		t.Fatal("the sibling domain never ran")
 	}
 }

@@ -78,6 +78,7 @@ func Properties() []Property {
 		{"trace/replay-conserves-mass", func(s int64) error {
 			return replayConservesMass(trace.Replay, s)
 		}, 10},
+		{"appsim/matches-mva", simulatorMatchesMVA, 10},
 	}
 }
 

@@ -85,34 +85,57 @@ func (e *BudgetError) Error() string {
 // Unwrap makes errors.Is(err, ErrBudgetExceeded) work.
 func (e *BudgetError) Unwrap() error { return ErrBudgetExceeded }
 
-// budgetError builds the trip diagnosis. Cold path: it only runs when a
-// drain is being aborted, so its allocations never tax a healthy drain.
-// The sample is the earliest pending work in firing order, across both
-// queues; one-shot events carry no label.
-func (s *Simulator) budgetError(reason string, st DrainStats) error {
+// budgetError builds the trip diagnosis of a drain of the queues of sims,
+// stopped at virtual time at. Cold path: it only runs when a drain is
+// being aborted, so its allocations never tax a healthy drain. The sample
+// is the earliest pending work across both queues of every simulator,
+// ordered by time, then position in sims, then sequence: within one
+// simulator that is firing order. One-shot events carry no label.
+func budgetError(reason string, at float64, st DrainStats, sims []*Simulator) error {
 	be := &BudgetError{
 		Reason:   reason,
-		At:       s.now,
+		At:       at,
 		Events:   st.Events,
 		SameTime: st.SameTime,
-		Pending:  s.Pending(),
+	}
+	for _, q := range sims {
+		be.Pending += len(q.events) + len(q.timers)
 	}
 	type pending struct {
 		key
-		label string
+		domain int
+		label  string
 	}
-	all := make([]pending, 0, s.Pending())
-	for _, e := range s.events {
-		all = append(all, pending{key: e.key})
+	all := make([]pending, 0, be.Pending)
+	for i, q := range sims {
+		for _, e := range q.events {
+			all = append(all, pending{key: e.key, domain: i})
+		}
+		for _, a := range q.timers {
+			all = append(all, pending{key: a.key, domain: i, label: a.t.label})
+		}
 	}
-	for _, a := range s.timers {
-		all = append(all, pending{key: a.key, label: a.t.label})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].before(all[j].key) })
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if a.domain != b.domain && !(a.at < b.at) && !(b.at < a.at) {
+			return a.domain < b.domain
+		}
+		return a.before(b.key)
+	})
 	for _, p := range all[:min(sampleSize, len(all))] {
 		be.Sample = append(be.Sample, PendingEvent{Time: p.at, Label: p.label})
 	}
 	return be
+}
+
+// tree appends s and then each domain's tree, in creation order: the
+// domain order, with s as domain zero.
+func (s *Simulator) tree(dst []*Simulator) []*Simulator {
+	dst = append(dst, s)
+	for _, d := range s.domains {
+		dst = d.tree(dst)
+	}
+	return dst
 }
 
 // RunUntilBudget fires everything pending with Time <= t, subject to the
@@ -120,7 +143,39 @@ func (s *Simulator) budgetError(reason string, st DrainStats) error {
 // stops mid-drain — the clock rests at the last fired event — and returns
 // the stats so far plus a *BudgetError. With a zero Budget it behaves
 // exactly like RunUntil and never returns an error.
+//
+// A simulator with domains drains its own work first, as domain zero,
+// and then every domain in creation order. Each domain drains exactly as
+// a standalone simulator would under b, with its own MaxEvents cap,
+// same-instant run and Interrupt poll, and every domain is drained even
+// after an earlier one trips. The stats fold: Events is the sum over
+// domains and SameTime the maximum. The error is the first tripped
+// domain's, describing that domain. If no domain tripped but together
+// they fired more than MaxEvents, the drain trips with ReasonMaxEvents,
+// describing s and every domain. Afterwards the clock rests at the
+// earliest domain clock, which is t unless a domain tripped.
 func (s *Simulator) RunUntilBudget(t float64, b Budget) (DrainStats, error) {
+	st, err := s.drain(t, b)
+	if len(s.domains) == 0 {
+		return st, err
+	}
+	for _, d := range s.domains {
+		ds, derr := d.RunUntilBudget(t, b)
+		st.Events += ds.Events
+		st.SameTime = max(st.SameTime, ds.SameTime)
+		if err == nil {
+			err = derr
+		}
+		s.now = min(s.now, d.now)
+	}
+	if err == nil && b.MaxEvents > 0 && st.Events > b.MaxEvents {
+		err = budgetError(ReasonMaxEvents, s.now, st, s.tree(nil))
+	}
+	return st, err
+}
+
+// drain is RunUntilBudget over s's own queues, ignoring its domains.
+func (s *Simulator) drain(t float64, b Budget) (DrainStats, error) {
 	var st DrainStats
 	var runTime float64 // instant of the current same-time run
 	run := 0            // events fired at runTime so far
@@ -143,14 +198,14 @@ func (s *Simulator) RunUntilBudget(t float64, b Budget) (DrainStats, error) {
 		at, ok = s.peek()
 		more := ok && at <= t
 		if b.MaxEvents > 0 && st.Events >= b.MaxEvents && more {
-			return st, s.budgetError(ReasonMaxEvents, st)
+			return st, budgetError(ReasonMaxEvents, s.now, st, []*Simulator{s})
 		}
 		//lint:ignore floatcompare the same-time bound trips only if the next event shares this exact instant
 		if b.MaxSameTimeEvents > 0 && run >= b.MaxSameTimeEvents && more && at == runTime {
-			return st, s.budgetError(ReasonSameTime, st)
+			return st, budgetError(ReasonSameTime, s.now, st, []*Simulator{s})
 		}
 		if b.Interrupt != nil && st.Events%interruptEvery == 0 && b.Interrupt() {
-			return st, s.budgetError(ReasonInterrupt, st)
+			return st, budgetError(ReasonInterrupt, s.now, st, []*Simulator{s})
 		}
 	}
 	if t > s.now {

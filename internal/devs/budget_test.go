@@ -408,3 +408,43 @@ func TestRunUntilBudgetDrainZeroAlloc(t *testing.T) {
 		t.Fatalf("budgeted drain of 256 events allocated %d times, want 0", d)
 	}
 }
+
+// A warmed budgeted drain of a parent with domains allocates nothing:
+// the fold walks the domains in place and only a trip builds an error.
+func TestRunUntilBudgetDomainsDrainZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation gate not meaningful under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	parent := NewSimulator()
+	domains := []*Simulator{parent, parent.NewDomain(), parent.NewDomain(), parent.NewDomain()}
+	at := 0.0
+	fn := func() {}
+	budget := Budget{MaxEvents: 1 << 30, MaxSameTimeEvents: 1 << 30, Interrupt: func() bool { return false }}
+	fill := func() {
+		for i := 0; i < 64; i++ {
+			at++
+			for _, d := range domains {
+				d.Schedule(at, fn)
+			}
+		}
+	}
+	for r := 0; r < 3; r++ {
+		fill()
+		if _, err := parent.RunUntilBudget(at, budget); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	st, err := parent.RunUntilBudget(at, budget)
+	runtime.ReadMemStats(&after)
+	if err != nil || st.Events != 4*64 {
+		t.Fatalf("drain: %+v, %v", st, err)
+	}
+	if d := after.Mallocs - before.Mallocs; d != 0 {
+		t.Fatalf("budgeted drain over 4 domains allocated %d times, want 0", d)
+	}
+}

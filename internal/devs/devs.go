@@ -12,6 +12,15 @@
 // events at equal timestamps fire in scheduling order and a simulation
 // driven by seeded randomness is fully reproducible.
 //
+// Domains: NewDomain gives a simulator a child with its own clock,
+// sequence counter and heaps, and the parent's RunUntilBudget drains
+// every domain to the same horizon, in creation order. Work that touches
+// nothing outside its domain during a drain, such as one application of
+// the simulated testbed between control periods, fires in the same order
+// as on one shared simulator: within a domain both counters are drawn in
+// the same scheduling order. Each drain only pays for the heaps of its
+// own domain.
+//
 // Allocation: one-shot events are plain (time, seq, fn) entries of a
 // binary heap, and armed timers sit in a second, indexed binary heap, so
 // once both heaps have reached their high-water mark, scheduling,
@@ -27,9 +36,9 @@ type key struct {
 	seq uint64
 }
 
-// before orders keys by (time, seq). seq is unique across both queues,
-// so this is a strict total order on any non-NaN times, and any correct
-// pair of heaps over it fires work in exactly one sequence.
+// before orders keys by (time, seq). seq is unique across a simulator's
+// two queues, so this is a strict total order on any non-NaN times, and
+// any correct pair of heaps over it fires work in exactly one sequence.
 func (a key) before(b key) bool {
 	//lint:ignore floatcompare exact tie-break in event ordering; an epsilon would reorder events
 	if a.at != b.at {
@@ -104,22 +113,44 @@ func (t *Timer) Stop() {
 }
 
 // Simulator owns a virtual clock and the pending work: a heap of one-shot
-// events and a heap of armed timers. The zero value is ready to use.
+// events and a heap of armed timers, plus any child domains. The zero
+// value is ready to use.
 type Simulator struct {
-	now    float64
-	seq    uint64
-	events []event // min-heap on key
-	timers []armed // min-heap on key; each timer's pos tracks its entry
+	now     float64
+	seq     uint64
+	events  []event      // min-heap on key
+	timers  []armed      // min-heap on key; each timer's pos tracks its entry
+	domains []*Simulator // children, in creation order; s itself is domain zero
 }
 
 // NewSimulator returns a simulator with the clock at zero.
 func NewSimulator() *Simulator { return &Simulator{} }
 
-// Now returns the current virtual time in seconds.
+// NewDomain returns a child simulator with its own clock, starting at
+// s's, and its own sequence counter and heaps. Its work fires when s
+// drains or steps, or when it is drained itself. Work queued in a domain
+// must touch nothing outside it during a drain of s: the domains of one
+// drain run one after another, each to the drain's horizon.
+func (s *Simulator) NewDomain() *Simulator {
+	d := &Simulator{now: s.now}
+	s.domains = append(s.domains, d)
+	return d
+}
+
+// Now returns the current virtual time in seconds. A simulator with
+// domains reads the earliest of its own and its domains' clocks after a
+// drain or a Step.
 func (s *Simulator) Now() float64 { return s.now }
 
-// Pending returns the number of queued events plus armed timers.
-func (s *Simulator) Pending() int { return len(s.events) + len(s.timers) }
+// Pending returns the number of queued events plus armed timers, in s
+// and every domain.
+func (s *Simulator) Pending() int {
+	n := len(s.events) + len(s.timers)
+	for _, d := range s.domains {
+		n += d.Pending()
+	}
+	return n
+}
 
 // nextKey validates at and draws the next sequence number. Queueing in
 // the past or at NaN panics: either would silently reorder causality.
@@ -156,14 +187,40 @@ func (s *Simulator) After(d float64, fn func()) {
 	s.Schedule(s.now+d, fn)
 }
 
-// Step fires the earliest pending event or timer, advancing the clock to
-// its time. It returns false if nothing is pending.
+// Step fires the earliest pending event or timer across s and its
+// domains, ties going to the first in domain order, and advances every
+// clock that is behind to its time. It returns false if nothing is
+// pending.
 func (s *Simulator) Step() bool {
-	if s.Pending() == 0 {
+	q, at, ok := s.next()
+	if !ok {
 		return false
 	}
-	s.fire()
+	s.advance(at)
+	q.fire()
 	return true
+}
+
+// next returns the simulator holding the earliest pending work among s
+// and its domains, and its time; ok is false when nothing is pending.
+func (s *Simulator) next() (q *Simulator, at float64, ok bool) {
+	q = s
+	at, ok = s.peek()
+	for _, d := range s.domains {
+		if dq, dat, dok := d.next(); dok && (!ok || dat < at) {
+			q, at, ok = dq, dat, true
+		}
+	}
+	return q, at, ok
+}
+
+// advance moves every clock of s and its domains that is behind at up to
+// at.
+func (s *Simulator) advance(at float64) {
+	s.now = max(s.now, at)
+	for _, d := range s.domains {
+		d.advance(at)
+	}
 }
 
 // RunUntil fires everything pending with Time <= t and then advances the
@@ -173,7 +230,7 @@ func (s *Simulator) RunUntil(t float64) {
 	_, _ = s.RunUntilBudget(t, Budget{})
 }
 
-// Run drains the queues completely.
+// Run drains the queues completely, across every domain.
 func (s *Simulator) Run() {
 	for s.Step() {
 	}

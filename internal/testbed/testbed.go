@@ -119,27 +119,39 @@ func New(cfg Config) (*Testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := tb.identify(); err != nil {
+	if err := tb.control(); err != nil {
 		return nil, err
-	}
-	for _, app := range tb.Apps {
-		ctlCfg := core.DefaultControllerConfig(tb.Model, cfg.Setpoint)
-		ctlCfg.SensorID = app.Name // scope fault-plane sensor decisions per app
-		for i := range ctlCfg.CMin {
-			ctlCfg.CMin[i] = cfg.CMin
-			ctlCfg.CMax[i] = cfg.CMax
-		}
-		ctl, err := core.NewResponseTimeController(app, ctlCfg)
-		if err != nil {
-			return nil, err
-		}
-		tb.Controllers = append(tb.Controllers, ctl)
 	}
 	return tb, nil
 }
 
+// control runs the identification experiment and attaches a response
+// time controller to every application.
+func (tb *Testbed) control() error {
+	if err := tb.identify(); err != nil {
+		return err
+	}
+	for _, app := range tb.Apps {
+		ctlCfg := core.DefaultControllerConfig(tb.Model, tb.Cfg.Setpoint)
+		ctlCfg.SensorID = app.Name // scope fault-plane sensor decisions per app
+		for i := range ctlCfg.CMin {
+			ctlCfg.CMin[i] = tb.Cfg.CMin
+			ctlCfg.CMax[i] = tb.Cfg.CMax
+		}
+		ctl, err := core.NewResponseTimeController(app, ctlCfg)
+		if err != nil {
+			return err
+		}
+		tb.Controllers = append(tb.Controllers, ctl)
+	}
+	return nil
+}
+
 // build assembles the data center and places and starts every
-// application, leaving identification and control to New.
+// application, leaving identification and control to New. Each
+// application runs in its own event domain of tb.Sim: applications touch
+// one another only between control periods, so each drains alone, and
+// fires its events in the order one shared queue would.
 func build(cfg Config) (*Testbed, error) {
 	if cfg.NumServers < 1 || cfg.NumApps < 1 {
 		return nil, fmt.Errorf("testbed: need at least one server and app, got %d/%d", cfg.NumServers, cfg.NumApps)
@@ -167,7 +179,7 @@ func build(cfg Config) (*Testbed, error) {
 	tb.vmIndex = make(map[string][2]int)
 	slot := 0
 	for i := 0; i < cfg.NumApps; i++ {
-		app := appsim.New(tb.Sim, appsim.Config{
+		app := appsim.New(tb.Sim.NewDomain(), appsim.Config{
 			Name:        fmt.Sprintf("App%d", i+1),
 			Tiers:       tiers,
 			Concurrency: cfg.Concurrency,

@@ -89,7 +89,12 @@ func collect(t *testing.T, sc *obs.Scorecard, reg *telemetry.Registry, tr *telem
 // run with IPAC every 5 periods under sensor, DVFS, migration and
 // optimizer faults. The digests were recorded from the observer wiring
 // that predates the single probe; rewiring the observers must not move
-// them.
+// them. The scorecard and event digests were re-pinned when each
+// application got its own event domain: tiers of different applications
+// paused by one migration batch resume at the same instant, and the
+// longest same-instant run (EvGuard.SameTime, the scorecard's
+// max_same_time) is now counted per domain. With that one field masked,
+// both digests match the shared-queue kernel's.
 func TestObserverDigestsTestbed(t *testing.T) {
 	cfg := testbed.DefaultConfig()
 	cfg.NumApps = 4
@@ -125,7 +130,7 @@ func TestObserverDigestsTestbed(t *testing.T) {
 		t.Fatalf("scenario is vacuous: control %+v, optimizer %+v", rep.Control, rep.Optimizer)
 	}
 	got := collect(t, sc, reg, tr, ck, rec)
-	want := observerDigests{Scorecard: 0x30bbc3561ba55444, Prom: 0x4ec2781258b8d329, Trace: 0x98a713ca1cd6924f, Events: 0x619b952af088a38f}
+	want := observerDigests{Scorecard: 0xd287679f8694f24a, Prom: 0x4ec2781258b8d329, Trace: 0x98a713ca1cd6924f, Events: 0x1ba8c1baa9738870}
 	if got != want {
 		t.Errorf("observer digests = %#v, want %#v", got, want)
 	}
