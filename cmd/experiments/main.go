@@ -142,11 +142,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	points, err := dcsim.Fig6Parallel(tr, sizes, []func() optimizer.Consolidator{
+	points, err := dcsim.Fig6Sweep(tr, sizes, []func() optimizer.Consolidator{
 		func() optimizer.Consolidator { return optimizer.NewIPAC() },
 		func() optimizer.Consolidator { return optimizer.NewPMapper() },
 		func() optimizer.Consolidator { return optimizer.WithoutDVFS{Inner: optimizer.NewIPAC()} },
-	}, 0)
+	}, dcsim.SweepOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

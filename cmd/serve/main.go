@@ -17,6 +17,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"time"
 
 	"vdcpower/internal/fault"
@@ -30,28 +31,40 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("serve: ")
+	if err := run(os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	def := guard.DefaultStepBudget()
 	var (
-		addr = flag.String("addr", ":8080", "listen address")
-		tick = flag.Duration("tick", 250*time.Millisecond, "wall-clock time per control period")
-		apps = flag.Int("apps", 8, "number of applications")
-		srv  = flag.Int("servers", 4, "number of servers")
-		pprf = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
+		addr = fs.String("addr", ":8080", "listen address")
+		tick = fs.Duration("tick", 250*time.Millisecond, "wall-clock time per control period (positive)")
+		apps = fs.Int("apps", 8, "number of applications")
+		srv  = fs.Int("servers", 4, "number of servers")
+		pprf = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 
-		stepEvents = flag.Int("step-budget-events", def.MaxEvents,
+		stepEvents = fs.Int("step-budget-events", def.MaxEvents,
 			"max kernel events one control period may drain (0 = unbounded)")
-		stepSame = flag.Int("step-budget-same-time", def.MaxSameTimeEvents,
+		stepSame = fs.Int("step-budget-same-time", def.MaxSameTimeEvents,
 			"max events at one sim instant per period — the Zeno-storm bound (0 = unbounded)")
-		stepWall = flag.Duration("step-deadline", def.Wall,
+		stepWall = fs.Duration("step-deadline", def.Wall,
 			"wall-clock watchdog deadline per control period (0 = none)")
-		faultsPath = flag.String("faults", "",
+		faultsPath = fs.String("faults", "",
 			"JSON fault profile (fault.Profile) injected into the control loop; the guard class exhausts step budgets")
-		replayPath = flag.String("replay", "",
+		replayPath = fs.String("replay", "",
 			"replay spec JSON (internal/trace.ReplaySpec): drive application concurrency from a deterministically replayed real trace")
-		replayConc = flag.Int("replay-max-conc", 0,
+		replayConc = fs.Int("replay-max-conc", 0,
 			"clients per application at full replayed utilization (0 = twice the testbed baseline)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *tick <= 0 {
+		return fmt.Errorf("-tick must be positive, got %v", *tick)
+	}
 
 	cfg := testbed.DefaultConfig()
 	cfg.NumApps = *apps
@@ -59,7 +72,7 @@ func main() {
 	fmt.Println("building testbed and running system identification...")
 	tb, err := testbed.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("identified model: %s (R²=%.2f)\n", tb.Model, tb.Fit.R2)
 
@@ -72,7 +85,7 @@ func main() {
 	if *faultsPath != "" {
 		prof, err := fault.LoadProfile(*faultsPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		s.AttachFaults(fault.New(prof))
 		fmt.Printf("fault profile loaded from %s\n", *faultsPath)
@@ -80,17 +93,17 @@ func main() {
 	if *replayPath != "" {
 		sp, err := trace.LoadSpec(*replayPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		src, closer, err := sp.Open()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		//lint:ignore errcheck read-side close at process exit
 		defer closer.Close()
 		pipeline, err := sp.Pipeline()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		stream := trace.NewStream(src, trace.ReplayConfig{
 			StepSeconds: sp.StepSeconds(), Seed: sp.Seed, Distortions: pipeline,
@@ -103,7 +116,7 @@ func main() {
 			StepSeconds: sp.StepSeconds(), Apps: cfg.NumApps, Seed: sp.Seed, MaxConcurrency: maxConc,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		label := sp.SourceLabel()
 		s.AttachReplay(feed, func(final bool) *obs.ReplayProvenance {
@@ -142,7 +155,5 @@ func main() {
 	if *pprf {
 		fmt.Printf("  go tool pprof 'http://localhost%s/debug/pprof/profile?seconds=10'\n", *addr)
 	}
-	if err := http.ListenAndServe(*addr, handler); err != nil {
-		log.Fatal(err)
-	}
+	return http.ListenAndServe(*addr, handler)
 }

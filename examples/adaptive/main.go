@@ -1,4 +1,4 @@
-// Adaptive: online re-identification with recursive least squares. The
+// Adaptive: online re-identification with windowed ridge least squares. The
 // application's per-request CPU demand triples mid-run (a workload-mix
 // change — think a software release that makes queries heavier). A static
 // controller keeps steering with the stale model; the adaptive controller

@@ -74,10 +74,10 @@ func TestClaimIPACEnergySavings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := dcsim.Fig6Parallel(tr, []int{50, 200}, []func() optimizer.Consolidator{
+	points, err := dcsim.Fig6Sweep(tr, []int{50, 200}, []func() optimizer.Consolidator{
 		func() optimizer.Consolidator { return optimizer.NewIPAC() },
 		func() optimizer.Consolidator { return optimizer.NewPMapper() },
-	}, 0)
+	}, dcsim.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func Properties() []Property {
 			return mvaCapacityMonotone(queueing.Solve, s)
 		}, 20},
 		{"dcsim/fig6-serial-parallel", func(s int64) error {
-			return fig6SerialParallel(dcsim.Fig6Parallel, s)
+			return fig6SerialParallel(dcsim.Fig6Sweep, s)
 		}, 2},
 		{"mpc/permutation-equivariant", func(s int64) error {
 			return mpcPermutationEquivariant(realMPCCompute, s)
@@ -247,7 +247,7 @@ func mvaCapacityMonotone(solve mvaFn, seed int64) error {
 }
 
 // fig6Fn is the shape of the parallel Fig. 6 sweep.
-type fig6Fn func(*workload.Trace, []int, []func() optimizer.Consolidator, int) ([]dcsim.Fig6Point, error)
+type fig6Fn func(*workload.Trace, []int, []func() optimizer.Consolidator, dcsim.SweepOptions) ([]dcsim.Fig6Point, error)
 
 // fig6SerialParallel: the worker-pool sweep must agree bit-for-bit with
 // the serial loop on any configuration, not just the paper's.
@@ -266,7 +266,7 @@ func fig6SerialParallel(par fig6Fn, seed int64) error {
 	if err != nil {
 		return err
 	}
-	parallel, err := par(tr, sizes, policies, 1+r.Intn(3))
+	parallel, err := par(tr, sizes, policies, dcsim.SweepOptions{Workers: 1 + r.Intn(3)})
 	if err != nil {
 		return err
 	}

@@ -133,8 +133,8 @@ func TestMVACapacityMonotoneCatchesInvertedModel(t *testing.T) {
 func TestFig6SerialParallelCatchesDivergence(t *testing.T) {
 	// Broken parallel sweep: one policy's result is perturbed, as a
 	// nondeterministic scheduler would.
-	broken := func(tr *workload.Trace, sizes []int, policies []func() optimizer.Consolidator, workers int) ([]dcsim.Fig6Point, error) {
-		pts, err := dcsim.Fig6Parallel(tr, sizes, policies, workers)
+	broken := func(tr *workload.Trace, sizes []int, policies []func() optimizer.Consolidator, opt dcsim.SweepOptions) ([]dcsim.Fig6Point, error) {
+		pts, err := dcsim.Fig6Sweep(tr, sizes, policies, opt)
 		if err != nil {
 			return nil, err
 		}

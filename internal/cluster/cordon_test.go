@@ -39,11 +39,8 @@ func TestCordonRejectsMigrationTarget(t *testing.T) {
 func TestCordonSurvivesSnapshot(t *testing.T) {
 	dc := testDC(t, 2)
 	dc.Servers[1].Cordon()
-	back, err := Restore(dc.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Servers[1].Cordoned() != true || back.Servers[0].Cordoned() != false {
+	back := jsonRoundTrip(t, dc.Snapshot())
+	if !back.Servers[1].Cordoned || back.Servers[0].Cordoned {
 		t.Fatal("cordon state lost in snapshot round trip")
 	}
 }

@@ -16,13 +16,11 @@ func TestServerIndex(t *testing.T) {
 	if got := dc.Server("nope"); got != nil {
 		t.Fatalf("Server of an unknown ID = %v, want nil", got)
 	}
-	// A restored clone indexes its own servers, not the original's.
-	clone, err := Restore(dc.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := clone.Server("s2"); got == nil || got == dc.Servers[2] || got != clone.Servers[2] {
-		t.Fatalf("clone's Server(s2) = %p, want the clone's own %p", got, clone.Servers[2])
+	// A second data center with the same IDs indexes its own servers,
+	// not the first one's.
+	twin := testDC(t, 4)
+	if got := twin.Server("s2"); got == nil || got == dc.Servers[2] || got != twin.Servers[2] {
+		t.Fatalf("twin's Server(s2) = %p, want the twin's own %p", got, twin.Servers[2])
 	}
 }
 

@@ -2,16 +2,14 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"vdcpower/internal/power"
 )
 
 // Snapshot is a serializable image of a data center: server specs,
-// power states, frequencies and hosted VMs. Long-running simulations
-// checkpoint through it, and operators can dump live state for
-// inspection.
+// power states, frequencies and hosted VMs. Operators dump live state
+// through it for inspection (serve's /snapshot, dcsim -snapshot).
 type Snapshot struct {
 	Servers []ServerSnapshot `json:"servers"`
 }
@@ -47,75 +45,9 @@ func (dc *DataCenter) Snapshot() Snapshot {
 	return s
 }
 
-// Restore reconstructs a data center from a snapshot, validating specs,
-// VM parameters, uniqueness and state invariants.
-func Restore(s Snapshot) (*DataCenter, error) {
-	var servers []*Server
-	for _, ss := range s.Servers {
-		if err := ss.Spec.Validate(); err != nil {
-			return nil, fmt.Errorf("cluster: restoring %s: %w", ss.ID, err)
-		}
-		srv := NewServer(ss.ID, ss.Spec)
-		srv.SetFreq(ss.FreqGHz)
-		for i := range ss.VMs {
-			vm := ss.VMs[i]
-			if err := vm.Validate(); err != nil {
-				return nil, fmt.Errorf("cluster: restoring %s: %w", ss.ID, err)
-			}
-			srv.host(&vm)
-		}
-		if ss.Sleeping && ss.Failed {
-			return nil, fmt.Errorf("cluster: snapshot has server %s both sleeping and failed", ss.ID)
-		}
-		if ss.Sleeping {
-			if srv.NumVMs() > 0 {
-				return nil, fmt.Errorf("cluster: snapshot has sleeping server %s with VMs", ss.ID)
-			}
-			srv.Sleep()
-		}
-		if ss.Failed {
-			if srv.NumVMs() > 0 {
-				return nil, fmt.Errorf("cluster: snapshot has failed server %s with VMs", ss.ID)
-			}
-			srv.state = Failed
-		}
-		if ss.Cordoned {
-			srv.Cordon()
-		}
-		servers = append(servers, srv)
-	}
-	dc, err := NewDataCenter(servers)
-	if err != nil {
-		return nil, err
-	}
-	// Reject duplicate VM IDs across servers.
-	if err := dc.CheckInvariants(); err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	for _, srv := range dc.Servers {
-		for _, v := range srv.vms {
-			if seen[v.ID] {
-				return nil, fmt.Errorf("cluster: snapshot has duplicate VM %s", v.ID)
-			}
-			seen[v.ID] = true
-		}
-	}
-	return dc, nil
-}
-
 // WriteJSON writes the snapshot as indented JSON.
 func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// ReadSnapshot parses a snapshot written by WriteJSON.
-func ReadSnapshot(r io.Reader) (Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return Snapshot{}, fmt.Errorf("cluster: decoding snapshot: %w", err)
-	}
-	return s, nil
 }

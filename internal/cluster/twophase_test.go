@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 func TestBeginCommitEquivalentToMigrate(t *testing.T) {
 	dc := testDC(t, 2)
@@ -253,9 +250,8 @@ func TestCommitFailsWhenTargetCrashes(t *testing.T) {
 }
 
 func TestSnapshotWithMigrationInFlight(t *testing.T) {
-	// Restoring a snapshot taken mid-two-phase must land in a consistent
-	// placement: the VM is on its source (reservations are not serialized;
-	// the restored run simply re-plans).
+	// A snapshot taken mid-two-phase records a consistent placement: the
+	// VM is on its source (reservations are not serialized).
 	dc := testDC(t, 2)
 	v := newVM("v1", 1.0, 2)
 	if err := dc.Place(v, dc.Servers[0]); err != nil {
@@ -266,29 +262,12 @@ func TestSnapshotWithMigrationInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := dc.Snapshot().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+	back := jsonRoundTrip(t, dc.Snapshot())
+	if vms := back.Servers[0].VMs; len(vms) != 1 || vms[0].ID != "v1" {
+		t.Fatalf("mid-flight VM recorded as %+v, want on its source", vms)
 	}
-	snap, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Restore(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.HostOf("v1") != back.Servers[0] {
-		t.Fatal("mid-flight VM not restored onto its source")
-	}
-	if back.Servers[1].State() != Active {
-		t.Fatal("woken reservation target restored asleep")
-	}
-	if len(back.InFlight()) != 0 {
-		t.Fatal("restored DC has phantom reservations")
-	}
-	if err := back.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if back.Servers[1].Sleeping || len(back.Servers[1].VMs) != 0 {
+		t.Fatalf("woken reservation target recorded as %+v, want active and empty", back.Servers[1])
 	}
 	// The original transaction still commits normally after the snapshot.
 	if _, err := tx.Commit(); err != nil {
@@ -303,30 +282,11 @@ func TestSnapshotFailedServerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dc.Crash(dc.Servers[1])
-	var buf bytes.Buffer
-	if err := dc.Snapshot().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+	back := jsonRoundTrip(t, dc.Snapshot())
+	if s1 := back.Servers[1]; !s1.Failed || s1.Sleeping || len(s1.VMs) != 0 {
+		t.Fatalf("failed server recorded as %+v", s1)
 	}
-	snap, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Restore(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Servers[1].State() != Failed {
-		t.Fatal("failed state lost in round trip")
-	}
-	// A snapshot claiming a failed server hosts VMs is corrupt.
-	bad := dc.Snapshot()
-	bad.Servers[1].VMs = []VM{{ID: "zombie", Demand: 1, MemoryGB: 1}}
-	if _, err := Restore(bad); err == nil {
-		t.Fatal("failed server with VMs restored")
-	}
-	bad = dc.Snapshot()
-	bad.Servers[1].Sleeping = true
-	if _, err := Restore(bad); err == nil {
-		t.Fatal("sleeping+failed server restored")
+	if s0 := back.Servers[0]; s0.Failed || len(s0.VMs) != 1 {
+		t.Fatalf("surviving server recorded as %+v", s0)
 	}
 }

@@ -8,78 +8,6 @@ import (
 	"vdcpower/internal/sysid"
 )
 
-func TestSLAMetricMeasure(t *testing.T) {
-	window := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	cases := []struct {
-		m    SLAMetric
-		want float64
-	}{
-		{P90, 9.1},
-		{Median, 5.5},
-		{Mean, 5.5},
-		{Max, 10},
-	}
-	for _, c := range cases {
-		if got := c.m.Measure(window); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("%s = %v, want %v", c.m, got, c.want)
-		}
-	}
-	if P95.Measure(window) <= P90.Measure(window) {
-		t.Error("p95 must exceed p90 on this window")
-	}
-	if P99.Measure(window) < P95.Measure(window) {
-		t.Error("p99 must be >= p95")
-	}
-}
-
-func TestSLAMetricStringAndValid(t *testing.T) {
-	for m := P90; m <= Max; m++ {
-		if m.String() == "" {
-			t.Errorf("metric %d has empty name", m)
-		}
-		if !m.Valid() {
-			t.Errorf("metric %d invalid", m)
-		}
-	}
-	if SLAMetric(99).Valid() {
-		t.Error("out-of-range metric valid")
-	}
-	if SLAMetric(99).String() == "" {
-		t.Error("out-of-range metric has empty name")
-	}
-}
-
-func TestControllerRejectsUnknownMetric(t *testing.T) {
-	app := newFakeApp(testModel(), mat.Vec{1, 1}, 2)
-	cfg := DefaultControllerConfig(testModel(), 1.0)
-	cfg.Metric = SLAMetric(42)
-	if _, err := NewResponseTimeController(app, cfg); err == nil {
-		t.Fatal("unknown metric accepted")
-	}
-}
-
-func TestControllerWithMeanMetric(t *testing.T) {
-	// The fake plant fills the window with identical samples, so mean
-	// and p90 agree: the loop must converge the same way.
-	app := newFakeApp(testModel(), mat.Vec{0.5, 0.5}, 3.0)
-	cfg := DefaultControllerConfig(testModel(), 1.0)
-	cfg.Metric = Mean
-	ctl, err := NewResponseTimeController(app, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last StepResult
-	for k := 0; k < 40; k++ {
-		app.tick()
-		if last, err = ctl.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if math.Abs(last.T90-1.0) > 0.05 {
-		t.Fatalf("mean-metric loop settled at %v", last.T90)
-	}
-}
-
 func TestSetModelValidation(t *testing.T) {
 	app := newFakeApp(testModel(), mat.Vec{1, 1}, 2)
 	ctl, err := NewResponseTimeController(app, DefaultControllerConfig(testModel(), 1.0))
@@ -154,7 +82,7 @@ func TestAdaptiveControllerValidation(t *testing.T) {
 
 func TestAdaptiveControllerRefitsUnderDrift(t *testing.T) {
 	// The controller starts with testModel but the plant's gains are 3×
-	// stronger. The RLS must re-identify and swap models, and the loop
+	// stronger. The windowed refit must re-identify and swap models, and the loop
 	// must hold the set point.
 	plant := &sysid.Model{
 		Na: 1, Nb: 2, NumInputs: 2,

@@ -17,15 +17,19 @@ import (
 	"vdcpower/internal/fault"
 	"vdcpower/internal/mat"
 	"vdcpower/internal/mpc"
+	"vdcpower/internal/stats"
 	"vdcpower/internal/sysid"
 	"vdcpower/internal/telemetry"
 	"vdcpower/internal/units"
 )
 
-// defaultHoldWindow is how many consecutive held measurements the
-// controller tolerates before going open-loop (ControllerConfig.HoldWindow
-// overrides).
-const defaultHoldWindow = 4
+// holdWindow bounds how many consecutive periods the controller keeps
+// closing the loop on a held (missing or rejected) measurement. Within
+// the window the MPC still runs with its move damped by the hold streak;
+// beyond it the controller goes open-loop, freezing the last-good
+// allocation (which tracks demand — the converged MPC allocation is the
+// demand-proportional fallback) until a valid measurement returns.
+const holdWindow = 4
 
 // ControlledApp is the sensor/actuator surface the response time
 // controller needs from an application: in the simulated testbed it is
@@ -62,25 +66,10 @@ type ControllerConfig struct {
 	CMin, CMax mat.Vec
 	// DeltaMax optionally bounds the per-period move (GHz); 0 = unbounded.
 	DeltaMax units.Hertz
-	// LevelPenalty optionally steers the loop toward the cheapest
-	// SLA-feasible allocation (see mpc.Config.LevelPenalty); 0 keeps the
-	// paper's cost function.
-	LevelPenalty float64
 	// MinWindow is the minimum number of completed requests required to
 	// trust a window's percentile; with fewer samples the controller
 	// holds the previous measurement (a stalled app yields no samples).
 	MinWindow int
-	// Metric selects the regulated SLA statistic. The zero value is the
-	// paper's 90-percentile.
-	Metric SLAMetric
-	// HoldWindow bounds how many consecutive periods the controller keeps
-	// closing the loop on a held (missing or rejected) measurement. Within
-	// the window the MPC still runs with its move damped by the hold
-	// streak; beyond it the controller goes open-loop, freezing the
-	// last-good allocation (which tracks demand — the converged MPC
-	// allocation is the demand-proportional fallback) until a valid
-	// measurement returns. 0 means the default of 4 periods.
-	HoldWindow int
 	// SensorID scopes fault-plane sensor decisions to this controller
 	// (defaults to "app"); harnesses set it to the application name.
 	SensorID string
@@ -145,17 +134,9 @@ func (c *ResponseTimeController) sensorID() string {
 	return "app"
 }
 
-// HoldWindow reports the effective hold window bound (default applied) —
-// harnesses feed it to the check package's staleness law.
-func (c *ResponseTimeController) HoldWindow() int { return c.holdWindow() }
-
-// holdWindow returns the configured hold window with its default.
-func (c *ResponseTimeController) holdWindow() int {
-	if c.cfg.HoldWindow > 0 {
-		return c.cfg.HoldWindow
-	}
-	return defaultHoldWindow
-}
+// HoldWindow reports the hold window bound — harnesses feed it to the
+// check package's staleness law.
+func (c *ResponseTimeController) HoldWindow() int { return holdWindow }
 
 // SetTrace implements telemetry.Traceable: each Step records a
 // "core.step" span nesting "core.measure", the MPC solve, and
@@ -167,7 +148,7 @@ func (c *ResponseTimeController) SetTrace(tk *telemetry.Track) {
 
 // StepResult reports one control period.
 type StepResult struct {
-	T90             units.Second  // measured SLA metric (90-percentile by default), seconds
+	T90             units.Second  // measured 90-percentile response time, seconds
 	Samples         int           // completed requests in the window
 	Held            bool          // no valid measurement: previous one held over
 	Dropped         bool          // measurement rejected (NaN/Inf or injected dropout)
@@ -197,21 +178,17 @@ func NewResponseTimeController(app ControlledApp, cfg ControllerConfig) (*Respon
 	if cfg.MinWindow < 0 {
 		return nil, errors.New("core: negative MinWindow")
 	}
-	if !cfg.Metric.Valid() {
-		return nil, fmt.Errorf("core: unknown SLA metric %d", cfg.Metric)
-	}
 	inner, err := mpc.New(mpc.Config{
-		Model:        cfg.Model,
-		P:            cfg.P,
-		M:            cfg.M,
-		Q:            cfg.Q,
-		R:            cfg.R,
-		TrefPeriods:  cfg.TrefPeriods,
-		Setpoint:     cfg.Setpoint,
-		CMin:         cfg.CMin,
-		CMax:         cfg.CMax,
-		DeltaMax:     cfg.DeltaMax,
-		LevelPenalty: cfg.LevelPenalty,
+		Model:       cfg.Model,
+		P:           cfg.P,
+		M:           cfg.M,
+		Q:           cfg.Q,
+		R:           cfg.R,
+		TrefPeriods: cfg.TrefPeriods,
+		Setpoint:    cfg.Setpoint,
+		CMin:        cfg.CMin,
+		CMax:        cfg.CMax,
+		DeltaMax:    cfg.DeltaMax,
 	})
 	if err != nil {
 		return nil, err
@@ -255,7 +232,7 @@ func (c *ResponseTimeController) Step() (StepResult, error) {
 	}
 	valid := false
 	if len(window) >= minW {
-		t := c.cfg.Metric.Measure(window)
+		t := stats.Percentile(window, 90)
 		t, _ = c.faults.SensorRead(c.steps, c.sensorID(), t)
 		// Measurement guard: a non-finite percentile (poisoned window,
 		// injected dropout) must never enter the ARX regressor — a single
@@ -289,7 +266,7 @@ func (c *ResponseTimeController) Step() (StepResult, error) {
 	copy(c.tHist[1:], c.tHist)
 	c.tHist[0] = c.lastT
 
-	if c.heldStreak > c.holdWindow() {
+	if c.heldStreak > holdWindow {
 		// Hold window exhausted: the held measurement is too stale to close
 		// the loop on. Go open-loop — freeze the last-good allocation (the
 		// converged MPC allocation tracks demand, so this is the

@@ -26,10 +26,3 @@ func ExampleArbitrator() {
 	fmt.Printf("frequency %.1f GHz, %d grants in full\n", f, len(grants))
 	// Output: frequency 1.0 GHz, 2 grants in full
 }
-
-func ExampleSLAMetric_Measure() {
-	window := []float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0}
-	fmt.Printf("p90=%.2fs mean=%.2fs max=%.2fs\n",
-		core.P90.Measure(window), core.Mean.Measure(window), core.Max.Measure(window))
-	// Output: p90=1.82s mean=1.10s max=2.00s
-}

@@ -71,7 +71,6 @@ func TestInfMeasurementDropped(t *testing.T) {
 func TestHoldWindowThenOpenLoopThenRecovery(t *testing.T) {
 	app := newFakeApp(testModel(), mat.Vec{1, 1}, 2.0)
 	cfg := DefaultControllerConfig(testModel(), 1.0)
-	cfg.HoldWindow = 2
 	cfg.SensorID = "App1"
 	ctl, err := NewResponseTimeController(app, cfg)
 	if err != nil {
@@ -88,7 +87,8 @@ func TestHoldWindowThenOpenLoopThenRecovery(t *testing.T) {
 	inj := fault.New(fault.Profile{Seed: 1, Sensor: fault.SensorProfile{DropoutProb: 1}})
 	ctl.SetFaults(inj)
 	var last []float64
-	for k := 0; k < 5; k++ {
+	blackout := ctl.HoldWindow() + 2 // two open-loop periods
+	for k := 0; k < blackout; k++ {
 		app.tick()
 		res, err := ctl.Step()
 		if err != nil {
@@ -97,7 +97,7 @@ func TestHoldWindowThenOpenLoopThenRecovery(t *testing.T) {
 		if !res.Held || !res.Dropped || res.HeldStreak != k+1 {
 			t.Fatalf("blackout step %d: %+v", k, res)
 		}
-		wantOpen := k+1 > cfg.HoldWindow
+		wantOpen := k+1 > ctl.HoldWindow()
 		if res.OpenLoop != wantOpen {
 			t.Fatalf("step %d (streak %d): OpenLoop=%v, want %v", k, res.HeldStreak, res.OpenLoop, wantOpen)
 		}
@@ -112,7 +112,7 @@ func TestHoldWindowThenOpenLoopThenRecovery(t *testing.T) {
 		}
 		last = res.Allocations
 	}
-	if inj.InjectedByKind()[fault.SensorDropout] != 5 {
+	if inj.InjectedByKind()[fault.SensorDropout] != blackout {
 		t.Fatalf("dropouts injected = %v", inj.InjectedByKind())
 	}
 	// Sensor returns: the streak resets and the loop closes again.

@@ -58,9 +58,7 @@ func TestResidualLifecycle(t *testing.T) {
 // compared against the measurement that eventually returns.
 func TestResidualInvalidatedByOpenLoop(t *testing.T) {
 	app := newFakeApp(testModel(), mat.Vec{0.5, 0.5}, 2.0)
-	cfg := DefaultControllerConfig(testModel(), 1.0)
-	cfg.HoldWindow = 2
-	ctl, err := NewResponseTimeController(app, cfg)
+	ctl, err := NewResponseTimeController(app, DefaultControllerConfig(testModel(), 1.0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,11 +68,6 @@ type Config struct {
 	// the next full optimizer invocation. 0 disables it.
 	WatchdogEverySteps int
 
-	// CountSleepPower includes PSleep of suspended servers in the energy
-	// account. The paper treats inactive servers as powered off and
-	// unaccounted, so the default is false.
-	CountSleepPower bool
-
 	// OnStep, if set, observes every trace step: the instantaneous
 	// power, the active server count, and the aggregate VM demand. Use
 	// it to extract diurnal time series without rerunning.
@@ -364,8 +359,8 @@ func Run(cfg Config) (Result, error) {
 			})
 		}
 		// Server-level frequency decision for the step, and energy
-		// accounting. Suspended servers are treated as powered off
-		// (unaccounted) unless CountSleepPower is set. When tracing, the
+		// accounting. Suspended and crashed servers are treated as powered
+		// off and unaccounted, as in the paper. When tracing, the
 		// decision routes through core.Arbitrator — the same frequency
 		// choice, but each pass records an "arbitrator.pass" span; the
 		// untraced path keeps the allocation-free direct call.
@@ -376,14 +371,7 @@ func Run(cfg Config) (Result, error) {
 		stepPower := 0.0
 		overloadsBefore := res.OverloadSteps
 		for _, s := range dc.Servers {
-			if s.State() == cluster.Failed {
-				// Crashed servers draw nothing, not even sleep power.
-				continue
-			}
 			if s.State() != cluster.Active {
-				if cfg.CountSleepPower {
-					stepPower += s.Spec.PSleep
-				}
 				continue
 			}
 			if cfg.Consolidator.UsesDVFS() {

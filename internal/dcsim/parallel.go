@@ -13,7 +13,8 @@ import (
 	"vdcpower/internal/workload"
 )
 
-// SweepOptions tunes Fig6Sweep beyond the plain worker count.
+// SweepOptions tunes Fig6Sweep: the worker count and what each run
+// records.
 type SweepOptions struct {
 	// Workers is the pool size; <= 0 selects GOMAXPROCS.
 	Workers int
@@ -26,8 +27,6 @@ type SweepOptions struct {
 	// scheduling, so parallel sweep traces are not byte-reproducible
 	// across runs — single-run serial traces are.
 	Tracer *telemetry.Tracer
-	// Metrics, when non-nil, receives every run's counters and gauges.
-	Metrics *telemetry.Registry
 	// FaultProfile, when non-nil, injects the same fault profile into
 	// every run. Each job gets its own Injector (injectors are stateful:
 	// stuck sensors, attempt counters), so runs stay isolated and each
@@ -42,18 +41,11 @@ type SweepOptions struct {
 	Obs *obs.Scorecard
 }
 
-// Fig6Parallel computes the same sweep as Fig6 but fans the independent
+// Fig6Sweep computes the same sweep as Fig6 but fans the independent
 // (size, policy) runs out over a worker pool — each run is deterministic
 // and isolated, so the results are identical to the serial sweep while
-// the wall-clock drops by roughly the core count. workers <= 0 selects
-// GOMAXPROCS.
-func Fig6Parallel(trace *workload.Trace, sizes []int, policies []func() optimizer.Consolidator, workers int) ([]Fig6Point, error) {
-	return Fig6Sweep(trace, sizes, policies, SweepOptions{Workers: workers})
-}
-
-// Fig6Sweep is Fig6Parallel with observability: the worker pool fan-out
-// of the Figure 6 sweep, optionally recording per-worker span tracks and
-// publishing run metrics.
+// the wall-clock drops by roughly the core count. It optionally records
+// per-worker span tracks, injects faults and aggregates scorecards.
 func Fig6Sweep(trace *workload.Trace, sizes []int, policies []func() optimizer.Consolidator, opt SweepOptions) ([]Fig6Point, error) {
 	workers := opt.Workers
 	if workers <= 0 {
@@ -84,7 +76,6 @@ func Fig6Sweep(trace *workload.Trace, sizes []int, policies []func() optimizer.C
 				cfg.Telemetry = tk
 				if opt.FaultProfile != nil {
 					cfg.Faults = fault.New(*opt.FaultProfile)
-					cfg.Faults.AttachMetrics(opt.Metrics)
 				}
 				var sc *obs.Scorecard
 				if opt.Obs != nil {
@@ -92,7 +83,7 @@ func Fig6Sweep(trace *workload.Trace, sizes []int, policies []func() optimizer.C
 					jc.Label = fmt.Sprintf("%s/%d", cons.Name(), sizes[j.sizeIdx])
 					sc = obs.New(jc)
 				}
-				cfg.Probe = probe.New(probe.Scorecard(sc), probe.Metrics(opt.Metrics))
+				cfg.Probe = probe.New(probe.Scorecard(sc))
 				sp := tk.Start("dcsim.job").Int("vms", sizes[j.sizeIdx]).Str("policy", cons.Name())
 				res, err := Run(cfg)
 				sp.Float("per_vm_wh", res.EnergyPerVMWh).Bool("failed", err != nil).End()

@@ -22,7 +22,7 @@ func TestFig6ParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 4, 8} {
-		parallel, err := Fig6Parallel(tr, sizes, policies, workers)
+		parallel, err := Fig6Sweep(tr, sizes, policies, SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -52,9 +52,9 @@ func TestFig6ParallelMatchesSerial(t *testing.T) {
 
 func TestFig6ParallelDefaultWorkers(t *testing.T) {
 	tr := testTrace(t)
-	points, err := Fig6Parallel(tr, []int{40}, []func() optimizer.Consolidator{
+	points, err := Fig6Sweep(tr, []int{40}, []func() optimizer.Consolidator{
 		func() optimizer.Consolidator { return optimizer.NewIPAC() },
-	}, 0) // 0 → GOMAXPROCS
+	}, SweepOptions{}) // 0 workers → GOMAXPROCS
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +65,9 @@ func TestFig6ParallelDefaultWorkers(t *testing.T) {
 
 func TestFig6ParallelPropagatesErrors(t *testing.T) {
 	tr := testTrace(t)
-	_, err := Fig6Parallel(tr, []int{99999}, []func() optimizer.Consolidator{
+	_, err := Fig6Sweep(tr, []int{99999}, []func() optimizer.Consolidator{
 		func() optimizer.Consolidator { return optimizer.NewIPAC() },
-	}, 2)
+	}, SweepOptions{Workers: 2})
 	if err == nil {
 		t.Fatal("oversized slice did not error")
 	}

@@ -135,51 +135,35 @@ func IsStepAbort(err error) bool {
 	return ok
 }
 
-// Quarantine defaults: two wedge-class breaker openings in a row engage
-// quarantine, which stretches the breaker cooldown sixfold.
+// Two wedge-class breaker openings in a row engage quarantine, which
+// stretches the breaker cooldown sixfold.
 const (
-	DefaultQuarantineThreshold = 2
-	DefaultQuarantineFactor    = 6
+	QuarantineThreshold = 2
+	QuarantineFactor    = 6
 )
 
 // Quarantine escalates repeated budget exhaustion. A circuit breaker
 // treats every failure alike; a step that exhausts its execution budget
 // is worse than one that merely errors — the model is runaway, and rapid
 // half-open probes each burn a full budget. Quarantine counts consecutive
-// wedge-class (budget-exhausted) breaker openings and, past the
-// threshold, stretches the breaker's cooldown so probes become rare. A
-// single successful probe lifts it, restoring the normal cadence.
+// wedge-class (budget-exhausted) breaker openings and, at
+// QuarantineThreshold, stretches the breaker's cooldown by
+// QuarantineFactor so probes become rare. A single successful probe lifts
+// it, restoring the normal cadence.
 //
-// The zero value is ready to use with the defaults. Not safe for
-// concurrent use; callers hold their own lock.
+// The zero value is ready to use. Not safe for concurrent use; callers
+// hold their own lock.
 type Quarantine struct {
-	Threshold int // wedge openings before quarantine engages (0 = default)
-	Factor    int // cooldown multiplier while quarantined (0 = default)
-
 	wedges  int  // consecutive wedge-class openings
 	active  bool // currently quarantined
 	entries int  // times quarantine has been entered, for reporting
-}
-
-func (q *Quarantine) threshold() int {
-	if q.Threshold > 0 {
-		return q.Threshold
-	}
-	return DefaultQuarantineThreshold
-}
-
-func (q *Quarantine) factor() int {
-	if q.Factor > 0 {
-		return q.Factor
-	}
-	return DefaultQuarantineFactor
 }
 
 // RecordWedge notes a wedge-class breaker opening and reports whether
 // this one pushed the state into quarantine.
 func (q *Quarantine) RecordWedge() (entered bool) {
 	q.wedges++
-	if !q.active && q.wedges >= q.threshold() {
+	if !q.active && q.wedges >= QuarantineThreshold {
 		q.active = true
 		q.entries++
 		return true
@@ -201,10 +185,10 @@ func (q *Quarantine) Active() bool { return q.active }
 func (q *Quarantine) Entries() int { return q.entries }
 
 // Cooldown maps the breaker's base cooldown to the effective one:
-// stretched by Factor while quarantined, untouched otherwise.
+// stretched by QuarantineFactor while quarantined, untouched otherwise.
 func (q *Quarantine) Cooldown(base int) int {
 	if q.active {
-		return base * q.factor()
+		return base * QuarantineFactor
 	}
 	return base
 }

@@ -100,7 +100,7 @@ func TestStepAbortErrorChain(t *testing.T) {
 }
 
 func TestQuarantineStateMachine(t *testing.T) {
-	var q Quarantine // zero value: threshold 2, factor 6
+	var q Quarantine
 	if q.Active() || q.Cooldown(10) != 10 {
 		t.Fatalf("zero value: active=%v cooldown=%d", q.Active(), q.Cooldown(10))
 	}
@@ -113,7 +113,7 @@ func TestQuarantineStateMachine(t *testing.T) {
 	if !q.Active() || q.Entries() != 1 {
 		t.Fatalf("active=%v entries=%d", q.Active(), q.Entries())
 	}
-	if q.Cooldown(10) != 10*DefaultQuarantineFactor {
+	if q.Cooldown(10) != 10*QuarantineFactor {
 		t.Fatalf("quarantined cooldown = %d", q.Cooldown(10))
 	}
 	if q.RecordWedge() {
@@ -129,16 +129,6 @@ func TestQuarantineStateMachine(t *testing.T) {
 	// The wedge tally resets on recovery: one wedge alone must not re-enter.
 	if q.RecordWedge() {
 		t.Fatal("single wedge after recovery entered quarantine")
-	}
-}
-
-func TestQuarantineCustomKnobs(t *testing.T) {
-	q := Quarantine{Threshold: 1, Factor: 3}
-	if !q.RecordWedge() {
-		t.Fatal("threshold 1 did not engage on first wedge")
-	}
-	if q.Cooldown(4) != 12 {
-		t.Fatalf("cooldown = %d, want 12", q.Cooldown(4))
 	}
 }
 

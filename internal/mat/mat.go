@@ -17,9 +17,6 @@ import (
 // Vec is a dense column vector.
 type Vec []float64
 
-// NewVec returns a zero vector of length n.
-func NewVec(n int) Vec { return make(Vec, n) }
-
 // Clone returns a copy of v.
 func (v Vec) Clone() Vec {
 	w := make(Vec, len(v))

@@ -187,14 +187,6 @@ func (s *Scorecard) ObserveStep() {
 	s.steps++
 }
 
-// Steps returns the number of observed steps.
-func (s *Scorecard) Steps() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.steps
-}
-
 // ObserveResponse records app's measured response time for one period:
 // the per-app sketch, the violation count against its R_ref, and one
 // SLO event (good = within target).

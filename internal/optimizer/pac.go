@@ -104,7 +104,7 @@ type IPAC struct {
 // a pass plans with live in the MinSlack pool (packing.Plan). Only the
 // capacity of these lists carries over from one pass to the next:
 // release clears them, so the consolidator keeps no pointer into a data
-// center — a DryRun clone included — between passes.
+// center between passes.
 type passState struct {
 	donors []donorKey
 	vms    []*cluster.VM
@@ -315,21 +315,16 @@ func (o *IPAC) drain(dc *cluster.DataCenter, donor *cluster.Server, rep *Report)
 
 func compareVMIDs(a, b *cluster.VM) int { return cmp.Compare(a.ID, b.ID) }
 
-// ResolveOverloads is the on-demand overload reliever of Section III:
-// between two invocations of the full optimizer, "an unexpected increase
-// of the workload can cause a severe overload on a server", and the
-// paper integrates with algorithms that "move VMs from the overloaded
-// servers to idle servers in an on-demand manner" (its reference [25]).
-// It sheds VMs from overloaded servers and re-places them via PAC,
-// reporting the moves; it never consolidates.
-func ResolveOverloads(dc *cluster.DataCenter, cons packing.Constraint, cfg packing.MinSlackConfig) (Report, error) {
-	return ResolveOverloadsWithFaults(dc, cons, cfg, nil)
-}
-
-// ResolveOverloadsWithFaults is ResolveOverloads under a fault plane:
-// relief migrations go through the two-phase retry protocol, and moves
-// that exhaust their retries leave the overload reported as unresolved
-// instead of failing the pass.
+// ResolveOverloadsWithFaults is the on-demand overload reliever of
+// Section III: between two invocations of the full optimizer, "an
+// unexpected increase of the workload can cause a severe overload on a
+// server", and the paper integrates with algorithms that "move VMs from
+// the overloaded servers to idle servers in an on-demand manner" (its
+// reference [25]). It sheds VMs from overloaded servers and re-places
+// them via PAC, reporting the moves; it never consolidates. Under a
+// fault plane (inj non-nil) relief migrations go through the two-phase
+// retry protocol, and moves that exhaust their retries leave the
+// overload reported as unresolved instead of failing the pass.
 func ResolveOverloadsWithFaults(dc *cluster.DataCenter, cons packing.Constraint, cfg packing.MinSlackConfig, inj *fault.Injector) (Report, error) {
 	rep := Report{ActiveBefore: dc.NumActive()}
 	err := resolveOverloads(dc, cons, cfg, inj, &rep, &passState{})

@@ -472,43 +472,6 @@ func FirstFitDecreasing(items []Item, bins []*Bin, cons Constraint) (Assignment,
 	return FirstFit(sorted, bins, cons)
 }
 
-// BestFitDecreasing places items in decreasing CPU order, each onto the
-// admitting bin with the least remaining slack (ablation baseline).
-func BestFitDecreasing(items []Item, bins []*Bin, cons Constraint) (Assignment, []Item) {
-	sorted := append([]Item(nil), items...)
-	sort.Slice(sorted, func(i, j int) bool {
-		//lint:ignore floatcompare exact tie-break for a deterministic sort order
-		if sorted[i].CPU != sorted[j].CPU {
-			return sorted[i].CPU > sorted[j].CPU
-		}
-		return sorted[i].ID < sorted[j].ID
-	})
-	asg := Assignment{}
-	var unplaced []Item
-	one := make([]Item, 1) // reused for every check, as in FirstFit
-	for _, it := range sorted {
-		one[0] = it
-		var best *Bin
-		bestSlack := units.Hertz(0)
-		for _, b := range bins {
-			if !cons.Fits(b, one) {
-				continue
-			}
-			sl := b.Slack() - it.CPU
-			if best == nil || sl < bestSlack {
-				best, bestSlack = b, sl
-			}
-		}
-		if best == nil {
-			unplaced = append(unplaced, it)
-			continue
-		}
-		best.Add(it)
-		asg[it.ID] = best.ID
-	}
-	return asg, unplaced
-}
-
 // SortBinsByEfficiency orders bins most-power-efficient first, the
 // server ordering both PAC and pMapper start from. Ties break by ID for
 // determinism.

@@ -236,23 +236,6 @@ func TestFirstFitDecreasingSortsFirst(t *testing.T) {
 	}
 }
 
-func TestBestFitDecreasingPrefersTightBin(t *testing.T) {
-	big, tight := bin("big", 10, 100), bin("tight", 4, 100)
-	items := []Item{item("a", 3, 1)}
-	asg, _ := BestFitDecreasing(items, []*Bin{big, tight}, cons)
-	if asg["a"] != "tight" {
-		t.Fatalf("BFD chose %v, want tight", asg["a"])
-	}
-}
-
-func TestBestFitDecreasingOverflow(t *testing.T) {
-	b := bin("b", 2, 100)
-	_, unplaced := BestFitDecreasing([]Item{item("a", 5, 1)}, []*Bin{b}, cons)
-	if len(unplaced) != 1 {
-		t.Fatal("expected unplaced item")
-	}
-}
-
 func TestSortBinsByEfficiency(t *testing.T) {
 	a := &Bin{ID: "a", Efficiency: 0.02}
 	b := &Bin{ID: "b", Efficiency: 0.04}

@@ -5,10 +5,6 @@
 // application under N closed-loop clients is exactly such a network
 // (PS stations are BCMP type-2, so the product-form solution is exact
 // even with non-exponential service demands).
-//
-// The solver also powers capacity planning helpers: given per-tier
-// service demands, what CPU allocation meets a mean response time target
-// at a given concurrency?
 package queueing
 
 import (
@@ -90,91 +86,4 @@ func Solve(net *Network, n int) (Result, error) {
 		res.Utilization[i] = res.Throughput * net.Demands[i]
 	}
 	return res, nil
-}
-
-// BottleneckBounds returns the asymptotic bounds of the network: the
-// maximum throughput 1/max(D_i) and the response-time asymptote
-// N·Dmax − Z for large N (balanced job bounds are not needed here).
-func BottleneckBounds(net *Network, n int) (maxThroughput float64, minResponse units.Second, err error) {
-	if err := net.Validate(); err != nil {
-		return 0, 0, err
-	}
-	dmax, dsum := 0.0, 0.0
-	for _, d := range net.Demands {
-		dsum += d
-		if d > dmax {
-			dmax = d
-		}
-	}
-	maxThroughput = 1 / dmax
-	minResponse = math.Max(dsum, float64(n)*dmax-net.ThinkTime)
-	return maxThroughput, minResponse, nil
-}
-
-// AllocationFor searches for a uniform scaling of CPU allocations that
-// achieves the target mean response time at population n, given per-tier
-// service demands in GHz·s. It returns the per-tier allocations (GHz)
-// scaledAlloc = base · factor where base is proportional to the demand
-// (balanced utilization), the paper's intuition that heavier tiers need
-// proportionally more CPU. Returns an error if the target is infeasible
-// within maxAllocGHz per tier.
-func AllocationFor(demandGHzS []units.GHzSecond, thinkTime units.Second, n int, targetResp units.Second, maxAllocGHz units.Hertz) ([]units.Hertz, error) {
-	if targetResp <= 0 {
-		return nil, errors.New("queueing: nonpositive target")
-	}
-	if len(demandGHzS) == 0 {
-		return nil, errors.New("queueing: no tiers")
-	}
-	base := make([]units.GHzSecond, len(demandGHzS))
-	copy(base, demandGHzS)
-	respAt := func(factor float64) (units.Second, error) {
-		net := &Network{ThinkTime: thinkTime, Demands: make([]units.Second, len(base))}
-		for i, d := range demandGHzS {
-			// factor converts a GHz·s demand into a GHz allocation, so
-			// the product's dimension is asserted at the boundary.
-			alloc := units.Hertz(base[i] * factor)
-			net.Demands[i] = d / alloc // GHz·s per GHz: seconds per visit
-		}
-		r, err := Solve(net, n)
-		if err != nil {
-			return 0, err
-		}
-		return r.ResponseTime, nil
-	}
-	// The response time is decreasing in the scale factor: bisect.
-	lo, hi := 1e-3, maxAllocGHz/maxOf(base)
-	rHi, err := respAt(hi)
-	if err != nil {
-		return nil, err
-	}
-	if rHi > targetResp {
-		return nil, fmt.Errorf("queueing: target %vs infeasible even at %v GHz", targetResp, maxAllocGHz)
-	}
-	for iter := 0; iter < 80; iter++ {
-		mid := (lo + hi) / 2
-		r, err := respAt(mid)
-		if err != nil {
-			return nil, err
-		}
-		if r > targetResp {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	out := make([]units.Hertz, len(base))
-	for i := range out {
-		out[i] = base[i] * hi
-	}
-	return out, nil
-}
-
-func maxOf(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -42,8 +42,8 @@ func TestQuarantineLifecycle(t *testing.T) {
 	if !s.quar.Active() {
 		t.Fatal("second wedge-class opening did not quarantine")
 	}
-	if s.cooldownLeft != 3*guard.DefaultQuarantineFactor {
-		t.Fatalf("quarantined cooldown = %d, want %d", s.cooldownLeft, 3*guard.DefaultQuarantineFactor)
+	if s.cooldownLeft != 3*guard.QuarantineFactor {
+		t.Fatalf("quarantined cooldown = %d, want %d", s.cooldownLeft, 3*guard.QuarantineFactor)
 	}
 	h, code := healthDoc(t, s)
 	if code != http.StatusServiceUnavailable || !h.Quarantined {

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"log"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -31,6 +32,15 @@ import (
 const (
 	defaultBreakerThreshold = 5
 	defaultBreakerCooldown  = 10
+)
+
+// Bounds on the control knobs; requests outside them get 400. A NaN,
+// infinite or huge set point drives the MPC to non-finite allocations it
+// never recovers from, and every client of a concurrency level is
+// simulated inside the step, under the mutex.
+const (
+	maxSetpointSec = 3600
+	maxConcurrency = 10_000
 )
 
 // logf reports non-fatal serving problems (failed response writes); a
@@ -787,7 +797,7 @@ func (s *Server) handleSetpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sec, err := strconv.ParseFloat(r.URL.Query().Get("seconds"), 64)
-	if err != nil || sec <= 0 {
+	if err != nil || math.IsNaN(sec) || sec <= 0 || sec > maxSetpointSec {
 		http.Error(w, "bad seconds", http.StatusBadRequest)
 		return
 	}
@@ -808,7 +818,7 @@ func (s *Server) handleConcurrency(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	level, err := strconv.Atoi(r.URL.Query().Get("level"))
-	if err != nil || level < 0 {
+	if err != nil || level < 0 || level > maxConcurrency {
 		http.Error(w, "bad level", http.StatusBadRequest)
 		return
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -123,9 +124,30 @@ func TestSetpointEndpoint(t *testing.T) {
 		"/setpoint?app=9&seconds=1",
 		"/setpoint?app=0&seconds=0",
 		"/setpoint?app=x&seconds=1",
+		"/setpoint?app=0&seconds=NaN",
+		"/setpoint?app=0&seconds=Inf",
+		"/setpoint?app=0&seconds=-Inf",
+		"/setpoint?app=0&seconds=1e308",
+		"/setpoint?app=0&seconds=3600.001",
 	} {
 		if rr := post(t, s.Handler(), bad); rr.Code != http.StatusBadRequest {
 			t.Fatalf("%s accepted: %d", bad, rr.Code)
+		}
+	}
+	if got := s.tb.Controllers[0].Setpoint(); got != 1 {
+		t.Fatalf("rejected requests moved app 0's setpoint to %v", got)
+	}
+	// The loop still steps with finite demands.
+	for k := 0; k < 3; k++ {
+		if err := s.Step(); err != nil {
+			t.Fatalf("step %d after rejected setpoints: %v", k, err)
+		}
+	}
+	for i, ctl := range s.tb.Controllers {
+		for j, d := range ctl.Demands() {
+			if math.IsNaN(d) || math.IsInf(d, 0) {
+				t.Fatalf("app %d tier %d demand %v after rejected setpoints", i, j, d)
+			}
 		}
 	}
 	// GET must be rejected.
@@ -142,8 +164,16 @@ func TestConcurrencyEndpoint(t *testing.T) {
 	if got := s.tb.Apps[0].Concurrency(); got != 80 {
 		t.Fatalf("concurrency = %d", got)
 	}
-	if rr := post(t, s.Handler(), "/concurrency?app=0&level=-1"); rr.Code != http.StatusBadRequest {
-		t.Fatalf("negative level accepted: %d", rr.Code)
+	for _, bad := range []string{
+		"/concurrency?app=0&level=-1",
+		"/concurrency?app=0&level=10001",
+	} {
+		if rr := post(t, s.Handler(), bad); rr.Code != http.StatusBadRequest {
+			t.Fatalf("%s accepted: %d", bad, rr.Code)
+		}
+	}
+	if got := s.tb.Apps[0].Concurrency(); got != 80 {
+		t.Fatalf("rejected requests moved app 0's concurrency to %d", got)
 	}
 }
 

@@ -56,35 +56,3 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 		t.Fatalf("input mutated: %v", xs)
 	}
 }
-
-func TestSummarizeEmptyAndSingle(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || !math.IsNaN(s.Mean) || !math.IsNaN(s.P50) || !math.IsNaN(s.Max) {
-		t.Fatalf("empty summary: %+v", s)
-	}
-	if s.StdDev != 0 {
-		t.Fatalf("empty summary stddev = %v", s.StdDev)
-	}
-	s = Summarize([]float64{7})
-	if s.N != 1 || s.Mean != 7 || s.Min != 7 || s.P50 != 7 || s.P99 != 7 || s.Max != 7 {
-		t.Fatalf("single-sample summary: %+v", s)
-	}
-	if s.StdDev != 0 {
-		t.Fatalf("single-sample stddev = %v", s.StdDev)
-	}
-}
-
-func TestRunningEmptyAndSingle(t *testing.T) {
-	var r Running
-	if r.N() != 0 || !math.IsNaN(r.Mean()) || !math.IsNaN(r.Min()) || !math.IsNaN(r.Max()) {
-		t.Fatalf("zero-value Running: n=%d mean=%v min=%v max=%v", r.N(), r.Mean(), r.Min(), r.Max())
-	}
-	if r.StdDev() != 0 {
-		t.Fatalf("zero-value stddev = %v", r.StdDev())
-	}
-	r.Add(-2)
-	if r.N() != 1 || r.Mean() != -2 || r.Min() != -2 || r.Max() != -2 || r.StdDev() != 0 {
-		t.Fatalf("one-sample Running: n=%d mean=%v min=%v max=%v sd=%v",
-			r.N(), r.Mean(), r.Min(), r.Max(), r.StdDev())
-	}
-}

@@ -11,12 +11,3 @@ func ExamplePercentile() {
 	fmt.Printf("p90 = %.2fs\n", stats.Percentile(latencies, 90))
 	// Output: p90 = 1.13s
 }
-
-func ExampleRunning() {
-	var r stats.Running
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		r.Add(x)
-	}
-	fmt.Printf("n=%d mean=%.1f\n", r.N(), r.Mean())
-	// Output: n=8 mean=5.0
-}

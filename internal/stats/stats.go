@@ -1,10 +1,9 @@
 // Package stats provides the small statistical toolkit used across the
-// repository: percentiles for response-time SLAs, running moments for
-// monitors, and simple summaries for experiment reporting.
+// repository: percentiles for response-time SLAs, moments, and the robust
+// statistics behind the benchmark comparisons.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
@@ -37,15 +36,6 @@ func Percentile(xs []float64, p float64) float64 {
 		}
 	}
 	return buf[lo]*(1-frac) + next*frac
-}
-
-// percentileSorted computes a percentile of an already-sorted slice.
-func percentileSorted(sorted []float64, p float64) float64 {
-	lo, hi, frac := ranks(len(sorted), p)
-	if lo == hi {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // ranks places the p-th percentile of n sorted values frac of the way
@@ -141,107 +131,4 @@ func StdDev(xs []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// Running accumulates streaming moments with Welford's algorithm.
-// The zero value is ready to use.
-type Running struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds x into the accumulator.
-func (r *Running) Add(x float64) {
-	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// N returns the number of samples seen.
-func (r *Running) N() int { return r.n }
-
-// Mean returns the running mean, or NaN if no samples were added.
-func (r *Running) Mean() float64 {
-	if r.n == 0 {
-		return math.NaN()
-	}
-	return r.mean
-}
-
-// StdDev returns the running sample standard deviation.
-func (r *Running) StdDev() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return math.Sqrt(r.m2 / float64(r.n-1))
-}
-
-// Min returns the smallest sample, or NaN if none were added.
-func (r *Running) Min() float64 {
-	if r.n == 0 {
-		return math.NaN()
-	}
-	return r.min
-}
-
-// Max returns the largest sample, or NaN if none were added.
-func (r *Running) Max() float64 {
-	if r.n == 0 {
-		return math.NaN()
-	}
-	return r.max
-}
-
-// Summary captures the distributional digest reported by the experiment
-// harnesses.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	P50    float64
-	P90    float64
-	P99    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs. The input is not modified.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		nan := math.NaN()
-		s.Mean, s.StdDev, s.Min, s.P50, s.P90, s.P99, s.Max = nan, 0, nan, nan, nan, nan, nan
-		return s
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	s.Mean = Mean(xs)
-	s.StdDev = StdDev(xs)
-	s.Min = sorted[0]
-	s.Max = sorted[len(sorted)-1]
-	s.P50 = percentileSorted(sorted, 50)
-	s.P90 = percentileSorted(sorted, 90)
-	s.P99 = percentileSorted(sorted, 99)
-	return s
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f",
-		s.N, s.Mean, s.StdDev, s.Min, s.P50, s.P90, s.P99, s.Max)
 }

@@ -145,61 +145,6 @@ func TestStdDevDegenerate(t *testing.T) {
 	}
 }
 
-func TestRunningMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 500)
-	var r Running
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 10
-		r.Add(xs[i])
-	}
-	if r.N() != len(xs) {
-		t.Fatalf("N = %d", r.N())
-	}
-	if math.Abs(r.Mean()-Mean(xs)) > 1e-9 {
-		t.Fatalf("running mean %v vs %v", r.Mean(), Mean(xs))
-	}
-	if math.Abs(r.StdDev()-StdDev(xs)) > 1e-9 {
-		t.Fatalf("running sd %v vs %v", r.StdDev(), StdDev(xs))
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	if r.Min() != lo || r.Max() != hi {
-		t.Fatalf("min/max mismatch")
-	}
-}
-
-func TestRunningEmpty(t *testing.T) {
-	var r Running
-	if !math.IsNaN(r.Mean()) || !math.IsNaN(r.Min()) || !math.IsNaN(r.Max()) {
-		t.Fatal("empty Running should report NaN")
-	}
-	if r.StdDev() != 0 {
-		t.Fatal("empty Running StdDev should be 0")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	s := Summarize(xs)
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Mean != 3 || s.P50 != 3 {
-		t.Fatalf("bad summary %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("empty String")
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || !math.IsNaN(s.Mean) {
-		t.Fatalf("bad empty summary %+v", s)
-	}
-}
-
 // Property: percentile is monotone in p and bounded by min/max.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(raw []float64, a, b float64) bool {

@@ -51,12 +51,3 @@ func (m *Model) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
 }
-
-// ReadModel parses a model written by WriteJSON.
-func ReadModel(r io.Reader) (*Model, error) {
-	m := &Model{}
-	if err := json.NewDecoder(r).Decode(m); err != nil {
-		return nil, fmt.Errorf("sysid: reading model: %w", err)
-	}
-	return m, nil
-}

@@ -4,9 +4,8 @@
 //	t(k) = Σ_{i=1..Na} a_i·t(k−i) + Σ_{j=1..Nb} b_jᵀ·c(k−j) + γ
 //
 // from measured (response time, CPU allocation) sequences, exactly the
-// form of Eq. (1) in the paper (there Na=1, Nb=2). Both batch least
-// squares and recursive least squares (for online re-identification) are
-// provided, along with fit-quality metrics.
+// form of Eq. (1) in the paper (there Na=1, Nb=2) by batch least squares,
+// along with fit-quality metrics.
 package sysid
 
 import (
@@ -66,40 +65,6 @@ func (m *Model) Predict(tPast []float64, cPast []mat.Vec) float64 {
 		y += m.B[j].Dot(cPast[j])
 	}
 	return y
-}
-
-// Simulate free-runs the model over the input sequence c (c[k] is the
-// input applied during period k) starting from the given histories, and
-// returns the predicted outputs, one per input sample.
-func (m *Model) Simulate(tPast []float64, cPast []mat.Vec, c []mat.Vec) []float64 {
-	th := append([]float64(nil), tPast...)
-	ch := cloneHistory(cPast)
-	out := make([]float64, len(c))
-	for k := range c {
-		ch = pushFront(ch, c[k].Clone())
-		y := m.Predict(th, ch)
-		out[k] = y
-		th = append([]float64{y}, th...)
-		if len(th) > m.Na+1 {
-			th = th[:m.Na+1]
-		}
-		if len(ch) > m.Nb+1 {
-			ch = ch[:m.Nb+1]
-		}
-	}
-	return out
-}
-
-func cloneHistory(h []mat.Vec) []mat.Vec {
-	out := make([]mat.Vec, len(h))
-	for i, v := range h {
-		out[i] = v.Clone()
-	}
-	return out
-}
-
-func pushFront(h []mat.Vec, v mat.Vec) []mat.Vec {
-	return append([]mat.Vec{v}, h...)
 }
 
 // DCGain returns the steady-state change in output per unit steady change

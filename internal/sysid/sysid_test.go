@@ -163,34 +163,6 @@ func TestStable(t *testing.T) {
 	}
 }
 
-func TestSimulateMatchesPredictChain(t *testing.T) {
-	m := refModel()
-	c := []mat.Vec{{1, 1}, {2, 1}, {1.5, 2}, {1, 1}}
-	out := m.Simulate([]float64{1.0}, []mat.Vec{{1, 1}, {1, 1}}, c)
-	if len(out) != len(c) {
-		t.Fatalf("len = %d", len(out))
-	}
-	// Manual first step: t = 0.5·1 + B1·c0 + B2·(1,1) + γ
-	want := 0.5*1 + (-0.3*1 - 0.2*1) + (-0.1*1 - 0.05*1) + 2.5
-	if math.Abs(out[0]-want) > 1e-12 {
-		t.Fatalf("out[0] = %v, want %v", out[0], want)
-	}
-}
-
-func TestSimulateConvergesToDCValue(t *testing.T) {
-	m := refModel()
-	c := make([]mat.Vec, 200)
-	for i := range c {
-		c[i] = mat.Vec{2, 2}
-	}
-	out := m.Simulate([]float64{0}, []mat.Vec{{2, 2}, {2, 2}}, c)
-	// Steady state: t = (γ + Σb·2) / (1−a)
-	want := (2.5 + 2*(-0.3-0.2-0.1-0.05)) / 0.5
-	if math.Abs(out[len(out)-1]-want) > 1e-9 {
-		t.Fatalf("steady state %v, want %v", out[len(out)-1], want)
-	}
-}
-
 func TestEvaluatePerfectModel(t *testing.T) {
 	ref := refModel()
 	d := makeARXData(ref, 100, 0, 3)
@@ -226,76 +198,6 @@ func TestModelStringAndNumParams(t *testing.T) {
 	}
 }
 
-func TestRLSConvergesToTrueParameters(t *testing.T) {
-	ref := refModel()
-	r, err := NewRLS(1, 2, 2, 1.0, 1e4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := makeARXData(ref, 500, 0, 5)
-	for k := 0; k < d.Len(); k++ {
-		r.Observe(d.T[k], d.C[k])
-	}
-	got := r.Model()
-	if math.Abs(got.A[0]-0.5) > 1e-3 {
-		t.Fatalf("RLS A = %v", got.A)
-	}
-	if math.Abs(got.Gamma-2.5) > 1e-2 {
-		t.Fatalf("RLS Gamma = %v", got.Gamma)
-	}
-	if r.Samples() != 500 {
-		t.Fatalf("Samples = %d", r.Samples())
-	}
-}
-
-func TestRLSTracksParameterDrift(t *testing.T) {
-	r, err := NewRLS(1, 1, 1, 0.97, 1e4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1 := &Model{Na: 1, Nb: 1, NumInputs: 1, A: []float64{0.4}, B: []mat.Vec{{-0.5}}, Gamma: 2}
-	m2 := &Model{Na: 1, Nb: 1, NumInputs: 1, A: []float64{0.6}, B: []mat.Vec{{-0.9}}, Gamma: 3}
-	for _, m := range []*Model{m1, m2} {
-		d := makeARXData(m, 400, 0, 6)
-		for k := 0; k < d.Len(); k++ {
-			r.Observe(d.T[k], d.C[k])
-		}
-	}
-	got := r.Model()
-	if math.Abs(got.A[0]-0.6) > 0.05 || math.Abs(got.B[0][0]+0.9) > 0.05 {
-		t.Fatalf("RLS failed to track drift: %+v", got)
-	}
-}
-
-func TestNewRLSValidation(t *testing.T) {
-	cases := []struct {
-		na, nb, ni int
-		lambda, p0 float64
-	}{
-		{-1, 1, 1, 1, 1},
-		{1, 0, 1, 1, 1},
-		{1, 1, 0, 1, 1},
-		{1, 1, 1, 0, 1},
-		{1, 1, 1, 1.5, 1},
-		{1, 1, 1, 1, 0},
-	}
-	for i, c := range cases {
-		if _, err := NewRLS(c.na, c.nb, c.ni, c.lambda, c.p0); err == nil {
-			t.Fatalf("case %d: expected error", i)
-		}
-	}
-}
-
-func TestRLSWrongInputDimPanics(t *testing.T) {
-	r, _ := NewRLS(1, 1, 2, 1, 1e4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	r.Observe(1.0, mat.Vec{1})
-}
-
 func BenchmarkIdentify500(b *testing.B) {
 	d := makeARXData(refModel(), 500, 0.05, 7)
 	b.ResetTimer()
@@ -303,14 +205,5 @@ func BenchmarkIdentify500(b *testing.B) {
 		if _, err := Identify(d, 1, 2, 2); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkRLSObserve(b *testing.B) {
-	r, _ := NewRLS(1, 2, 2, 0.98, 1e4)
-	c := mat.Vec{1, 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Observe(1.0, c)
 	}
 }

@@ -103,20 +103,3 @@ func Fig3Static(cfg Config) (*Fig3Result, error) {
 	}
 	return res, nil
 }
-
-// ViolationRate returns the fraction of control periods in which an
-// application's measured metric exceeded tolerance × its set point — the
-// SLA-violation statistic used to compare controlled and uncontrolled
-// runs.
-func ViolationRate(recs []PeriodRecord, appIdx int, setpoint, tolerance float64) float64 {
-	if len(recs) == 0 {
-		return 0
-	}
-	viol := 0
-	for _, r := range recs {
-		if r.T90[appIdx] > setpoint*tolerance {
-			viol++
-		}
-	}
-	return float64(viol) / float64(len(recs))
-}

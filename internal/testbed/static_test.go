@@ -68,18 +68,3 @@ func TestFig3StaticViolatesDuringSurge(t *testing.T) {
 		t.Fatalf("static system absorbed the surge (%.2f) — scenario too easy", rs)
 	}
 }
-
-func TestViolationRate(t *testing.T) {
-	recs := []PeriodRecord{
-		{T90: []float64{0.9}},
-		{T90: []float64{1.1}},
-		{T90: []float64{1.6}},
-		{T90: []float64{2.0}},
-	}
-	if got := ViolationRate(recs, 0, 1.0, 1.2); got != 0.5 {
-		t.Fatalf("ViolationRate = %v, want 0.5", got)
-	}
-	if got := ViolationRate(nil, 0, 1.0, 1.2); got != 0 {
-		t.Fatalf("empty = %v", got)
-	}
-}

@@ -95,8 +95,6 @@ type Testbed struct {
 	migModel      cluster.MigrationModel
 	OptimizerLogs []optimizer.Report
 
-	appEnergyWh []float64 // per-app attributed energy (see energy.go)
-
 	probe   *probe.Probe
 	energyJ float64 // cumulative energy reported to the probe
 
@@ -467,7 +465,6 @@ func (tb *Testbed) Run(duration float64, hook func(period int, now float64)) ([]
 			solve.Add(ctl.SolveStats())
 		}
 		psp.Float("power_w", rec.PowerW).Int("relaxed", rec.Relaxed).End()
-		tb.attributeEnergy(tb.Cfg.Period)
 		tb.energyJ += rec.PowerW * tb.Cfg.Period
 		tb.probe.Emit(check.Event{
 			Kind: check.EvStep, Step: p, TimeSec: tb.Sim.Now(), DC: tb.DC,

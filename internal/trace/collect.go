@@ -164,15 +164,6 @@ func (c *Collector) Trace() (*workload.Trace, error) {
 	return tr, nil
 }
 
-// Collect drains a gridded source into a trace in one call.
-func Collect(src Source, cfg CollectConfig) (*workload.Trace, error) {
-	col := NewCollector(cfg)
-	if _, err := Drain(src, col); err != nil {
-		return nil, err
-	}
-	return col.Trace()
-}
-
 // traceSource replays a workload.Trace as a gridded stream in canonical
 // order: step-major, VMs in trace order within a step — the order a
 // live system would observe the samples arriving.

@@ -141,9 +141,9 @@ func (w *TimeWarp) Apply(seed int64, step int, rec Record) (Record, bool) {
 
 // SectorRemix reassigns the deterministic VM→sector mapping with a new
 // salt. Sectors exist only in the assembled workload.Trace, so the
-// record stream passes through untouched; ReplaySpec.Collect applies
-// the salt when building the trace, and the distortion still appears
-// in provenance.
+// record stream passes through untouched; the Collector applies the
+// salt (ReplaySpec.SectorSalt) when building the trace, and the
+// distortion still appears in provenance.
 type SectorRemix struct {
 	Salt int64
 }

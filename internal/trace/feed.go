@@ -60,7 +60,6 @@ type Feed struct {
 	high    int  // highest step index seen
 	done    bool
 	err     error
-	stale   int // records below the watermark, dropped
 }
 
 // NewFeed wraps src (typically a Stream over a gridded source).
@@ -76,10 +75,6 @@ func NewFeed(src Source, cfg FeedConfig) (*Feed, error) {
 // a clean end and reported as nil).
 func (f *Feed) Err() error { return f.err }
 
-// Stale returns how many records arrived below the emission watermark
-// and were dropped (0 for any source honoring the grid contract).
-func (f *Feed) Stale() int { return f.stale }
-
 // app maps a VM onto an application index, deterministically.
 func (f *Feed) app(vm string) int {
 	return int(hashFold(f.cfg.Seed, "feed-app", vm, 0) % uint64(f.cfg.Apps))
@@ -94,8 +89,7 @@ func (f *Feed) ingest(rec Record) {
 		f.high = k
 	}
 	if k < f.next {
-		f.stale++
-		return
+		return // below the emission watermark: dropped
 	}
 	if k > f.high {
 		f.high = k

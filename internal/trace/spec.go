@@ -202,7 +202,7 @@ func (sp *ReplaySpec) Pipeline() ([]Distortion, error) {
 	return out, nil
 }
 
-// SectorSalt is the salt Collect uses for VM→sector assignment: the
+// SectorSalt is the salt a Collector uses for VM→sector assignment: the
 // replay seed, overridden by the last sector-remix distortion if any.
 func (sp *ReplaySpec) SectorSalt() int64 {
 	salt := sp.Seed

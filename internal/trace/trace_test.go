@@ -275,6 +275,15 @@ func TestGridMaxVMsBound(t *testing.T) {
 
 // --- collector ---
 
+// collect drains a gridded source into a trace.
+func collect(src Source, cfg CollectConfig) (*workload.Trace, error) {
+	col := NewCollector(cfg)
+	if _, err := Drain(src, col); err != nil {
+		return nil, err
+	}
+	return col.Trace()
+}
+
 func TestCollectorEdgeAlignment(t *testing.T) {
 	// VM a covers steps [0,3), b covers [1,2): b needs lead+trail fill.
 	recs := []Record{
@@ -284,7 +293,7 @@ func TestCollectorEdgeAlignment(t *testing.T) {
 		{VM: "a", Time: 1800, Util: 0.3},
 	}
 	build := func(edge GapPolicy) (*workload.Trace, error) {
-		return Collect(&sliceSource{recs: recs}, CollectConfig{Edge: edge})
+		return collect(&sliceSource{recs: recs}, CollectConfig{Edge: edge})
 	}
 	hold, err := build(GapHold)
 	if err != nil {
@@ -319,7 +328,7 @@ func TestCollectorRejectsOffGridAndNonConsecutive(t *testing.T) {
 }
 
 func TestCollectorEmptySource(t *testing.T) {
-	if _, err := Collect(&sliceSource{}, CollectConfig{}); err == nil {
+	if _, err := collect(&sliceSource{}, CollectConfig{}); err == nil {
 		t.Fatal("empty source assembled into a trace")
 	}
 }
@@ -616,7 +625,7 @@ func TestFabricatedCorporaRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		tr, err := Collect(grid, CollectConfig{})
+		tr, err := collect(grid, CollectConfig{})
 		if err != nil {
 			t.Fatalf("%s: collect: %v", name, err)
 		}

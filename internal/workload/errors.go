@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -31,20 +30,6 @@ type ShapeError struct {
 // Error implements error.
 func (e *ShapeError) Error() string {
 	return fmt.Sprintf("workload: VM %q has %d samples, want %d (series must be rectangular)", e.VM, e.Got, e.Want)
-}
-
-// IsSampleError reports whether err (or anything it wraps) is a sample
-// rejection.
-func IsSampleError(err error) bool {
-	var se *SampleError
-	return errors.As(err, &se)
-}
-
-// IsShapeError reports whether err (or anything it wraps) is a shape
-// rejection.
-func IsShapeError(err error) bool {
-	var se *ShapeError
-	return errors.As(err, &se)
 }
 
 // checkSample applies the sample contract shared by every decoder.

@@ -13,7 +13,10 @@ func ExampleGenerate() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("%d VMs × %d samples, %d sectors\n",
-		tr.NumVMs(), tr.NumSteps(), len(tr.SectorBreakdown()))
+	sectors := map[workload.Sector]bool{}
+	for _, s := range tr.Sectors {
+		sectors[s] = true
+	}
+	fmt.Printf("%d VMs × %d samples, %d sectors\n", tr.NumVMs(), tr.NumSteps(), len(sectors))
 	// Output: 100 VMs × 672 samples, 4 sectors
 }

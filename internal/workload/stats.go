@@ -1,10 +1,5 @@
 package workload
 
-import (
-	"fmt"
-	"sort"
-)
-
 // AggregateUtilization returns the across-VM mean utilization at each
 // step — the data-center-wide load curve the consolidation optimizer
 // rides.
@@ -46,38 +41,4 @@ func (t *Trace) PeakToMean() float64 {
 		return 0
 	}
 	return peak / mean
-}
-
-// SectorStat summarizes one sector's share of the trace.
-type SectorStat struct {
-	Sector   Sector
-	NumVMs   int
-	MeanUtil float64
-}
-
-// SectorBreakdown returns per-sector VM counts and mean utilizations,
-// ordered by sector.
-func (t *Trace) SectorBreakdown() []SectorStat {
-	agg := map[Sector]*SectorStat{}
-	for i, s := range t.Sectors {
-		st, ok := agg[s]
-		if !ok {
-			st = &SectorStat{Sector: s}
-			agg[s] = st
-		}
-		st.NumVMs++
-		st.MeanUtil += t.MeanUtilization(i)
-	}
-	var out []SectorStat
-	for _, st := range agg {
-		st.MeanUtil /= float64(st.NumVMs)
-		out = append(out, *st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Sector < out[j].Sector })
-	return out
-}
-
-// String renders one sector row.
-func (s SectorStat) String() string {
-	return fmt.Sprintf("%-14s %6d VMs  mean util %.1f%%", s.Sector, s.NumVMs, 100*s.MeanUtil)
 }

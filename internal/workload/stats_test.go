@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestAggregateUtilizationBounds(t *testing.T) {
 	tr, _ := Generate(smallConfig())
@@ -40,32 +37,5 @@ func TestPeakToMeanShowsDiurnalSwing(t *testing.T) {
 func TestPeakToMeanDegenerate(t *testing.T) {
 	if (&Trace{}).PeakToMean() != 0 {
 		t.Fatal("empty trace should give 0")
-	}
-}
-
-func TestSectorBreakdown(t *testing.T) {
-	tr, _ := Generate(GenConfig{NumVMs: 400, Days: 1, StepsPerHour: 4, Seed: 9})
-	rows := tr.SectorBreakdown()
-	if len(rows) != 4 {
-		t.Fatalf("sectors = %d", len(rows))
-	}
-	total := 0
-	for _, r := range rows {
-		total += r.NumVMs
-		if r.MeanUtil <= 0 || r.MeanUtil >= 1 || math.IsNaN(r.MeanUtil) {
-			t.Fatalf("%s: mean util %v", r.Sector, r.MeanUtil)
-		}
-		if r.String() == "" {
-			t.Fatal("empty String")
-		}
-	}
-	if total != 400 {
-		t.Fatalf("VM counts sum to %d", total)
-	}
-	// Ordered by sector.
-	for i := 1; i < len(rows); i++ {
-		if rows[i-1].Sector >= rows[i].Sector {
-			t.Fatal("not ordered by sector")
-		}
 	}
 }

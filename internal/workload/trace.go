@@ -98,11 +98,6 @@ type GenConfig struct {
 	Seed         int64
 }
 
-// DefaultGenConfig mirrors the paper's trace dimensions.
-func DefaultGenConfig() GenConfig {
-	return GenConfig{NumVMs: 5415, Days: 7, StepsPerHour: 4, Seed: 2008}
-}
-
 // sectorShape returns the deterministic utilization shape for a sector at
 // the given hour-of-day and day-of-week (0 = Monday), in [0,1].
 func sectorShape(s Sector, hour float64, day int) float64 {
