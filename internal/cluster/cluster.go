@@ -6,7 +6,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"vdcpower/internal/power"
@@ -296,6 +298,7 @@ type DataCenter struct {
 	trace    *telemetry.Track        // set via SetTrace; nil keeps tracing off
 	inflight map[string]*MigrationTx // VM ID → reserved two-phase migration
 	observer func(*MigrationTx)      // set via SetMigrationObserver; may be nil
+	byEff    []int                   // ByEfficiency's order, built on first use
 }
 
 // SetTrace implements telemetry.Traceable: migrations, server wakes and
@@ -320,6 +323,37 @@ func NewDataCenter(servers []*Server) (*DataCenter, error) {
 		}
 	}
 	return dc, nil
+}
+
+// ByEfficiency returns the indices into Servers ordered most
+// power-efficient first (Spec.Efficiency descending, ties by ID): the
+// order PAC fills bins in. Efficiency is a constant of a server's spec
+// and Servers never changes after NewDataCenter, so the order is built
+// once, on the first call, and shared by every later one (do not
+// mutate).
+func (dc *DataCenter) ByEfficiency() []int {
+	if len(dc.byEff) == len(dc.Servers) {
+		return dc.byEff
+	}
+	type key struct {
+		eff float64
+		i   int
+	}
+	keys := make([]key, len(dc.Servers))
+	for i, s := range dc.Servers {
+		keys[i] = key{s.Spec.Efficiency(), i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(b.eff, a.eff); c != 0 {
+			return c
+		}
+		return cmp.Compare(dc.Servers[a.i].ID, dc.Servers[b.i].ID)
+	})
+	dc.byEff = make([]int, len(keys))
+	for j, k := range keys {
+		dc.byEff[j] = k.i
+	}
+	return dc.byEff
 }
 
 // Place hosts a previously unplaced VM on srv, waking it if needed.

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
+	"vdcpower/internal/power"
 	"vdcpower/internal/race"
 )
 
@@ -43,5 +45,41 @@ func TestNumActiveZeroAlloc(t *testing.T) {
 	}
 	if n != 33 || n != len(dc.ActiveServers()) {
 		t.Fatalf("NumActive = %d, want 33 = len(ActiveServers) = %d", n, len(dc.ActiveServers()))
+	}
+}
+
+// TestByEfficiency: the fleet order is a permutation of Servers, most
+// power-efficient first with ties by ID, built once and shared.
+func TestByEfficiency(t *testing.T) {
+	types := power.AllTypes()
+	servers := make([]*Server, 12)
+	for i := range servers {
+		servers[i] = NewServer(fmt.Sprintf("s%02d", (i*7)%12), types[i%len(types)])
+	}
+	dc, err := NewDataCenter(servers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := dc.ByEfficiency()
+	seen := make([]bool, len(servers))
+	for j, i := range order {
+		if seen[i] {
+			t.Fatalf("index %d appears twice in %v", i, order)
+		}
+		seen[i] = true
+		if j == 0 {
+			continue
+		}
+		prev, cur := servers[order[j-1]], servers[i]
+		pe, ce := prev.Spec.Efficiency(), cur.Spec.Efficiency()
+		if pe < ce || (pe <= ce && prev.ID > cur.ID) {
+			t.Fatalf("%s (%v) before %s (%v)", prev.ID, pe, cur.ID, ce)
+		}
+	}
+	if len(order) != len(servers) {
+		t.Fatalf("order has %d servers, fleet %d", len(order), len(servers))
+	}
+	if again := dc.ByEfficiency(); &again[0] != &order[0] {
+		t.Fatal("the order is rebuilt on every call")
 	}
 }

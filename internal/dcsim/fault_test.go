@@ -218,3 +218,31 @@ func TestSweepWithFaultProfile(t *testing.T) {
 		t.Fatalf("faulted sweep produced no usable point: %+v", points)
 	}
 }
+
+// TestDVFSAblationAbsorbsFaults: the noDVFS ablation hands the fault
+// plane and the search counters through to the IPAC it wraps, so under
+// a fault profile its passes fail and its migrations abort as IPAC's
+// do, and the run counts its branch-and-bound nodes.
+func TestDVFSAblationAbsorbsFaults(t *testing.T) {
+	p := fault.Profile{Seed: 9,
+		Migration: fault.MigrationProfile{AbortProb: 0.5},
+		Optimizer: fault.OptimizerProfile{ErrorProb: 0.3}}
+	cfg, checker := chaosConfig(t, p)
+	cfg.WatchdogEverySteps = 0 // only the consolidator meets the faults
+	cons := optimizer.WithoutDVFS{Inner: optimizer.NewIPAC()}
+	cfg.Consolidator = cons
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("ablation run aborted: %v", err)
+	}
+	if checker.NumViolations() != 0 {
+		t.Fatalf("ablation run broke invariants: %v", checker.Err())
+	}
+	if res.DegradedPasses == 0 || res.FailedMoves == 0 || res.FaultsInjected == 0 {
+		t.Fatalf("the ablation's IPAC never met the fault plane: %d degraded passes, %d failed moves, %d faults",
+			res.DegradedPasses, res.FailedMoves, res.FaultsInjected)
+	}
+	if nodes, _ := optimizer.SearchEffort(cons); nodes == 0 {
+		t.Fatal("the ablation's search effort reads 0 nodes")
+	}
+}

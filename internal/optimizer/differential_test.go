@@ -190,10 +190,6 @@ func runDifferential(t *testing.T, seed int64, tally *diffTally) error {
 	if r.Intn(2) == 0 {
 		policy = hashVeto{}
 	}
-	maxRounds := 0
-	if r.Intn(4) == 0 {
-		maxRounds = 1 + r.Intn(5)
-	}
 	profile := fault.Profile{Seed: seed,
 		Migration: fault.MigrationProfile{AbortProb: 0.3 * r.Float64(), MaxRetries: r.Intn(3)},
 		Optimizer: fault.OptimizerProfile{ErrorProb: 0.2 * r.Float64()}}
@@ -201,10 +197,10 @@ func runDifferential(t *testing.T, seed int64, tally *diffTally) error {
 	passes := 3 + r.Intn(4)
 
 	ipac := NewIPAC()
-	ipac.Policy, ipac.MaxRounds = policy, maxRounds
+	ipac.Policy = policy
 	refCfg := packing.DefaultMinSlackConfig()
 	refCfg.Stats, refCfg.Pool = &packing.SearchStats{}, packing.NewPool()
-	ref := &refIPAC{Constraint: ipac.Constraint, MinSlack: refCfg, Policy: policy, MaxRounds: maxRounds}
+	ref := &refIPAC{Constraint: ipac.Constraint, MinSlack: refCfg, Policy: policy}
 	worlds := [2]*diffWorld{
 		{dc: buildDiffDC(t, seed, n), cons: ipac, stats: ipac.MinSlack.Stats},
 		{dc: buildDiffDC(t, seed, n), cons: ref, stats: refCfg.Stats},

@@ -87,6 +87,24 @@ func (w WithoutDVFS) SetTrace(tk *telemetry.Track) {
 	}
 }
 
+// SetFaults implements fault.Injectable by forwarding to the wrapped
+// consolidator when it is itself injectable, so the ablation absorbs
+// the same faults as the policy it wraps.
+func (w WithoutDVFS) SetFaults(in *fault.Injector) {
+	if f, ok := w.Inner.(fault.Injectable); ok {
+		f.SetFaults(in)
+	}
+}
+
+// SearchStats forwards the wrapped consolidator's search counters (nil
+// when it keeps none), so SearchEffort counts the ablation's search.
+func (w WithoutDVFS) SearchStats() *packing.SearchStats {
+	if s, ok := w.Inner.(interface{ SearchStats() *packing.SearchStats }); ok {
+		return s.SearchStats()
+	}
+	return nil
+}
+
 // EstimateBenefit approximates the steady-state power saving (watts) of
 // moving vm from one server to another: the per-GHz marginal power
 // difference, plus the idle power reclaimed if the source empties and can

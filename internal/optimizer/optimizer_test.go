@@ -443,17 +443,22 @@ func BenchmarkIPAC50Servers(b *testing.B) {
 	}
 }
 
-// SearchEffort reads IPAC's accumulated branch-and-bound effort and
-// reports zero for policies that do not search.
+// SearchEffort reads IPAC's accumulated branch-and-bound effort, also
+// through the noDVFS wrapper, and reports zero for policies that do not
+// search.
 func TestSearchEffort(t *testing.T) {
-	if n, w := SearchEffort(NewPMapper()); n != 0 || w != 0 {
-		t.Fatalf("pMapper effort = %d/%d, want 0/0", n, w)
+	for _, c := range []Consolidator{NewPMapper(), WithoutDVFS{Inner: NewPMapper()}} {
+		if n, w := SearchEffort(c); n != 0 || w != 0 {
+			t.Fatalf("%s effort = %d/%d, want 0/0", c.Name(), n, w)
+		}
 	}
 	ipac := NewIPAC()
-	if _, err := ipac.Consolidate(scatteredDC(t)); err != nil {
+	if _, err := (WithoutDVFS{Inner: ipac}).Consolidate(scatteredDC(t)); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := SearchEffort(ipac); n == 0 || n != ipac.SearchStats().Nodes {
-		t.Fatalf("IPAC effort = %d nodes, stats say %d", n, ipac.SearchStats().Nodes)
+	for _, c := range []Consolidator{ipac, WithoutDVFS{Inner: ipac}} {
+		if n, _ := SearchEffort(c); n == 0 || n != ipac.SearchStats().Nodes {
+			t.Fatalf("%s effort = %d nodes, stats say %d", c.Name(), n, ipac.SearchStats().Nodes)
+		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 // out. Bins are mutated to carry the planned load. It returns the
 // assignment and any items no bin admitted.
 func PAC(items []packing.Item, bins []*packing.Bin, cons packing.Constraint, cfg packing.MinSlackConfig) (packing.Assignment, []packing.Item) {
+	packing.SortBinsByEfficiency(bins)
 	pl := &packing.Plan{Items: items, Bins: bins}
 	place(pl, cons, cfg)
 	asg := packing.Assignment{}
@@ -29,13 +30,13 @@ func PAC(items []packing.Item, bins []*packing.Bin, cons packing.Constraint, cfg
 	return asg, pl.Rest
 }
 
-// place is PAC on plan storage: it packs pl.Items onto pl.Bins, records
-// in pl.Targets the bin each item was planned onto (nil if none) and
+// place is PAC on plan storage: it packs pl.Items onto pl.Bins, taken
+// in the order given (PAC's, most power-efficient first), records in
+// pl.Targets the bin each item was planned onto (nil if none) and
 // leaves the unplaced items in pl.Rest, in their original order. It
 // returns how many items stayed unplaced.
 func place(pl *packing.Plan, cons packing.Constraint, cfg packing.MinSlackConfig) int {
 	sp := cfg.Trace.Start("optimizer.pac").Int("items", len(pl.Items)).Int("bins", len(pl.Bins))
-	packing.SortBinsByEfficiency(pl.Bins)
 	pl.Targets = slices.Grow(pl.Targets[:0], len(pl.Items))[:len(pl.Items)]
 	clear(pl.Targets)
 	rest := append(pl.Rest[:0], pl.Items...)
@@ -87,9 +88,6 @@ type IPAC struct {
 	Constraint packing.Constraint
 	MinSlack   packing.MinSlackConfig
 	Policy     CostPolicy
-	// MaxRounds bounds the drain loop per invocation. <= 0 means the
-	// number of servers (the natural maximum).
-	MaxRounds int
 	// Faults, when non-nil, injects transient pass errors and migration
 	// aborts; IPAC degrades by skipping the failed move (bounded retries
 	// with deterministic backoff) instead of aborting the pass.
@@ -121,9 +119,22 @@ type donorKey struct {
 
 // shedding is one VM overload relief moves off its server.
 type shedding struct {
-	vm   *cluster.VM
-	from *cluster.Server
+	vm *cluster.VM
+	at int // the index in dc.Servers of the server it leaves
 }
+
+// shedFrom returns the shed list's VMs from server dc.Servers[i]. The
+// list is grouped by server in fleet order, so binary search finds them.
+func (st *passState) shedFrom(i int) []shedding {
+	lo, _ := slices.BinarySearchFunc(st.shed, i, compareShedAt)
+	hi := lo
+	for hi < len(st.shed) && st.shed[hi].at == i {
+		hi++
+	}
+	return st.shed[lo:hi]
+}
+
+func compareShedAt(sh shedding, i int) int { return cmp.Compare(sh.at, i) }
 
 // release clears the lists, keeping their capacity.
 func (st *passState) release() {
@@ -196,12 +207,8 @@ func (o *IPAC) Consolidate(dc *cluster.DataCenter) (Report, error) {
 		return rep, err
 	}
 
-	maxRounds := o.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = len(dc.Servers)
-	}
 	o.orderDonors(dc)
-	for round := 0; round < maxRounds; round++ {
+	for {
 		donor := o.pickDonor()
 		if donor == nil {
 			break
@@ -277,8 +284,8 @@ func (o *IPAC) drain(dc *cluster.DataCenter, donor *cluster.Server, rep *Report)
 	for i, v := range vms {
 		pl.Items[i] = itemFor(v)
 	}
-	for i, s := range dc.Servers {
-		if s.State() == cluster.Active && s != donor && !s.Cordoned() {
+	for _, i := range dc.ByEfficiency() {
+		if s := dc.Servers[i]; s.State() == cluster.Active && s != donor && !s.Cordoned() {
 			loadBin(pl.AddBin(i), s, nil)
 		}
 	}
@@ -346,7 +353,7 @@ func resolveOverloads(dc *cluster.DataCenter, cons packing.Constraint, msCfg pac
 		sp.Int("unresolved", rep.Unresolved).Int("migrations", rep.Migrations-before).End()
 	}()
 	st.shed = st.shed[:0]
-	for _, s := range dc.Servers {
+	for i, s := range dc.Servers {
 		if s.State() != cluster.Active || !s.Overloaded() {
 			continue
 		}
@@ -361,7 +368,7 @@ func resolveOverloads(dc *cluster.DataCenter, cons packing.Constraint, msCfg pac
 				break
 			}
 			//lint:ignore hotalloc high-water-mark growth: the shed list keeps its capacity from pass to pass
-			st.shed = append(st.shed, shedding{vm: v, from: s})
+			st.shed = append(st.shed, shedding{vm: v, at: i})
 			excess -= v.Demand
 		}
 	}
@@ -369,19 +376,12 @@ func resolveOverloads(dc *cluster.DataCenter, cons packing.Constraint, msCfg pac
 		return nil
 	}
 	// Bins: every non-cordoned, non-failed server (sleeping ones may be
-	// woken), minus the shed VMs. The shed list is grouped by server in
-	// fleet order, so shed[own:next] is the current server's.
+	// woken), minus the shed VMs, most power-efficient first.
 	pl := msCfg.Pool.Plan()
-	next := 0
-	for i, s := range dc.Servers {
-		own := next
-		for next < len(st.shed) && st.shed[next].from == s {
-			next++
+	for _, i := range dc.ByEfficiency() {
+		if s := dc.Servers[i]; !s.Cordoned() && s.State() != cluster.Failed {
+			loadBin(pl.AddBin(i), s, st.shedFrom(i))
 		}
-		if s.Cordoned() || s.State() == cluster.Failed {
-			continue
-		}
-		loadBin(pl.AddBin(i), s, st.shed[own:next])
 	}
 	pl.Items = slices.Grow(pl.Items, len(st.shed))[:len(st.shed)]
 	for i, sh := range st.shed {
@@ -393,7 +393,7 @@ func resolveOverloads(dc *cluster.DataCenter, cons packing.Constraint, msCfg pac
 			continue // unplaced: the overload stays (reported)
 		}
 		target := dc.Server(pl.Targets[i].ID)
-		if target == sh.from {
+		if target == dc.Servers[sh.at] {
 			continue // re-packed in place
 		}
 		// Overload relief bypasses the cost policy: SLAs outrank cost.

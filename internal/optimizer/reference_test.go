@@ -51,7 +51,6 @@ type refIPAC struct {
 	Constraint packing.Constraint
 	MinSlack   packing.MinSlackConfig
 	Policy     CostPolicy
-	MaxRounds  int
 	Faults     *fault.Injector
 }
 
@@ -70,12 +69,8 @@ func (o *refIPAC) Consolidate(dc *cluster.DataCenter) (Report, error) {
 	if err := refResolveOverloads(dc, o.Constraint, o.MinSlack, o.Faults, &rep); err != nil {
 		return rep, err
 	}
-	maxRounds := o.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = len(dc.Servers)
-	}
 	tried := map[string]bool{}
-	for round := 0; round < maxRounds; round++ {
+	for {
 		donor := o.pickDonor(dc, tried)
 		if donor == nil {
 			break

@@ -2,6 +2,7 @@ package packing
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -54,21 +55,69 @@ func sameResult(got, want MinSlackResult) string {
 	return ""
 }
 
-// TestMinimumSlackMatchesReference compares the probe-bin search with
-// the re-summing search it replaced, pooled and pool-less, under the
-// vector constraint with and without headroom and under constraints
-// that read the bin's items. Node budgets are drawn small enough that
-// widening and exhaustion occur.
+// edgeInstance reshapes a diffInstance into the cases the vector
+// search's bulk counts must get exactly right: zero-CPU items, which
+// end the suffix sums at zero so the prune binary search meets equality
+// (slack-0 >= best where slack is best); a bin loaded past its 10%
+// headroom, so every candidate fails on CPU and a whole level is one
+// bulk count; memory-infeasible items among the small ones, inside the
+// CPU-feasible suffix; and a negative or NaN CPU, which must send the
+// search down the generic loop. NaN leaves the sort order to the
+// algorithm, so NaN lists stay within the 12 items slices.SortFunc
+// insertion-sorts as refSortItems does.
+func edgeInstance(r *rand.Rand, b *Bin, items []Item) []Item {
+	if r.Intn(2) == 0 {
+		for i := range items {
+			if r.Intn(3) == 0 {
+				items[i].CPU = 0
+			}
+		}
+	}
+	if r.Intn(3) == 0 {
+		load := b.CPUCap*(0.91+0.08*r.Float64()) - b.CPUUsed()
+		b.Add(Item{ID: "load", CPU: max(load, 0), Mem: 0.1})
+	}
+	if r.Intn(2) == 0 {
+		for i := range items {
+			if items[i].CPU < 1 && r.Intn(2) == 0 {
+				items[i].Mem = b.MemCap + r.Float64()
+			}
+		}
+	}
+	if len(items) > 0 {
+		switch r.Intn(6) {
+		case 0:
+			items[r.Intn(len(items))].CPU = -0.01 - r.Float64()
+		case 1:
+			items = items[:min(len(items), 12)]
+			items[r.Intn(len(items))].CPU = math.NaN()
+		}
+	}
+	return items
+}
+
+// TestMinimumSlackMatchesReference compares the search with the
+// re-summing search it replaced, pooled and pool-less, under the vector
+// constraint with and without headroom (the vector search, or the
+// generic loop for a negative or NaN CPU) and under constraints that
+// read the bin's items (the generic loop). Node budgets are drawn small
+// enough that widening and exhaustion occur. Seeds past 400 draw the
+// edge cases of edgeInstance and budgets of 1–3 nodes, which one bulk
+// count crosses once and then again.
 func TestMinimumSlackMatchesReference(t *testing.T) {
 	pool := NewPool()
-	widened, exhausted, chosen := 0, 0, 0
-	for seed := int64(1); seed <= 400; seed++ {
+	widened, exhausted, chosen, tiny := 0, 0, 0, 0
+	for seed := int64(1); seed <= 800; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		b, items := diffInstance(r, seed)
 		cfg := DefaultMinSlackConfig()
 		cfg.Epsilon = 0.2 * r.Float64()
 		cfg.MaxNodes = []int{5, 40, 300, 20000}[r.Intn(4)]
 		k := len(b.Items()) + 1 + r.Intn(4)
+		if seed > 400 {
+			cfg.MaxNodes = []int{1, 2, 3, 5, 40, 20000}[r.Intn(6)]
+			items = edgeInstance(r, b, items)
+		}
 		for _, cons := range []Constraint{
 			VectorConstraint{}, VectorConstraint{CPUHeadroom: 0.1},
 			maxItems{k: k}, both{VectorConstraint{CPUHeadroom: 0.1}, maxItems{k: k}},
@@ -89,12 +138,16 @@ func TestMinimumSlackMatchesReference(t *testing.T) {
 			}
 			if want.Exhausted {
 				exhausted++
+				if cfg.MaxNodes <= 3 {
+					tiny++
+				}
 			}
 			chosen += len(want.Chosen)
 		}
 	}
-	if widened == 0 || exhausted == 0 || chosen == 0 {
-		t.Fatalf("instances too easy: %d widened, %d exhausted, %d items chosen", widened, exhausted, chosen)
+	if widened == 0 || exhausted == 0 || chosen == 0 || tiny == 0 {
+		t.Fatalf("instances too easy: %d widened, %d exhausted (%d on 1–3 nodes), %d items chosen",
+			widened, exhausted, tiny, chosen)
 	}
 }
 

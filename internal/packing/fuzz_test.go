@@ -4,7 +4,9 @@ package packing_test
 // packing.MinimumSlack through the runtime invariant checker: every
 // input must yield a feasible selection whose slack accounting balances
 // and that is never worse than greedy first-fit-decreasing beyond the
-// configured ε. Seeds live in testdata/fuzz/FuzzMinimumSlack.
+// configured ε. It also runs the generic search on the same input, and
+// the vector search must return exactly its result. Seeds live in
+// testdata/fuzz/FuzzMinimumSlack.
 
 import (
 	"fmt"
@@ -15,15 +17,24 @@ import (
 	"vdcpower/internal/packing"
 )
 
-// decodePacking turns fuzz bytes into a bin and candidate items. The
-// item count is capped so the branch-and-bound stays cheap per input.
-func decodePacking(data []byte) (*packing.Bin, []packing.Item, packing.Constraint) {
+// genericVector is VectorConstraint under another type: Fits is
+// promoted, so it admits exactly what VectorConstraint admits, but
+// MinimumSlack runs its generic search for it.
+type genericVector struct{ packing.VectorConstraint }
+
+// decodePacking turns fuzz bytes into a bin, candidate items, the
+// constraint and a node budget. The item count is capped so the
+// branch-and-bound stays cheap per input. The high bits of the first
+// two bytes pick the budget: 0 keeps the default, 1–31 nodes are small
+// enough that a bulk count trips it.
+func decodePacking(data []byte) (*packing.Bin, []packing.Item, packing.VectorConstraint, int) {
 	bin := &packing.Bin{
 		ID:     "fuzz-bin",
 		CPUCap: 1 + float64(data[0]%32)*0.5, // 1 .. 16.5 GHz
 		MemCap: 1 + float64(data[1]%64)*0.5, // 1 .. 32.5 GB
 	}
 	cons := packing.VectorConstraint{CPUHeadroom: float64(data[0]%3) * 0.05}
+	budget := int(data[0]>>5)<<2 | int(data[1]>>6)
 	rest := data[2:]
 	if len(rest) > 32 {
 		rest = rest[:32] // at most 16 items
@@ -36,7 +47,7 @@ func decodePacking(data []byte) (*packing.Bin, []packing.Item, packing.Constrain
 			Mem: float64(rest[i+1]) / 32, // 0 .. ~8 GB
 		})
 	}
-	return bin, items, cons
+	return bin, items, cons, budget
 }
 
 func FuzzMinimumSlack(f *testing.F) {
@@ -47,9 +58,11 @@ func FuzzMinimumSlack(f *testing.F) {
 		if len(data) < 4 {
 			return
 		}
-		bin, items, cons := decodePacking(data)
+		bin, items, cons, budget := decodePacking(data)
+		cfg := packing.DefaultMinSlackConfig()
+		cfg.MaxNodes = budget
 		c := check.New(check.PackingInvariants()...)
-		res := check.ObserveMinimumSlack(c, bin, items, cons, packing.DefaultMinSlackConfig())
+		res := check.ObserveMinimumSlack(c, bin, items, cons, cfg)
 		if err := c.Err(); err != nil {
 			t.Fatalf("invariants violated for bin %+v items %v: %v", bin, items, err)
 		}
@@ -58,6 +71,15 @@ func FuzzMinimumSlack(f *testing.F) {
 		}
 		if len(res.Chosen) > len(items) {
 			t.Fatalf("chose %d items from %d candidates", len(res.Chosen), len(items))
+		}
+		gen := packing.MinimumSlack(bin, items, genericVector{cons}, cfg)
+		same := math.Float64bits(res.Slack) == math.Float64bits(gen.Slack) && res.Nodes == gen.Nodes && res.Widened == gen.Widened &&
+			res.Exhausted == gen.Exhausted && len(res.Chosen) == len(gen.Chosen)
+		for i := 0; same && i < len(res.Chosen); i++ {
+			same = res.Chosen[i] == gen.Chosen[i]
+		}
+		if !same {
+			t.Fatalf("budget %d, bin %+v, items %v: vector search %+v, generic %+v", budget, bin, items, res, gen)
 		}
 	})
 }

@@ -13,6 +13,7 @@ package packing
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -134,18 +135,21 @@ type MinSlackConfig struct {
 // arena for the sort/suffix/probe/best-set state that one MinimumSlack
 // call needs — so a consolidator solving one bin after another reuses
 // the same backing arrays instead of reallocating them per call. It
-// also lends the consolidator's planning storage (Plan), so a pass
-// reuses its bin views and item lists too.
+// keeps the last candidate list sorted: PAC offers one list to bin
+// after bin until a bin takes an item, and a call with the same list,
+// bit for bit, skips the sort. It also lends the consolidator's
+// planning storage (Plan), so a pass reuses its bin views and item
+// lists too.
 //
 // A Pool serves one search at a time (not safe for concurrent use),
 // and when it is set MinSlackResult.Chosen aliases pool-owned memory
 // that is only valid until the next MinimumSlack call through the same
-// pool; callers that keep it longer must copy. Without a pool the
-// result is independently allocated, as before.
+// pool; callers that keep it longer must copy. A call without a pool
+// searches in a pool of its own, so its result is independently
+// allocated.
 type Pool struct {
-	sorted  []Item
-	suffix  []units.Hertz
-	probe   []Item // the probe bin's items: the bin's, then the chosen stack
+	list    sortedList
+	probe   []Item // the probe bin's items, or the vector search's chosen stack
 	bestSet []Item
 	search  mbsSearch
 	plan    Plan
@@ -226,78 +230,54 @@ type MinSlackResult struct {
 // MinimumSlack selects a subset of candidates that minimizes the bin's
 // remaining CPU slack subject to the constraint — Algorithm 1. The bin's
 // existing items stay; candidates are not mutated.
+//
+// Under VectorConstraint, with every candidate's CPU finite and ≥ 0,
+// the search runs dfsVector, which counts the nodes it skips in bulk;
+// any other constraint or candidate list runs the generic dfs. Both
+// return the same result, node count and span.
 func MinimumSlack(b *Bin, candidates []Item, cons Constraint, cfg MinSlackConfig) MinSlackResult {
 	if cfg.MaxNodes <= 0 {
 		cfg.MaxNodes = DefaultMinSlackConfig().MaxNodes
 	}
+	// The search state and the sorted list live in the pool. A call
+	// without one gets a pool of its own, so its result aliases memory
+	// nothing else holds.
 	pool := cfg.Pool
-	// The search state lives in the pool. Without one it is allocated:
-	// the probe bin escapes through the constraint interface, so the
-	// state cannot live on the stack.
-	var s *mbsSearch
-	if pool != nil {
-		s = &pool.search
-	} else {
-		s = new(mbsSearch)
+	if pool == nil {
+		pool = new(Pool)
 	}
-	// MBS explores items in decreasing size order: large items first
-	// prunes the search fastest.
-	var sorted []Item
-	if pool != nil {
-		sorted = append(pool.sorted[:0], candidates...)
-		pool.sorted = sorted
-	} else {
-		sorted = append([]Item(nil), candidates...)
-	}
-	slices.SortFunc(sorted, compareItems)
-	// Suffix sums of CPU demand for the can't-improve prune.
-	var suffix []units.Hertz
-	if pool != nil {
-		suffix = growHertz(pool.suffix, len(sorted)+1)
-		pool.suffix = suffix
-		suffix[len(sorted)] = 0
-	} else {
-		suffix = make([]units.Hertz, len(sorted)+1)
-	}
-	for i := len(sorted) - 1; i >= 0; i-- {
-		suffix[i] = suffix[i+1] + sorted[i].CPU
-	}
+	s, l := &pool.search, &pool.list
+	l.reuse(candidates)
 	// The probe bin is the bin with the chosen stack planned on top: its
 	// items are the bin's followed by the stack, and its sums grow by one
 	// addition per push. The stack can never exceed the candidate count,
-	// so one buffer (reused from the pool when present) serves the whole
-	// search.
-	var probe []Item
-	if pool != nil {
-		probe = growItems(pool.probe, len(b.items)+len(sorted))
-		pool.probe = probe
-	} else {
-		probe = make([]Item, 0, len(b.items)+len(sorted))
-	}
+	// so one buffer serves the whole search.
+	probe := growItems(pool.probe, len(b.items)+len(l.items))
+	pool.probe = probe
 	*s = mbsSearch{
-		probe: Bin{ID: b.ID, CPUCap: b.CPUCap, MemCap: b.MemCap, Efficiency: b.Efficiency,
-			items: append(probe, b.items...), cpuUsed: b.cpuUsed, memUsed: b.memUsed},
-		base:    len(b.items),
-		items:   sorted,
-		suffix:  suffix,
-		cons:    cons,
+		items:   l.items,
+		suffix:  l.suffix,
 		eps:     cfg.Epsilon,
 		epsStep: cfg.EpsilonStep,
 		budget:  cfg.MaxNodes,
 		best:    b.Slack(),
-	}
-	if pool != nil {
-		s.bestSet = pool.bestSet[:0]
+		bestSet: pool.bestSet[:0],
 	}
 	sp := cfg.Trace.Start("packing.minslack").Int("candidates", len(candidates))
-	s.dfs(0, b.Slack())
-	chosen := s.bestSet
-	if pool != nil {
-		pool.bestSet = s.bestSet
+	if vc, ok := cons.(VectorConstraint); ok && l.vector {
+		// Fits' two limits, as it evaluates them; the stack alone is
+		// kept, since the sums travel down as arguments.
+		s.cpu, s.mem, s.stack = l.cpu, l.mem, probe
+		s.cpuLim, s.memLim = b.CPUCap*(1-vc.CPUHeadroom)+1e-9, b.MemCap+1e-9
+		s.dfsVector(0, b.Slack(), b.cpuUsed, b.memUsed)
 	} else {
-		chosen = append([]Item(nil), s.bestSet...)
+		s.probe = Bin{ID: b.ID, CPUCap: b.CPUCap, MemCap: b.MemCap, Efficiency: b.Efficiency,
+			items: append(probe, b.items...), cpuUsed: b.cpuUsed, memUsed: b.memUsed}
+		s.base, s.cons = len(b.items), cons
+		s.dfs(0, b.Slack())
 	}
-	res := MinSlackResult{Chosen: chosen, Slack: s.best, Widened: s.widened, Nodes: s.nodes, Exhausted: s.exhausted}
+	pool.bestSet = s.bestSet
+	res := MinSlackResult{Chosen: s.bestSet, Slack: s.best, Widened: s.widened, Nodes: s.nodes, Exhausted: s.exhausted}
 	sp.Int("nodes", res.Nodes).Float("slack", res.Slack).
 		Bool("widened", res.Widened).Bool("exhausted", res.Exhausted).End()
 	if st := cfg.Stats; st != nil {
@@ -311,6 +291,57 @@ func MinimumSlack(b *Bin, candidates []Item, cons Constraint, cfg MinSlackConfig
 		}
 	}
 	return res
+}
+
+// sortedList is a candidate list in MBS exploration order — decreasing
+// size first, which prunes the search fastest — with the sums and
+// columns the search reads.
+type sortedList struct {
+	given  []Item        // the list as given; reuse compares against it
+	items  []Item        // given, sorted by compareItems
+	suffix []units.Hertz // suffix[i] is the CPU sum of items[i:], for the can't-improve prune
+	cpu    []units.Hertz // items' CPU demands, for dfsVector
+	mem    []float64     // items' memory, for dfsVector
+	vector bool          // every CPU is finite and ≥ 0: dfsVector's bulk counts are exact
+}
+
+// reuse makes l the sorted list of candidates, reusing l's buffers. It
+// rebuilds l unless l was built from the same list, bit for bit, so a
+// list offered to bin after bin is sorted once.
+func (l *sortedList) reuse(candidates []Item) {
+	n := len(candidates)
+	if len(l.suffix) == n+1 && sameItems(l.given, candidates) {
+		return
+	}
+	l.given = append(l.given[:0], candidates...)
+	l.items = append(l.items[:0], candidates...)
+	slices.SortFunc(l.items, compareItems)
+	l.suffix = growHertz(l.suffix, n+1)
+	l.cpu = growHertz(l.cpu, n)
+	l.mem = growHertz(l.mem, n)
+	l.suffix[n] = 0
+	l.vector = true
+	for i := n - 1; i >= 0; i-- {
+		it := l.items[i]
+		l.suffix[i] = l.suffix[i+1] + it.CPU
+		l.cpu[i], l.mem[i] = it.CPU, it.Mem
+		l.vector = l.vector && it.CPU >= 0 && it.CPU <= math.MaxFloat64
+	}
+}
+
+// sameItems reports whether a and b hold the same items bit for bit:
+// float == would take 0 for -0, whose sums differ in sign.
+func sameItems(a, b []Item) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || math.Float64bits(a[i].CPU) != math.Float64bits(b[i].CPU) ||
+			math.Float64bits(a[i].Mem) != math.Float64bits(b[i].Mem) {
+			return false
+		}
+	}
+	return true
 }
 
 // compareItems orders items by decreasing CPU demand with an exact ID
@@ -347,11 +378,16 @@ func growItems(buf []Item, n int) []Item {
 }
 
 type mbsSearch struct {
-	probe     Bin // the bin's items followed by the chosen stack
-	base      int // the bin's item count: the stack is probe.items[base:]
+	probe     Bin // dfs: the bin's items followed by the chosen stack
+	base      int // dfs: the bin's item count; the stack is probe.items[base:]
+	cons      Constraint
+	stack     []Item        // dfsVector: the chosen stack
+	cpu       []units.Hertz // dfsVector: items' CPU demands
+	mem       []float64     // dfsVector: items' memory
+	cpuLim    units.Hertz   // dfsVector: VectorConstraint's CPU limit
+	memLim    float64       // dfsVector: VectorConstraint's memory limit
 	items     []Item
 	suffix    []units.Hertz
-	cons      Constraint
 	eps       units.Hertz
 	epsStep   units.Hertz
 	budget    int
@@ -426,6 +462,113 @@ func (s *mbsSearch) dfs(from int, slack units.Hertz) {
 			return
 		}
 	}
+}
+
+// dfsVector is dfs under VectorConstraint, with Fits inlined: cpu and
+// mem are the probe bin's running sums, passed down instead of stored.
+// It visits the same nodes in the same order as dfs but skips, in one
+// step, the runs of nodes whose outcome is known.
+//
+// Items are sorted by decreasing CPU, and every CPU is finite and ≥ 0,
+// so at one level two tests are monotone in i:
+//   - Once a candidate passes both CPU tests, the raw-slack test and
+//     the headroom test, every later one does: cpu+c rounds
+//     monotonically in c. The failures form a prefix [from, k), and
+//     each costs dfs one node and nothing else.
+//   - The prune test slack-suffix[i] >= best, with best fixed, holds on
+//     a suffix of i: suffix sums of non-negative values never increase
+//     with i under round-to-nearest.
+//
+// Binary search finds both boundaries, and charge counts the prefix's
+// nodes up to the first pruned one at once, widening ε or stopping at
+// the node where dfs would.
+//
+//vdc:hotpath packing/minslack
+func (s *mbsSearch) dfsVector(from int, slack units.Hertz, cpu units.Hertz, mem float64) {
+	if s.done {
+		return
+	}
+	if slack < s.best {
+		s.best = slack
+		s.bestSet = append(s.bestSet[:0], s.stack...)
+	}
+	if s.best <= s.eps {
+		s.done = true // ε-optimal: stop the whole search
+		return
+	}
+	n := len(s.cpu)
+	// k: the first candidate that passes both CPU tests.
+	lo, hi := from, n
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if c := s.cpu[h]; c > slack+1e-12 || !(cpu+c <= s.cpuLim) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	k := lo
+	// The first prune in [from, k), or k.
+	lo, hi = from, k
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if slack-s.suffix[h] >= s.best {
+			hi = h
+		} else {
+			lo = h + 1
+		}
+	}
+	if !s.charge(lo-from) || lo < k {
+		return
+	}
+	for i := k; i < n; i++ {
+		// Prune: even packing every remaining item cannot beat the best.
+		if slack-s.suffix[i] >= s.best {
+			return
+		}
+		if !s.charge(1) {
+			return
+		}
+		c, m := s.cpu[i], s.mem[i]
+		if !(mem+m <= s.memLim) {
+			continue
+		}
+		d := len(s.stack)
+		s.stack = s.stack[:d+1] // within the capacity MinimumSlack reserved
+		s.stack[d] = s.items[i]
+		s.dfsVector(i+1, slack-c, cpu+c, mem+m)
+		s.stack = s.stack[:d]
+		if s.done {
+			return
+		}
+	}
+}
+
+// charge counts n more nodes as n turns of dfs's loop would: at the node
+// that overruns the budget it widens ε and doubles the budget, and at
+// the second overrun it hard-stops. It reports whether the search goes
+// on.
+func (s *mbsSearch) charge(n int) bool {
+	for s.nodes+n > s.budget {
+		n -= s.budget - s.nodes + 1
+		s.nodes = s.budget + 1
+		if s.widened {
+			s.done = true // second overrun: hard stop with best-so-far
+			s.exhausted = true
+			return false
+		}
+		// Out of budget once: widen ε so outstanding branches exit
+		// fast, and grant one budget extension.
+		s.eps += s.epsStep
+		s.widened = true
+		s.budget *= 2
+		if s.best <= s.eps {
+			s.done = true
+			return false
+		}
+	}
+	s.nodes += n
+	return true
 }
 
 // Assignment maps item IDs to bin IDs.
