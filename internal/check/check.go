@@ -283,7 +283,7 @@ func (c *Checker) Err() error {
 type MinSlackObservation struct {
 	Bin        *packing.Bin
 	Candidates []packing.Item
-	Cons       packing.Constraint
+	Cons       packing.VectorConstraint
 	Config     packing.MinSlackConfig
 	Result     packing.MinSlackResult
 }
@@ -292,7 +292,7 @@ type MinSlackObservation struct {
 // EvPacking event, so the packing invariants vet every observed search.
 // It returns the result unchanged; with a nil checker it is exactly
 // packing.MinimumSlack.
-func ObserveMinimumSlack(c *Checker, b *packing.Bin, candidates []packing.Item, cons packing.Constraint, cfg packing.MinSlackConfig) packing.MinSlackResult {
+func ObserveMinimumSlack(c *Checker, b *packing.Bin, candidates []packing.Item, cons packing.VectorConstraint, cfg packing.MinSlackConfig) packing.MinSlackResult {
 	res := packing.MinimumSlack(b, candidates, cons, cfg)
 	if c != nil {
 		c.Observe(Event{

@@ -369,8 +369,8 @@ func (minSlackFeasible) Check(ev Event) error {
 		seen[it.ID] = true
 		cpu += it.CPU
 	}
-	if obs.Cons != nil && len(obs.Result.Chosen) > 0 && !obs.Cons.Fits(obs.Bin, obs.Result.Chosen) {
-		return fmt.Errorf("constraint %s rejects the chosen set on bin %s", obs.Cons.Name(), obs.Bin.ID)
+	if len(obs.Result.Chosen) > 0 && !obs.Cons.Fits(obs.Bin, obs.Result.Chosen) {
+		return fmt.Errorf("constraint cpu+mem rejects the chosen set on bin %s", obs.Bin.ID)
 	}
 	want := obs.Bin.Slack() - cpu
 	if math.Abs(want-obs.Result.Slack) > eps {
@@ -418,7 +418,7 @@ func (minSlackVsFFD) Check(ev Event) error {
 // SingleBinFFDSlack returns the slack left by greedy decreasing-order
 // first-fit of the candidates onto the bin alone — the baseline Minimum
 // Slack must never lose to. The bin is not mutated.
-func SingleBinFFDSlack(b *packing.Bin, candidates []packing.Item, cons packing.Constraint) float64 {
+func SingleBinFFDSlack(b *packing.Bin, candidates []packing.Item, cons packing.VectorConstraint) float64 {
 	sorted := append([]packing.Item(nil), candidates...)
 	sort.Slice(sorted, func(i, j int) bool {
 		//lint:ignore floatcompare exact tie-break for a deterministic sort order
@@ -434,7 +434,7 @@ func SingleBinFFDSlack(b *packing.Bin, candidates []packing.Item, cons packing.C
 			continue
 		}
 		chosen = append(chosen, it)
-		if cons != nil && !cons.Fits(b, chosen) {
+		if !cons.Fits(b, chosen) {
 			chosen = chosen[:len(chosen)-1]
 			continue
 		}

@@ -130,10 +130,10 @@ func replayConservesMass(replay replayFn, seed int64) error {
 }
 
 // minSlackFn is the shape of Algorithm 1, injectable for mutation tests.
-type minSlackFn func(*packing.Bin, []packing.Item, packing.Constraint, packing.MinSlackConfig) packing.MinSlackResult
+type minSlackFn func(*packing.Bin, []packing.Item, packing.VectorConstraint, packing.MinSlackConfig) packing.MinSlackResult
 
 // packingInstance generates one bin-packing instance.
-func packingInstance(seed int64) (*packing.Bin, []packing.Item, packing.Constraint, packing.MinSlackConfig) {
+func packingInstance(seed int64) (*packing.Bin, []packing.Item, packing.VectorConstraint, packing.MinSlackConfig) {
 	r := NewRand(seed)
 	b := Bin(r)
 	items := Items(r, 3+r.Intn(10))
@@ -530,12 +530,17 @@ func minSlackPoolReuseExact(fn minSlackFn, seed int64) error {
 // can prove the checker catches a walk that loses VMs.
 type migrateFn func(r *rand.Rand, dc *cluster.DataCenter, vms []*cluster.VM) error
 
+// admits reports whether s can host v on top of its VMs, by CPU at
+// maximum frequency and by memory.
+func admits(s *cluster.Server, v *cluster.VM) bool {
+	return s.TotalDemand()+v.Demand <= s.Spec.Capacity()+1e-9 && s.TotalMemory()+v.MemoryGB <= s.Spec.MemoryGB+1e-9
+}
+
 // randomMigration moves one random VM to one random admissible server.
 func randomMigration(r *rand.Rand, dc *cluster.DataCenter, vms []*cluster.VM) error {
-	cons := cluster.And{cluster.CPUConstraint{}, cluster.MemoryConstraint{}}
 	v := vms[r.Intn(len(vms))]
 	target := dc.Servers[r.Intn(len(dc.Servers))]
-	if dc.HostOf(v.ID) == target || target.Cordoned() || !cons.Admits(target, []*cluster.VM{v}) {
+	if dc.HostOf(v.ID) == target || target.Cordoned() || !admits(target, v) {
 		return nil // inadmissible: skip this step
 	}
 	_, err := dc.Migrate(v, target)
@@ -554,12 +559,11 @@ func migrationConservation(step migrateFn, seed int64) error {
 		return err
 	}
 	vms := VMs(r, 15)
-	cons := cluster.And{cluster.CPUConstraint{}, cluster.MemoryConstraint{}}
 	for _, v := range vms {
 		placed := false
 		for try := 0; try < 100 && !placed; try++ {
 			s := servers[r.Intn(len(servers))]
-			if cons.Admits(s, []*cluster.VM{v}) {
+			if admits(s, v) {
 				if err := dc.Place(v, s); err != nil {
 					return err
 				}

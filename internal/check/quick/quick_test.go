@@ -72,7 +72,7 @@ func expectCaught(t *testing.T, what string, run func(seed int64) error) {
 func TestPermutationInvariantCatchesOrderDependence(t *testing.T) {
 	// Broken chooser: greedy in presentation order, no sort — its output
 	// depends on how the candidates happen to be listed.
-	broken := func(b *packing.Bin, items []packing.Item, cons packing.Constraint, cfg packing.MinSlackConfig) packing.MinSlackResult {
+	broken := func(b *packing.Bin, items []packing.Item, cons packing.VectorConstraint, cfg packing.MinSlackConfig) packing.MinSlackResult {
 		var chosen []packing.Item
 		slack := b.Slack()
 		for _, it := range items {
@@ -95,7 +95,7 @@ func TestPermutationInvariantCatchesOrderDependence(t *testing.T) {
 
 func TestNotWorseThanFFDCatchesWeakSearch(t *testing.T) {
 	// Broken search: packs nothing at all.
-	broken := func(b *packing.Bin, items []packing.Item, cons packing.Constraint, cfg packing.MinSlackConfig) packing.MinSlackResult {
+	broken := func(b *packing.Bin, items []packing.Item, cons packing.VectorConstraint, cfg packing.MinSlackConfig) packing.MinSlackResult {
 		return packing.MinSlackResult{Slack: b.Slack()}
 	}
 	expectCaught(t, "empty-handed search", func(s int64) error {
@@ -213,7 +213,7 @@ func TestWarmStartEquivalenceCatchesStaleActiveSet(t *testing.T) {
 func TestPoolReuseExactCatchesPoolPathDivergence(t *testing.T) {
 	// Broken pooled path: silently drops the last candidate when a pool
 	// is wired — a buffer-sizing bug only the pooled route would have.
-	broken := func(b *packing.Bin, items []packing.Item, cons packing.Constraint, cfg packing.MinSlackConfig) packing.MinSlackResult {
+	broken := func(b *packing.Bin, items []packing.Item, cons packing.VectorConstraint, cfg packing.MinSlackConfig) packing.MinSlackResult {
 		if cfg.Pool != nil && len(items) > 0 {
 			items = items[:len(items)-1]
 		}

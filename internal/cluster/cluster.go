@@ -8,6 +8,7 @@ package cluster
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -31,8 +32,8 @@ func (v *VM) Validate() error {
 	if v.ID == "" {
 		return fmt.Errorf("cluster: VM with empty ID")
 	}
-	if v.Demand < 0 || v.MemoryGB < 0 {
-		return fmt.Errorf("cluster: VM %s has negative demand or memory", v.ID)
+	if !(v.Demand >= 0 && v.Demand <= math.MaxFloat64) || !(v.MemoryGB >= 0 && v.MemoryGB <= math.MaxFloat64) {
+		return fmt.Errorf("cluster: VM %s has a demand or memory that is not finite and ≥ 0", v.ID)
 	}
 	return nil
 }
@@ -205,78 +206,6 @@ func (s *Server) unhost(v *VM) bool {
 		}
 	}
 	return false
-}
-
-// Constraint decides whether a server may host a candidate set of
-// additional VMs. Implementations must be pure. This is the "more general
-// constraint" hook of Algorithm 1.
-type Constraint interface {
-	// Admits reports whether srv can host its current VMs plus extra.
-	Admits(srv *Server, extra []*VM) bool
-	// Name identifies the constraint for diagnostics.
-	Name() string
-}
-
-// CPUConstraint admits placements whose total demand fits the server's
-// capacity at maximum frequency, with an optional headroom fraction.
-type CPUConstraint struct {
-	// Headroom reserves a fraction of capacity (0.1 = keep 10% free) to
-	// absorb short-term growth between optimizer invocations.
-	Headroom float64
-}
-
-// Admits implements Constraint.
-func (c CPUConstraint) Admits(srv *Server, extra []*VM) bool {
-	d := srv.TotalDemand()
-	for _, v := range extra {
-		d += v.Demand
-	}
-	return d <= srv.Spec.Capacity()*(1-c.Headroom)+1e-9
-}
-
-// Name implements Constraint.
-func (c CPUConstraint) Name() string { return "cpu" }
-
-// MemoryConstraint admits placements whose total VM memory fits the
-// server's physical memory (the administrator-defined constraint used in
-// the Fig. 6 simulations).
-type MemoryConstraint struct{}
-
-// Admits implements Constraint.
-func (MemoryConstraint) Admits(srv *Server, extra []*VM) bool {
-	m := srv.TotalMemory()
-	for _, v := range extra {
-		m += v.MemoryGB
-	}
-	return m <= srv.Spec.MemoryGB+1e-9
-}
-
-// Name implements Constraint.
-func (MemoryConstraint) Name() string { return "memory" }
-
-// And combines constraints conjunctively.
-type And []Constraint
-
-// Admits implements Constraint.
-func (a And) Admits(srv *Server, extra []*VM) bool {
-	for _, c := range a {
-		if !c.Admits(srv, extra) {
-			return false
-		}
-	}
-	return true
-}
-
-// Name implements Constraint.
-func (a And) Name() string {
-	n := "and("
-	for i, c := range a {
-		if i > 0 {
-			n += ","
-		}
-		n += c.Name()
-	}
-	return n + ")"
 }
 
 // Migration records one VM move for cost accounting.

@@ -29,11 +29,27 @@ func TestVMValidate(t *testing.T) {
 	if err := newVM("a", 1, 1).Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if err := newVM("a", 0, 0).Validate(); err != nil {
+		t.Fatal(err)
+	}
 	if err := (&VM{}).Validate(); err == nil {
 		t.Fatal("empty ID must fail")
 	}
-	if err := newVM("a", -1, 1).Validate(); err == nil {
-		t.Fatal("negative demand must fail")
+	for _, c := range []struct {
+		name        string
+		demand, mem float64
+	}{
+		{"negative demand", -1, 1},
+		{"negative memory", 1, -1},
+		{"NaN demand", math.NaN(), 1},
+		{"+Inf demand", math.Inf(1), 1},
+		{"-Inf demand", math.Inf(-1), 1},
+		{"NaN memory", 1, math.NaN()},
+		{"+Inf memory", 1, math.Inf(1)},
+	} {
+		if err := newVM("a", c.demand, c.mem).Validate(); err == nil {
+			t.Errorf("%s must fail", c.name)
+		}
 	}
 }
 
@@ -275,72 +291,6 @@ func TestNewDataCenterDuplicateID(t *testing.T) {
 	s2 := NewServer("dup", power.TypeMid())
 	if _, err := NewDataCenter([]*Server{s1, s2}); err == nil {
 		t.Fatal("duplicate IDs must fail")
-	}
-}
-
-func TestCPUConstraint(t *testing.T) {
-	dc := testDC(t, 1) // capacity 4 GHz
-	s := dc.Servers[0]
-	c := CPUConstraint{}
-	if !c.Admits(s, []*VM{newVM("a", 4, 0)}) {
-		t.Fatal("exact fit should be admitted")
-	}
-	if c.Admits(s, []*VM{newVM("a", 4.1, 0)}) {
-		t.Fatal("overflow should be rejected")
-	}
-	h := CPUConstraint{Headroom: 0.25}
-	if h.Admits(s, []*VM{newVM("a", 3.5, 0)}) {
-		t.Fatal("headroom should cap at 3 GHz")
-	}
-	if c.Name() == "" {
-		t.Fatal("Name empty")
-	}
-}
-
-func TestMemoryConstraint(t *testing.T) {
-	dc := testDC(t, 1) // TypeMid: 8 GB
-	s := dc.Servers[0]
-	m := MemoryConstraint{}
-	if !m.Admits(s, []*VM{newVM("a", 0, 8)}) {
-		t.Fatal("exact memory fit should be admitted")
-	}
-	if m.Admits(s, []*VM{newVM("a", 0, 8.5)}) {
-		t.Fatal("memory overflow should be rejected")
-	}
-	if m.Name() == "" {
-		t.Fatal("Name empty")
-	}
-}
-
-func TestAndConstraint(t *testing.T) {
-	dc := testDC(t, 1)
-	s := dc.Servers[0]
-	both := And{CPUConstraint{}, MemoryConstraint{}}
-	if !both.Admits(s, []*VM{newVM("a", 1, 1)}) {
-		t.Fatal("feasible placement rejected")
-	}
-	if both.Admits(s, []*VM{newVM("a", 99, 1)}) {
-		t.Fatal("CPU violation admitted")
-	}
-	if both.Admits(s, []*VM{newVM("a", 1, 99)}) {
-		t.Fatal("memory violation admitted")
-	}
-	if both.Name() != "and(cpu,memory)" {
-		t.Fatalf("Name = %q", both.Name())
-	}
-}
-
-func TestConstraintCountsExistingVMs(t *testing.T) {
-	dc := testDC(t, 1)
-	s := dc.Servers[0]
-	if err := dc.Place(newVM("v1", 3, 6), s); err != nil {
-		t.Fatal(err)
-	}
-	if (CPUConstraint{}).Admits(s, []*VM{newVM("a", 2, 0)}) {
-		t.Fatal("existing demand ignored")
-	}
-	if (MemoryConstraint{}).Admits(s, []*VM{newVM("a", 0, 3)}) {
-		t.Fatal("existing memory ignored")
 	}
 }
 

@@ -1,8 +1,10 @@
 package dcsim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"reflect"
-	"slices"
 	"testing"
 
 	"vdcpower/internal/optimizer"
@@ -10,54 +12,56 @@ import (
 	"vdcpower/internal/workload"
 )
 
-// genericVector is VectorConstraint under another type: Fits is
-// promoted, so it admits exactly what VectorConstraint admits, but
-// MinimumSlack runs its generic search for it.
-type genericVector struct{ packing.VectorConstraint }
-
-// TestVectorSearchMatchesGenericOverRuns runs IPAC through whole seeded
-// runs twice, once with its VectorConstraint (the vector search, with
-// its bulk node counts) and once with the same constraint under another
-// type (the generic search), and requires the same result, the same
-// power at every step and the same search counts. The runs must widen ε
-// and exhaust the doubled budget, where the counts have to be exact.
-func TestVectorSearchMatchesGenericOverRuns(t *testing.T) {
+// TestMinimumSlackCountsPinnedOverRuns runs IPAC through whole seeded
+// runs and requires, per seed, the recorded result, an FNV-64a digest of
+// the per-step power bits and the recorded search counts, which a search
+// counting every node on its own also gives. The runs must widen ε and
+// exhaust the doubled budget, where the bulk counts have to be exact.
+func TestMinimumSlackCountsPinnedOverRuns(t *testing.T) {
+	pinned := []struct {
+		seed   int64
+		res    Result
+		digest uint64
+		stats  packing.SearchStats
+	}{
+		{3, Result{Policy: "IPAC", NumVMs: 600, NumServers: 3000, Steps: 288,
+			TotalEnergyWh: 617928.89942288, EnergyPerVMWh: 1029.8814990381334, Migrations: 594,
+			MeanActive: 41.5, FinalActive: 39, OverloadSteps: 1950},
+			0xfb75a9594a101a78, packing.SearchStats{Calls: 2190, Nodes: 561708, Widenings: 12, Exhausted: 12}},
+		{4, Result{Policy: "IPAC", NumVMs: 600, NumServers: 3000, Steps: 288,
+			TotalEnergyWh: 613259.2605880919, EnergyPerVMWh: 1022.0987676468199, Migrations: 614,
+			MeanActive: 41.5, FinalActive: 38, OverloadSteps: 1911},
+			0x80e857f117323035, packing.SearchStats{Calls: 2175, Nodes: 558832, Widenings: 13, Exhausted: 11}},
+	}
 	var total packing.SearchStats
-	for _, seed := range []int64{3, 4} {
-		tr, err := workload.Generate(workload.GenConfig{NumVMs: 600, Days: 3, StepsPerHour: 4, Seed: seed})
+	for _, p := range pinned {
+		tr, err := workload.Generate(workload.GenConfig{NumVMs: 600, Days: 3, StepsPerHour: 4, Seed: p.seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(cons packing.Constraint) (Result, []float64, packing.SearchStats) {
-			ipac := optimizer.NewIPAC()
-			ipac.Constraint = cons
-			cfg := DefaultConfig(tr, 600, ipac)
-			var power []float64
-			cfg.OnStep = func(_ int, w float64, _ int, _ float64) { power = append(power, w) }
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res, power, *ipac.SearchStats()
+		ipac := optimizer.NewIPAC()
+		cfg := DefaultConfig(tr, 600, ipac)
+		h := fnv.New64a()
+		cfg.OnStep = func(_ int, w float64, _ int, _ float64) {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(w)))
 		}
-		vc := optimizer.NewIPAC().Constraint.(packing.VectorConstraint)
-		res, power, st := run(vc)
-		gres, gpower, gst := run(genericVector{vc})
-		if !reflect.DeepEqual(res, gres) {
-			t.Fatalf("seed %d: vector search %+v, generic %+v", seed, res, gres)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !slices.Equal(power, gpower) {
-			t.Fatalf("seed %d: per-step power differs", seed)
+		if !reflect.DeepEqual(res, p.res) {
+			t.Fatalf("seed %d: result %#v, recorded %#v", p.seed, res, p.res)
 		}
-		if st != gst {
-			t.Fatalf("seed %d: vector search counted %+v, generic %+v", seed, st, gst)
+		if d := h.Sum64(); d != p.digest {
+			t.Fatalf("seed %d: per-step power digest %#x, recorded %#x", p.seed, d, p.digest)
 		}
-		total.Calls += st.Calls
-		total.Nodes += st.Nodes
+		st := *ipac.SearchStats()
+		if st != p.stats {
+			t.Fatalf("seed %d: search counted %+v, recorded %+v", p.seed, st, p.stats)
+		}
 		total.Widenings += st.Widenings
 		total.Exhausted += st.Exhausted
 	}
-	t.Logf("searches: %+v", total)
 	if total.Widenings == 0 || total.Exhausted == 0 {
 		t.Fatalf("vacuous: the runs never widened or exhausted a search: %+v", total)
 	}

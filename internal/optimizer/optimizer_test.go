@@ -39,6 +39,15 @@ func placeVM(t *testing.T, dc *cluster.DataCenter, id string, demand, mem float6
 	return v
 }
 
+// pac packs items onto bins as an IPAC pass does: the bins sorted most
+// power-efficient first, then place. It returns the plan.
+func pac(items []packing.Item, bins []*packing.Bin) *packing.Plan {
+	packing.SortBinsByEfficiency(bins)
+	pl := &packing.Plan{Items: items, Bins: bins}
+	place(pl, packing.VectorConstraint{}, packing.DefaultMinSlackConfig())
+	return pl
+}
+
 func TestPACPrefersEfficientBins(t *testing.T) {
 	bins := []*packing.Bin{
 		{ID: "low", CPUCap: 3, MemCap: 8, Efficiency: 0.021},
@@ -48,13 +57,13 @@ func TestPACPrefersEfficientBins(t *testing.T) {
 		{ID: "a", CPU: 2, Mem: 1},
 		{ID: "b", CPU: 2, Mem: 1},
 	}
-	asg, unplaced := PAC(items, bins, packing.VectorConstraint{}, packing.DefaultMinSlackConfig())
-	if len(unplaced) != 0 {
-		t.Fatalf("unplaced: %v", unplaced)
+	pl := pac(items, bins)
+	if len(pl.Rest) != 0 {
+		t.Fatalf("unplaced: %v", pl.Rest)
 	}
-	for id, binID := range asg {
-		if binID != "high" {
-			t.Fatalf("item %s on %s, want high-efficiency bin", id, binID)
+	for i, b := range pl.Targets {
+		if b.ID != "high" {
+			t.Fatalf("item %s on %s, want high-efficiency bin", items[i].ID, b.ID)
 		}
 	}
 }
@@ -68,11 +77,11 @@ func TestPACOverflowsToNextBin(t *testing.T) {
 		{ID: "a", CPU: 3, Mem: 1},
 		{ID: "b", CPU: 3, Mem: 1},
 	}
-	asg, unplaced := PAC(items, bins, packing.VectorConstraint{}, packing.DefaultMinSlackConfig())
-	if len(unplaced) != 0 {
-		t.Fatalf("unplaced: %v", unplaced)
+	pl := pac(items, bins)
+	if len(pl.Rest) != 0 {
+		t.Fatalf("unplaced: %v", pl.Rest)
 	}
-	if asg["a"] == asg["b"] {
+	if pl.Targets[0] == pl.Targets[1] {
 		t.Fatal("both items on one 4-GHz bin is infeasible")
 	}
 }
@@ -80,9 +89,8 @@ func TestPACOverflowsToNextBin(t *testing.T) {
 func TestPACReportsUnplaceable(t *testing.T) {
 	bins := []*packing.Bin{{ID: "b", CPUCap: 1, MemCap: 1, Efficiency: 1}}
 	items := []packing.Item{{ID: "huge", CPU: 50, Mem: 1}}
-	_, unplaced := PAC(items, bins, packing.VectorConstraint{}, packing.DefaultMinSlackConfig())
-	if len(unplaced) != 1 {
-		t.Fatal("expected unplaced item")
+	if pl := pac(items, bins); len(pl.Rest) != 1 || pl.Targets[0] != nil {
+		t.Fatalf("unplaced %v, target %v: expected the item unplaced", pl.Rest, pl.Targets[0])
 	}
 }
 

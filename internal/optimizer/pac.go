@@ -11,31 +11,15 @@ import (
 	"vdcpower/internal/telemetry"
 )
 
-// PAC solves the power-aware consolidation sub-problem of Section V:
-// given bins (servers, possibly loaded) and items (VMs to place), pack
-// the items onto the most power-efficient bins first, minimizing each
-// bin's slack with Algorithm 1, until every item is placed or bins run
-// out. Bins are mutated to carry the planned load. It returns the
-// assignment and any items no bin admitted.
-func PAC(items []packing.Item, bins []*packing.Bin, cons packing.Constraint, cfg packing.MinSlackConfig) (packing.Assignment, []packing.Item) {
-	packing.SortBinsByEfficiency(bins)
-	pl := &packing.Plan{Items: items, Bins: bins}
-	place(pl, cons, cfg)
-	asg := packing.Assignment{}
-	for i, b := range pl.Targets {
-		if b != nil {
-			asg[items[i].ID] = b.ID
-		}
-	}
-	return asg, pl.Rest
-}
-
-// place is PAC on plan storage: it packs pl.Items onto pl.Bins, taken
-// in the order given (PAC's, most power-efficient first), records in
-// pl.Targets the bin each item was planned onto (nil if none) and
-// leaves the unplaced items in pl.Rest, in their original order. It
-// returns how many items stayed unplaced.
-func place(pl *packing.Plan, cons packing.Constraint, cfg packing.MinSlackConfig) int {
+// place solves the power-aware consolidation sub-problem of Section V
+// (PAC) on plan storage: it packs pl.Items onto pl.Bins, taken in the
+// order given (most power-efficient first), minimizing each bin's slack
+// with Algorithm 1 until every item is placed or bins run out. The bins
+// carry the planned load. It records in pl.Targets the bin each item
+// was planned onto (nil if none) and leaves the unplaced items in
+// pl.Rest, in their original order. It returns how many items stayed
+// unplaced.
+func place(pl *packing.Plan, cons packing.VectorConstraint, cfg packing.MinSlackConfig) int {
 	sp := cfg.Trace.Start("optimizer.pac").Int("items", len(pl.Items)).Int("bins", len(pl.Bins))
 	pl.Targets = slices.Grow(pl.Targets[:0], len(pl.Items))[:len(pl.Items)]
 	clear(pl.Targets)
@@ -85,7 +69,7 @@ func chosen(res []packing.Item, id string) bool {
 // the least power-efficient active server through PAC while the number of
 // active servers keeps decreasing.
 type IPAC struct {
-	Constraint packing.Constraint
+	Constraint packing.VectorConstraint
 	MinSlack   packing.MinSlackConfig
 	Policy     CostPolicy
 	// Faults, when non-nil, injects transient pass errors and migration
@@ -109,8 +93,8 @@ type passState struct {
 	shed   []shedding
 }
 
-// donorKey is a server with its drain-order key, computed once per pass:
-// Spec.Efficiency copies the whole spec.
+// donorKey is a server with its drain-order key, computed once per pass
+// so that a sort comparison costs no division.
 type donorKey struct {
 	s     *cluster.Server
 	eff   float64
@@ -332,7 +316,7 @@ func compareVMIDs(a, b *cluster.VM) int { return cmp.Compare(a.ID, b.ID) }
 // fault plane (inj non-nil) relief migrations go through the two-phase
 // retry protocol, and moves that exhaust their retries leave the
 // overload reported as unresolved instead of failing the pass.
-func ResolveOverloadsWithFaults(dc *cluster.DataCenter, cons packing.Constraint, cfg packing.MinSlackConfig, inj *fault.Injector) (Report, error) {
+func ResolveOverloadsWithFaults(dc *cluster.DataCenter, cons packing.VectorConstraint, cfg packing.MinSlackConfig, inj *fault.Injector) (Report, error) {
 	rep := Report{ActiveBefore: dc.NumActive()}
 	err := resolveOverloads(dc, cons, cfg, inj, &rep, &passState{})
 	rep.ActiveAfter = dc.NumActive()
@@ -346,7 +330,7 @@ func ResolveOverloadsWithFaults(dc *cluster.DataCenter, cons packing.Constraint,
 // from msCfg's pool when it has one; st holds the shed list.
 //
 //vdc:hotpath fig6/energy-per-vm
-func resolveOverloads(dc *cluster.DataCenter, cons packing.Constraint, msCfg packing.MinSlackConfig, inj *fault.Injector, rep *Report, st *passState) error {
+func resolveOverloads(dc *cluster.DataCenter, cons packing.VectorConstraint, msCfg packing.MinSlackConfig, inj *fault.Injector, rep *Report, st *passState) error {
 	sp := msCfg.Trace.Start("optimizer.resolve_overloads")
 	before := rep.Migrations
 	defer func() {

@@ -21,7 +21,7 @@ import (
 // Per the paper's comparison, pMapper does not integrate DVFS: its
 // servers run at maximum frequency between invocations.
 type PMapper struct {
-	Constraint packing.Constraint
+	Constraint packing.VectorConstraint
 	Policy     CostPolicy
 
 	trace *telemetry.Track // set via SetTrace; nil keeps tracing off

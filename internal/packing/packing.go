@@ -74,36 +74,33 @@ func (b *Bin) Remove(id string) bool {
 	return false
 }
 
-// Constraint is the general admission predicate evaluated at every step
-// of Algorithm 1 ("a more general constraint ... instead of checking if
-// the total size of the items exceeds the size of the bin").
-type Constraint interface {
-	// Fits reports whether bin can accept extra on top of its current
-	// items. It must not retain b or extra: callers reuse both.
-	Fits(b *Bin, extra []Item) bool
-	// Name identifies the constraint in diagnostics.
-	Name() string
-}
-
-// VectorConstraint is the default two-dimensional constraint: CPU with
+// VectorConstraint is the admission rule of Algorithm 1: CPU with
 // optional headroom, plus memory ("the memory size of every server should
 // be greater than the total memory allocations of the hosted VMs").
 type VectorConstraint struct {
 	CPUHeadroom units.Fraction // fraction of CPU capacity kept free
 }
 
-// Fits implements Constraint.
+// Fits reports whether bin b can accept extra on top of its current
+// items. It refuses any extra that is not valid.
 func (c VectorConstraint) Fits(b *Bin, extra []Item) bool {
 	cpu, mem := b.CPUUsed(), b.MemUsed()
 	for _, it := range extra {
+		if !it.valid() {
+			return false
+		}
 		cpu += it.CPU
 		mem += it.Mem
 	}
 	return cpu <= b.CPUCap*(1-c.CPUHeadroom)+1e-9 && mem <= b.MemCap+1e-9
 }
 
-// Name implements Constraint.
-func (c VectorConstraint) Name() string { return "cpu+mem" }
+// valid reports whether the item's CPU and memory are finite and ≥ 0.
+// The packers plan only valid items: Fits refuses the others, and
+// MinimumSlack and FirstFitDecreasing set them aside before they sort.
+func (it Item) valid() bool {
+	return it.CPU >= 0 && it.CPU <= math.MaxFloat64 && it.Mem >= 0 && it.Mem <= math.MaxFloat64
+}
 
 // MinSlackConfig tunes Algorithm 1.
 type MinSlackConfig struct {
@@ -132,7 +129,7 @@ type MinSlackConfig struct {
 }
 
 // Pool holds the reusable buffers of Algorithm 1's search — an
-// arena for the sort/suffix/probe/best-set state that one MinimumSlack
+// arena for the sort/suffix/stack/best-set state that one MinimumSlack
 // call needs — so a consolidator solving one bin after another reuses
 // the same backing arrays instead of reallocating them per call. It
 // keeps the last candidate list sorted: PAC offers one list to bin
@@ -148,11 +145,9 @@ type MinSlackConfig struct {
 // searches in a pool of its own, so its result is independently
 // allocated.
 type Pool struct {
-	list    sortedList
-	probe   []Item // the probe bin's items, or the vector search's chosen stack
-	bestSet []Item
-	search  mbsSearch
-	plan    Plan
+	list   sortedList
+	search mbsSearch // its stack and best set keep their storage across calls
+	plan   Plan
 }
 
 // NewPool returns an empty pool; capacity grows on first use.
@@ -229,13 +224,9 @@ type MinSlackResult struct {
 
 // MinimumSlack selects a subset of candidates that minimizes the bin's
 // remaining CPU slack subject to the constraint — Algorithm 1. The bin's
-// existing items stay; candidates are not mutated.
-//
-// Under VectorConstraint, with every candidate's CPU finite and ≥ 0,
-// the search runs dfsVector, which counts the nodes it skips in bulk;
-// any other constraint or candidate list runs the generic dfs. Both
-// return the same result, node count and span.
-func MinimumSlack(b *Bin, candidates []Item, cons Constraint, cfg MinSlackConfig) MinSlackResult {
+// existing items stay; candidates are not mutated. Invalid candidates
+// are set aside before the search and cost it no node.
+func MinimumSlack(b *Bin, candidates []Item, c VectorConstraint, cfg MinSlackConfig) MinSlackResult {
 	if cfg.MaxNodes <= 0 {
 		cfg.MaxNodes = DefaultMinSlackConfig().MaxNodes
 	}
@@ -248,35 +239,24 @@ func MinimumSlack(b *Bin, candidates []Item, cons Constraint, cfg MinSlackConfig
 	}
 	s, l := &pool.search, &pool.list
 	l.reuse(candidates)
-	// The probe bin is the bin with the chosen stack planned on top: its
-	// items are the bin's followed by the stack, and its sums grow by one
-	// addition per push. The stack can never exceed the candidate count,
-	// so one buffer serves the whole search.
-	probe := growItems(pool.probe, len(b.items)+len(l.items))
-	pool.probe = probe
 	*s = mbsSearch{
+		// The stack can never exceed the candidate count, so one buffer
+		// serves the whole search.
+		stack:   growItems(s.stack, len(l.items)),
 		items:   l.items,
+		cpu:     l.cpu,
+		mem:     l.mem,
 		suffix:  l.suffix,
+		cpuLim:  b.CPUCap*(1-c.CPUHeadroom) + 1e-9,
+		memLim:  b.MemCap + 1e-9,
 		eps:     cfg.Epsilon,
 		epsStep: cfg.EpsilonStep,
 		budget:  cfg.MaxNodes,
 		best:    b.Slack(),
-		bestSet: pool.bestSet[:0],
+		bestSet: s.bestSet[:0],
 	}
 	sp := cfg.Trace.Start("packing.minslack").Int("candidates", len(candidates))
-	if vc, ok := cons.(VectorConstraint); ok && l.vector {
-		// Fits' two limits, as it evaluates them; the stack alone is
-		// kept, since the sums travel down as arguments.
-		s.cpu, s.mem, s.stack = l.cpu, l.mem, probe
-		s.cpuLim, s.memLim = b.CPUCap*(1-vc.CPUHeadroom)+1e-9, b.MemCap+1e-9
-		s.dfsVector(0, b.Slack(), b.cpuUsed, b.memUsed)
-	} else {
-		s.probe = Bin{ID: b.ID, CPUCap: b.CPUCap, MemCap: b.MemCap, Efficiency: b.Efficiency,
-			items: append(probe, b.items...), cpuUsed: b.cpuUsed, memUsed: b.memUsed}
-		s.base, s.cons = len(b.items), cons
-		s.dfs(0, b.Slack())
-	}
-	pool.bestSet = s.bestSet
+	s.dfs(0, b.Slack(), b.cpuUsed, b.memUsed)
 	res := MinSlackResult{Chosen: s.bestSet, Slack: s.best, Widened: s.widened, Nodes: s.nodes, Exhausted: s.exhausted}
 	sp.Int("nodes", res.Nodes).Float("slack", res.Slack).
 		Bool("widened", res.Widened).Bool("exhausted", res.Exhausted).End()
@@ -293,39 +273,41 @@ func MinimumSlack(b *Bin, candidates []Item, cons Constraint, cfg MinSlackConfig
 	return res
 }
 
-// sortedList is a candidate list in MBS exploration order — decreasing
-// size first, which prunes the search fastest — with the sums and
-// columns the search reads.
+// sortedList is the valid items of a candidate list in MBS exploration
+// order — decreasing size first, which prunes the search fastest — with
+// the sums and columns the search reads.
 type sortedList struct {
 	given  []Item        // the list as given; reuse compares against it
-	items  []Item        // given, sorted by compareItems
+	items  []Item        // given's valid items, sorted by compareItems
 	suffix []units.Hertz // suffix[i] is the CPU sum of items[i:], for the can't-improve prune
-	cpu    []units.Hertz // items' CPU demands, for dfsVector
-	mem    []float64     // items' memory, for dfsVector
-	vector bool          // every CPU is finite and ≥ 0: dfsVector's bulk counts are exact
+	cpu    []units.Hertz // items' CPU demands
+	mem    []float64     // items' memory
 }
 
 // reuse makes l the sorted list of candidates, reusing l's buffers. It
 // rebuilds l unless l was built from the same list, bit for bit, so a
 // list offered to bin after bin is sorted once.
 func (l *sortedList) reuse(candidates []Item) {
-	n := len(candidates)
-	if len(l.suffix) == n+1 && sameItems(l.given, candidates) {
+	if len(l.suffix) > 0 && sameItems(l.given, candidates) {
 		return
 	}
 	l.given = append(l.given[:0], candidates...)
-	l.items = append(l.items[:0], candidates...)
+	l.items = l.items[:0]
+	for _, it := range candidates {
+		if it.valid() {
+			l.items = append(l.items, it)
+		}
+	}
 	slices.SortFunc(l.items, compareItems)
+	n := len(l.items)
 	l.suffix = growHertz(l.suffix, n+1)
 	l.cpu = growHertz(l.cpu, n)
 	l.mem = growHertz(l.mem, n)
 	l.suffix[n] = 0
-	l.vector = true
 	for i := n - 1; i >= 0; i-- {
 		it := l.items[i]
 		l.suffix[i] = l.suffix[i+1] + it.CPU
 		l.cpu[i], l.mem[i] = it.CPU, it.Mem
-		l.vector = l.vector && it.CPU >= 0 && it.CPU <= math.MaxFloat64
 	}
 }
 
@@ -378,16 +360,13 @@ func growItems(buf []Item, n int) []Item {
 }
 
 type mbsSearch struct {
-	probe     Bin // dfs: the bin's items followed by the chosen stack
-	base      int // dfs: the bin's item count; the stack is probe.items[base:]
-	cons      Constraint
-	stack     []Item        // dfsVector: the chosen stack
-	cpu       []units.Hertz // dfsVector: items' CPU demands
-	mem       []float64     // dfsVector: items' memory
-	cpuLim    units.Hertz   // dfsVector: VectorConstraint's CPU limit
-	memLim    float64       // dfsVector: VectorConstraint's memory limit
-	items     []Item
+	stack     []Item        // the chosen stack
+	items     []Item        // the sorted valid candidates
+	cpu       []units.Hertz // items' CPU demands
+	mem       []float64     // items' memory
 	suffix    []units.Hertz
+	cpuLim    units.Hertz // VectorConstraint's CPU limit on the bin
+	memLim    float64     // VectorConstraint's memory limit on the bin
 	eps       units.Hertz
 	epsStep   units.Hertz
 	budget    int
@@ -400,91 +379,28 @@ type mbsSearch struct {
 }
 
 // dfs explores subsets of items[from:] given the current slack and the
-// stack of chosen items on the probe bin.
+// bin's sums cpu and mem with the stack planned on top. Each candidate
+// is judged as VectorConstraint.Fits judges it, added to the running
+// sums ((used + c1) + …) + ck-1, so it meets exactly the value Fits
+// would reach re-summing the whole stack. The sums travel down as
+// arguments, so a pop restores them and no rounding drifts in.
 //
-// Each candidate is judged as Fits(probe, candidate): the probe carries
-// the bin's items and the stack, and its sums are the running sums
-// ((used + c1) + …) + ck-1, so VectorConstraint adds the candidate to
-// exactly the value it would reach re-summing the whole stack. A pop
-// restores the saved sums rather than subtracting, so no rounding
-// drifts in.
-//
-//vdc:hotpath packing/minslack
-func (s *mbsSearch) dfs(from int, slack units.Hertz) {
-	if s.done {
-		return
-	}
-	if slack < s.best {
-		s.best = slack
-		s.bestSet = append(s.bestSet[:0], s.probe.items[s.base:]...)
-	}
-	if s.best <= s.eps {
-		s.done = true // ε-optimal: stop the whole search
-		return
-	}
-	for i := from; i < len(s.items); i++ {
-		// Prune: even packing every remaining item cannot beat the best.
-		if slack-s.suffix[i] >= s.best {
-			return
-		}
-		s.nodes++
-		if s.nodes > s.budget {
-			if s.widened {
-				s.done = true // second overrun: hard stop with best-so-far
-				s.exhausted = true
-				return
-			}
-			// Out of budget once: widen ε so outstanding branches exit
-			// fast, and grant one budget extension.
-			s.eps += s.epsStep
-			s.widened = true
-			s.budget *= 2
-			if s.best <= s.eps {
-				s.done = true
-				return
-			}
-		}
-		it := s.items[i]
-		if it.CPU > slack+1e-12 {
-			continue // cannot fit by CPU alone
-		}
-		if !s.cons.Fits(&s.probe, s.items[i:i+1]) {
-			continue
-		}
-		p := &s.probe
-		n, cpu, mem := len(p.items), p.cpuUsed, p.memUsed
-		p.items = p.items[:n+1] // within the capacity MinimumSlack reserved
-		p.items[n] = it
-		p.cpuUsed, p.memUsed = cpu+it.CPU, mem+it.Mem
-		s.dfs(i+1, slack-it.CPU)
-		p.items, p.cpuUsed, p.memUsed = p.items[:n], cpu, mem
-		if s.done {
-			return
-		}
-	}
-}
-
-// dfsVector is dfs under VectorConstraint, with Fits inlined: cpu and
-// mem are the probe bin's running sums, passed down instead of stored.
-// It visits the same nodes in the same order as dfs but skips, in one
-// step, the runs of nodes whose outcome is known.
-//
-// Items are sorted by decreasing CPU, and every CPU is finite and ≥ 0,
-// so at one level two tests are monotone in i:
+// Items are valid and sorted by decreasing CPU, so at one level two
+// tests are monotone in i:
 //   - Once a candidate passes both CPU tests, the raw-slack test and
 //     the headroom test, every later one does: cpu+c rounds
 //     monotonically in c. The failures form a prefix [from, k), and
-//     each costs dfs one node and nothing else.
+//     each costs one node and nothing else.
 //   - The prune test slack-suffix[i] >= best, with best fixed, holds on
 //     a suffix of i: suffix sums of non-negative values never increase
 //     with i under round-to-nearest.
 //
 // Binary search finds both boundaries, and charge counts the prefix's
 // nodes up to the first pruned one at once, widening ε or stopping at
-// the node where dfs would.
+// the node where counting them one by one would.
 //
 //vdc:hotpath packing/minslack
-func (s *mbsSearch) dfsVector(from int, slack units.Hertz, cpu units.Hertz, mem float64) {
+func (s *mbsSearch) dfs(from int, slack units.Hertz, cpu units.Hertz, mem float64) {
 	if s.done {
 		return
 	}
@@ -536,7 +452,7 @@ func (s *mbsSearch) dfsVector(from int, slack units.Hertz, cpu units.Hertz, mem 
 		d := len(s.stack)
 		s.stack = s.stack[:d+1] // within the capacity MinimumSlack reserved
 		s.stack[d] = s.items[i]
-		s.dfsVector(i+1, slack-c, cpu+c, mem+m)
+		s.dfs(i+1, slack-c, cpu+c, mem+m)
 		s.stack = s.stack[:d]
 		if s.done {
 			return
@@ -544,10 +460,9 @@ func (s *mbsSearch) dfsVector(from int, slack units.Hertz, cpu units.Hertz, mem 
 	}
 }
 
-// charge counts n more nodes as n turns of dfs's loop would: at the node
-// that overruns the budget it widens ε and doubles the budget, and at
-// the second overrun it hard-stops. It reports whether the search goes
-// on.
+// charge counts n more nodes as if one at a time: at the node that
+// overruns the budget it widens ε and doubles the budget, and at the
+// second overrun it hard-stops. It reports whether the search goes on.
 func (s *mbsSearch) charge(n int) bool {
 	for s.nodes+n > s.budget {
 		n -= s.budget - s.nodes + 1
@@ -577,17 +492,13 @@ type Assignment map[string]string
 // FirstFit places each item, in the given order, onto the first bin that
 // admits it, planning the load onto the bins. It returns the assignment
 // and the items no bin could take.
-func FirstFit(items []Item, bins []*Bin, cons Constraint) (Assignment, []Item) {
+func FirstFit(items []Item, bins []*Bin, c VectorConstraint) (Assignment, []Item) {
 	asg := Assignment{}
 	var unplaced []Item
-	// One single-item slice serves every check: a fresh one per check
-	// escapes through the interface and allocates once per bin scanned.
-	one := make([]Item, 1)
 	for _, it := range items {
-		one[0] = it
 		placed := false
 		for _, b := range bins {
-			if cons.Fits(b, one) {
+			if c.Fits(b, []Item{it}) {
 				b.Add(it)
 				asg[it.ID] = b.ID
 				placed = true
@@ -601,18 +512,24 @@ func FirstFit(items []Item, bins []*Bin, cons Constraint) (Assignment, []Item) {
 	return asg, unplaced
 }
 
-// FirstFitDecreasing sorts items by decreasing CPU demand and first-fits
-// them — the FFD algorithm pMapper's migration phase uses.
-func FirstFitDecreasing(items []Item, bins []*Bin, cons Constraint) (Assignment, []Item) {
-	sorted := append([]Item(nil), items...)
-	sort.Slice(sorted, func(i, j int) bool {
-		//lint:ignore floatcompare exact tie-break for a deterministic sort order
-		if sorted[i].CPU != sorted[j].CPU {
-			return sorted[i].CPU > sorted[j].CPU
+// FirstFitDecreasing first-fits the valid items in decreasing CPU order
+// — the FFD algorithm pMapper's migration phase uses. The invalid items
+// follow in their given order; Fits refuses them, so they come back
+// unplaced.
+func FirstFitDecreasing(items []Item, bins []*Bin, c VectorConstraint) (Assignment, []Item) {
+	sorted := make([]Item, 0, len(items))
+	for _, it := range items {
+		if it.valid() {
+			sorted = append(sorted, it)
 		}
-		return sorted[i].ID < sorted[j].ID
-	})
-	return FirstFit(sorted, bins, cons)
+	}
+	slices.SortFunc(sorted, compareItems)
+	for _, it := range items {
+		if !it.valid() {
+			sorted = append(sorted, it)
+		}
+	}
+	return FirstFit(sorted, bins, c)
 }
 
 // SortBinsByEfficiency orders bins most-power-efficient first, the
@@ -628,14 +545,13 @@ func SortBinsByEfficiency(bins []*Bin) {
 	})
 }
 
-// Validate checks that an assignment respects a constraint when replayed
-// onto fresh bins; tests use it as an oracle.
-func Validate(asg Assignment, items []Item, bins []*Bin, cons Constraint) error {
+// Validate checks that an assignment respects the constraint when
+// replayed onto fresh bins; tests use it as an oracle.
+func Validate(asg Assignment, items []Item, bins []*Bin, c VectorConstraint) error {
 	byID := map[string]*Bin{}
 	for _, b := range bins {
 		byID[b.ID] = &Bin{ID: b.ID, CPUCap: b.CPUCap, MemCap: b.MemCap}
 	}
-	one := make([]Item, 1) // reused for every check, as in FirstFit
 	for _, it := range items {
 		binID, ok := asg[it.ID]
 		if !ok {
@@ -645,9 +561,8 @@ func Validate(asg Assignment, items []Item, bins []*Bin, cons Constraint) error 
 		if !ok {
 			return fmt.Errorf("packing: assignment names unknown bin %q", binID)
 		}
-		one[0] = it
-		if !cons.Fits(b, one) {
-			return fmt.Errorf("packing: item %q violates %s on bin %q", it.ID, cons.Name(), binID)
+		if !c.Fits(b, []Item{it}) {
+			return fmt.Errorf("packing: item %q violates cpu+mem on bin %q", it.ID, binID)
 		}
 		b.Add(it)
 	}

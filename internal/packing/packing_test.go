@@ -57,9 +57,6 @@ func TestVectorConstraint(t *testing.T) {
 	if !head.Fits(b, []Item{item("a", 8, 1)}) {
 		t.Fatal("within headroom rejected")
 	}
-	if cons.Name() == "" {
-		t.Fatal("Name empty")
-	}
 }
 
 func TestMinimumSlackExactFit(t *testing.T) {

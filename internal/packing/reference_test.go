@@ -1,14 +1,16 @@
 package packing
 
-// Algorithm 1's search as it stood before the probe bin, kept test-only
-// as the oracle for TestMinimumSlackMatchesReference: a chosen stack
+// Algorithm 1's search as it stood before running sums and bulk node
+// counts, kept test-only as the oracle for
+// TestMinimumSlackMatchesReference and FuzzMinimumSlack: a chosen stack
 // passed whole to Fits at every node, so VectorConstraint re-sums the
-// stack each time.
+// stack each time, and every node is counted on its own.
 
 import "vdcpower/internal/units"
 
-// refMinimumSlack is MinimumSlack without a pool or a probe bin.
-func refMinimumSlack(b *Bin, candidates []Item, cons Constraint, cfg MinSlackConfig) MinSlackResult {
+// refMinimumSlack is MinimumSlack without a pool, running sums or bulk
+// node counts.
+func refMinimumSlack(b *Bin, candidates []Item, cons VectorConstraint, cfg MinSlackConfig) MinSlackResult {
 	if cfg.MaxNodes <= 0 {
 		cfg.MaxNodes = DefaultMinSlackConfig().MaxNodes
 	}
@@ -41,7 +43,7 @@ type refSearch struct {
 	bin       *Bin
 	items     []Item
 	suffix    []units.Hertz
-	cons      Constraint
+	cons      VectorConstraint
 	eps       units.Hertz
 	epsStep   units.Hertz
 	budget    int

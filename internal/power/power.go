@@ -52,17 +52,17 @@ func (s Spec) Validate() error {
 }
 
 // Capacity returns the total CPU capacity at maximum frequency in GHz.
-func (s Spec) Capacity() units.Hertz { return float64(s.Cores) * s.MaxFreq }
+func (s *Spec) Capacity() units.Hertz { return float64(s.Cores) * s.MaxFreq }
 
 // CapacityAt returns the total CPU capacity at per-core frequency f.
-func (s Spec) CapacityAt(f units.Hertz) units.Hertz { return float64(s.Cores) * f }
+func (s *Spec) CapacityAt(f units.Hertz) units.Hertz { return float64(s.Cores) * f }
 
 // MaxPower returns the active power at maximum frequency, full load.
-func (s Spec) MaxPower() units.Watt { return s.PStatic + s.PDynMax }
+func (s *Spec) MaxPower() units.Watt { return s.PStatic + s.PDynMax }
 
 // Efficiency is the paper's server-sorting key: maximum CPU capacity per
 // watt of maximum power (GHz/W). Higher is better.
-func (s Spec) Efficiency() float64 { return s.Capacity() / s.MaxPower() }
+func (s *Spec) Efficiency() float64 { return s.Capacity() / s.MaxPower() }
 
 // idleDynFraction is the fraction of the dynamic term burned at idle:
 // clock distribution and stalled pipelines are not free.
@@ -70,7 +70,7 @@ const idleDynFraction units.Fraction = 0.3
 
 // Power returns active power in watts at per-core frequency f and
 // utilization u ∈ [0,1] of the capacity available at f.
-func (s Spec) Power(f units.Hertz, u units.Fraction) units.Watt {
+func (s *Spec) Power(f units.Hertz, u units.Fraction) units.Watt {
 	if u < 0 {
 		u = 0
 	}
@@ -87,7 +87,7 @@ func (s Spec) Power(f units.Hertz, u units.Fraction) units.Watt {
 // LowestFreqFor returns the lowest P-state whose total capacity covers
 // demandGHz, or MaxFreq if none does (the server is then overloaded).
 // This is the server-level arbitrator's DVFS decision (Section IV-B).
-func (s Spec) LowestFreqFor(demandGHz units.Hertz) units.Hertz {
+func (s *Spec) LowestFreqFor(demandGHz units.Hertz) units.Hertz {
 	for _, f := range s.PStates {
 		if s.CapacityAt(f) >= demandGHz-1e-12 {
 			return f
