@@ -98,8 +98,9 @@ type Event struct {
 	// OverloadedBefore counts servers that were overloaded when the
 	// consolidator was invoked (waking servers is then legitimate).
 	OverloadedBefore int
-	// ActiveBefore, when set on a consolidate/watchdog event, records
-	// which of DC.Servers were active before the pass (index-aligned).
+	// ActiveBefore records which of DC.Servers were active before a
+	// consolidate/watchdog pass (index-aligned). probe.Probe.Pass sets it
+	// on every pass fact, in every harness.
 	ActiveBefore     []bool
 	Nodes, Widenings int  // the pass's branch-and-bound effort
 	Degraded         bool // the pass was skipped on an injected transient error

@@ -15,9 +15,9 @@ import (
 const eps = 1e-6
 
 // CountOverloaded returns the number of active servers whose demand
-// exceeds capacity at maximum frequency. Hooks compute it before invoking
-// a consolidator so Event.OverloadedBefore can scope the IPAC
-// active-server monotonicity law.
+// exceeds capacity at maximum frequency. The pass driver (probe.Pass)
+// computes it before each pass so Event.OverloadedBefore can scope the
+// IPAC active-server monotonicity law.
 func CountOverloaded(dc *cluster.DataCenter) int {
 	n := 0
 	for _, s := range dc.Servers {
@@ -417,28 +417,13 @@ func (minSlackVsFFD) Check(ev Event) error {
 
 // SingleBinFFDSlack returns the slack left by greedy decreasing-order
 // first-fit of the candidates onto the bin alone — the baseline Minimum
-// Slack must never lose to. The bin is not mutated.
+// Slack must never lose to. It packs a copy of the bin, with the same
+// admission rule as Algorithm 1's first search path; b is not mutated.
 func SingleBinFFDSlack(b *packing.Bin, candidates []packing.Item, cons packing.VectorConstraint) float64 {
-	sorted := append([]packing.Item(nil), candidates...)
-	sort.Slice(sorted, func(i, j int) bool {
-		//lint:ignore floatcompare exact tie-break for a deterministic sort order
-		if sorted[i].CPU != sorted[j].CPU {
-			return sorted[i].CPU > sorted[j].CPU
-		}
-		return sorted[i].ID < sorted[j].ID
-	})
-	var chosen []packing.Item
-	slack := b.Slack()
-	for _, it := range sorted {
-		if it.CPU > slack+1e-12 {
-			continue
-		}
-		chosen = append(chosen, it)
-		if !cons.Fits(b, chosen) {
-			chosen = chosen[:len(chosen)-1]
-			continue
-		}
-		slack -= it.CPU
+	bin := &packing.Bin{ID: b.ID, CPUCap: b.CPUCap, MemCap: b.MemCap}
+	for _, it := range b.Items() {
+		bin.Add(it)
 	}
-	return slack
+	packing.FirstFitDecreasing(candidates, []*packing.Bin{bin}, cons)
+	return bin.Slack()
 }

@@ -341,6 +341,14 @@ func TestSingleBinFFDSlack(t *testing.T) {
 	if bin.CPUUsed() != 0 || len(bin.Items()) != 0 {
 		t.Fatal("SingleBinFFDSlack mutated the bin")
 	}
+	// Load already planned onto the bin counts: after 2 GHz, only a fits.
+	bin.Add(packing.Item{ID: "planned", CPU: 2, Mem: 1})
+	if got = SingleBinFFDSlack(bin, items, packing.VectorConstraint{}); math.Abs(got-2) > 1e-12 {
+		t.Fatalf("FFD slack over a loaded bin = %v, want 2", got)
+	}
+	if len(bin.Items()) != 1 {
+		t.Fatal("SingleBinFFDSlack mutated the loaded bin")
+	}
 }
 
 func TestCountOverloaded(t *testing.T) {

@@ -375,6 +375,19 @@ type Grant struct {
 // Arbitrate performs one arbitration round and returns the grants plus
 // the chosen frequency.
 func (a *Arbitrator) Arbitrate() ([]Grant, units.Hertz) {
+	f, scale := a.Throttle()
+	grants := make([]Grant, 0, a.Server.NumVMs())
+	for _, v := range a.Server.VMs() {
+		grants = append(grants, Grant{VMID: v.ID, Demand: v.Demand, Granted: v.Demand * scale})
+	}
+	return grants, f
+}
+
+// Throttle is the frequency half of Arbitrate: it picks and sets the
+// server's P-state for its aggregate demand and returns the frequency and
+// the scale every grant takes (1 unless the demand exceeds capacity). It
+// records the same "arbitrator.pass" span and allocates nothing untraced.
+func (a *Arbitrator) Throttle() (units.Hertz, units.Fraction) {
 	srv := a.Server
 	sp := a.Trace.Start("arbitrator.pass").Str("server", srv.ID)
 	total := srv.TotalDemand()
@@ -397,11 +410,7 @@ func (a *Arbitrator) Arbitrate() ([]Grant, units.Hertz) {
 		}
 	}
 	srv.SetFreq(f)
-	grants := make([]Grant, 0, srv.NumVMs())
-	for _, v := range srv.VMs() {
-		grants = append(grants, Grant{VMID: v.ID, Demand: v.Demand, Granted: v.Demand * scale})
-	}
-	sp.Int("vms", len(grants)).Float("freq_ghz", f).
+	sp.Int("vms", srv.NumVMs()).Float("freq_ghz", f).
 		Bool("oversubscribed", scale < 1).Bool("dvfs_failed", dvfsFailed).End()
-	return grants, f
+	return f, scale
 }

@@ -9,6 +9,7 @@ import (
 	"vdcpower/internal/devs"
 	"vdcpower/internal/mat"
 	"vdcpower/internal/power"
+	"vdcpower/internal/race"
 	"vdcpower/internal/stats"
 	"vdcpower/internal/sysid"
 	"vdcpower/internal/units"
@@ -338,6 +339,35 @@ func TestArbitratorHeadroom(t *testing.T) {
 	_, f = withHead.Arbitrate()
 	if f != 1.5 { // 3.9×1.2 = 4.68 > 4×1.0
 		t.Fatalf("with headroom f = %v, want 1.5", f)
+	}
+}
+
+// TestThrottleAllocatesNothing: dcsim throttles every active server of a
+// 3 000-server fleet through Throttle each step, so the untraced,
+// fault-free path must stay off the heap. It picks Arbitrate's frequency
+// and the scale Arbitrate's grants take.
+func TestThrottleAllocatesNothing(t *testing.T) {
+	srv := cluster.NewServer("s", power.TypeMid()) // 4 GHz capacity
+	dc, err := cluster.NewDataCenter([]*cluster.Server{srv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*cluster.VM{{ID: "a", Demand: 3, MemoryGB: 1}, {ID: "b", Demand: 5, MemoryGB: 1}} {
+		if err := dc.Place(v, srv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arb := &Arbitrator{Server: srv, Headroom: 0.1}
+	grants, want := arb.Arbitrate()
+	f, scale := arb.Throttle()
+	if f != want || grants[1].Granted != grants[1].Demand*scale || scale != 0.5 {
+		t.Fatalf("Throttle = (%v, %v), Arbitrate chose %v and granted %+v", f, scale, want, grants)
+	}
+	if race.Enabled {
+		t.Skip("AllocsPerRun is meaningless under the race detector")
+	}
+	if n := testing.AllocsPerRun(100, func() { arb.Throttle() }); n != 0 {
+		t.Fatalf("Throttle allocates %v times", n)
 	}
 }
 

@@ -278,9 +278,6 @@ func Run(cfg Config) (Result, error) {
 	}()
 	var meter power.Meter
 	activeSum := 0.0
-	// Which servers were active before each pass, so the pass facts can
-	// name every server switched on or off (allocated once).
-	activeBefore := make([]bool, len(dc.Servers))
 	// finish fills the aggregate fields from whatever the run accumulated,
 	// so error paths return a usable partial Result alongside the error
 	// (stepsDone counts fully accounted steps).
@@ -308,62 +305,41 @@ func Run(cfg Config) (Result, error) {
 		if cfg.Faults != nil {
 			applyCrashes(dc, cfg, k, &res)
 		}
+		pass := probe.Pass{Step: k, TimeSec: float64(k) * tr.StepSeconds}
 		if k%cfg.OptimizeEverySteps == 0 {
-			overloaded := check.CountOverloaded(dc)
-			csp := tk.Start("dcsim.consolidate").Int("step", k)
-			nodesBefore, widsBefore := optimizer.SearchEffort(cfg.Consolidator)
-			snapshotActive(dc, activeBefore)
-			rep, err := cfg.Consolidator.Consolidate(dc)
+			pass.Kind, pass.Span, pass.Policy = check.EvConsolidate, "dcsim.consolidate", res.Policy
+			csp := tk.Start(pass.Span).Int("step", k)
+			rep, degraded, err := cfg.Probe.Pass(dc, pass, cfg.Consolidator, func() (optimizer.Report, error) {
+				return cfg.Consolidator.Consolidate(dc)
+			})
 			csp.Int("migrations", rep.Migrations).Int("vetoed", rep.Vetoed).End()
 			if err != nil {
-				// An injected transient error degrades the pass — skip it
-				// and keep the run alive; a real error still aborts, but
-				// returns the partial result accumulated so far.
-				if !fault.IsInjected(err) {
-					finish(k)
-					return res, err
-				}
-				res.DegradedPasses++
+				// A real error aborts, but returns the partial result
+				// accumulated so far.
+				finish(k)
+				return res, err
 			}
-			res.Migrations += rep.Migrations
+			res.tally(rep, degraded)
 			res.Vetoed += rep.Vetoed
-			res.Unresolved += rep.Unresolved
-			res.FailedMoves += rep.FailedMoves
-			nodesAfter, widsAfter := optimizer.SearchEffort(cfg.Consolidator)
-			cfg.Probe.Emit(check.Event{
-				Kind: check.EvConsolidate, Step: k, TimeSec: float64(k) * tr.StepSeconds, Span: "dcsim.consolidate",
-				DC: dc, Report: &rep, Policy: res.Policy, OverloadedBefore: overloaded, ActiveBefore: activeBefore,
-				Nodes: nodesAfter - nodesBefore, Widenings: widsAfter - widsBefore, Degraded: err != nil,
-			})
 		} else if cfg.WatchdogEverySteps > 0 && k%cfg.WatchdogEverySteps == 0 {
+			pass.Kind, pass.Span, pass.Policy = check.EvWatchdog, "dcsim.watchdog", "watchdog"
 			wCfg := packing.DefaultMinSlackConfig()
 			wCfg.Trace = tk
-			wsp := tk.Start("dcsim.watchdog").Int("step", k)
-			snapshotActive(dc, activeBefore)
-			rep, err := optimizer.ResolveOverloadsWithFaults(dc, packing.VectorConstraint{CPUHeadroom: cfg.Headroom}, wCfg, cfg.Faults)
+			wsp := tk.Start(pass.Span).Int("step", k)
+			rep, degraded, err := cfg.Probe.Pass(dc, pass, nil, func() (optimizer.Report, error) {
+				return optimizer.ResolveOverloadsWithFaults(dc, packing.VectorConstraint{CPUHeadroom: cfg.Headroom}, wCfg, cfg.Faults)
+			})
 			wsp.Int("migrations", rep.Migrations).End()
 			if err != nil {
-				if !fault.IsInjected(err) {
-					finish(k)
-					return res, err
-				}
-				res.DegradedPasses++
+				finish(k)
+				return res, err
 			}
-			res.Migrations += rep.Migrations
+			res.tally(rep, degraded)
 			res.WatchdogMoves += rep.Migrations
-			res.Unresolved += rep.Unresolved
-			res.FailedMoves += rep.FailedMoves
-			cfg.Probe.Emit(check.Event{
-				Kind: check.EvWatchdog, Step: k, TimeSec: float64(k) * tr.StepSeconds, Span: "dcsim.watchdog",
-				DC: dc, Report: &rep, Policy: "watchdog", ActiveBefore: activeBefore, Degraded: err != nil,
-			})
 		}
 		// Server-level frequency decision for the step, and energy
 		// accounting. Suspended and crashed servers are treated as powered
-		// off and unaccounted, as in the paper. When tracing, the
-		// decision routes through core.Arbitrator — the same frequency
-		// choice, but each pass records an "arbitrator.pass" span; the
-		// untraced path keeps the allocation-free direct call.
+		// off and unaccounted, as in the paper.
 		var dvfs *telemetry.Span
 		if tk != nil {
 			dvfs = tk.Start("arbitrate.dvfs").Int("step", k)
@@ -375,16 +351,8 @@ func Run(cfg Config) (Result, error) {
 				continue
 			}
 			if cfg.Consolidator.UsesDVFS() {
-				if tk != nil || cfg.Faults != nil {
-					// Tracing or fault injection routes through the
-					// arbitrator (same frequency choice, plus spans and
-					// the DVFS-failure degradation policy); the untraced,
-					// fault-free path keeps the allocation-free call.
-					arb := core.Arbitrator{Server: s, Headroom: cfg.Headroom, Trace: tk, Faults: cfg.Faults}
-					arb.Arbitrate()
-				} else {
-					s.SetFreq(s.Spec.LowestFreqFor(s.TotalDemand() * (1 + cfg.Headroom)))
-				}
+				arb := core.Arbitrator{Server: s, Headroom: cfg.Headroom, Trace: tk, Faults: cfg.Faults}
+				arb.Throttle()
 			} else {
 				s.SetFreq(s.Spec.MaxFreq)
 			}
@@ -422,12 +390,15 @@ func Run(cfg Config) (Result, error) {
 	return res, cfg.Probe.Err()
 }
 
-// snapshotActive records which servers are active into dst (len must
-// match dc.Servers) — the "before" side of a pass's on/off facts.
-func snapshotActive(dc *cluster.DataCenter, dst []bool) {
-	for i, s := range dc.Servers {
-		dst[i] = s.State() == cluster.Active
+// tally adds one pass's report to the run's totals; a degraded pass was
+// skipped on an injected error and the run continued.
+func (r *Result) tally(rep optimizer.Report, degraded bool) {
+	if degraded {
+		r.DegradedPasses++
 	}
+	r.Migrations += rep.Migrations
+	r.Unresolved += rep.Unresolved
+	r.FailedMoves += rep.FailedMoves
 }
 
 // initialPlacement first-fit-decreasing places the VMs using the given

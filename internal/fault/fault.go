@@ -121,8 +121,11 @@ func (e *Error) Error() string {
 }
 
 // IsInjected reports whether err (or anything it wraps) is an injected
-// fault rather than a real failure.
+// fault rather than a real failure. A nil error costs no allocation.
 func IsInjected(err error) bool {
+	if err == nil {
+		return false
+	}
 	var fe *Error
 	return errors.As(err, &fe)
 }

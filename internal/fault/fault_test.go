@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"vdcpower/internal/race"
 	"vdcpower/internal/telemetry"
 )
 
@@ -225,6 +226,17 @@ func TestInjectedErrorsAreTyped(t *testing.T) {
 	}
 	if IsInjected(bytes.ErrTooLarge) {
 		t.Fatal("real error classified as injected")
+	}
+}
+
+// TestIsInjectedNilAllocatesNothing: harnesses ask about every pass's
+// error, most of them nil.
+func TestIsInjectedNilAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun is meaningless under the race detector")
+	}
+	if n := testing.AllocsPerRun(100, func() { IsInjected(nil) }); n != 0 {
+		t.Fatalf("IsInjected(nil) allocates %v times", n)
 	}
 }
 

@@ -28,7 +28,8 @@ type Consolidator interface {
 
 // SearchEffort reads a consolidator's accumulated branch-and-bound node
 // and widening counts through the optional SearchStats accessor (IPAC
-// wires one; other policies report 0). Harnesses report deltas per pass.
+// wires one; other policies report 0). The pass driver (probe.Pass)
+// reports its delta per pass.
 func SearchEffort(c Consolidator) (nodes, widenings int) {
 	if s, ok := c.(interface{ SearchStats() *packing.SearchStats }); ok {
 		if st := s.SearchStats(); st != nil {

@@ -26,7 +26,7 @@ type metrics struct {
 
 	policy                               string // label of passes
 	passes, migrations, vetoes, bnbNodes *telemetry.Counter
-	watchdogPasses, degradedSteps        *telemetry.Counter
+	watchdogPasses, degradedPasses       *telemetry.Counter
 	breakerState, breakerCooldown        *telemetry.Gauge
 	breakerTrans                         *telemetry.Counter
 }
@@ -35,17 +35,6 @@ func (m *metrics) Observe(ev check.Event) {
 	switch ev.Kind {
 	case check.EvInit:
 		m.apps = ev.Apps
-		if len(ev.Apps) == 0 {
-			// A run without applications is a fleet run (dcsim): its
-			// consolidation families export from the start, and a pass
-			// skipped on an injected error is a degraded step. A testbed
-			// period still runs its control loops when its optimizer pass
-			// is skipped, so it counts none.
-			m.stepGauges()
-			m.passCounters()
-			m.watchdog()
-			m.degradedSteps = m.reg.Counter("vdcpower_degraded_steps_total", "optimizer passes skipped on an injected error while the run continued")
-		}
 	case check.EvGuard:
 		// A period's first fact: a period aborted here still exports the group.
 		m.periodInstruments()
@@ -74,7 +63,9 @@ func (m *metrics) Observe(ev check.Event) {
 		m.vetoes.Add(float64(ev.Report.Vetoed))
 		m.bnbNodes.Add(float64(ev.Nodes))
 	case check.EvWatchdog:
-		m.watchdog()
+		if m.watchdogPasses == nil {
+			m.watchdogPasses = m.reg.Counter("vdcpower_watchdog_passes_total", "on-demand overload reliever invocations")
+		}
 		m.watchdogPasses.Inc()
 		m.pass(ev)
 	case check.EvBreaker:
@@ -97,7 +88,7 @@ func (m *metrics) pass(ev check.Event) {
 	m.passCounters()
 	m.migrations.Add(float64(ev.Report.Migrations))
 	if ev.Degraded {
-		m.degradedSteps.Inc() // nil, a no-op, outside fleet runs
+		m.degradedPasses.Inc()
 	}
 }
 
@@ -113,12 +104,7 @@ func (m *metrics) passCounters() {
 		m.migrations = m.reg.Counter("vdcpower_migrations_total", "VM live migrations committed by the consolidation layer")
 		m.vetoes = m.reg.Counter("vdcpower_migration_vetoes_total", "migrations rejected by the cost policy")
 		m.bnbNodes = m.reg.Counter("vdcpower_bnb_nodes_total", "Minimum Slack branch-and-bound nodes expanded")
-	}
-}
-
-func (m *metrics) watchdog() {
-	if m.watchdogPasses == nil {
-		m.watchdogPasses = m.reg.Counter("vdcpower_watchdog_passes_total", "on-demand overload reliever invocations")
+		m.degradedPasses = m.reg.Counter("vdcpower_degraded_passes_total", "optimizer passes skipped on an injected error while the run continued")
 	}
 }
 

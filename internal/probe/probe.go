@@ -1,12 +1,16 @@
 // Package probe is the stack's single observer seam. Each harness — the
 // testbed, the data-center simulator and the HTTP server — emits every
-// fact it observes once, as a check.Event, into one nil-safe Probe; the
-// invariant checker, the health scorecard and the metrics registry
-// subscribe to it. Facts carry logical simulation time only, so
-// subscribers observe same-seed runs byte-identically.
+// fact it observes once, as a check.Event, into one nil-safe Probe, and
+// runs every optimizer pass through Probe.Pass, so a pass fact has one
+// shape in every harness; the invariant checker, the health scorecard and
+// the metrics registry subscribe to it. Facts carry logical simulation
+// time only, so subscribers observe same-seed runs byte-identically.
 package probe
 
-import "vdcpower/internal/check"
+import (
+	"vdcpower/internal/check"
+	"vdcpower/internal/optimizer"
+)
 
 // Subscriber receives every fact a probe emits, in emission order;
 // pointer fields of the event are valid only during the call.
@@ -19,6 +23,9 @@ type Subscriber interface {
 // harness that owns it (serve emits under its mutex).
 type Probe struct {
 	subs []Subscriber
+
+	active []bool           // Pass's before-snapshot, reused pass to pass
+	rep    optimizer.Report // the report of the pass fact being delivered
 }
 
 // New returns a probe over the non-nil subscribers, or nil when none is

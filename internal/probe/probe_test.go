@@ -3,15 +3,19 @@ package probe
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"vdcpower/internal/check"
 	"vdcpower/internal/cluster"
+	"vdcpower/internal/fault"
 	"vdcpower/internal/mpc"
 	"vdcpower/internal/obs"
 	"vdcpower/internal/optimizer"
+	"vdcpower/internal/packing"
 	"vdcpower/internal/power"
+	"vdcpower/internal/race"
 	"vdcpower/internal/telemetry"
 )
 
@@ -64,16 +68,41 @@ func prom(t *testing.T, reg *telemetry.Registry) string {
 }
 
 // TestMetricsResolveGroupsOnFirstFact pins when each family group appears
-// in the exposition: a testbed's init fact resolves nothing, its first
-// drain resolves the whole period group, and a fleet run's init fact
-// resolves its consolidation families at zero.
+// in the exposition, the same in every harness: an init fact resolves
+// nothing, a first drain resolves the whole period group, and the first
+// pass resolves the pass group, degraded passes included.
 func TestMetricsResolveGroupsOnFirstFact(t *testing.T) {
+	for _, apps := range [][]string{{"App1", "App2"}, nil} {
+		reg := telemetry.NewRegistry()
+		p := New(Metrics(reg))
+		p.Emit(check.Event{Kind: check.EvInit, Apps: apps})
+		if got := prom(t, reg); got != "" {
+			t.Fatalf("init fact with apps %q published:\n%s", apps, got)
+		}
+		rep := &optimizer.Report{Migrations: 2}
+		p.Emit(check.Event{Kind: check.EvWatchdog, Policy: "watchdog", Report: rep, Degraded: true})
+		got := prom(t, reg)
+		for _, want := range []string{
+			"vdcpower_migrations_total 2", "vdcpower_migration_vetoes_total 0", "vdcpower_bnb_nodes_total 0",
+			"vdcpower_watchdog_passes_total 1", "vdcpower_degraded_passes_total 1",
+		} {
+			if !strings.Contains(got, want) {
+				t.Errorf("apps %q: after a degraded first pass the exposition lacks %q:\n%s", apps, want, got)
+			}
+		}
+		if strings.Contains(got, "vdcpower_degraded_steps_total") || strings.Contains(got, "vdcpower_power_watts") {
+			t.Errorf("apps %q: a pass published a family it does not bear on:\n%s", apps, got)
+		}
+		p.Emit(check.Event{Kind: check.EvConsolidate, Policy: "IPAC", Report: rep, Nodes: 5})
+		if got := prom(t, reg); !strings.Contains(got, `vdcpower_optimizer_passes_total{policy="IPAC"} 1`) ||
+			!strings.Contains(got, "vdcpower_degraded_passes_total 1") || !strings.Contains(got, "vdcpower_bnb_nodes_total 5") {
+			t.Errorf("apps %q: a clean consolidation pass miscounted:\n%s", apps, got)
+		}
+	}
+
 	reg := telemetry.NewRegistry()
 	p := New(Metrics(reg))
 	p.Emit(check.Event{Kind: check.EvInit, Apps: []string{"App1", "App2"}})
-	if got := prom(t, reg); got != "" {
-		t.Fatalf("init fact published:\n%s", got)
-	}
 	p.Emit(check.Event{Kind: check.EvGuard, Guard: check.GuardObservation{Aborted: true, Tripped: true}})
 	got := prom(t, reg)
 	for _, want := range []string{
@@ -84,28 +113,8 @@ func TestMetricsResolveGroupsOnFirstFact(t *testing.T) {
 			t.Errorf("after an aborted first drain the exposition lacks %q:\n%s", want, got)
 		}
 	}
-	rep := &optimizer.Report{Migrations: 2}
-	p.Emit(check.Event{Kind: check.EvConsolidate, Policy: "IPAC", Report: rep, Degraded: true})
-	if got := prom(t, reg); strings.Contains(got, "vdcpower_degraded_steps_total") ||
-		!strings.Contains(got, "vdcpower_migrations_total 2") {
-		t.Fatalf("a testbed pass must count migrations but no degraded step:\n%s", got)
-	}
-
-	fleet := telemetry.NewRegistry()
-	q := New(Metrics(fleet))
-	q.Emit(check.Event{Kind: check.EvInit})
-	got = prom(t, fleet)
-	for _, want := range []string{
-		"vdcpower_migrations_total 0", "vdcpower_watchdog_passes_total 0",
-		"vdcpower_degraded_steps_total 0", "vdcpower_active_servers 0",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("a fleet run's init fact did not export %q:\n%s", want, got)
-		}
-	}
-	q.Emit(check.Event{Kind: check.EvWatchdog, Policy: "watchdog", Report: rep, Degraded: true})
-	if got := prom(t, fleet); !strings.Contains(got, "vdcpower_degraded_steps_total 1") {
-		t.Fatalf("a fleet run's skipped pass is not a degraded step:\n%s", got)
+	if strings.Contains(got, "vdcpower_migrations_total") {
+		t.Errorf("a drain published the pass group:\n%s", got)
 	}
 }
 
@@ -160,10 +169,15 @@ func TestScorecardFoldsEveryFact(t *testing.T) {
 	} {
 		p.Emit(check.Event{Kind: check.EvControl, Control: c})
 	}
+	// A fact without a data center, or with a snapshot that does not
+	// match it, audits nothing.
 	agg := &optimizer.Report{Migrations: 3, Vetoed: 1, ActiveBefore: 2, ActiveAfter: 1}
-	p.Emit(check.Event{Kind: check.EvConsolidate, Policy: "IPAC", Span: "optimizer", Report: agg, Nodes: 9, Widenings: 1})
+	p.Emit(check.Event{Kind: check.EvConsolidate, Policy: "IPAC", Span: "optimizer", Report: agg, Nodes: 9, Widenings: 1,
+		ActiveBefore: []bool{true, true}})
 	before := []bool{true, true}
 	dc.SleepIdle()
+	p.Emit(check.Event{Kind: check.EvConsolidate, Policy: "IPAC", Span: "optimizer", DC: dc,
+		Report: &optimizer.Report{}, ActiveBefore: before[:1]})
 	p.Emit(check.Event{Kind: check.EvWatchdog, Policy: "watchdog", Span: "dcsim.watchdog", DC: dc,
 		Report: &optimizer.Report{Migrations: 1}, ActiveBefore: before, Degraded: true})
 	p.Emit(check.Event{Kind: check.EvCrash, LostVMs: []string{"v"}, Crash: check.CrashObservation{Server: "a", Lose: true}})
@@ -185,7 +199,7 @@ func TestScorecardFoldsEveryFact(t *testing.T) {
 	if len(rep.Apps) != 1 || rep.Apps[0].Samples != 2 || rep.Apps[0].Violations != 1 {
 		t.Errorf("apps = %+v", rep.Apps)
 	}
-	if o := rep.Optimizer; o.Passes != 1 || o.Migrations != 4 || o.Vetoes != 1 || o.WatchdogPasses != 1 ||
+	if o := rep.Optimizer; o.Passes != 2 || o.Migrations != 4 || o.Vetoes != 1 || o.WatchdogPasses != 1 ||
 		o.DegradedPasses != 1 || o.BnBNodes != 9 || o.Widenings != 1 {
 		t.Errorf("optimizer slice = %+v", o)
 	}
@@ -202,12 +216,105 @@ func TestScorecardFoldsEveryFact(t *testing.T) {
 	want := []string{
 		"controller open-loop App1 mpc-App1",
 		"controller close-loop App1 mpc-App1",
-		"IPAC servers-off  optimizer",
 		"watchdog server-off b dcsim.watchdog",
 		"fault-plane server-crash a ",
 		"guard step-abort testbed testbed.period",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("audit =\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// factLog renders every pass fact it observes, copying what it needs
+// during delivery.
+type factLog []string
+
+func (l *factLog) Observe(ev check.Event) {
+	*l = append(*l, fmt.Sprintf("%s %s step=%d span=%s degraded=%t overloaded=%d before=%v migrations=%d nodes=%d widenings=%d",
+		ev.Kind, ev.Policy, ev.Step, ev.Span, ev.Degraded, ev.OverloadedBefore, ev.ActiveBefore, ev.Report.Migrations, ev.Nodes, ev.Widenings))
+}
+
+// searcher is a consolidator whose search effort the test advances.
+type searcher struct {
+	optimizer.Consolidator
+	st packing.SearchStats
+}
+
+func (s *searcher) SearchStats() *packing.SearchStats { return &s.st }
+
+// TestPassReportsEachPassOnce drives the pass driver through its three
+// outcomes: a clean pass and an injected failure each emit one fact with
+// the servers overloaded and active before the pass and the search
+// effort spent in it; a real failure emits nothing and returns its error.
+func TestPassReportsEachPassOnce(t *testing.T) {
+	a, b := cluster.NewServer("a", power.TypeHighEnd()), cluster.NewServer("b", power.TypeHighEnd())
+	dc, err := cluster.NewDataCenter([]*cluster.Server{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dc.Place(&cluster.VM{ID: "v", Demand: 1e3, MemoryGB: 1}, a); err != nil {
+		t.Fatal(err)
+	}
+	dc.SleepIdle()
+	cons := &searcher{Consolidator: optimizer.NewIPAC()}
+	injected := fault.New(fault.Profile{Optimizer: fault.OptimizerProfile{ErrorProb: 1}}).OptimizerError("IPAC")
+	failure := errors.New("real failure")
+	var runErr error
+	run := func() (optimizer.Report, error) {
+		cons.st.Nodes += 3
+		cons.st.Widenings++
+		return optimizer.Report{Migrations: 2}, runErr
+	}
+	pass := Pass{Kind: check.EvConsolidate, Step: 7, TimeSec: 28, Span: "optimizer", Policy: "IPAC"}
+
+	var log factLog
+	p := New(&log)
+	for _, c := range []struct {
+		err          error
+		degraded     bool
+		wantErr      error
+		factsEmitted int
+	}{{nil, false, nil, 1}, {injected, true, nil, 1}, {failure, false, failure, 0}} {
+		runErr = c.err
+		n := len(log)
+		rep, degraded, err := p.Pass(dc, pass, cons, run)
+		if rep.Migrations != 2 || degraded != c.degraded || err != c.wantErr || len(log)-n != c.factsEmitted {
+			t.Errorf("run error %v: report %+v, degraded %t, error %v, %d facts", c.err, rep, degraded, err, len(log)-n)
+		}
+	}
+	want := []string{
+		"consolidate IPAC step=7 span=optimizer degraded=false overloaded=1 before=[true false] migrations=2 nodes=3 widenings=1",
+		"consolidate IPAC step=7 span=optimizer degraded=true overloaded=1 before=[true false] migrations=2 nodes=3 widenings=1",
+	}
+	if strings.Join(log, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("facts =\n%s\nwant\n%s", strings.Join(log, "\n"), strings.Join(want, "\n"))
+	}
+
+	// A watchdog pass names no consolidator and counts no search.
+	runErr = nil
+	if _, _, err := p.Pass(dc, Pass{Kind: check.EvWatchdog, Policy: "watchdog"}, nil, run); err != nil {
+		t.Fatal(err)
+	}
+	if got := log[len(log)-1]; !strings.HasSuffix(got, "nodes=0 widenings=0") {
+		t.Fatalf("watchdog fact %q counts a search", got)
+	}
+
+	// Unobserved, the pass still runs and still degrades on an injected
+	// error, and the driver itself allocates nothing.
+	var none *Probe
+	runErr = injected
+	if _, degraded, err := none.Pass(dc, pass, cons, run); !degraded || err != nil {
+		t.Fatalf("unobserved injected pass: degraded %t, error %v", degraded, err)
+	}
+	runErr = nil
+	nodes := cons.st.Nodes
+	if race.Enabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() { none.Pass(dc, pass, cons, run) }); n != 0 {
+		t.Fatalf("an unobserved pass allocates %v times", n)
+	}
+	if cons.st.Nodes == nodes {
+		t.Fatal("an unobserved pass did not run")
 	}
 }

@@ -102,10 +102,9 @@ func (s *scorecard) control(ev check.Event) {
 		Reason: reason, Value: float64(c.HeldStreak), Span: "mpc-" + c.App})
 }
 
-// pass folds one consolidation or watchdog pass. A pass reported with a
-// per-server snapshot (dcsim's fleet) audits every server it switched on
-// or off; one reported without (the testbed's handful of servers) audits
-// the net change as one record.
+// pass folds one consolidation or watchdog pass and audits every server
+// it switched on or off. A fact without a before-snapshot that matches
+// its data center audits nothing.
 func (s *scorecard) pass(ev check.Event) {
 	rep := ev.Report
 	if ev.Kind == check.EvWatchdog {
@@ -114,15 +113,7 @@ func (s *scorecard) pass(ev check.Event) {
 		s.sc.AddOptimizerPass(rep.Migrations, rep.Vetoed, rep.FailedMoves, rep.Unresolved, ev.Degraded)
 		s.sc.AddSearch(ev.Nodes, ev.Widenings)
 	}
-	if ev.ActiveBefore == nil {
-		if rep.ActiveAfter != rep.ActiveBefore {
-			action, reason := "servers-off", "consolidation packed the load onto fewer servers"
-			if rep.ActiveAfter > rep.ActiveBefore {
-				action, reason = "servers-on", "consolidation spread load to relieve overload"
-			}
-			s.audit(ev, obs.Decision{Component: ev.Policy, Action: action, Reason: reason,
-				Value: float64(rep.ActiveAfter - rep.ActiveBefore), Span: ev.Span})
-		}
+	if ev.DC == nil || len(ev.ActiveBefore) != len(ev.DC.Servers) {
 		return
 	}
 	for i, srv := range ev.DC.Servers {

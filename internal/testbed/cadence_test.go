@@ -22,6 +22,16 @@ func (l *stepLog) Check(ev check.Event) error {
 	return nil
 }
 
+// passLog is a probe subscriber that keeps a copy of every consolidation
+// pass's report, in pass order.
+type passLog []optimizer.Report
+
+func (l *passLog) Observe(ev check.Event) {
+	if ev.Kind == check.EvConsolidate {
+		*l = append(*l, *ev.Report)
+	}
+}
+
 // TestStepwiseRunsMatchOneLongRun drives the same testbed with ten
 // one-period Run calls (serve's cadence) and with one ten-period call: the
 // optimizer must run at the same periods and every fact must carry the
@@ -38,14 +48,15 @@ func TestStepwiseRunsMatchOneLongRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		var log stepLog
-		tb.AttachProbe(probe.New(check.New(&log)))
+		var reps passLog
+		tb.AttachProbe(probe.New(check.New(&log), &reps))
 		for i := 0; i < calls; i++ {
 			if _, err := tb.Run(float64(10/calls)*cfg.Period, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		var passes []string
-		for _, rep := range tb.OptimizerLogs {
+		for _, rep := range reps {
 			passes = append(passes, rep.String())
 		}
 		return passes, log

@@ -26,7 +26,8 @@ func TestAttachCheckerCleanRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := check.New(check.All()...)
-	tb.AttachProbe(probe.New(c))
+	var passes passLog
+	tb.AttachProbe(probe.New(c, &passes))
 	if c.Events() == 0 {
 		t.Fatal("attaching the probe did not report the baseline placement")
 	}
@@ -38,7 +39,7 @@ func TestAttachCheckerCleanRun(t *testing.T) {
 	}
 	// Consolidation periods must have produced consolidate events, not
 	// just power accounting.
-	if len(tb.OptimizerLogs) == 0 {
+	if len(passes) == 0 {
 		t.Fatal("optimizer never ran; the checker saw no consolidate events")
 	}
 }

@@ -4,8 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"vdcpower/internal/check"
 	"vdcpower/internal/cluster"
+	"vdcpower/internal/obs"
 	"vdcpower/internal/optimizer"
+	"vdcpower/internal/probe"
 	"vdcpower/internal/stats"
 )
 
@@ -50,6 +53,8 @@ func TestIntegratedRunSavesPowerKeepsSLA(t *testing.T) {
 	if err := integrated.AttachOptimizer(optimizer.NewIPAC(), 50, cluster.DefaultMigrationModel()); err != nil {
 		t.Fatal(err)
 	}
+	var passes passLog
+	integrated.AttachProbe(probe.New(&passes))
 	recB, err := baseline.Run(900, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +66,7 @@ func TestIntegratedRunSavesPowerKeepsSLA(t *testing.T) {
 	if err := integrated.DC.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if len(integrated.OptimizerLogs) == 0 {
+	if len(passes) == 0 {
 		t.Fatal("optimizer never ran")
 	}
 
@@ -136,6 +141,8 @@ func TestIntegratedMigrationDowntimeVisible(t *testing.T) {
 	}
 }
 
+// TestIntegratedOptimizerLogsRecordMoves: every pass fact's report
+// records each migration it performed.
 func TestIntegratedOptimizerLogsRecordMoves(t *testing.T) {
 	cfg := quickConfig()
 	cfg.NumApps = 4
@@ -146,11 +153,13 @@ func TestIntegratedOptimizerLogsRecordMoves(t *testing.T) {
 	if err := tb.AttachOptimizer(optimizer.NewIPAC(), 20, cluster.DefaultMigrationModel()); err != nil {
 		t.Fatal(err)
 	}
+	var passes passLog
+	tb.AttachProbe(probe.New(&passes))
 	if _, err := tb.Run(400, nil); err != nil {
 		t.Fatal(err)
 	}
 	moves := 0
-	for _, rep := range tb.OptimizerLogs {
+	for _, rep := range passes {
 		moves += len(rep.Moves)
 		if rep.Migrations != len(rep.Moves) {
 			t.Fatalf("Migrations=%d but %d moves recorded", rep.Migrations, len(rep.Moves))
@@ -160,3 +169,55 @@ func TestIntegratedOptimizerLogsRecordMoves(t *testing.T) {
 		t.Fatal("no moves recorded across the run")
 	}
 }
+
+// TestPassFactsAuditEveryServer: the testbed reports each consolidation
+// pass with a before-snapshot of every server, as dcsim does, so the
+// scorecard's audit names each server a pass switched on or off.
+func TestPassFactsAuditEveryServer(t *testing.T) {
+	cfg := quickConfig()
+	cfg.NumApps = 4
+	cfg.NumServers = 4
+	tb, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.AttachOptimizer(optimizer.NewIPAC(), 5, cluster.DefaultMigrationModel()); err != nil {
+		t.Fatal(err)
+	}
+	sc := obs.New(obs.Config{})
+	passes := 0
+	snapshot := observeFunc(func(ev check.Event) {
+		if ev.Kind != check.EvConsolidate {
+			return
+		}
+		passes++
+		if len(ev.ActiveBefore) != cfg.NumServers {
+			t.Errorf("pass at period %d snapshots %d servers, want %d", ev.Step, len(ev.ActiveBefore), cfg.NumServers)
+		}
+	})
+	tb.AttachProbe(probe.New(probe.Scorecard(sc), snapshot))
+	if _, err := tb.Run(40*cfg.Period, nil); err != nil {
+		t.Fatal(err)
+	}
+	if passes == 0 {
+		t.Fatal("optimizer never ran")
+	}
+	switched := 0
+	for _, d := range sc.Audit().Records() {
+		if d.Component != "IPAC" {
+			continue
+		}
+		if d.Action != "server-off" && d.Action != "server-on" || tb.DC.Server(d.Target) == nil {
+			t.Errorf("pass audit %+v names no server", d)
+		}
+		switched++
+	}
+	if switched == 0 {
+		t.Fatal("no pass switched a server: the audit is untested")
+	}
+}
+
+// observeFunc adapts a function to probe.Subscriber.
+type observeFunc func(check.Event)
+
+func (f observeFunc) Observe(ev check.Event) { f(ev) }

@@ -90,10 +90,9 @@ type Testbed struct {
 
 	// Data-center level (optional): a consolidator invoked during Run,
 	// with live-migration downtime applied to the affected tiers.
-	cons          optimizer.Consolidator
-	consEvery     int // periods between invocations
-	migModel      cluster.MigrationModel
-	OptimizerLogs []optimizer.Report
+	cons      optimizer.Consolidator
+	consEvery int // periods between invocations
+	migModel  cluster.MigrationModel
 
 	probe   *probe.Probe
 	energyJ float64 // cumulative energy reported to the probe
@@ -338,29 +337,22 @@ func (tb *Testbed) AttachProbe(p *probe.Probe) {
 }
 
 // consolidate runs one optimizer invocation and applies migration
-// downtime to the moved tiers.
+// downtime to the moved tiers. A pass degraded by an injected error is
+// skipped and retried at the next interval; a real error aborts the run.
 func (tb *Testbed) consolidate(period int) error {
-	overloaded := check.CountOverloaded(tb.DC)
-	nodesBefore, widsBefore := optimizer.SearchEffort(tb.cons)
-	rep, err := tb.cons.Consolidate(tb.DC)
-	if err != nil && !fault.IsInjected(err) {
+	pass := probe.Pass{Kind: check.EvConsolidate, Step: period, TimeSec: tb.Sim.Now(), Span: "optimizer", Policy: tb.cons.Name()}
+	rep, _, err := tb.probe.Pass(tb.DC, pass, tb.cons, func() (optimizer.Report, error) {
+		return tb.cons.Consolidate(tb.DC)
+	})
+	if err != nil {
 		return err
 	}
-	// An injected transient error still logs its (empty) report and fault
-	// records below, then surfaces to Run, which skips the pass.
-	nodesAfter, widsAfter := optimizer.SearchEffort(tb.cons)
 	for _, mv := range rep.Moves {
 		if idx, ok := tb.vmIndex[mv.VM.ID]; ok {
 			tb.Apps[idx[0]].PauseTier(idx[1], tb.migModel.Downtime(mv.VM.MemoryGB))
 		}
 	}
-	tb.OptimizerLogs = append(tb.OptimizerLogs, rep)
-	tb.probe.Emit(check.Event{
-		Kind: check.EvConsolidate, Step: period, TimeSec: tb.Sim.Now(), Span: "optimizer",
-		DC: tb.DC, Report: &rep, Policy: tb.cons.Name(), OverloadedBefore: overloaded,
-		Nodes: nodesAfter - nodesBefore, Widenings: widsAfter - widsBefore, Degraded: fault.IsInjected(err),
-	})
-	return err
+	return nil
 }
 
 // PeriodRecord captures one control period of one run.
@@ -436,11 +428,9 @@ func (tb *Testbed) Run(duration float64, hook func(period int, now float64)) ([]
 				Residual: res.Residual, HasResidual: res.HasResidual,
 			}})
 		}
-		// Data-center level: consolidation on the long time scale. An
-		// injected transient error degrades the pass — skipped, retried at
-		// the next interval; real errors still abort the run.
+		// Data-center level: consolidation on the long time scale.
 		if tb.cons != nil && (p+1)%tb.consEvery == 0 {
-			if err := tb.consolidate(p); err != nil && !fault.IsInjected(err) {
+			if err := tb.consolidate(p); err != nil {
 				psp.End()
 				return nil, err
 			}
