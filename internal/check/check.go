@@ -181,13 +181,15 @@ type CrashObservation struct {
 	Lose      bool // the crash policy dropped the VMs (listed in LostVMs)
 }
 
-// BreakerObservation captures serve's circuit breaker as it is published.
-// States use serve's codes: 0 closed, 1 open, 2 half-open.
+// BreakerObservation captures serve's guard.Breaker as it is published.
+// States use guard's codes: guard.Closed (0), guard.Open (1) and
+// guard.HalfOpen (2).
 type BreakerObservation struct {
 	State       int
 	Prev        int // the state before this publication
 	Cooldown    int // ticks left before an open breaker half-opens
-	ConsecFails int
+	ConsecFails int // failed steps since the last success
+	Quarantined bool
 }
 
 // Violation records one broken invariant.

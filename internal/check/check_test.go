@@ -99,8 +99,8 @@ func TestPolicyAuditorRecordsVerdicts(t *testing.T) {
 	from := cluster.NewServer("s1", power.TypeMid())
 	to := cluster.NewServer("s2", power.TypeMid())
 
-	aud := NewPolicyAuditor(optimizer.MinBenefit{Watts: 50})
-	if aud.Name() != "min-benefit" {
+	aud := NewPolicyAuditor(optimizer.BandwidthPriced{WattsPerGB: 25}) // a 50 W bar for the 2 GB VM
+	if aud.Name() != "bandwidth-priced" {
 		t.Fatalf("auditor name %q does not forward", aud.Name())
 	}
 	if aud.Allow(vm, from, to, 10) {

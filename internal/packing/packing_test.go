@@ -28,15 +28,6 @@ func TestBinAccounting(t *testing.T) {
 	if b.Slack() != 5 {
 		t.Fatalf("Slack = %v", b.Slack())
 	}
-	if !b.Remove("a") {
-		t.Fatal("Remove failed")
-	}
-	if b.Remove("a") {
-		t.Fatal("double remove succeeded")
-	}
-	if b.CPUUsed() != 3 {
-		t.Fatalf("after remove cpu=%v", b.CPUUsed())
-	}
 }
 
 func TestVectorConstraint(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"vdcpower/internal/check"
 	"vdcpower/internal/cluster"
 	"vdcpower/internal/fault"
+	"vdcpower/internal/guard"
 	"vdcpower/internal/mpc"
 	"vdcpower/internal/obs"
 	"vdcpower/internal/optimizer"
@@ -118,32 +119,49 @@ func TestMetricsResolveGroupsOnFirstFact(t *testing.T) {
 	}
 }
 
+// The subscriber audits every breaker transition, and a quarantine entry
+// or exit from the facts' flag before that fact's own breaker record.
 func TestScorecardAuditsBreakerTransitions(t *testing.T) {
 	sc := obs.New(obs.Config{})
 	p := New(Scorecard(sc))
-	for _, b := range []check.BreakerObservation{
-		{State: obs.BreakerClosed, Prev: obs.BreakerClosed},
-		{State: obs.BreakerOpen, Prev: obs.BreakerClosed, Cooldown: 10, ConsecFails: 5},
-		{State: obs.BreakerOpen, Prev: obs.BreakerOpen, Cooldown: 9},
-		{State: obs.BreakerHalfOpen, Prev: obs.BreakerOpen},
-		{State: obs.BreakerOpen, Prev: obs.BreakerHalfOpen, Cooldown: 10},
+	for i, b := range []check.BreakerObservation{
+		{State: guard.Closed, Prev: guard.Closed},
+		{State: guard.Open, Prev: guard.Closed, Cooldown: 10, ConsecFails: 5},
+		{State: guard.Open, Prev: guard.Open, Cooldown: 9},
+		{State: guard.HalfOpen, Prev: guard.Open},
+		{State: guard.Open, Prev: guard.HalfOpen, Cooldown: 10},
+		{State: guard.HalfOpen, Prev: guard.Open},
+		{State: guard.Open, Prev: guard.HalfOpen, Cooldown: 60, ConsecFails: 7, Quarantined: true},
+		{State: guard.Open, Prev: guard.Open, Cooldown: 59, ConsecFails: 7, Quarantined: true},
+		{State: guard.HalfOpen, Prev: guard.Open, ConsecFails: 7, Quarantined: true},
+		{State: guard.Closed, Prev: guard.HalfOpen},
 	} {
-		p.Emit(check.Event{Kind: check.EvBreaker, Span: "serve.step", Breaker: b})
+		p.Emit(check.Event{Kind: check.EvBreaker, Step: i, Span: "serve.step", Breaker: b})
 	}
-	var reasons []string
+	var got []string
 	for _, d := range sc.Audit().Records() {
-		reasons = append(reasons, d.Action+": "+d.Reason)
+		got = append(got, fmt.Sprintf("%d %s: %s (%g)", d.Step, d.Action, d.Reason, d.Value))
 	}
 	want := []string{
-		"breaker-open: consecutive step failures reached the threshold",
-		"breaker-half-open: cooldown expired: probing with one real step",
-		"breaker-open: probe step failed: cooldown re-armed",
+		"1 breaker-open: consecutive step failures reached the threshold (5)",
+		"3 breaker-half-open: cooldown expired: probing with one real step (0)",
+		"4 breaker-open: probe step failed: cooldown re-armed (0)",
+		"5 breaker-half-open: cooldown expired: probing with one real step (0)",
+		"6 quarantine-enter: repeated step-budget exhaustion (1)",
+		"6 breaker-open: probe step failed: cooldown re-armed (7)",
+		"8 breaker-half-open: cooldown expired: probing with one real step (7)",
+		"9 quarantine-exit: successful step while quarantined (0)",
+		"9 breaker-close: probe step succeeded (0)",
 	}
-	if strings.Join(reasons, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("audit = %q, want %q", reasons, want)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("audit = %q, want %q", got, want)
 	}
-	if b := sc.Report().Breaker; b.State != "open" || b.Transitions != 3 || b.CooldownTicks != 10 {
+	rep := sc.Report()
+	if b := rep.Breaker; b.State != "closed" || b.Transitions != 7 || b.CooldownTicks != 0 {
 		t.Fatalf("breaker slice = %+v", b)
+	}
+	if rep.Guard.Quarantines != 1 {
+		t.Fatalf("quarantines = %d, want 1", rep.Guard.Quarantines)
 	}
 }
 

@@ -3,6 +3,7 @@ package probe
 import (
 	"vdcpower/internal/check"
 	"vdcpower/internal/cluster"
+	"vdcpower/internal/guard"
 	"vdcpower/internal/mpc"
 	"vdcpower/internal/obs"
 )
@@ -19,9 +20,10 @@ func Scorecard(sc *obs.Scorecard) Subscriber {
 }
 
 type scorecard struct {
-	sc       *obs.Scorecard
-	apps     []int  // scorecard app index per harness application
-	openLoop []bool // per application, the previous control fact's open-loop flag
+	sc          *obs.Scorecard
+	apps        []int  // scorecard app index per harness application
+	openLoop    []bool // per application, the previous control fact's open-loop flag
+	quarantined bool   // the previous breaker fact's quarantine flag
 }
 
 // audit records d stamped with the fact's step and time.
@@ -129,20 +131,31 @@ func (s *scorecard) pass(ev check.Event) {
 	}
 }
 
-// breaker mirrors serve's breaker state and audits every transition.
+// breaker mirrors serve's breaker state and audits every transition,
+// each quarantine entry or exit first.
 func (s *scorecard) breaker(ev check.Event) {
 	b := ev.Breaker
-	s.sc.RecordBreaker(b.State, b.Cooldown)
+	if b.Quarantined != s.quarantined {
+		s.quarantined = b.Quarantined
+		d := obs.Decision{Component: "serve", Action: "quarantine-exit",
+			Reason: "successful step while quarantined", Span: ev.Span}
+		if b.Quarantined {
+			d.Action, d.Reason = "quarantine-enter", "repeated step-budget exhaustion"
+			d.Value = float64(s.sc.RecordQuarantine())
+		}
+		s.audit(ev, d)
+	}
+	s.sc.RecordBreaker(guard.StateName(b.State), b.Cooldown)
 	if b.State == b.Prev {
 		return
 	}
 	action, reason := "breaker-half-open", "cooldown expired: probing with one real step"
 	switch {
-	case b.State == obs.BreakerClosed:
+	case b.State == guard.Closed:
 		action, reason = "breaker-close", "probe step succeeded"
-	case b.State == obs.BreakerOpen && b.Prev == obs.BreakerHalfOpen:
+	case b.State == guard.Open && b.Prev == guard.HalfOpen:
 		action, reason = "breaker-open", "probe step failed: cooldown re-armed"
-	case b.State == obs.BreakerOpen:
+	case b.State == guard.Open:
 		action, reason = "breaker-open", "consecutive step failures reached the threshold"
 	}
 	s.audit(ev, obs.Decision{Component: "serve", Action: action, Reason: reason,

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"vdcpower/internal/fault"
+	"vdcpower/internal/guard"
 )
 
 // healthDoc fetches and decodes /health.
@@ -80,51 +81,50 @@ func TestInjectedStepErrorsDegradeAndRecover(t *testing.T) {
 // probe closes it on success or re-arms the cooldown on failure.
 func TestCircuitBreakerLifecycle(t *testing.T) {
 	s := testServer(t)
-	s.breakerThreshold = 2
-	s.breakerCooldown = 3
 	boom := errors.New("boom")
 	logs := captureLog(t)
+	open := func() bool { return s.breaker.State() != guard.Closed }
 
-	s.recordStep(boom)
-	if s.breakerOpen {
+	for i := 1; i < guard.BreakerThreshold; i++ {
+		s.recordStep(boom)
+	}
+	if open() {
 		t.Fatal("breaker opened below threshold")
 	}
 	s.recordStep(boom)
-	if !s.breakerOpen {
+	if !open() {
 		t.Fatal("breaker did not open at the threshold")
 	}
 	h, code := healthDoc(t, s)
 	if code != http.StatusServiceUnavailable || !h.BreakerOpen {
 		t.Fatalf("open-breaker /health = %d %+v", code, h)
 	}
-	// Cooldown: two absorbed ticks, then the half-open probe runs.
-	if s.allowStep() {
-		t.Fatal("tick 1 of cooldown ran a step")
-	}
-	if s.allowStep() {
-		t.Fatal("tick 2 of cooldown ran a step")
+	// Cooldown: absorbed ticks, then the half-open probe runs.
+	for i := 1; i < guard.BreakerCooldown; i++ {
+		if s.allowStep() {
+			t.Fatalf("tick %d of cooldown ran a step", i)
+		}
 	}
 	if !s.allowStep() {
 		t.Fatal("half-open probe was absorbed")
 	}
 	// Probe fails: cooldown re-arms.
 	s.recordStep(boom)
-	if !s.breakerOpen || s.cooldownLeft != 3 {
-		t.Fatalf("failed probe left breaker=%v cooldown=%d", s.breakerOpen, s.cooldownLeft)
+	if !open() || s.breaker.Cooldown() != guard.BreakerCooldown {
+		t.Fatalf("failed probe left breaker=%v cooldown=%d", open(), s.breaker.Cooldown())
 	}
-	if s.allowStep() {
-		t.Fatal("re-armed cooldown ran a step")
-	}
-	if s.allowStep() {
-		t.Fatal("re-armed cooldown tick 2 ran a step")
+	for i := 1; i < guard.BreakerCooldown; i++ {
+		if s.allowStep() {
+			t.Fatalf("re-armed cooldown tick %d ran a step", i)
+		}
 	}
 	if !s.allowStep() {
 		t.Fatal("second probe was absorbed")
 	}
 	// Probe succeeds: breaker closes, error clears.
 	s.recordStep(nil)
-	if s.breakerOpen || s.LastErr() != nil {
-		t.Fatalf("successful probe left breaker=%v err=%v", s.breakerOpen, s.LastErr())
+	if open() || s.LastErr() != nil {
+		t.Fatalf("successful probe left breaker=%v err=%v", open(), s.LastErr())
 	}
 	_, code = healthDoc(t, s)
 	if code != http.StatusOK {

@@ -14,36 +14,37 @@ import (
 )
 
 // Quarantine escalation, driven through the breaker state machine: two
-// consecutive wedge-class openings engage it, the cooldown stretches, and
-// one successful probe lifts it.
+// wedge-class openings since the last success engage it, the cooldown
+// stretches, and one successful probe lifts it.
 func TestQuarantineLifecycle(t *testing.T) {
 	s := testServer(t)
-	s.breakerThreshold = 2
-	s.breakerCooldown = 3
 	logs := captureLog(t)
 	abort := &guard.StepAbort{Period: 7, Err: &devs.BudgetError{Reason: devs.ReasonMaxEvents}}
+	b := &s.breaker
 
-	s.recordStep(abort)
-	s.recordStep(abort) // breaker opens: wedge-class opening #1
-	if !s.breakerOpen || s.quar.Active() {
-		t.Fatalf("after threshold: open=%v quarantined=%v", s.breakerOpen, s.quar.Active())
+	for i := 0; i < guard.BreakerThreshold; i++ {
+		s.recordStep(abort) // the last opens the breaker: wedge-class opening #1
 	}
-	if s.cooldownLeft != 3 {
-		t.Fatalf("first cooldown = %d, want the plain 3", s.cooldownLeft)
+	if b.State() != guard.Open || b.Quarantined() {
+		t.Fatalf("after threshold: state=%d quarantined=%v", b.State(), b.Quarantined())
+	}
+	if b.Cooldown() != guard.BreakerCooldown {
+		t.Fatalf("first cooldown = %d, want the plain %d", b.Cooldown(), guard.BreakerCooldown)
 	}
 	// Burn the cooldown, then the half-open probe wedges again: opening #2
 	// engages quarantine and the next cooldown is stretched sixfold.
-	s.allowStep()
-	s.allowStep()
+	for i := 1; i < guard.BreakerCooldown; i++ {
+		s.allowStep()
+	}
 	if !s.allowStep() {
 		t.Fatal("probe was absorbed")
 	}
 	s.recordStep(abort)
-	if !s.quar.Active() {
+	if !b.Quarantined() {
 		t.Fatal("second wedge-class opening did not quarantine")
 	}
-	if s.cooldownLeft != 3*guard.QuarantineFactor {
-		t.Fatalf("quarantined cooldown = %d, want %d", s.cooldownLeft, 3*guard.QuarantineFactor)
+	if b.Cooldown() != guard.BreakerCooldown*guard.QuarantineFactor {
+		t.Fatalf("quarantined cooldown = %d, want %d", b.Cooldown(), guard.BreakerCooldown*guard.QuarantineFactor)
 	}
 	h, code := healthDoc(t, s)
 	if code != http.StatusServiceUnavailable || !h.Quarantined {
@@ -54,8 +55,8 @@ func TestQuarantineLifecycle(t *testing.T) {
 	}
 	// A successful step lifts quarantine and restores the normal cadence.
 	s.recordStep(nil)
-	if s.quar.Active() || s.breakerOpen {
-		t.Fatalf("recovery left quarantined=%v open=%v", s.quar.Active(), s.breakerOpen)
+	if b.Quarantined() || b.State() != guard.Closed {
+		t.Fatalf("recovery left quarantined=%v state=%d", b.Quarantined(), b.State())
 	}
 	h, code = healthDoc(t, s)
 	if code != http.StatusOK || h.Quarantined {
@@ -75,9 +76,10 @@ func TestQuarantineLifecycle(t *testing.T) {
 	}
 	// A non-wedge failure streak opens the breaker without quarantining.
 	boom := &brokenStep{}
-	s.recordStep(boom)
-	s.recordStep(boom)
-	if s.quar.Active() {
+	for i := 0; i < guard.BreakerThreshold; i++ {
+		s.recordStep(boom)
+	}
+	if b.Quarantined() {
 		t.Fatal("plain failures engaged quarantine")
 	}
 }
@@ -117,12 +119,11 @@ func TestHealthAnswersWhileStepHoldsMutex(t *testing.T) {
 // -race in CI.
 func TestWedgeEndToEndBreakerOpensAndRecovers(t *testing.T) {
 	s := testServer(t)
-	s.breakerThreshold = 2
-	s.breakerCooldown = 2
 	captureLog(t)
 	s.SetGuard(guard.StepBudget{MaxEvents: 500_000, MaxSameTimeEvents: 50_000, Wall: 5 * time.Second})
 	// Exhaustion fires on every period until step 6: enough to open the
-	// breaker twice (threshold 2) and engage quarantine, then recovery.
+	// breaker (threshold 5), fail its first probe and engage quarantine,
+	// then recover on the probe after the stretched cooldown.
 	s.AttachFaults(fault.New(fault.Profile{Seed: 9, Guard: fault.GuardProfile{ExhaustProb: 1, UntilStep: 6}}))
 	h := s.Handler()
 
@@ -247,7 +248,7 @@ func TestRestartKeepsBreakerStateConsistent(t *testing.T) {
 			t.Fatalf("%s: cooldown gauge %s, scorecard %d", when, cd, sc.Breaker.CooldownTicks)
 		}
 	}
-	for i := 0; i < defaultBreakerThreshold; i++ {
+	for i := 0; i < guard.BreakerThreshold; i++ {
 		s.recordStep(&brokenStep{})
 	}
 	agree("after opening")

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"vdcpower/internal/guard"
 	"vdcpower/internal/obs"
 )
 
@@ -35,25 +36,25 @@ func TestBreakerTransitionSequence(t *testing.T) {
 	}
 
 	// Failures up to (threshold-1) keep the breaker closed.
-	for i := 0; i < s.breakerThreshold-1; i++ {
+	for i := 0; i < guard.BreakerThreshold-1; i++ {
 		s.recordStep(boom)
-		if st, _, tr := breakerGauges(s); st != float64(obs.BreakerClosed) || tr != 0 {
+		if st, _, tr := breakerGauges(s); st != float64(guard.Closed) || tr != 0 {
 			t.Fatalf("after %d failures: state=%v transitions=%v, want closed/0", i+1, st, tr)
 		}
 	}
 	// The threshold-th failure opens it: cooldown armed.
 	s.recordStep(boom)
-	if st, cd, tr := breakerGauges(s); st != float64(obs.BreakerOpen) || cd != float64(s.breakerCooldown) || tr != 1 {
-		t.Fatalf("open gauges = %v/%v/%v, want %d/%d/1", st, cd, tr, obs.BreakerOpen, s.breakerCooldown)
+	if st, cd, tr := breakerGauges(s); st != float64(guard.Open) || cd != float64(guard.BreakerCooldown) || tr != 1 {
+		t.Fatalf("open gauges = %v/%v/%v, want %d/%d/1", st, cd, tr, guard.Open, guard.BreakerCooldown)
 	}
 
 	// Cooldown ticks: absorbed steps decrement the gauge, no transition.
-	for i := 0; i < s.breakerCooldown-1; i++ {
+	for i := 0; i < guard.BreakerCooldown-1; i++ {
 		if s.allowStep() {
 			t.Fatalf("cooldown tick %d allowed a step", i)
 		}
 	}
-	if st, cd, tr := breakerGauges(s); st != float64(obs.BreakerOpen) || cd != 1 || tr != 1 {
+	if st, cd, tr := breakerGauges(s); st != float64(guard.Open) || cd != 1 || tr != 1 {
 		t.Fatalf("cooldown gauges = %v/%v/%v, want open/1/1", st, cd, tr)
 	}
 
@@ -61,25 +62,25 @@ func TestBreakerTransitionSequence(t *testing.T) {
 	if !s.allowStep() {
 		t.Fatal("probe tick did not allow a step")
 	}
-	if st, cd, tr := breakerGauges(s); st != float64(obs.BreakerHalfOpen) || cd != 0 || tr != 2 {
+	if st, cd, tr := breakerGauges(s); st != float64(guard.HalfOpen) || cd != 0 || tr != 2 {
 		t.Fatalf("half-open gauges = %v/%v/%v, want half-open/0/2", st, cd, tr)
 	}
 
 	// Failed probe re-opens and re-arms the cooldown.
 	s.recordStep(boom)
-	if st, cd, tr := breakerGauges(s); st != float64(obs.BreakerOpen) || cd != float64(s.breakerCooldown) || tr != 3 {
-		t.Fatalf("re-open gauges = %v/%v/%v, want open/%d/3", st, cd, tr, s.breakerCooldown)
+	if st, cd, tr := breakerGauges(s); st != float64(guard.Open) || cd != float64(guard.BreakerCooldown) || tr != 3 {
+		t.Fatalf("re-open gauges = %v/%v/%v, want open/%d/3", st, cd, tr, guard.BreakerCooldown)
 	}
 
 	// Second cooldown, then a successful probe closes the breaker.
-	for i := 0; i < s.breakerCooldown-1; i++ {
+	for i := 0; i < guard.BreakerCooldown-1; i++ {
 		s.allowStep()
 	}
 	if !s.allowStep() {
 		t.Fatal("second probe tick did not allow a step")
 	}
 	s.recordStep(nil)
-	if st, cd, tr := breakerGauges(s); st != float64(obs.BreakerClosed) || cd != 0 || tr != 5 {
+	if st, cd, tr := breakerGauges(s); st != float64(guard.Closed) || cd != 0 || tr != 5 {
 		t.Fatalf("closed gauges = %v/%v/%v, want closed/0/5", st, cd, tr)
 	}
 

@@ -26,14 +26,6 @@ import (
 	"vdcpower/internal/trace"
 )
 
-// Circuit-breaker defaults: after defaultBreakerThreshold consecutive step
-// failures the loop stops attempting real steps for
-// defaultBreakerCooldown ticks, then half-opens with a single probe step.
-const (
-	defaultBreakerThreshold = 5
-	defaultBreakerCooldown  = 10
-)
-
 // Bounds on the control knobs; requests outside them get 400. A NaN,
 // infinite or huge set point drives the MPC to non-finite allocations it
 // never recovers from, and every client of a concurrency level is
@@ -60,21 +52,14 @@ type Server struct {
 	lastErr    error        // most recent step error; nil after a successful step
 	step       func() error // Step, indirected so tests can inject failures
 
-	// Degraded-mode state: the background loop survives step errors. After
-	// breakerThreshold consecutive failures the breaker opens and real
-	// steps are skipped for breakerCooldown ticks, then one probe step
-	// half-opens it — success closes the breaker, failure re-arms the
-	// cooldown.
-	faults           *fault.Injector
-	replay           *trace.Feed
-	replayProv       func(final bool) *obs.ReplayProvenance // provenance builder, set by AttachReplay
-	replayDone       bool
-	totalSteps       int // control steps attempted (fault-plane step index)
-	consecFails      int
-	breakerOpen      bool
-	cooldownLeft     int
-	breakerThreshold int
-	breakerCooldown  int
+	// Degraded mode: the background loop survives step errors, and the
+	// breaker decides which ticks run a step (see Start).
+	faults     *fault.Injector
+	replay     *trace.Feed
+	replayProv func(final bool) *obs.ReplayProvenance // provenance builder, set by AttachReplay
+	replayDone bool
+	totalSteps int // control steps attempted (fault-plane step index)
+	breaker    guard.Breaker
 
 	metrics   *telemetry.Registry
 	tracer    *telemetry.Tracer
@@ -87,18 +72,14 @@ type Server struct {
 	// The probe carries the testbed's facts and the breaker's into the
 	// controller-health scorecard and the metrics registry (emitted under
 	// the same mutex); /scorecard serves the report.
-	probe        *probe.Probe
-	obs          *obs.Scorecard
-	breakerState int // obs.BreakerClosed/Open/HalfOpen, as last published
+	probe *probe.Probe
+	obs   *obs.Scorecard
 
 	// Bounded execution: each step's event drain runs under guardBudget
-	// with the watchdog as its wall-clock deadline, repeated budget
-	// exhaustion escalates to quarantine (stretched breaker cooldowns),
-	// and /health + /status answer from the lock-free live snapshot even
-	// while a step holds s.mu.
+	// with the watchdog as its wall-clock deadline, and /health + /status
+	// answer from the lock-free live snapshot even while a step holds s.mu.
 	guardBudget guard.StepBudget
 	watch       guard.Watchdog
-	quar        guard.Quarantine
 	live        atomic.Pointer[liveDoc]
 }
 
@@ -130,12 +111,10 @@ func New(tb *testbed.Testbed) *Server {
 		"control steps that failed (the background loop continues degraded)")
 	s.degraded = s.metrics.Counter("vdcpower_degraded_steps_total",
 		"control steps failed or skipped while the loop ran degraded")
-	s.breakerThreshold = defaultBreakerThreshold
-	s.breakerCooldown = defaultBreakerCooldown
 	s.obs = obs.New(obs.Config{Label: "serve", SLOTargetSec: tb.Cfg.Setpoint})
 	s.probe = probe.New(probe.Scorecard(s.obs), probe.Metrics(s.metrics))
 	tb.AttachProbe(s.probe)
-	s.publishBreaker(obs.BreakerClosed) // the initial state is the breaker's first fact
+	s.publishBreaker(guard.Closed) // the initial state is the breaker's first fact
 	s.setGuard(guard.DefaultStepBudget())
 	s.refreshLive()
 	return s
@@ -167,31 +146,33 @@ func (s *Server) setGuard(b guard.StepBudget) {
 func (s *Server) refreshLive() {
 	h := Health{
 		Status:              "ok",
-		ConsecutiveFailures: s.consecFails,
-		BreakerOpen:         s.breakerOpen,
-		Quarantined:         s.quar.Active(),
+		ConsecutiveFailures: s.breaker.Failures(),
+		BreakerOpen:         s.breaker.State() != guard.Closed,
+		Quarantined:         s.breaker.Quarantined(),
 		Steps:               s.totalSteps,
 		FaultsInjected:      s.faults.Injected(),
 	}
 	if s.lastErr != nil {
 		h.LastError = s.lastErr.Error()
 	}
-	if s.lastErr != nil || s.breakerOpen {
+	if s.lastErr != nil || h.BreakerOpen {
 		h.Status = "degraded"
 	}
 	s.live.Store(&liveDoc{status: s.snapshotStatus(), health: h})
 }
 
-// publishBreaker emits the breaker's state as a fact: the metrics
-// subscriber mirrors it into the state and cooldown gauges and counts
-// transitions, the scorecard mirrors it and audits every transition.
-// Callers hold s.mu.
-func (s *Server) publishBreaker(state int) {
+// publishBreaker emits the breaker's state as a fact, with prev the
+// state before the tick or step it folded: the metrics subscriber mirrors
+// it into the state and cooldown gauges and counts transitions, the
+// scorecard mirrors it and audits every transition and every quarantine
+// entry and exit. Callers hold s.mu.
+func (s *Server) publishBreaker(prev int) {
+	b := &s.breaker
 	s.probe.Emit(check.Event{
 		Kind: check.EvBreaker, Step: s.totalSteps, TimeSec: s.tb.Sim.Now(), Span: "serve.step",
-		Breaker: check.BreakerObservation{State: state, Prev: s.breakerState, Cooldown: s.cooldownLeft, ConsecFails: s.consecFails},
+		Breaker: check.BreakerObservation{State: b.State(), Prev: prev, Cooldown: b.Cooldown(),
+			ConsecFails: b.Failures(), Quarantined: b.Quarantined()},
 	})
-	s.breakerState = state
 }
 
 // AttachFaults wires the deterministic fault plane into the server and its
@@ -296,13 +277,14 @@ func (s *Server) Step() error {
 // Start advances the loop continuously in the background, one control
 // period every interval of wall-clock time. Call Stop to halt. A failing
 // step no longer kills the loop: the error is retained (LastErr, /status,
-// /health report it) and the loop keeps ticking degraded. After
-// breakerThreshold consecutive failures the circuit breaker opens — steps
-// are skipped for breakerCooldown ticks to let a wedged dependency
-// recover — then a single probe step half-opens it; success closes the
-// breaker and clears the error, failure re-arms the cooldown. Degraded
-// state survives a Stop/Start restart: an open breaker keeps cooling
-// down, and only a successful step clears it.
+// /health report it) and the loop keeps ticking degraded, as the
+// guard.Breaker decides. After guard.BreakerThreshold failures since the
+// last success the breaker opens — ticks are absorbed for
+// guard.BreakerCooldown ticks to let a wedged dependency recover — then a
+// single probe step half-opens it; success closes the breaker and clears
+// the error, failure re-arms the cooldown, stretched while quarantined.
+// Degraded state survives a Stop/Start restart: an open breaker keeps
+// cooling down, and only a successful step clears it.
 func (s *Server) Start(interval time.Duration) {
 	s.mu.Lock()
 	if s.stop != nil {
@@ -333,87 +315,56 @@ func (s *Server) Start(interval time.Duration) {
 }
 
 // allowStep decides whether this tick runs a real step or is absorbed by
-// an open circuit breaker. The last cooldown tick half-opens the breaker:
-// the step runs as a probe. While quarantined the cooldown was armed
-// longer (see recordStep), so probes are correspondingly rarer.
+// an open circuit breaker; every tick of an open breaker is a fact, so
+// the cooldown gauge moves.
 func (s *Server) allowStep() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.refreshLive()
-	if !s.breakerOpen {
-		return true
+	prev := s.breaker.State()
+	run := s.breaker.Tick()
+	if prev != guard.Closed {
+		s.publishBreaker(prev)
 	}
-	if s.cooldownLeft > 1 {
-		s.cooldownLeft--
-		s.publishBreaker(obs.BreakerOpen) // refresh the cooldown gauge
-		return false
-	}
-	s.cooldownLeft = 0
-	s.publishBreaker(obs.BreakerHalfOpen)
-	return true // half-open probe
+	return run
 }
 
-// recordStep folds one step outcome into the degraded-mode state. Budget
-// exhaustion (a *guard.StepAbort) is a wedge-class failure: when it opens
-// or re-opens the breaker repeatedly, the quarantine engages and every
-// subsequent cooldown is stretched — a runaway model burns a full budget
-// per probe, so probing it at the normal cadence is itself a cost. Any
-// successful step (the half-open probe included) lifts the quarantine.
+// recordStep folds one step outcome into the breaker, then logs and
+// publishes what changed. A failure below the threshold publishes no fact.
 func (s *Server) recordStep(err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.refreshLive()
+	prev := s.breaker.State()
 	if err == nil {
 		s.lastErr = nil
-		s.consecFails = 0
-		if s.breakerOpen {
-			s.breakerOpen = false
+		wasOpen, wasQuarantined := s.breaker.Succeed()
+		if wasOpen {
 			logf("serve: circuit breaker closed after successful probe")
 		}
-		if s.quar.Active() {
-			s.obs.Audit().Record(obs.Decision{
-				Step: s.totalSteps, TimeSec: s.tb.Sim.Now(),
-				Component: "serve", Action: "quarantine-exit",
-				Reason: "successful step while quarantined", Span: "serve.step",
-			})
+		if wasQuarantined {
 			logf("serve: quarantine lifted after successful step")
 		}
-		s.quar.RecordRecovery()
-		s.publishBreaker(obs.BreakerClosed)
+		s.publishBreaker(prev)
 		return
 	}
 	s.lastErr = err
-	s.consecFails++
 	s.stepErrs.Inc()
 	s.degraded.Inc()
-	opened := false
+	reopened, opened, quarantined := s.breaker.Fail(err)
 	switch {
-	case s.breakerOpen:
-		opened = true
+	case reopened:
 		logf("serve: circuit breaker probe failed, re-opening: %v", err)
-	case s.consecFails >= s.breakerThreshold:
-		s.breakerOpen = true
-		opened = true
-		logf("serve: circuit breaker opened after %d consecutive step failures: %v", s.consecFails, err)
+	case opened:
+		logf("serve: circuit breaker opened after %d consecutive step failures: %v", s.breaker.Failures(), err)
 	default:
 		logf("serve: control step failed, continuing degraded: %v", err)
-	}
-	if !opened {
 		return
 	}
-	if guard.IsStepAbort(err) && s.quar.RecordWedge() {
-		s.obs.RecordQuarantine()
-		s.obs.Audit().Record(obs.Decision{
-			Step: s.totalSteps, TimeSec: s.tb.Sim.Now(),
-			Component: "serve", Action: "quarantine-enter",
-			Reason: "repeated step-budget exhaustion",
-			Value:  float64(s.quar.Entries()), Span: "serve.step",
-		})
-		logf("serve: quarantined after repeated budget exhaustion (cooldown stretched to %d ticks)",
-			s.quar.Cooldown(s.breakerCooldown))
+	if quarantined {
+		logf("serve: quarantined after repeated budget exhaustion (cooldown stretched to %d ticks)", s.breaker.Cooldown())
 	}
-	s.cooldownLeft = s.quar.Cooldown(s.breakerCooldown)
-	s.publishBreaker(obs.BreakerOpen)
+	s.publishBreaker(prev)
 }
 
 // LastErr returns the most recent step error while the loop is degraded,

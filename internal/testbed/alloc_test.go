@@ -12,8 +12,13 @@ import (
 // TestObservedPeriodAllocatesNoMoreThanBare: with the health scorecard
 // and the metrics registry subscribed, a warmed control period allocates
 // no more than the same period unobserved — the probe's subscribers
-// resolve their instruments once and fold facts in place.
+// resolve their instruments once and fold facts in place. The unobserved
+// period itself stays at maxBare allocations: arbitration throttles each
+// server without building grants, and the testbed reads each controller's
+// demands from its step result; a grant slice per server and a demand
+// clone per application would add 12.
 func TestObservedPeriodAllocatesNoMoreThanBare(t *testing.T) {
+	const maxBare = 19
 	if race.Enabled {
 		t.Skip("the race detector allocates shadow state")
 	}
@@ -40,6 +45,9 @@ func TestObservedPeriodAllocatesNoMoreThanBare(t *testing.T) {
 		})
 	}
 	bare, observed := perPeriod(false), perPeriod(true)
+	if bare > maxBare {
+		t.Fatalf("an unobserved period allocates %v times, more than %d", bare, maxBare)
+	}
 	if observed > bare {
 		t.Fatalf("an observed period allocates %v times, an unobserved one %v", observed, bare)
 	}

@@ -33,7 +33,7 @@ func (tb *Testbed) RunStatic(duration float64, hook func(period int, now float64
 			rec.T90[i] = last[i]
 		}
 		for _, arb := range tb.Arbitrators {
-			arb.Arbitrate()
+			arb.Throttle()
 		}
 		rec.PowerW = tb.DC.TotalPower()
 		records = append(records, rec)

@@ -417,7 +417,7 @@ func (tb *Testbed) Run(duration float64, hook func(period int, now float64)) ([]
 			if res.TerminalRelaxed {
 				rec.Relaxed++
 			}
-			for j, d := range ctl.Demands() {
+			for j, d := range res.Allocations {
 				tb.vms[i][j].Demand = d
 			}
 			tb.probe.Emit(check.Event{Kind: check.EvControl, Step: p, TimeSec: now, Control: check.ControlObservation{
@@ -436,16 +436,17 @@ func (tb *Testbed) Run(duration float64, hook func(period int, now float64)) ([]
 			}
 		}
 		// Server-level arbitration: DVFS follows the aggregate demands,
-		// and grants throttle the tiers when a server is oversubscribed
-		// (granted == demanded whenever capacity suffices).
+		// and every tier is granted its demand times the server's scale,
+		// which throttles it when the server is oversubscribed (the scale
+		// is 1 whenever capacity suffices).
 		for _, arb := range tb.Arbitrators {
 			if arb.Server.State() != cluster.Active {
 				continue
 			}
-			grants, _ := arb.Arbitrate()
-			for _, g := range grants {
-				if idx, ok := tb.vmIndex[g.VMID]; ok {
-					tb.Apps[idx[0]].Tier(idx[1]).SetCapacity(g.Granted)
+			_, scale := arb.Throttle()
+			for _, vm := range arb.Server.VMs() {
+				if idx, ok := tb.vmIndex[vm.ID]; ok {
+					tb.Apps[idx[0]].Tier(idx[1]).SetCapacity(vm.Demand * scale)
 				}
 			}
 		}
