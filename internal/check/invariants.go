@@ -190,7 +190,7 @@ func (dvfsCoversDemand) Check(ev Event) error {
 	if ev.DC == nil || (ev.Kind != EvStep && ev.Kind != EvInit) {
 		return nil
 	}
-	for _, s := range ev.DC.ActiveServers() {
+	for _, s := range ev.DC.Active() {
 		d := s.TotalDemand()
 		if d > s.Spec.Capacity()+eps {
 			continue // overloaded: no P-state can cover it

@@ -393,17 +393,18 @@ func csvRoundTrip(write traceWriteFn, seed int64) error {
 	if err != nil {
 		return err
 	}
-	if len(rt.Series) != len(tr.Series) {
-		return fmt.Errorf("round-trip changed VM count %d → %d", len(tr.Series), len(rt.Series))
+	if rt.NumVMs() != tr.NumVMs() || rt.NumSteps() != tr.NumSteps() {
+		return fmt.Errorf("round-trip changed the shape %d×%d → %d×%d",
+			tr.NumVMs(), tr.NumSteps(), rt.NumVMs(), rt.NumSteps())
 	}
-	for i := range tr.Series {
+	for i := 0; i < tr.NumVMs(); i++ {
 		if rt.Names[i] != tr.Names[i] || rt.Sectors[i] != tr.Sectors[i] {
 			return fmt.Errorf("round-trip changed metadata of VM %d", i)
 		}
-		for k := range tr.Series[i] {
-			if math.Abs(rt.Series[i][k]-tr.Series[i][k]) > 1e-5 {
+		for k := 0; k < tr.NumSteps(); k++ {
+			if math.Abs(rt.At(i, k)-tr.At(i, k)) > 1e-5 {
 				return fmt.Errorf("sample (%d,%d) drifted beyond quantization: %v → %v",
-					i, k, tr.Series[i][k], rt.Series[i][k])
+					i, k, tr.At(i, k), rt.At(i, k))
 			}
 		}
 	}
@@ -415,12 +416,12 @@ func csvRoundTrip(write traceWriteFn, seed int64) error {
 	if err != nil {
 		return err
 	}
-	for i := range rt.Series {
-		for k := range rt.Series[i] {
+	for i := 0; i < rt.NumVMs(); i++ {
+		for k := 0; k < rt.NumSteps(); k++ {
 			//lint:ignore floatcompare the second cycle re-serializes already-quantized values and must be lossless
-			if rt2.Series[i][k] != rt.Series[i][k] {
+			if rt2.At(i, k) != rt.At(i, k) {
 				return fmt.Errorf("second round-trip not idempotent at (%d,%d): %v → %v",
-					i, k, rt.Series[i][k], rt2.Series[i][k])
+					i, k, rt.At(i, k), rt2.At(i, k))
 			}
 		}
 	}

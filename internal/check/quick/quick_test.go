@@ -170,17 +170,16 @@ func TestCSVRoundTripCatchesLossyWriter(t *testing.T) {
 	// Broken writer: perturbs samples beyond the documented quantization
 	// before serializing.
 	broken := func(tr *workload.Trace, w io.Writer) error {
-		lossy := &workload.Trace{
-			StepSeconds: tr.StepSeconds,
-			Names:       tr.Names,
-			Sectors:     tr.Sectors,
-			Series:      make([][]float64, len(tr.Series)),
-		}
-		for i, s := range tr.Series {
-			lossy.Series[i] = make([]float64, len(s))
-			for k, u := range s {
-				lossy.Series[i][k] = u * 0.999
+		rows := make([][]float64, tr.NumVMs())
+		for i := range rows {
+			rows[i] = make([]float64, tr.NumSteps())
+			for k := range rows[i] {
+				rows[i][k] = tr.At(i, k) * 0.999
 			}
+		}
+		lossy, err := workload.FromRows(tr.StepSeconds, tr.Names, tr.Sectors, rows)
+		if err != nil {
+			return err
 		}
 		return lossy.WriteCSV(w)
 	}

@@ -69,6 +69,7 @@ type Server struct {
 	freq     float64 // current per-core frequency (GHz)
 	vms      []*VM
 	cordoned bool
+	owner    *DataCenter // set by NewDataCenter; nil outside a data center
 }
 
 // NewServer creates an active server at maximum frequency.
@@ -115,7 +116,7 @@ func (s *Server) Sleep() {
 		//lint:ignore panicpolicy state-machine invariant: sleeping a non-empty server is a scheduler bug
 		panic(fmt.Sprintf("cluster: server %s: cannot sleep with %d VMs", s.ID, len(s.vms)))
 	}
-	s.state = Sleeping
+	s.setState(Sleeping)
 }
 
 // Wake powers the server back on at maximum frequency.
@@ -124,8 +125,17 @@ func (s *Server) Wake() {
 		//lint:ignore panicpolicy state-machine invariant: a crashed server stays down for the rest of the run
 		panic(fmt.Sprintf("cluster: server %s: cannot wake a failed server", s.ID))
 	}
-	s.state = Active
+	s.setState(Active)
 	s.freq = s.Spec.MaxFreq
+}
+
+// setState is the one place a server's power state changes: it marks the
+// owning data center's active list stale.
+func (s *Server) setState(st State) {
+	s.state = st
+	if s.owner != nil {
+		s.owner.activeOK = false
+	}
 }
 
 // Cordon marks the server for maintenance: it accepts no new VMs (the
@@ -228,28 +238,38 @@ type DataCenter struct {
 	inflight map[string]*MigrationTx // VM ID → reserved two-phase migration
 	observer func(*MigrationTx)      // set via SetMigrationObserver; may be nil
 	byEff    []int                   // ByEfficiency's order, built on first use
+	active   []*Server               // Active's list, capacity len(Servers)
+	activeOK bool                    // active is current; cleared by every state change
 }
 
 // SetTrace implements telemetry.Traceable: migrations, server wakes and
 // idle-sleep sweeps record onto tk.
 func (dc *DataCenter) SetTrace(tk *telemetry.Track) { dc.trace = tk }
 
-// NewDataCenter builds a data center from servers with unique IDs.
+// NewDataCenter builds a data center from servers with unique IDs. A
+// server belongs to one data center: one already in another is refused.
 func NewDataCenter(servers []*Server) (*DataCenter, error) {
 	dc := &DataCenter{
 		Servers:  servers,
 		servers:  make(map[string]*Server, len(servers)),
 		index:    make(map[string]*Server),
 		inflight: make(map[string]*MigrationTx),
+		active:   make([]*Server, 0, len(servers)),
 	}
 	for _, s := range servers {
 		if dc.servers[s.ID] != nil {
 			return nil, fmt.Errorf("cluster: duplicate server ID %q", s.ID)
 		}
+		if s.owner != nil {
+			return nil, fmt.Errorf("cluster: server %q already belongs to a data center", s.ID)
+		}
 		dc.servers[s.ID] = s
 		for _, v := range s.vms {
 			dc.index[v.ID] = s
 		}
+	}
+	for _, s := range servers {
+		s.owner = dc
 	}
 	return dc, nil
 }
@@ -347,28 +367,25 @@ func (dc *DataCenter) VMs() []*VM {
 	return out
 }
 
-// ActiveServers returns servers currently powered on.
-func (dc *DataCenter) ActiveServers() []*Server {
-	var out []*Server
-	for _, s := range dc.Servers {
-		if s.state == Active {
-			out = append(out, s)
+// Active returns the servers currently powered on, in Servers order.
+// Every sleep, wake or crash marks the list stale, and the next call
+// rebuilds it in one walk of the fleet, in place: the slice is shared, and
+// no caller may hold it across a state change. Reads allocate nothing.
+func (dc *DataCenter) Active() []*Server {
+	if !dc.activeOK {
+		dc.active = dc.active[:0]
+		for _, s := range dc.Servers {
+			if s.state == Active {
+				dc.active = append(dc.active, s)
+			}
 		}
+		dc.activeOK = true
 	}
-	return out
+	return dc.active
 }
 
-// NumActive returns the count of active servers. It counts in place, so
-// per-step callers allocate nothing.
-func (dc *DataCenter) NumActive() int {
-	n := 0
-	for _, s := range dc.Servers {
-		if s.state == Active {
-			n++
-		}
-	}
-	return n
-}
+// NumActive returns the count of active servers.
+func (dc *DataCenter) NumActive() int { return len(dc.Active()) }
 
 // TotalPower returns the current total power draw in watts.
 func (dc *DataCenter) TotalPower() float64 {
@@ -395,8 +412,8 @@ func (dc *DataCenter) SleepIdle() int {
 	return n
 }
 
-// CheckInvariants verifies index consistency; tests call it after
-// optimizer passes.
+// CheckInvariants verifies index consistency and that the active list
+// matches a fresh walk of the fleet; tests call it after optimizer passes.
 func (dc *DataCenter) CheckInvariants() error {
 	count := 0
 	for _, s := range dc.Servers {
@@ -415,6 +432,19 @@ func (dc *DataCenter) CheckInvariants() error {
 	}
 	if count != len(dc.index) {
 		return fmt.Errorf("cluster: index has %d entries, servers host %d VMs", len(dc.index), count)
+	}
+	active, n := dc.Active(), 0
+	for _, s := range dc.Servers {
+		if s.state != Active {
+			continue
+		}
+		if n >= len(active) || active[n] != s {
+			return fmt.Errorf("cluster: active server %s is missing from position %d of the active list", s.ID, n)
+		}
+		n++
+	}
+	if n != len(active) {
+		return fmt.Errorf("cluster: active list holds %d servers, the fleet has %d active", len(active), n)
 	}
 	for id, tx := range dc.inflight {
 		if dc.index[id] != tx.src {

@@ -26,7 +26,7 @@ func (dc *DataCenter) Crash(srv *Server) []*VM {
 		delete(dc.index, v.ID)
 	}
 	srv.vms = nil
-	srv.state = Failed
+	srv.setState(Failed)
 	dc.trace.Event("cluster.crash").Str("server", srv.ID).Int("orphans", len(orphans)).End()
 	return orphans
 }

@@ -26,8 +26,9 @@ func TestServerIndex(t *testing.T) {
 	}
 }
 
-// TestNumActiveZeroAlloc: NumActive counts in place, so the per-step
-// callers (testbed.Run, dcsim.Run) allocate nothing for it.
+// TestNumActiveZeroAlloc: the active list is preallocated at the fleet's
+// size, so reading it, or rebuilding it after a state change, allocates
+// nothing for the per-step callers (testbed.Run, dcsim.Run).
 func TestNumActiveZeroAlloc(t *testing.T) {
 	if race.Enabled {
 		t.Skip("AllocsPerRun is meaningless under the race detector")
@@ -43,8 +44,21 @@ func TestNumActiveZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("NumActive allocates %v objects per call, want 0", allocs)
 	}
-	if n != 33 || n != len(dc.ActiveServers()) {
-		t.Fatalf("NumActive = %d, want 33 = len(ActiveServers) = %d", n, len(dc.ActiveServers()))
+	if n != 33 || n != len(dc.Active()) {
+		t.Fatalf("NumActive = %d, want 33 = len(Active) = %d", n, len(dc.Active()))
+	}
+	s := dc.Servers[0]
+	allocs = testing.AllocsPerRun(100, func() {
+		s.Wake()
+		n = len(dc.Active())
+		s.Sleep()
+		n += len(dc.Active())
+	})
+	if allocs != 0 {
+		t.Fatalf("rebuilding the active list allocates %v objects, want 0", allocs)
+	}
+	if n != 34+33 {
+		t.Fatalf("active counts across a wake and a sleep sum to %d, want 67", n)
 	}
 }
 

@@ -339,17 +339,15 @@ func Run(cfg Config) (Result, error) {
 		}
 		// Server-level frequency decision for the step, and energy
 		// accounting. Suspended and crashed servers are treated as powered
-		// off and unaccounted, as in the paper.
+		// off and unaccounted, as in the paper, so the sweep walks only the
+		// active list, in fleet order.
 		var dvfs *telemetry.Span
 		if tk != nil {
 			dvfs = tk.Start("arbitrate.dvfs").Int("step", k)
 		}
 		stepPower := 0.0
 		overloadsBefore := res.OverloadSteps
-		for _, s := range dc.Servers {
-			if s.State() != cluster.Active {
-				continue
-			}
+		for _, s := range dc.Active() {
 			if cfg.Consolidator.UsesDVFS() {
 				arb := core.Arbitrator{Server: s, Headroom: cfg.Headroom, Trace: tk, Faults: cfg.Faults}
 				arb.Throttle()
@@ -442,11 +440,10 @@ func initialPlacement(dc *cluster.DataCenter, vms []*cluster.VM, demands []float
 // fact, so the conservation laws shrink their baseline instead of flagging
 // a phantom violation.
 func applyCrashes(dc *cluster.DataCenter, cfg Config, k int, res *Result) {
-	candidates := make([]string, 0, len(dc.Servers))
-	for _, s := range dc.Servers {
-		if s.State() == cluster.Active {
-			candidates = append(candidates, s.ID)
-		}
+	active := dc.Active()
+	candidates := make([]string, len(active))
+	for i, s := range active {
+		candidates[i] = s.ID
 	}
 	for _, cr := range cfg.Faults.Crashes(k, candidates) {
 		srv := dc.Server(cr.Server)

@@ -11,27 +11,25 @@ import (
 // data-center-wide flash crowd beyond any consolidation remedy.
 func saturatedTrace(t *testing.T, vms, steps int) *workload.Trace {
 	t.Helper()
-	tr := &workload.Trace{StepSeconds: 900}
-	for i := 0; i < vms; i++ {
-		series := make([]float64, steps)
-		for k := range series {
+	names := make([]string, vms)
+	sectors := make([]workload.Sector, vms)
+	rows := make([][]float64, vms)
+	for i := range rows {
+		rows[i] = make([]float64, steps)
+		for k := range rows[i] {
 			// Nearly idle at placement time, saturated afterwards: the
 			// flash crowd arrives after the VMs are packed tightly.
 			if k == 0 {
-				series[k] = 0.05
+				rows[i][k] = 0.05
 			} else {
-				series[k] = 1.0
+				rows[i][k] = 1.0
 			}
 		}
-		tr.Names = append(tr.Names, workload.Sector(0).String()+"-vm")
-		tr.Sectors = append(tr.Sectors, workload.Sector(0))
-		tr.Series = append(tr.Series, series)
+		// Names must be unique for placement.
+		names[i] = workload.Sector(0).String() + "-vm-" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+(i/676)%26))
 	}
-	// Names must be unique for placement; fix them up.
-	for i := range tr.Names {
-		tr.Names[i] = tr.Names[i] + "-" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+(i/676)%26))
-	}
-	if err := tr.Validate(); err != nil {
+	tr, err := workload.FromRows(900, names, sectors, rows)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return tr

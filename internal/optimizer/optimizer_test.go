@@ -159,7 +159,7 @@ func TestIPACReducesPower(t *testing.T) {
 	if _, err := ipac.Consolidate(dc); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range dc.ActiveServers() {
+	for _, s := range dc.Active() {
 		s.ApplyDVFS()
 	}
 	after := dc.TotalPower()

@@ -142,7 +142,7 @@ func TestIPACConstraintSafetyProperty(t *testing.T) {
 		if err := dc.CheckInvariants(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for _, s := range dc.ActiveServers() {
+		for _, s := range dc.Active() {
 			if s.TotalMemory() > s.Spec.MemoryGB+1e-9 {
 				t.Fatalf("seed %d: %s memory violated", seed, s.ID)
 			}

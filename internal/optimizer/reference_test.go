@@ -88,7 +88,7 @@ func (o *refIPAC) Consolidate(dc *cluster.DataCenter) (Report, error) {
 
 func (o *refIPAC) pickDonor(dc *cluster.DataCenter, tried map[string]bool) *cluster.Server {
 	var cand []*cluster.Server
-	for _, s := range dc.ActiveServers() {
+	for _, s := range dc.Active() {
 		if s.NumVMs() > 0 && !tried[s.ID] {
 			cand = append(cand, s)
 		}
@@ -119,7 +119,7 @@ func (o *refIPAC) drain(dc *cluster.DataCenter, donor *cluster.Server, rep *Repo
 		vmByID[v.ID] = v
 	}
 	sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
-	active := dc.ActiveServers()
+	active := dc.Active()
 	bins := make([]*packing.Bin, 0, len(active))
 	for _, s := range active {
 		if s != donor && !s.Cordoned() {
@@ -164,7 +164,7 @@ func refResolveOverloads(dc *cluster.DataCenter, cons packing.VectorConstraint, 
 	}
 	var shed []shedding
 	shedIDs := map[string]bool{}
-	for _, s := range dc.ActiveServers() {
+	for _, s := range dc.Active() {
 		if !s.Overloaded() {
 			continue
 		}

@@ -129,12 +129,9 @@ func (c *Collector) Trace() (*workload.Trace, error) {
 	if steps > c.cfg.MaxSteps {
 		return nil, fmt.Errorf("trace: union horizon of %d steps exceeds the %d-step bound", steps, c.cfg.MaxSteps)
 	}
-	tr := &workload.Trace{
-		StepSeconds: c.cfg.StepSeconds,
-		Names:       make([]string, len(c.order)),
-		Sectors:     make([]workload.Sector, len(c.order)),
-		Series:      make([][]float64, len(c.order)),
-	}
+	names := make([]string, len(c.order))
+	sectors := make([]workload.Sector, len(c.order))
+	rows := make([][]float64, len(c.order))
 	for i, vm := range c.order {
 		s := c.series[vm]
 		lead, trail := s.start-lo, hi-(s.start+len(s.vals))
@@ -154,14 +151,11 @@ func (c *Collector) Trace() (*workload.Trace, error) {
 		for k := steps - trail; k < steps; k++ {
 			row[k] = last
 		}
-		tr.Names[i] = vm
-		tr.Sectors[i] = AssignSector(c.cfg.SectorSalt, vm)
-		tr.Series[i] = row
+		names[i] = vm
+		sectors[i] = AssignSector(c.cfg.SectorSalt, vm)
+		rows[i] = row
 	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
+	return workload.FromRows(c.cfg.StepSeconds, names, sectors, rows)
 }
 
 // traceSource replays a workload.Trace as a gridded stream in canonical

@@ -299,14 +299,17 @@ func TestCollectorEdgeAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hold.Series[1]; got[0] != 0.8 || got[1] != 0.8 || got[2] != 0.8 {
+	row := func(tr *workload.Trace, vm int) []float64 {
+		return []float64{tr.At(vm, 0), tr.At(vm, 1), tr.At(vm, 2)}
+	}
+	if got := row(hold, 1); got[0] != 0.8 || got[1] != 0.8 || got[2] != 0.8 {
 		t.Fatalf("hold edge fill = %v, want [0.8 0.8 0.8]", got)
 	}
 	zero, err := build(GapZero)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := zero.Series[1]; got[0] != 0 || got[1] != 0.8 || got[2] != 0 {
+	if got := row(zero, 1); got[0] != 0 || got[1] != 0.8 || got[2] != 0 {
 		t.Fatalf("zero edge fill = %v, want [0 0.8 0]", got)
 	}
 	if _, err := build(GapError); err == nil {

@@ -39,14 +39,14 @@ func FuzzReadCSV(f *testing.F) {
 			t.Fatalf("round-trip shape %dx%d, want %dx%d",
 				tr2.NumVMs(), tr2.NumSteps(), tr.NumVMs(), tr.NumSteps())
 		}
-		for i := range tr.Series {
+		for i := 0; i < tr.NumVMs(); i++ {
 			if tr2.Names[i] != tr.Names[i] || tr2.Sectors[i] != tr.Sectors[i] {
 				t.Fatalf("vm %d identity changed: %q/%d vs %q/%d",
 					i, tr2.Names[i], tr2.Sectors[i], tr.Names[i], tr.Sectors[i])
 			}
-			for k := range tr.Series[i] {
-				if math.Abs(tr2.Series[i][k]-tr.Series[i][k]) > 1e-5 {
-					t.Fatalf("vm %d step %d: %v vs %v", i, k, tr2.Series[i][k], tr.Series[i][k])
+			for k := 0; k < tr.NumSteps(); k++ {
+				if math.Abs(tr2.At(i, k)-tr.At(i, k)) > 1e-5 {
+					t.Fatalf("vm %d step %d: %v vs %v", i, k, tr2.At(i, k), tr.At(i, k))
 				}
 			}
 		}

@@ -16,11 +16,11 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	if err := cw.Write([]string{"step_seconds", strconv.FormatFloat(t.StepSeconds, 'g', -1, 64)}); err != nil {
 		return err
 	}
-	for i, series := range t.Series {
-		row := make([]string, 0, len(series)+2)
+	for i := 0; i < t.vms; i++ {
+		row := make([]string, 0, t.steps+2)
 		row = append(row, t.Names[i], strconv.Itoa(int(t.Sectors[i])))
-		for _, u := range series {
-			row = append(row, strconv.FormatFloat(u, 'g', 6, 64))
+		for k := 0; k < t.steps; k++ {
+			row = append(row, strconv.FormatFloat(t.At(i, k), 'g', 6, 64))
 		}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -45,7 +45,11 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: bad step: %w", err)
 	}
-	tr := &Trace{StepSeconds: step}
+	var (
+		names   []string
+		sectors []Sector
+		series  [][]float64
+	)
 	for {
 		row, err := cr.Read()
 		if err == io.EOF {
@@ -61,10 +65,10 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: bad sector for %q: %w", row[0], err)
 		}
-		if len(tr.Series) > 0 && len(row)-2 != len(tr.Series[0]) {
-			return nil, &ShapeError{VM: row[0], Got: len(row) - 2, Want: len(tr.Series[0])}
+		if len(series) > 0 && len(row)-2 != len(series[0]) {
+			return nil, &ShapeError{VM: row[0], Got: len(row) - 2, Want: len(series[0])}
 		}
-		series := make([]float64, len(row)-2)
+		samples := make([]float64, len(row)-2)
 		for i, f := range row[2:] {
 			u, err := strconv.ParseFloat(f, 64)
 			if err != nil {
@@ -73,16 +77,31 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 			if err := checkSample(row[0], i, u); err != nil {
 				return nil, err
 			}
-			series[i] = u
+			samples[i] = u
 		}
-		tr.Names = append(tr.Names, row[0])
-		tr.Sectors = append(tr.Sectors, Sector(sector))
-		tr.Series = append(tr.Series, series)
+		names = append(names, row[0])
+		sectors = append(sectors, Sector(sector))
+		series = append(series, samples)
 	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
+	return FromRows(step, names, sectors, series)
+}
+
+// gobRows is a trace as gob carries it: per-VM rows, as WriteGob has
+// always written them.
+type gobRows struct {
+	StepSeconds float64
+	Names       []string
+	Sectors     []Sector
+	Series      [][]float64 // [vm][step]
+}
+
+// gobWire returns rows as the value gob encodes and decodes. gob records
+// the type's name, so the wire type is named Trace, and numbers types per
+// process in order of first use, so reading and writing share this one
+// type: every file keeps its bytes.
+func gobWire(rows *gobRows) any {
+	type Trace gobRows
+	return (*Trace)(rows)
 }
 
 // WriteGob stores the trace in the compact binary format used for large
@@ -90,8 +109,21 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 // buffered and the flush error propagated — a full disk surfaces here,
 // not as a silently truncated file.
 func (t *Trace) WriteGob(w io.Writer) error {
+	rows := gobRows{
+		StepSeconds: t.StepSeconds,
+		Names:       t.Names,
+		Sectors:     t.Sectors,
+		Series:      make([][]float64, t.vms),
+	}
+	for i := range rows.Series {
+		row := make([]float64, t.steps)
+		for k := range row {
+			row[k] = t.At(i, k)
+		}
+		rows.Series[i] = row
+	}
 	bw := bufio.NewWriter(w)
-	if err := gob.NewEncoder(bw).Encode(t); err != nil {
+	if err := gob.NewEncoder(bw).Encode(gobWire(&rows)); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -101,24 +133,11 @@ func (t *Trace) WriteGob(w io.Writer) error {
 // rejections as ReadCSV: a ragged series is a *ShapeError, an
 // out-of-range sample a *SampleError.
 func ReadGob(r io.Reader) (*Trace, error) {
-	tr := &Trace{}
-	if err := gob.NewDecoder(r).Decode(tr); err != nil {
+	var rows gobRows
+	if err := gob.NewDecoder(r).Decode(gobWire(&rows)); err != nil {
 		return nil, fmt.Errorf("workload: decoding gob: %w", err)
 	}
-	for vi, series := range tr.Series {
-		if len(series) != len(tr.Series[0]) {
-			return nil, &ShapeError{VM: name(tr, vi), Got: len(series), Want: len(tr.Series[0])}
-		}
-		for i, u := range series {
-			if err := checkSample(name(tr, vi), i, u); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
+	return FromRows(rows.StepSeconds, rows.Names, rows.Sectors, rows.Series)
 }
 
 // name is a bounds-tolerant Names lookup for error paths (a corrupt gob

@@ -9,9 +9,10 @@ func (t *Trace) AggregateUtilization() []float64 {
 	if t.NumVMs() == 0 {
 		return out
 	}
-	for _, series := range t.Series {
-		for k, u := range series {
-			out[k] += u
+	// Each step sums its VMs in index order.
+	for k := range out {
+		for vm := 0; vm < t.vms; vm++ {
+			out[k] += t.At(vm, k)
 		}
 	}
 	for k := range out {

@@ -44,45 +44,99 @@ func (s Sector) String() string {
 	return fmt.Sprintf("sector(%d)", int(s))
 }
 
+// Utilization is stored step-major inside tiles of tileVMs consecutive
+// VMs: VM vm at step k is tiles[vm>>tileShift][k<<tileShift|vm&tileMask].
+// A simulation step reads every VM at one step, so it walks one short
+// contiguous run per tile instead of one cache line per VM. Tiles, not one
+// slice, keep each allocation small enough to reuse pages a freed trace
+// left behind. lineVMs VMs fill one 64-byte cache line of a step.
+const (
+	tileShift = 8
+	tileVMs   = 1 << tileShift
+	tileMask  = tileVMs - 1
+	lineVMs   = 8
+)
+
 // Trace holds per-VM CPU utilization series sampled at a fixed interval.
-// Utilization is relative to the VM's own peak requirement (0..1).
+// Utilization is relative to the VM's own peak requirement (0..1). Read
+// samples through At; FromRows builds a trace from per-VM rows.
 type Trace struct {
-	StepSeconds float64     // sampling interval (900 for 15 minutes)
-	Names       []string    // VM names, one per series
-	Sectors     []Sector    // sector per VM
-	Series      [][]float64 // [vm][step] utilization in [0,1]
+	StepSeconds float64  // sampling interval (900 for 15 minutes)
+	Names       []string // VM names, one per VM
+	Sectors     []Sector // sector per VM
+
+	tiles      [][]float64 // utilization in [0,1], step-major per tile
+	vms, steps int
 }
 
-// NumVMs returns the number of series.
-func (t *Trace) NumVMs() int { return len(t.Series) }
-
-// NumSteps returns the number of samples per series (0 if empty).
-func (t *Trace) NumSteps() int {
-	if len(t.Series) == 0 {
-		return 0
+// FromRows builds a trace from per-VM rows, series[vm][step], copying
+// them into the trace's own storage. Every row must be as long as the
+// first: a ragged row is a *ShapeError and a sample outside [0,1] a
+// *SampleError, reported for the first offending VM in index order. The
+// result satisfies Validate.
+func FromRows(stepSeconds float64, names []string, sectors []Sector, series [][]float64) (*Trace, error) {
+	tr := &Trace{StepSeconds: stepSeconds, Names: names, Sectors: sectors, vms: len(series)}
+	if len(series) > 0 {
+		tr.steps = len(series[0])
 	}
-	return len(t.Series[0])
+	for vm, row := range series {
+		if len(row) != tr.steps {
+			return nil, &ShapeError{VM: name(tr, vm), Got: len(row), Want: tr.steps}
+		}
+		for k, u := range row {
+			if err := checkSample(name(tr, vm), k, u); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for first := 0; first < tr.vms; first += tileVMs {
+		tr.setRows(first, series[first:min(first+tileVMs, tr.vms)])
+	}
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	return tr, nil
 }
+
+// setRows stores the rows of VMs first, first+1, …, which share a tile,
+// one step at a time, so that each step's run of the tile is written in
+// one pass. It allocates the tile when first is the tile's first VM: VMs
+// arrive in index order.
+func (t *Trace) setRows(first int, rows [][]float64) {
+	if first&tileMask == 0 {
+		t.tiles = append(t.tiles, make([]float64, t.steps<<tileShift))
+	}
+	tile := t.tiles[first>>tileShift]
+	for k := 0; k < t.steps; k++ {
+		for j, row := range rows {
+			tile[k<<tileShift|(first+j)&tileMask] = row[k]
+		}
+	}
+}
+
+// NumVMs returns the number of VMs.
+func (t *Trace) NumVMs() int { return t.vms }
+
+// NumSteps returns the number of samples per VM (0 if empty).
+func (t *Trace) NumSteps() int { return t.steps }
 
 // At returns the utilization of VM vm at step k.
-func (t *Trace) At(vm, k int) float64 { return t.Series[vm][k] }
+func (t *Trace) At(vm, k int) float64 {
+	return t.tiles[vm>>tileShift][k<<tileShift|vm&tileMask]
+}
 
 // Validate checks structural consistency and value ranges.
 func (t *Trace) Validate() error {
 	if t.StepSeconds <= 0 {
 		return fmt.Errorf("workload: nonpositive step %v", t.StepSeconds)
 	}
-	if len(t.Names) != len(t.Series) || len(t.Sectors) != len(t.Series) {
+	if len(t.Names) != t.vms || len(t.Sectors) != t.vms {
 		return fmt.Errorf("workload: names/sectors/series length mismatch %d/%d/%d",
-			len(t.Names), len(t.Sectors), len(t.Series))
+			len(t.Names), len(t.Sectors), t.vms)
 	}
-	steps := t.NumSteps()
-	for i, s := range t.Series {
-		if len(s) != steps {
-			return fmt.Errorf("workload: series %d has %d steps, want %d", i, len(s), steps)
-		}
-		for k, u := range s {
-			if u < 0 || u > 1 || math.IsNaN(u) {
+	for i := 0; i < t.vms; i++ {
+		for k := 0; k < t.steps; k++ {
+			if u := t.At(i, k); u < 0 || u > 1 || math.IsNaN(u) {
 				return fmt.Errorf("workload: series %d step %d utilization %v out of [0,1]", i, k, u)
 			}
 		}
@@ -158,8 +212,14 @@ func Generate(cfg GenConfig) (*Trace, error) {
 		StepSeconds: 3600 / float64(cfg.StepsPerHour),
 		Names:       make([]string, cfg.NumVMs),
 		Sectors:     make([]Sector, cfg.NumVMs),
-		Series:      make([][]float64, cfg.NumVMs),
+		vms:         cfg.NumVMs,
+		steps:       steps,
 	}
+	// Samples are drawn VM by VM into rows, and each lineVMs VMs are
+	// stored together: storing one VM at a time would write every cache
+	// line of its tile once per VM.
+	rows := make([][]float64, 0, lineVMs)
+	buf := make([]float64, lineVMs*steps)
 	for i := 0; i < cfg.NumVMs; i++ {
 		sector := Sector(rng.Intn(int(numSectors)))
 		tr.Names[i] = fmt.Sprintf("vm-%s-%05d", sector, i)
@@ -168,7 +228,7 @@ func Generate(cfg GenConfig) (*Trace, error) {
 		phase := (rng.Float64() - 0.5) * 2.0  // ±1 h phase jitter
 		noiseAmp := 0.03 + 0.05*rng.Float64() // AR(1) noise amplitude
 		burstRate := 0.002 + 0.002*rng.Float64()
-		series := make([]float64, steps)
+		series := buf[len(rows)*steps:][:steps]
 		noise := 0.0
 		burstLeft, burstLevel := 0, 0.0
 		for k := 0; k < steps; k++ {
@@ -191,13 +251,17 @@ func Generate(cfg GenConfig) (*Trace, error) {
 				series[k] = 0.01 // servers are never literally idle
 			}
 		}
-		tr.Series[i] = series
+		rows = append(rows, series)
+		if len(rows) == lineVMs || i == cfg.NumVMs-1 {
+			tr.setRows(i+1-len(rows), rows)
+			rows = rows[:0]
+		}
 	}
 	return tr, nil
 }
 
 // Slice returns a new trace restricted to the first n VMs (the Fig. 6
-// sweep over data centers of increasing size).
+// sweep over data centers of increasing size). It shares t's storage.
 func (t *Trace) Slice(n int) (*Trace, error) {
 	if n <= 0 || n > t.NumVMs() {
 		return nil, fmt.Errorf("workload: slice size %d out of range [1,%d]", n, t.NumVMs())
@@ -206,15 +270,17 @@ func (t *Trace) Slice(n int) (*Trace, error) {
 		StepSeconds: t.StepSeconds,
 		Names:       t.Names[:n],
 		Sectors:     t.Sectors[:n],
-		Series:      t.Series[:n],
+		tiles:       t.tiles[:(n+tileMask)>>tileShift],
+		vms:         n,
+		steps:       t.steps,
 	}, nil
 }
 
 // MeanUtilization returns the average utilization of VM vm over the trace.
 func (t *Trace) MeanUtilization(vm int) float64 {
 	s := 0.0
-	for _, u := range t.Series[vm] {
-		s += u
+	for k := 0; k < t.steps; k++ {
+		s += t.At(vm, k)
 	}
-	return s / float64(len(t.Series[vm]))
+	return s / float64(t.steps)
 }

@@ -38,9 +38,9 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Series {
-		for k := range a.Series[i] {
-			if a.Series[i][k] != b.Series[i][k] {
+	for i := 0; i < a.NumVMs(); i++ {
+		for k := 0; k < a.NumSteps(); k++ {
+			if a.At(i, k) != b.At(i, k) {
 				t.Fatalf("nondeterministic at vm %d step %d", i, k)
 			}
 		}
@@ -53,8 +53,8 @@ func TestGenerateSeedChangesOutput(t *testing.T) {
 	cfg.Seed = 99
 	b, _ := Generate(cfg)
 	same := true
-	for k := range a.Series[0] {
-		if a.Series[0][k] != b.Series[0][k] {
+	for k := 0; k < a.NumSteps(); k++ {
+		if a.At(0, k) != b.At(0, k) {
 			same = false
 			break
 		}
@@ -157,14 +157,9 @@ func TestMeanUtilizationInRange(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	tr, _ := Generate(smallConfig())
-	tr.Series[3][5] = 1.5
+	tr.tiles[0][5<<tileShift|3] = 1.5
 	if err := tr.Validate(); err == nil {
 		t.Fatal("out-of-range value not caught")
-	}
-	tr, _ = Generate(smallConfig())
-	tr.Series[0] = tr.Series[0][:10]
-	if err := tr.Validate(); err == nil {
-		t.Fatal("ragged series not caught")
 	}
 	tr, _ = Generate(smallConfig())
 	tr.Names = tr.Names[:5]
@@ -197,12 +192,12 @@ func TestCSVRoundTrip(t *testing.T) {
 	if back.StepSeconds != tr.StepSeconds {
 		t.Fatal("step changed")
 	}
-	for i := range tr.Series {
+	for i := 0; i < tr.NumVMs(); i++ {
 		if back.Names[i] != tr.Names[i] || back.Sectors[i] != tr.Sectors[i] {
 			t.Fatalf("metadata changed for vm %d", i)
 		}
-		for k := range tr.Series[i] {
-			if math.Abs(back.Series[i][k]-tr.Series[i][k]) > 1e-6 {
+		for k := 0; k < tr.NumSteps(); k++ {
+			if math.Abs(back.At(i, k)-tr.At(i, k)) > 1e-6 {
 				t.Fatalf("value drift at %d/%d", i, k)
 			}
 		}
@@ -239,8 +234,8 @@ func TestGobRoundTrip(t *testing.T) {
 	if back.NumVMs() != 8 || back.NumSteps() != tr.NumSteps() {
 		t.Fatal("gob round trip changed dims")
 	}
-	for k := range tr.Series[2] {
-		if back.Series[2][k] != tr.Series[2][k] {
+	for k := 0; k < tr.NumSteps(); k++ {
+		if back.At(2, k) != tr.At(2, k) {
 			t.Fatal("gob round trip changed values")
 		}
 	}
