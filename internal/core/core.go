@@ -218,6 +218,11 @@ func (c *ResponseTimeController) SetSetpoint(ts units.Second) { c.ctl.SetSetpoin
 // demands" arrows).
 func (c *ResponseTimeController) Demands() []units.Hertz { return c.cHist[0].Clone() }
 
+// AppendDemands appends Demands to dst and returns the extended slice.
+func (c *ResponseTimeController) AppendDemands(dst []units.Hertz) []units.Hertz {
+	return append(dst, c.cHist[0]...)
+}
+
 // Step runs one control period: read the window's 90-percentile response
 // time, solve the MPC problem, and apply the first move to the
 // application's VMs.

@@ -296,9 +296,12 @@ func Run(cfg Config) (Result, error) {
 		tk.SetTime(float64(k) * tr.StepSeconds)
 		curStep = k
 		cfg.Faults.SetStep(k)
-		// New demands from the trace.
+		// New demands from the trace, summed for OnStep: nothing else
+		// writes a VM's demand, so this is the step's total demand.
+		demand := 0.0
 		for i, v := range vms {
 			v.Demand = tr.At(i, k) * peaks[i]
+			demand += v.Demand
 		}
 		// Whole-server crashes fire before this step's passes, so the
 		// optimizer and the DVFS arbiter see the post-crash fleet.
@@ -371,10 +374,6 @@ func Run(cfg Config) (Result, error) {
 		})
 		activeSum += float64(nActive)
 		if cfg.OnStep != nil {
-			demand := 0.0
-			for _, v := range vms {
-				demand += v.Demand
-			}
 			cfg.OnStep(k, stepPower, nActive, demand)
 		}
 	}

@@ -407,7 +407,8 @@ type Status struct {
 	LastError     string      `json:"last_error,omitempty"`
 }
 
-// snapshotStatus builds the status document under the lock.
+// snapshotStatus builds the status document under the lock. The apps'
+// allocations share one backing array.
 func (s *Server) snapshotStatus() Status {
 	st := Status{
 		SimTimeSec:    s.tb.Sim.Now(),
@@ -422,17 +423,25 @@ func (s *Server) snapshotStatus() Status {
 	if len(s.history) > 0 {
 		latest = &s.history[len(s.history)-1]
 	}
+	tiers := 0
+	for _, app := range s.tb.Apps {
+		tiers += app.NumTiers()
+	}
+	allocs := make([]float64, 0, tiers)
+	st.Apps = make([]AppStatus, len(s.tb.Apps))
 	for i, app := range s.tb.Apps {
-		as := AppStatus{
+		ctl := s.tb.Controllers[i]
+		lo := len(allocs)
+		allocs = ctl.AppendDemands(allocs)
+		st.Apps[i] = AppStatus{
 			Name:        app.Name,
-			SetpointSec: s.tb.Controllers[i].Setpoint(),
-			Allocations: s.tb.Controllers[i].Demands(),
+			SetpointSec: ctl.Setpoint(),
+			Allocations: allocs[lo:len(allocs):len(allocs)],
 			Concurrency: app.Concurrency(),
 		}
 		if latest != nil {
-			as.T90Sec = latest.T90[i]
+			st.Apps[i].T90Sec = latest.T90[i]
 		}
-		st.Apps = append(st.Apps, as)
 	}
 	return st
 }

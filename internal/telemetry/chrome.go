@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -74,13 +75,13 @@ func WriteChromeTrace(w io.Writer, recs []SpanRecord) error {
 			m.WriteByte(':')
 			switch a.kind {
 			case attrInt:
-				m.WriteString(strconv.FormatInt(a.i, 10))
+				m.WriteString(strconv.FormatInt(int64(a.n), 10))
 			case attrFloat:
-				m.WriteString(jsonFloat(a.f))
+				m.WriteString(jsonFloat(math.Float64frombits(a.n)))
 			case attrStr:
 				m.WriteString(jsonString(a.s))
 			case attrBool:
-				m.WriteString(strconv.FormatBool(a.b))
+				m.WriteString(strconv.FormatBool(a.n != 0))
 			}
 		}
 		m.WriteString(`}}`)

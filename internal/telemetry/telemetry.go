@@ -24,7 +24,9 @@
 package telemetry
 
 import (
-	"sort"
+	"math"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -68,14 +70,13 @@ const (
 
 // Attr is one typed span attribute. Attributes keep their recording
 // order (call sites list them deterministically), so exports are
-// byte-stable without sorting.
+// byte-stable without sorting. An Int, a Float's bits or a Bool (0 or
+// 1) share one word, so an attribute is 48 bytes.
 type Attr struct {
 	Key  string
+	s    string // attrStr
+	n    uint64 // attrInt, attrFloat (math.Float64bits), attrBool
 	kind attrKind
-	i    int64
-	f    float64
-	s    string
-	b    bool
 }
 
 // Phase values of a SpanRecord, matching the Chrome trace event phases.
@@ -109,7 +110,8 @@ type Tracer struct {
 // simulator's Now for deterministic traces or WallClock at interactive
 // edges; nil means tracks run on logical time set via Track.SetTime
 // (starting at 0). capacity bounds each track's ring buffer (<= 0
-// selects DefaultTrackCapacity).
+// selects DefaultTrackCapacity); a track's storage grows with use up to
+// that bound and is never allocated at it up front.
 func New(clock func() float64, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTrackCapacity
@@ -131,32 +133,47 @@ func (t *Tracer) Track(name string) *Track {
 	tk, ok := t.tracks[name]
 	if !ok {
 		tk = &Track{tracer: t, name: name}
+		tk.event = Span{track: tk, instant: true}
 		t.tracks[name] = tk
 	}
 	return tk
 }
 
+// sortedTracks returns the tracks sorted by name.
+func (t *Tracer) sortedTracks() []*Track {
+	t.mu.Lock()
+	tracks := make([]*Track, 0, len(t.tracks))
+	for _, tk := range t.tracks {
+		tracks = append(tracks, tk)
+	}
+	t.mu.Unlock()
+	slices.SortFunc(tracks, func(a, b *Track) int { return strings.Compare(a.name, b.name) })
+	return tracks
+}
+
 // Snapshot returns every recorded span, tracks sorted by name and
 // records in emission order within each track — a deterministic order,
-// so exports of deterministic runs are byte-identical.
+// so exports of deterministic runs are byte-identical. The records own
+// their attributes: recording that goes on after Snapshot returns never
+// changes them. It allocates a few objects per track, however many
+// records the tracks hold.
 func (t *Tracer) Snapshot() []SpanRecord {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	names := make([]string, 0, len(t.tracks))
-	tracks := make([]*Track, 0, len(t.tracks))
-	for n := range t.tracks {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		tracks = append(tracks, t.tracks[n])
-	}
-	t.mu.Unlock()
-	var out []SpanRecord
+	tracks := t.sortedTracks()
+	n := 0
 	for _, tk := range tracks {
-		out = append(out, tk.snapshot()...)
+		tk.mu.Lock()
+		n += len(tk.recs)
+		tk.mu.Unlock()
+	}
+	var out []SpanRecord
+	if n > 0 {
+		out = make([]SpanRecord, 0, n)
+	}
+	for _, tk := range tracks {
+		out = tk.appendRecords(out)
 	}
 	return out
 }
@@ -167,14 +184,8 @@ func (t *Tracer) Dropped() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	tracks := make([]*Track, 0, len(t.tracks))
-	for _, tk := range t.tracks {
-		tracks = append(tracks, tk)
-	}
-	t.mu.Unlock()
 	n := 0
-	for _, tk := range tracks {
+	for _, tk := range t.sortedTracks() {
 		tk.mu.Lock()
 		n += tk.dropped
 		tk.mu.Unlock()
@@ -185,6 +196,12 @@ func (t *Tracer) Dropped() int {
 // Track is one sequential stream of nested spans. Methods must be
 // called from one goroutine at a time (the owning simulation loop or
 // worker); the tracer serializes cross-track state internally.
+//
+// A track records without allocating once its storage has grown: Start
+// hands out the track's handle for the span's depth and Event the
+// track's one instant handle, each reused with its attribute buffer,
+// and End moves the record into a ring of entries and its attributes
+// into a ring of their own.
 type Track struct {
 	tracer *Tracer
 	name   string
@@ -197,12 +214,31 @@ type Track struct {
 	now     float64
 	base    float64
 	depth   int
+	spans   []*Span // spans[d] is the handle of the open span at depth d
+	event   Span    // the handle of the open instant
 
-	mu      sync.Mutex // guards recs/head/seq/dropped against Snapshot
-	recs    []SpanRecord
-	head    int // ring start when len(recs) == cap
-	seq     uint64
-	dropped int
+	// The store, guarded by mu against Snapshot. recs is the record
+	// ring (head its oldest entry once len(recs) reaches the tracer's
+	// capacity); a record's Seq is dropped plus its place in the ring.
+	// attrs is a ring of the records' attributes in record order:
+	// attrLen of them from attrHead on, the oldest record's first.
+	mu                sync.Mutex
+	recs              []entry
+	head              int
+	dropped           int
+	attrs             []Attr
+	attrHead, attrLen int
+}
+
+// entry is a stored record: a SpanRecord without the fields the ring
+// implies — Track, Seq and where its attributes sit. 48 bytes.
+type entry struct {
+	name   string
+	start  float64
+	dur    float64
+	depth  int32
+	nattrs uint32
+	phase  byte
 }
 
 // Name returns the track name ("" for a disabled track).
@@ -258,49 +294,125 @@ func (tk *Track) Now() float64 {
 }
 
 // Start opens a span. The returned handle accumulates attributes and
-// must be closed with End from the same goroutine. Nil-safe: on a
-// disabled track it returns nil and every Span method no-ops.
+// must be closed with End from the same goroutine, before the span that
+// encloses it (see Span). Nil-safe: on a disabled track it returns nil
+// and every Span method no-ops.
 func (tk *Track) Start(name string) *Span {
 	if tk == nil {
 		return nil
 	}
-	sp := &Span{track: tk, name: name, start: tk.Now(), depth: tk.depth}
+	if tk.depth == len(tk.spans) {
+		tk.spans = append(tk.spans, &Span{track: tk})
+	}
+	sp := tk.spans[tk.depth]
+	sp.open(name, tk.Now(), tk.depth)
 	tk.depth++
 	return sp
 }
 
 // Event opens an instant (point-in-time) event — migrations, vetoes,
-// server wake/sleep transitions. Close it with End like a span; it does
-// not affect nesting depth.
+// server wake/sleep transitions. Close it with End like a span, before
+// the track's next Event; it does not affect nesting depth.
 func (tk *Track) Event(name string) *Span {
 	if tk == nil {
 		return nil
 	}
-	return &Span{track: tk, name: name, start: tk.Now(), depth: tk.depth, instant: true}
+	tk.event.open(name, tk.Now(), tk.depth)
+	return &tk.event
 }
 
-// emit appends a finished record to the ring.
-func (tk *Track) emit(rec SpanRecord) {
+// store records a finished entry and its attributes, evicting the
+// oldest record and its attributes once the ring is full. Both rings
+// double while the record ring fills. When it first fills, the
+// attribute ring is trimmed to an eighth above what it holds, and from
+// then on it grows to an eighth above what it needs: a full track's
+// records then need about as many attributes as they already hold.
+func (tk *Track) store(e entry, attrs []Attr) {
 	tk.mu.Lock()
-	rec.Seq = tk.seq
-	tk.seq++
-	if len(tk.recs) < tk.tracer.trackCap {
-		tk.recs = append(tk.recs, rec)
+	capacity := tk.tracer.trackCap
+	full := len(tk.recs) == capacity
+	if !full {
+		if len(tk.recs) == cap(tk.recs) {
+			grown := make([]entry, len(tk.recs), min(max(2*len(tk.recs), 8), capacity))
+			copy(grown, tk.recs)
+			tk.recs = grown
+		}
+		tk.recs = append(tk.recs, e)
 	} else {
-		tk.recs[tk.head] = rec
-		tk.head = (tk.head + 1) % len(tk.recs)
+		old := &tk.recs[tk.head]
+		tk.attrHead = tk.attrSlot(int(old.nattrs))
+		tk.attrLen -= int(old.nattrs)
+		*old = e
+		if tk.head++; tk.head == len(tk.recs) {
+			tk.head = 0
+		}
 		tk.dropped++
+	}
+	if need := tk.attrLen + len(attrs); need > len(tk.attrs) {
+		size := max(2*len(tk.attrs), need, 8)
+		if full {
+			size = need + need/8
+		}
+		tk.resizeAttrs(size)
+	}
+	for _, a := range attrs {
+		tk.attrs[tk.attrSlot(tk.attrLen)] = a
+		tk.attrLen++
+	}
+	if trimmed := tk.attrLen + tk.attrLen/8; !full && len(tk.recs) == capacity && trimmed < len(tk.attrs) {
+		tk.resizeAttrs(trimmed)
 	}
 	tk.mu.Unlock()
 }
 
-// snapshot copies the ring in emission order.
-func (tk *Track) snapshot() []SpanRecord {
+// attrSlot returns the index in attrs of the i-th stored attribute
+// (0 <= i <= len(attrs)). Callers hold mu.
+func (tk *Track) attrSlot(i int) int {
+	if j := tk.attrHead + i; j < len(tk.attrs) {
+		return j
+	}
+	return tk.attrHead + i - len(tk.attrs)
+}
+
+// resizeAttrs moves the stored attributes, oldest first, into a new
+// ring of the given length. Callers hold mu.
+func (tk *Track) resizeAttrs(size int) {
+	grown := make([]Attr, size)
+	tk.copyAttrs(grown)
+	tk.attrs, tk.attrHead = grown, 0
+}
+
+// copyAttrs copies the stored attributes, oldest first, into dst[:attrLen].
+// Callers hold mu.
+func (tk *Track) copyAttrs(dst []Attr) {
+	n := copy(dst[:tk.attrLen], tk.attrs[tk.attrHead:])
+	copy(dst[n:tk.attrLen], tk.attrs)
+}
+
+// appendRecords appends the ring's records to out in emission order,
+// with their attributes copied into one array the snapshot owns.
+func (tk *Track) appendRecords(out []SpanRecord) []SpanRecord {
 	tk.mu.Lock()
 	defer tk.mu.Unlock()
-	out := make([]SpanRecord, 0, len(tk.recs))
-	out = append(out, tk.recs[tk.head:]...)
-	out = append(out, tk.recs[:tk.head]...)
+	var attrs []Attr
+	if tk.attrLen > 0 {
+		attrs = make([]Attr, tk.attrLen)
+		tk.copyAttrs(attrs)
+	}
+	out = slices.Grow(out, len(tk.recs))
+	for i := range tk.recs {
+		j := tk.head + i
+		if j >= len(tk.recs) {
+			j -= len(tk.recs)
+		}
+		e := &tk.recs[j]
+		rec := SpanRecord{Name: e.name, Track: tk.name, Start: e.start, Dur: e.dur,
+			Depth: int(e.depth), Phase: e.phase, Seq: uint64(tk.dropped + i)}
+		if n := int(e.nattrs); n > 0 {
+			rec.Attrs, attrs = attrs[:n:n], attrs[n:]
+		}
+		out = append(out, rec)
+	}
 	return out
 }
 
@@ -310,13 +422,26 @@ func (tk *Track) snapshot() []SpanRecord {
 //	sp := track.Start("packing.minslack")
 //	...
 //	sp.Int("nodes", n).Bool("widened", w).End()
+//
+// The track owns the handle and hands it out again: Start reuses the
+// handle of the last span ended at the same depth, and Event reuses the
+// track's one instant handle. So a span must End before the span that
+// encloses it, an instant must End before the next Event on its track,
+// and a handle is never used after its End — a handle used out of turn
+// would silently corrupt another span's record.
 type Span struct {
 	track   *Track
 	name    string
 	start   float64
 	depth   int
 	instant bool
-	attrs   []Attr
+	attrs   []Attr // this span's attributes until End stores them
+}
+
+// open readies the handle for a new span or instant, keeping its
+// attribute buffer's storage.
+func (sp *Span) open(name string, start float64, depth int) {
+	sp.name, sp.start, sp.depth, sp.attrs = name, start, depth, sp.attrs[:0]
 }
 
 // Int attaches an integer attribute.
@@ -324,7 +449,7 @@ func (sp *Span) Int(key string, v int) *Span {
 	if sp == nil {
 		return nil
 	}
-	sp.attrs = append(sp.attrs, Attr{Key: key, kind: attrInt, i: int64(v)})
+	sp.attrs = append(sp.attrs, Attr{Key: key, kind: attrInt, n: uint64(v)})
 	return sp
 }
 
@@ -333,7 +458,7 @@ func (sp *Span) Float(key string, v float64) *Span {
 	if sp == nil {
 		return nil
 	}
-	sp.attrs = append(sp.attrs, Attr{Key: key, kind: attrFloat, f: v})
+	sp.attrs = append(sp.attrs, Attr{Key: key, kind: attrFloat, n: math.Float64bits(v)})
 	return sp
 }
 
@@ -351,7 +476,11 @@ func (sp *Span) Bool(key string, v bool) *Span {
 	if sp == nil {
 		return nil
 	}
-	sp.attrs = append(sp.attrs, Attr{Key: key, kind: attrBool, b: v})
+	var n uint64
+	if v {
+		n = 1
+	}
+	sp.attrs = append(sp.attrs, Attr{Key: key, kind: attrBool, n: n})
 	return sp
 }
 
@@ -363,20 +492,14 @@ func (sp *Span) End() {
 		return
 	}
 	tk := sp.track
-	rec := SpanRecord{
-		Name:  sp.name,
-		Track: tk.name,
-		Start: sp.start,
-		Depth: sp.depth,
-		Phase: PhaseInstant,
-		Attrs: sp.attrs,
-	}
+	e := entry{name: sp.name, start: sp.start, depth: int32(sp.depth),
+		nattrs: uint32(len(sp.attrs)), phase: PhaseInstant}
 	if !sp.instant {
 		tk.depth--
-		rec.Phase = PhaseSpan
+		e.phase = PhaseSpan
 		if end := tk.Now(); end > sp.start {
-			rec.Dur = end - sp.start
+			e.dur = end - sp.start
 		}
 	}
-	tk.emit(rec)
+	tk.store(e, sp.attrs)
 }

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"vdcpower/internal/race"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -519,5 +521,81 @@ func TestWallClockAdvances(t *testing.T) {
 	b := WallClock()
 	if b < a {
 		t.Fatalf("WallClock went backwards: %v then %v", a, b)
+	}
+}
+
+// recordPattern records one period's worth of spans on tk: nested spans
+// with attributes of every kind and an instant inside them.
+func recordPattern(tk *Track, k int) {
+	tk.SetTime(float64(k))
+	root := tk.Start("period").Int("k", k)
+	child := tk.Start("solve").Float("bias", 0.5).Bool("relaxed", k%2 == 0)
+	tk.Event("migrate").Str("vm", "vm01").Str("to", "S2").End()
+	child.End()
+	tk.Start("actuate").End()
+	root.Int("relaxed", 1).End()
+}
+
+// TestWarmTrackRecordsWithoutAllocating wraps a track's ring several
+// times: once its storage has grown, recording a span allocates nothing
+// and the storage the track retains stops growing.
+func TestWarmTrackRecordsWithoutAllocating(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates shadow state")
+	}
+	const capacity = 64 // 16 patterns of 4 records
+	tk := New(nil, capacity).Track("main")
+	retained := func() [4]int {
+		tk.mu.Lock()
+		defer tk.mu.Unlock()
+		return [4]int{cap(tk.recs), len(tk.attrs), len(tk.spans), cap(tk.spans[0].attrs)}
+	}
+	k := 0
+	for ; k < 2*capacity; k++ {
+		recordPattern(tk, k)
+	}
+	warm := retained()
+	if n := testing.AllocsPerRun(5*capacity, func() { recordPattern(tk, k); k++ }); n != 0 {
+		t.Fatalf("a warmed track allocates %v times per pattern of 4 records, want 0", n)
+	}
+	if got := retained(); got != warm {
+		t.Fatalf("retained storage grew from %v to %v (record cap, attribute ring, handles, handle buffer) after wrapping", warm, got)
+	}
+	if warm[0] != capacity {
+		t.Fatalf("record ring holds %d entries, want the capacity %d", warm[0], capacity)
+	}
+}
+
+// TestSnapshotAllocatesPerTrack: Snapshot's allocation count does not
+// grow with the number of records, and each record owns its attributes,
+// so appending to one leaves the next intact.
+func TestSnapshotAllocatesPerTrack(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates shadow state")
+	}
+	allocs := func(patterns int) float64 {
+		tr := New(nil, 0)
+		for _, name := range []string{"a", "b", "c"} {
+			tk := tr.Track(name)
+			for k := 0; k < patterns; k++ {
+				recordPattern(tk, k)
+			}
+		}
+		return testing.AllocsPerRun(10, func() { tr.Snapshot() })
+	}
+	few, many := allocs(2), allocs(500)
+	if many != few {
+		t.Fatalf("Snapshot allocates %v times over 24 records and %v over 6000", few, many)
+	}
+	if few > 8 {
+		t.Fatalf("Snapshot allocates %v times over three tracks, want at most 8", few)
+	}
+
+	tr := New(nil, 0)
+	recordPattern(tr.Track("a"), 0)
+	recs := tr.Snapshot()
+	recs[0].Attrs = append(recs[0].Attrs, Attr{Key: "extra"})
+	if got := recs[1].Attrs[0].Key; got != "bias" {
+		t.Fatalf("appending to one record's attributes overwrote the next record's: first key %q, want bias", got)
 	}
 }

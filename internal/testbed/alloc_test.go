@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"runtime"
 	"testing"
 
 	"vdcpower/internal/obs"
@@ -52,4 +53,49 @@ func TestObservedPeriodAllocatesNoMoreThanBare(t *testing.T) {
 		t.Fatalf("an observed period allocates %v times, an unobserved one %v", observed, bare)
 	}
 	t.Logf("allocations per period: %v unobserved, %v observed", bare, observed)
+}
+
+// TestTracedPeriodAllocatesLikeBare: with span tracing attached, 100
+// warmed control periods allocate less than one object per period more
+// than the same periods untraced. The tracer reuses its span handles and
+// stores records and attributes in rings that grow by doubling, so only
+// that growth is left; a span or attribute slice per span would add
+// about 160 per period.
+func TestTracedPeriodAllocatesLikeBare(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates shadow state")
+	}
+	const periods = 100
+	mallocs := func(traced bool) uint64 {
+		cfg := DefaultConfig()
+		cfg.IdentPeriods = 40
+		tb, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traced {
+			tb.AttachTelemetry(0)
+		}
+		for i := 0; i < 10; i++ {
+			if _, err := tb.Run(cfg.Period, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < periods; i++ {
+			if _, err := tb.Run(cfg.Period, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	bare, traced := mallocs(false), mallocs(true)
+	if traced >= bare+periods {
+		t.Fatalf("%d traced periods allocate %d times, untraced %d: the tracer allocates %.2f times per period, want less than 1",
+			periods, traced, bare, float64(traced-bare)/periods)
+	}
+	t.Logf("allocations per period: %.2f untraced, %.2f traced", float64(bare)/periods, float64(traced)/periods)
 }
