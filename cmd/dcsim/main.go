@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,25 +39,38 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dcsim: ")
+	// -h prints the usage and exits 0, as flag.ExitOnError would.
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// printf writes one best-effort line to stdout, as fmt.Printf does.
+func printf(stdout io.Writer, format string, a ...any) { _, _ = fmt.Fprintf(stdout, format, a...) }
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("dcsim", flag.ContinueOnError)
 	var (
-		workloadP = flag.String("workload", "", "workload trace file (.gob or .csv); generated if empty")
-		replayP   = flag.String("replay", "", "replay spec JSON (see internal/trace.ReplaySpec): build the workload by deterministically replaying a real-trace corpus, with any distortions the spec lists")
-		traceOut  = flag.String("trace", "", "write a Chrome-trace JSON recording of the run's spans to this file (the workload input flag is -workload)")
-		sizesStr  = flag.String("sizes", "30,230,1030,2030,3030,4030,5415", "comma-separated data-center sizes (number of VMs)")
-		days      = flag.Int("days", 7, "days to generate when no trace file is given")
-		vms       = flag.Int("vms", 5415, "VMs to generate when no trace file is given")
-		seed      = flag.Int64("seed", 2008, "generator seed")
-		ablations = flag.Bool("ablations", false, "also run IPAC-noDVFS and static+DVFS")
-		workers   = flag.Int("workers", 0, "parallel runs (0 = GOMAXPROCS)")
-		format    = flag.String("format", "text", "output format: text, csv, or markdown")
-		series    = flag.Int("series", 0, "instead of the sweep, dump a per-step power/active/demand series for a run with this many VMs")
-		snapshot  = flag.String("snapshot", "", "with -series: write the final data-center state as JSON to this file")
-		checkRun  = flag.Bool("check", false, "run a Fig. 6 subset with every runtime invariant enabled and report violations")
-		faultsP   = flag.String("faults", "", "fault-injection profile JSON (see internal/fault); every run gets its own deterministic injector; the serve and guard classes only fire in the period-driven harnesses (cmd/serve)")
-		reportP   = flag.String("report", "", "with -check: also write a machine-readable JSON verification report to this file")
-		obsOut    = flag.String("obs", "", "write a controller-health scorecard (schema vdcobs/v1) aggregated across all runs as JSON to this file")
+		workloadP = fs.String("workload", "", "workload trace file (.gob or .csv); generated if empty")
+		replayP   = fs.String("replay", "", "replay spec JSON (see internal/trace.ReplaySpec): build the workload by deterministically replaying a real-trace corpus, with any distortions the spec lists")
+		traceOut  = fs.String("trace", "", "write a Chrome-trace JSON recording of the run's spans to this file (the workload input flag is -workload)")
+		sizesStr  = fs.String("sizes", "30,230,1030,2030,3030,4030,5415", "comma-separated data-center sizes (number of VMs)")
+		days      = fs.Int("days", 7, "days to generate when no trace file is given")
+		vms       = fs.Int("vms", 5415, "VMs to generate when no trace file is given")
+		seed      = fs.Int64("seed", 2008, "generator seed")
+		ablations = fs.Bool("ablations", false, "also run IPAC-noDVFS and static+DVFS")
+		workers   = fs.Int("workers", 0, "parallel runs (0 = GOMAXPROCS)")
+		format    = fs.String("format", "text", "output format: text, csv, or markdown")
+		series    = fs.Int("series", 0, "instead of the sweep, dump a per-step power/active/demand series for a run with this many VMs")
+		snapshot  = fs.String("snapshot", "", "with -series: write the final data-center state as JSON to this file")
+		checkRun  = fs.Bool("check", false, "run a Fig. 6 subset with every runtime invariant enabled and report violations")
+		faultsP   = fs.String("faults", "", "fault-injection profile JSON (see internal/fault); every run gets its own deterministic injector; the serve and guard classes only fire in the period-driven harnesses (cmd/serve)")
+		reportP   = fs.String("report", "", "with -check: also write a machine-readable JSON verification report to this file")
+		obsOut    = fs.String("obs", "", "write a controller-health scorecard (schema vdcobs/v1) aggregated across all runs as JSON to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	// The aggregate scorecard, when requested. Every run observes into
 	// its own per-run scorecard with the same SLO geometry; the runs
@@ -76,14 +90,14 @@ func main() {
 	if *faultsP != "" {
 		p, err := fault.LoadProfile(*faultsP)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		prof = &p
 	}
 
 	if *traceOut != "" {
 		if err := validateTraceOut(*traceOut); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -91,7 +105,7 @@ func main() {
 		// Verification mode defaults to a small subset unless sizes/days
 		// were given explicitly.
 		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+		fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 		if !explicit["sizes"] {
 			*sizesStr = "30,230"
 		}
@@ -107,7 +121,7 @@ func main() {
 	for _, s := range strings.Split(*sizesStr, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
-			log.Fatalf("bad size %q: %v", s, err)
+			return fmt.Errorf("bad size %q: %w", s, err)
 		}
 		sizes = append(sizes, n)
 	}
@@ -120,21 +134,21 @@ func main() {
 	)
 	if *replayP != "" {
 		if *workloadP != "" {
-			log.Fatal("-replay and -workload are mutually exclusive")
+			return errors.New("-replay and -workload are mutually exclusive")
 		}
 		sp, err := trace.LoadSpec(*replayP)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if tr, prov, err = sp.Build(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		scorecard.SetProvenance(obsProvenance(prov))
-		fmt.Printf("replayed %s: %d records, %d distorted\n", prov.Source, prov.Records, prov.Distorted)
-	} else if tr, err = loadOrGenerate(*workloadP, *vms, *days, *seed); err != nil {
-		log.Fatal(err)
+		printf(stdout, "replayed %s: %d records, %d distorted\n", prov.Source, prov.Records, prov.Distorted)
+	} else if tr, err = loadOrGenerate(*workloadP, *vms, *days, *seed, stdout); err != nil {
+		return err
 	}
-	fmt.Printf("trace: %d VMs × %d steps (%.0f s/step), peak/mean load %.2f\n\n",
+	printf(stdout, "trace: %d VMs × %d steps (%.0f s/step), peak/mean load %.2f\n\n",
 		tr.NumVMs(), tr.NumSteps(), tr.StepSeconds, tr.PeakToMean())
 
 	// The span recorder, when requested. Runs drive tracks on logical
@@ -146,16 +160,13 @@ func main() {
 	}
 
 	if *checkRun {
-		if err := runChecked(tr, sizes, tracer, prof, *reportP, scorecard, prov); err != nil {
-			log.Fatal(err)
+		if err := runChecked(tr, sizes, tracer, prof, *reportP, scorecard, prov, stdout); err != nil {
+			return err
 		}
 		if err := writeTrace(tracer, *traceOut); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := writeScorecard(scorecard, *obsOut); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return writeScorecard(scorecard, *obsOut)
 	}
 
 	if *series > 0 {
@@ -170,34 +181,23 @@ func main() {
 			t.AddRow(k, fmt.Sprintf("%.2f", float64(k)*tr.StepSeconds/3600),
 				fmt.Sprintf("%.1f", powerW), active, fmt.Sprintf("%.1f", demand))
 		}
+		var snapErr error
 		if *snapshot != "" {
-			cfg.OnDone = func(dc *cluster.DataCenter) {
-				f, err := os.Create(*snapshot)
-				if err != nil {
-					log.Fatal(err)
-				}
-				if err := dc.Snapshot().WriteJSON(f); err != nil {
-					log.Fatal(err)
-				}
-				if err := f.Close(); err != nil {
-					log.Fatal(err)
-				}
-				fmt.Fprintf(os.Stderr, "wrote final state to %s\n", *snapshot)
-			}
+			cfg.OnDone = func(dc *cluster.DataCenter) { snapErr = writeSnapshot(dc, *snapshot) }
 		}
 		if _, err := dcsim.Run(cfg); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := t.Format(os.Stdout, *format); err != nil {
-			log.Fatal(err)
+		if snapErr != nil {
+			return snapErr
+		}
+		if err := t.Format(stdout, *format); err != nil {
+			return err
 		}
 		if err := writeTrace(tracer, *traceOut); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := writeScorecard(scorecard, *obsOut); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return writeScorecard(scorecard, *obsOut)
 	}
 
 	policies := []func() optimizer.Consolidator{
@@ -217,13 +217,13 @@ func main() {
 
 	points, err := dcsim.Fig6Sweep(tr, sizes, policies, dcsim.SweepOptions{Workers: *workers, Tracer: tracer, FaultProfile: prof, Obs: scorecard})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := writeTrace(tracer, *traceOut); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := writeScorecard(scorecard, *obsOut); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	headers := append([]string{"VMs"}, names...)
@@ -240,15 +240,34 @@ func main() {
 		row = append(row, fmt.Sprintf("%.1f", 100*s))
 		t.AddRow(row...)
 	}
-	if err := t.Format(os.Stdout, *format); err != nil {
-		log.Fatal(err)
+	if err := t.Format(stdout, *format); err != nil {
+		return err
 	}
 	mean := 0.0
 	for _, s := range savings {
 		mean += s
 	}
 	mean /= float64(len(savings))
-	fmt.Printf("\naverage IPAC saving vs pMapper: %.1f%% (paper reports 40.7%%)\n", mean*100)
+	printf(stdout, "\naverage IPAC saving vs pMapper: %.1f%% (paper reports 40.7%%)\n", mean*100)
+	return nil
+}
+
+// writeSnapshot dumps the final data-center state of a -series run as
+// JSON.
+func writeSnapshot(dc *cluster.DataCenter, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = dc.Snapshot().WriteJSON(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote final state to %s\n", path)
+	return nil
 }
 
 // checkReport is the machine-readable verdict of a -check run (-report):
@@ -281,7 +300,7 @@ type checkRunReport struct {
 // chaos verification is reproducible run by run. Any violation is a fatal
 // error; reportPath, when nonempty, additionally receives the JSON
 // verdict.
-func runChecked(tr *workload.Trace, sizes []int, tracer *telemetry.Tracer, prof *fault.Profile, reportPath string, scorecard *obs.Scorecard, prov *trace.Provenance) error {
+func runChecked(tr *workload.Trace, sizes []int, tracer *telemetry.Tracer, prof *fault.Profile, reportPath string, scorecard *obs.Scorecard, prov *trace.Provenance, stdout io.Writer) error {
 	type checkedPolicy struct {
 		name string
 		mk   func() (optimizer.Consolidator, *check.PolicyAuditor)
@@ -333,10 +352,10 @@ func runChecked(tr *workload.Trace, sizes []int, tracer *telemetry.Tracer, prof 
 			if checker.NumViolations() > 0 {
 				status = "VIOLATIONS"
 			}
-			fmt.Printf("%-8s n=%-5d events=%-6d invariants=%d violations=%d faults=%-4d %s (%.1f Wh/VM)\n",
+			printf(stdout, "%-8s n=%-5d events=%-6d invariants=%d violations=%d faults=%-4d %s (%.1f Wh/VM)\n",
 				pol.name, n, checker.Events(), len(check.All())+1, checker.NumViolations(), res.FaultsInjected, status, res.EnergyPerVMWh)
 			for _, v := range checker.Violations() {
-				fmt.Printf("    %s\n", v)
+				printf(stdout, "    %s\n", v)
 			}
 			doc.Violations += checker.NumViolations()
 			doc.FaultsInjected += res.FaultsInjected
@@ -360,7 +379,7 @@ func runChecked(tr *workload.Trace, sizes []int, tracer *telemetry.Tracer, prof 
 	if doc.Violations > 0 {
 		return fmt.Errorf("%d invariant violation(s)", doc.Violations)
 	}
-	fmt.Println("\nall invariants held")
+	printf(stdout, "\nall invariants held\n")
 	return nil
 }
 
@@ -476,9 +495,9 @@ func writeTrace(tr *telemetry.Tracer, path string) error {
 	return nil
 }
 
-func loadOrGenerate(path string, vms, days int, seed int64) (*workload.Trace, error) {
+func loadOrGenerate(path string, vms, days int, seed int64, stdout io.Writer) (*workload.Trace, error) {
 	if path == "" {
-		fmt.Printf("generating synthetic trace (%d VMs, %d days, seed %d)...\n", vms, days, seed)
+		printf(stdout, "generating synthetic trace (%d VMs, %d days, seed %d)...\n", vms, days, seed)
 		return workload.Generate(workload.GenConfig{NumVMs: vms, Days: days, StepsPerHour: 4, Seed: seed})
 	}
 	f, err := os.Open(path)

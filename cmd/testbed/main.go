@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -27,16 +29,26 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("testbed: ")
+	// -h prints the usage and exits 0, as flag.ExitOnError would.
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("testbed", flag.ContinueOnError)
 	var (
-		fig    = flag.String("fig", "all", "which figure to regenerate: 2, 3, 4, 5, or all")
-		apps   = flag.Int("apps", 8, "number of two-tier applications")
-		srv    = flag.Int("servers", 4, "number of physical servers")
-		conc   = flag.Int("concurrency", 40, "baseline concurrency level")
-		seed   = flag.Int64("seed", 1, "random seed")
-		format = flag.String("format", "text", "output format: text, csv, or markdown")
-		trace  = flag.String("trace", "", "run the integrated two-level system and write a Chrome-trace JSON to this file")
+		fig    = fs.String("fig", "all", "which figure to regenerate: 2, 3, 4, 5, or all")
+		apps   = fs.Int("apps", 8, "number of two-tier applications")
+		srv    = fs.Int("servers", 4, "number of physical servers")
+		conc   = fs.Int("concurrency", 40, "baseline concurrency level")
+		seed   = fs.Int64("seed", 1, "random seed")
+		format = fs.String("format", "text", "output format: text, csv, or markdown")
+		trace  = fs.String("trace", "", "run the integrated two-level system and write a Chrome-trace JSON to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := testbed.DefaultConfig()
 	cfg.NumApps = *apps
@@ -45,40 +57,43 @@ func main() {
 	cfg.Seed = *seed
 
 	if *trace != "" {
-		if err := tracedRun(cfg, *trace); err != nil {
-			log.Fatalf("traced run: %v", err)
+		if err := tracedRun(cfg, *trace, stdout); err != nil {
+			return fmt.Errorf("traced run: %w", err)
 		}
-		return
+		return nil
 	}
 
-	emit := func(t *report.Table) {
-		if err := t.Format(os.Stdout, *format); err != nil {
-			log.Fatal(err)
+	emit := func(t *report.Table) error {
+		if err := t.Format(stdout, *format); err != nil {
+			return err
 		}
-		fmt.Println()
+		_, err := fmt.Fprintln(stdout)
+		return err
 	}
 	want := func(name string) bool { return *fig == "all" || *fig == name }
 
 	if want("2") {
 		rows, err := testbed.Fig2(cfg)
 		if err != nil {
-			log.Fatalf("figure 2: %v", err)
+			return fmt.Errorf("figure 2: %w", err)
 		}
 		t := report.New("Figure 2: response time of all applications (set point 1000 ms)",
 			"app", "mean_ms", "std_ms")
 		for _, r := range rows {
 			t.AddRow(r.Label, r.Mean*1000, r.Std*1000)
 		}
-		emit(t)
+		if err := emit(t); err != nil {
+			return err
+		}
 	}
 	if want("3") {
 		controlled, err := testbed.Fig3(cfg)
 		if err != nil {
-			log.Fatalf("figure 3: %v", err)
+			return fmt.Errorf("figure 3: %w", err)
 		}
 		static, err := testbed.Fig3Static(cfg)
 		if err != nil {
-			log.Fatalf("figure 3 baseline: %v", err)
+			return fmt.Errorf("figure 3 baseline: %w", err)
 		}
 		t := report.New(
 			fmt.Sprintf("Figure 3: %s under a workload step (concurrency %d→%d during 600–1200 s)",
@@ -99,41 +114,50 @@ func main() {
 				fmt.Sprintf("%.1f", controlled.Power[i].Value),
 			)
 		}
-		emit(t)
-		fmt.Printf("surge-window violation rate (>1.5× set point, t∈[800,1200)): controlled %.0f%%, static %.0f%%\n\n",
-			100*violRate(controlled, cfg.Setpoint), 100*violRate(static, cfg.Setpoint))
+		if err := emit(t); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(stdout, "surge-window violation rate (>1.5× set point, t∈[800,1200)): controlled %.0f%%, static %.0f%%\n\n",
+			100*controlled.LateViolationRate(cfg.Setpoint), 100*static.LateViolationRate(cfg.Setpoint)); err != nil {
+			return err
+		}
 	}
 	if want("4") {
 		rows, err := testbed.Fig4(cfg, []int{30, 40, 50, 60, 70, 80})
 		if err != nil {
-			log.Fatalf("figure 4: %v", err)
+			return fmt.Errorf("figure 4: %w", err)
 		}
 		t := report.New("Figure 4: response time of App5 under different workloads",
 			"workload", "mean_ms", "std_ms")
 		for _, r := range rows {
 			t.AddRow(r.Label, r.Mean*1000, r.Std*1000)
 		}
-		emit(t)
+		if err := emit(t); err != nil {
+			return err
+		}
 	}
 	if want("5") {
 		rows, err := testbed.Fig5(cfg, []float64{0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3})
 		if err != nil {
-			log.Fatalf("figure 5: %v", err)
+			return fmt.Errorf("figure 5: %w", err)
 		}
 		t := report.New("Figure 5: response time of App5 under different set points",
 			"set_point", "mean_ms", "std_ms")
 		for _, r := range rows {
 			t.AddRow(r.Label, r.Mean*1000, r.Std*1000)
 		}
-		emit(t)
+		if err := emit(t); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // tracedRun drives the full two-level system — MPC controllers, server
 // arbitrators, and IPAC consolidation — with the span recorder attached,
 // then writes the recording as Chrome-trace JSON. Spans run on the
 // simulation clock, so repeated runs with one seed are byte-identical.
-func tracedRun(cfg testbed.Config, path string) error {
+func tracedRun(cfg testbed.Config, path string, stdout io.Writer) error {
 	tb, err := testbed.New(cfg)
 	if err != nil {
 		return err
@@ -158,24 +182,6 @@ func tracedRun(cfg testbed.Config, path string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d span events (%d dropped) to %s\n", len(recs), tr.Dropped(), path)
-	return nil
-}
-
-// violRate computes the fraction of late-surge samples above 1.5× the
-// set point.
-func violRate(res *testbed.Fig3Result, setpoint float64) float64 {
-	viol, n := 0, 0
-	for _, p := range res.ResponseTime {
-		if p.Time >= 800 && p.Time < 1200 {
-			n++
-			if p.Value > setpoint*1.5 {
-				viol++
-			}
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(viol) / float64(n)
+	_, err = fmt.Fprintf(stdout, "wrote %d span events (%d dropped) to %s\n", len(recs), tr.Dropped(), path)
+	return err
 }

@@ -208,7 +208,7 @@ func (q *PSQueue) advance() {
 // SetCapacity churn would otherwise draw a fresh sequence number on
 // every call, reordering the completion behind same-instant work and —
 // once the completion time collapses onto the current instant — feeding
-// the same-timestamp storm of ROADMAP item 6.
+// the same-timestamp storm of DESIGN §14.
 func (q *PSQueue) reschedule() {
 	if len(q.jobs) == 0 {
 		q.next.Stop()
@@ -235,7 +235,7 @@ func (q *PSQueue) complete() {
 	for len(q.jobs) > 0 && q.jobs[0].vfinish <= q.vnow+eps {
 		finished = append(finished, q.pop().done)
 	}
-	// Zeno guard (ROADMAP item 6). At large sim times the head job's
+	// Zeno guard (DESIGN §14). At large sim times the head job's
 	// remaining virtual work can sit above eps while its ETA is below one
 	// ulp of the clock: the completion event then re-arms at this exact
 	// instant, advance() sees dt == 0, and the loop never terminates.

@@ -8,7 +8,7 @@ import (
 	"vdcpower/internal/devs"
 )
 
-// Regression for ROADMAP item 6, the Zeno wedge. At a large sim time the
+// Regression for the Zeno wedge of DESIGN §14. At a large sim time the
 // clock's ulp (~1.2e-7 s at t=1e9) dwarfs the completion tolerance
 // (eps=1e-12 GHz·s of virtual work): a tiny job's remaining work sits
 // above eps while its ETA underflows the clock, so the completion event

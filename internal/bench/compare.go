@@ -28,7 +28,7 @@ const (
 const allocFloor = 64
 
 // hotAllocFloor is the tightened floor for the declared hot paths: they
-// run allocation-free in steady state (ROADMAP item 2), so their per-op
+// run allocation-free in steady state (DESIGN §12), so their per-op
 // budget is a small fixed setup cost and even a few extra allocations
 // signal a reuse regression.
 const hotAllocFloor = 8

@@ -161,7 +161,7 @@ func (e *Env) LintPatterns() []string {
 // The accessor is safe for concurrent use; the pool itself serves one
 // search at a time, which holds because scenarios run sequentially.
 // Sharing it across reps means the packing/minslack scenario measures
-// the search at its allocation-free steady state (ROADMAP item 2).
+// the search at its allocation-free steady state (DESIGN §12).
 func (e *Env) MinSlackPool() *packing.Pool {
 	e.poolOnce.Do(func() { e.pool = packing.NewPool() })
 	return e.pool

@@ -139,7 +139,7 @@ func Default() *Registry {
 	})
 	r.mustRegister(&Scenario{
 		Name: "guard/wedge",
-		Doc:  "bounded drains over a PS queue under submit/actuation churn (the ROADMAP item 6 shape)",
+		Doc:  "bounded drains over a PS queue under submit/actuation churn (the wedge shape of DESIGN §14)",
 		Run:  runGuardWedge,
 	})
 	return r
@@ -400,7 +400,7 @@ func mpcRun(levelPenalty float64) (float64, error) {
 	// Rotating 3-slot allocation history: each period recycles the oldest
 	// slot as the new head instead of prepending a fresh clone, so the
 	// driver loop stays allocation-free and the benchmark times the solve,
-	// not the harness (ROADMAP item 2). Values match the old prepend-and-
+	// not the harness (DESIGN §12). Values match the old prepend-and-
 	// trim loop bit for bit (1*delta is exactly delta).
 	cHist := []mat.Vec{cur.Clone(), cur.Clone(), cur.Clone()}
 	for k := 0; k < 100; k++ {
@@ -595,7 +595,7 @@ func runTraceReplay(e *Env) (Metrics, error) {
 
 // runGuardWedge tracks the cost of the bounded-execution path: a PS
 // queue under heavy submit + SetCapacity churn (the actuation pattern
-// that fed ROADMAP item 6's wedge) drained period by period through
+// that fed the wedge of DESIGN §14) drained period by period through
 // RunUntilBudget under the default step budget. The budget never trips
 // here — the scenario prices what a guarded healthy drain costs, so a
 // regression in the budget bookkeeping (or in re-arming the queue's

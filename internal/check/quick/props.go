@@ -452,7 +452,7 @@ func realMPCSequence(cfg mpc.Config, tHists [][]float64, cHists [][]mat.Vec) ([]
 
 // mpcWarmStartEquivalence: a controller that warm-starts each QP from
 // the previous period's active set produces the same moves as one that
-// solves every period cold (ROADMAP item 2). R > 0 makes each program
+// solves every period cold (DESIGN §12). R > 0 makes each program
 // strictly convex, so the minimizer is unique and the paths agree to
 // solver round-off.
 func mpcWarmStartEquivalence(compute mpcSequenceFn, seed int64) error {
@@ -498,7 +498,7 @@ func mpcWarmStartEquivalence(compute mpcSequenceFn, seed int64) error {
 // minSlackPoolReuseExact: running Algorithm 1 through a node pool that
 // was just dirtied by a different instance returns exactly the result of
 // the allocating form — the pool is an allocation strategy, never an
-// answer change (ROADMAP item 2).
+// answer change (DESIGN §12).
 func minSlackPoolReuseExact(fn minSlackFn, seed int64) error {
 	b, items, cons, cfg := packingInstance(seed)
 	plain := fn(b, items, cons, cfg)

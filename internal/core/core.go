@@ -332,7 +332,7 @@ func (c *ResponseTimeController) Step() (StepResult, error) {
 // backing array is recycled as the new head, preloaded with the previous
 // head's values, and returned for in-place mutation before being read
 // again. History semantics match the old prepend-and-trim exactly; only
-// the storage is reused (ROADMAP item 2).
+// the storage is reused (DESIGN §12).
 func (c *ResponseTimeController) pushAllocSlot() mat.Vec {
 	last := len(c.cHist) - 1
 	slot := c.cHist[last]

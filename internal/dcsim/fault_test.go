@@ -166,7 +166,7 @@ func TestRealErrorReturnsPartialResult(t *testing.T) {
 }
 
 // TestReusedConsolidatorSurvivesChaos guards the pooled search buffers
-// (ROADMAP item 2): an IPAC whose node pool and stats just went through
+// (DESIGN §12): an IPAC whose node pool and stats just went through
 // a chaos run — crashes, migration aborts, injected pass errors firing
 // mid-consolidation — must behave on a subsequent clean run exactly like
 // a fresh IPAC. Any divergence means an aborted pass left poisoned state

@@ -9,7 +9,7 @@ import (
 
 // Budget bounds one drain of the event queue. A zero Budget imposes no
 // bound. Budgets exist because a broken model can schedule events forever
-// at one instant (a Zeno storm, ROADMAP item 6): the kernel must be able
+// at one instant (a Zeno storm, DESIGN §14): the kernel must be able
 // to hand control back to its caller instead of spinning.
 type Budget struct {
 	// MaxEvents caps the total events fired in one drain. 0 = unbounded.

@@ -1,7 +1,7 @@
 package mat
 
-// Workspace is a replay-style arena for the solver hot paths (ROADMAP
-// item 2): growable Vec/Mat/[]int slots handed out in call order, plus
+// Workspace is a replay-style arena for the solver hot paths (DESIGN
+// §12): growable Vec/Mat/[]int slots handed out in call order, plus
 // one reusable LU and one reusable QR factorization. Reset rewinds the
 // slot cursors without freeing anything, so a caller that issues the
 // same sequence of Take calls every solve gets the same backing arrays

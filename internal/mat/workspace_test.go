@@ -1,7 +1,7 @@
 package mat
 
 // Reuse-safety tests for the Workspace arena and the warm-started
-// active-set QP (ROADMAP item 2): back-to-back solves through one
+// active-set QP (DESIGN §12): back-to-back solves through one
 // Workspace must never leak state between calls — no stale
 // factorizations, no dirty scratch, no output aliasing an input — and
 // the warm-started path must agree with the cold path on the problems

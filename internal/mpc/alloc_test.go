@@ -1,7 +1,7 @@
 package mpc
 
-// Steady-state zero-allocation gate for the mpc/solve hot path (ROADMAP
-// item 2): once the controller's workspace has warmed up to its
+// Steady-state zero-allocation gate for the mpc/solve hot path (DESIGN
+// §12): once the controller's workspace has warmed up to its
 // high-water mark, Compute must not touch the heap. The gate runs in
 // ordinary `go test`, so an allocation regression fails CI, not just a
 // benchmark dashboard. Skipped under -race: the detector's shadow-state

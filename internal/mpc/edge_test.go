@@ -32,12 +32,12 @@ func TestSingleInputSISO(t *testing.T) {
 		CMin:        mat.Vec{0.1},
 		CMax:        mat.Vec{4},
 	}
-	a, err := Analyze(cfg, AnalyzeOptions{InitialT: 2.5})
+	ctl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Converged {
-		t.Fatalf("SISO loop did not converge: %+v", a)
+	if ts, _ := simulate(t, ctl, cfg.Model, 60, midRange(cfg), 2.5); !settled(ts, cfg.Setpoint) {
+		t.Fatalf("SISO loop did not converge: %v", ts[len(ts)-20:])
 	}
 }
 
@@ -64,12 +64,12 @@ func TestMinimalHorizonsPEqualsM1(t *testing.T) {
 func TestLongControlHorizonMEqualsP(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.M = cfg.P
-	a, err := Analyze(cfg, AnalyzeOptions{InitialT: 3.0})
+	ctl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Converged {
-		t.Fatalf("M=P loop did not converge: %+v", a)
+	if ts, _ := simulate(t, ctl, cfg.Model, 60, midRange(cfg), 3.0); !settled(ts, cfg.Setpoint) {
+		t.Fatalf("M=P loop did not converge: %v", ts[len(ts)-20:])
 	}
 }
 
@@ -96,12 +96,8 @@ func TestHigherOrderARXModel(t *testing.T) {
 	if len(res.Delta) != 2 {
 		t.Fatalf("delta width %d", len(res.Delta))
 	}
-	a, err := Analyze(cfg, AnalyzeOptions{InitialT: 2.5, Periods: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Converged {
-		t.Fatalf("second-order loop did not converge: %+v", a)
+	if ts, _ := simulate(t, ctl, m, 80, midRange(cfg), 2.5); !settled(ts, cfg.Setpoint) {
+		t.Fatalf("second-order loop did not converge: %v", ts[len(ts)-20:])
 	}
 }
 

@@ -66,7 +66,7 @@ type Controller struct {
 	trace *telemetry.Track // set via SetTrace; nil keeps tracing off
 
 	// Solver state and scratch, sized once in New so that a steady-state
-	// Compute performs no heap allocation (ROADMAP item 2).
+	// Compute performs no heap allocation (DESIGN §12).
 	ws      *mat.Workspace
 	qpTerm  mat.QPState    // warm start of the terminal-constrained program
 	qpRelax mat.QPState    // warm start of the relaxed program

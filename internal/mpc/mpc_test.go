@@ -33,11 +33,21 @@ func defaultConfig() Config {
 	}
 }
 
-// simulate closes the loop: plant == model (perfect model case).
-func simulate(t *testing.T, ctl *Controller, steps int, c0 mat.Vec, t0 float64) (ts []float64, cs []mat.Vec) {
-	model := plantModel()
-	tHist := []float64{t0, t0}
-	cHist := []mat.Vec{c0.Clone(), c0.Clone(), c0.Clone()}
+// simulate closes the loop between ctl and a linear plant for steps
+// periods, starting at rest at response time t0 with allocations c0. The
+// plant may differ from the controller's model in its orders, gains and
+// offset, but not in its number of inputs.
+func simulate(t *testing.T, ctl *Controller, plant *sysid.Model, steps int, c0 mat.Vec, t0 float64) (ts []float64, cs []mat.Vec) {
+	t.Helper()
+	model := ctl.cfg.Model
+	tHist := make([]float64, max(plant.Na, model.Na)+1)
+	for i := range tHist {
+		tHist[i] = t0
+	}
+	cHist := make([]mat.Vec, max(plant.Nb, model.Nb)+1)
+	for i := range cHist {
+		cHist[i] = c0.Clone()
+	}
 	cur := c0.Clone()
 	for k := 0; k < steps; k++ {
 		res, err := ctl.Compute(tHist, cHist)
@@ -45,20 +55,36 @@ func simulate(t *testing.T, ctl *Controller, steps int, c0 mat.Vec, t0 float64) 
 			t.Fatalf("step %d: %v", k, err)
 		}
 		cur = cur.Add(res.Delta)
-		cHist = append([]mat.Vec{cur.Clone()}, cHist...)
-		// Predict wants cPast[0]=c(k): after pushing, cHist[0] is c(k).
-		y := model.Predict(tHist, cHist)
+		// Predict wants cPast[0]=c(k): after the shift, cHist[0] is c(k).
+		copy(cHist[1:], cHist)
+		cHist[0] = cur.Clone()
+		y := plant.Predict(tHist, cHist)
 		ts = append(ts, y)
 		cs = append(cs, cur.Clone())
-		tHist = append([]float64{y}, tHist...)
-		if len(tHist) > 4 {
-			tHist = tHist[:4]
-		}
-		if len(cHist) > 4 {
-			cHist = cHist[:4]
-		}
+		copy(tHist[1:], tHist)
+		tHist[0] = y
 	}
 	return ts, cs
+}
+
+// midRange is the allocation halfway between each input's bounds.
+func midRange(cfg Config) mat.Vec {
+	c := make(mat.Vec, len(cfg.CMin))
+	for i := range c {
+		c[i] = (cfg.CMin[i] + cfg.CMax[i]) / 2
+	}
+	return c
+}
+
+// settled reports whether the last 20 outputs lie within 2% of the set
+// point.
+func settled(ts []float64, setpoint float64) bool {
+	for _, y := range ts[len(ts)-20:] {
+		if math.Abs(y-setpoint) > 0.02*setpoint {
+			return false
+		}
+	}
+	return true
 }
 
 func TestNewValidation(t *testing.T) {
@@ -106,7 +132,7 @@ func TestConvergesToSetpointPerfectModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Start far above the set point (t=3s with low allocations).
-	ts, _ := simulate(t, ctl, 40, mat.Vec{0.5, 0.5}, 3.0)
+	ts, _ := simulate(t, ctl, plantModel(), 40, mat.Vec{0.5, 0.5}, 3.0)
 	final := ts[len(ts)-1]
 	if math.Abs(final-1.0) > 0.02 {
 		t.Fatalf("did not converge: final t = %v, want 1.0", final)
@@ -125,7 +151,7 @@ func TestConvergesFromBelow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, cs := simulate(t, ctl, 40, mat.Vec{3.0, 3.0}, 0.3)
+	ts, cs := simulate(t, ctl, plantModel(), 40, mat.Vec{3.0, 3.0}, 0.3)
 	final := ts[len(ts)-1]
 	if math.Abs(final-1.0) > 0.02 {
 		t.Fatalf("did not converge: final t = %v", final)
@@ -143,7 +169,7 @@ func TestRespectsAllocationBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cs := simulate(t, ctl, 30, mat.Vec{1.0, 1.0}, 5.0)
+	_, cs := simulate(t, ctl, plantModel(), 30, mat.Vec{1.0, 1.0}, 5.0)
 	for k, cv := range cs {
 		for i, x := range cv {
 			if x > cfg.CMax[i]+1e-6 || x < cfg.CMin[i]-1e-6 {
@@ -258,7 +284,7 @@ func TestSetpointChangeRetargets(t *testing.T) {
 	if ctl.Setpoint() != 1.5 {
 		t.Fatal("SetSetpoint did not apply")
 	}
-	ts, _ := simulate(t, ctl, 40, mat.Vec{1, 1}, 3.0)
+	ts, _ := simulate(t, ctl, plantModel(), 40, mat.Vec{1, 1}, 3.0)
 	if final := ts[len(ts)-1]; math.Abs(final-1.5) > 0.03 {
 		t.Fatalf("final t = %v, want 1.5", final)
 	}
@@ -276,9 +302,70 @@ func TestModelMismatchStillConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, _ := simulate(t, ctl, 60, mat.Vec{0.5, 0.5}, 3.0)
+	ts, _ := simulate(t, ctl, plantModel(), 60, mat.Vec{0.5, 0.5}, 3.0)
 	if final := ts[len(ts)-1]; math.Abs(final-1.0) > 0.05 {
 		t.Fatalf("mismatch loop did not converge: %v", final)
+	}
+}
+
+func TestAnalyzeNominalConverges(t *testing.T) {
+	cfg := defaultConfig()
+	ctl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := simulate(t, ctl, plantModel(), 60, midRange(cfg), 3.0)
+	// Settled within 20 periods: from then on the output never leaves
+	// the ±2% band.
+	for k, y := range ts[20:] {
+		if math.Abs(y-cfg.Setpoint) > 0.02*cfg.Setpoint {
+			t.Fatalf("settling too slow: period %d at %v", 20+k, y)
+		}
+	}
+}
+
+func TestAnalyzeFromBelow(t *testing.T) {
+	cfg := defaultConfig()
+	ctl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts, _ := simulate(t, ctl, plantModel(), 60, mat.Vec{3, 3}, 0.2); !settled(ts, cfg.Setpoint) {
+		t.Fatalf("loop did not converge from below: %v", ts[len(ts)-20:])
+	}
+}
+
+func TestAnalyzeOvershootBounded(t *testing.T) {
+	cfg := defaultConfig()
+	ctl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const t0 = 4.0
+	ts, _ := simulate(t, ctl, plantModel(), 60, midRange(cfg), t0)
+	// The exponential reference trajectory should keep the excursion
+	// below the set point modest, as a fraction of the initial error.
+	for _, y := range ts {
+		if o := (cfg.Setpoint - y) / (t0 - cfg.Setpoint); o > 0.3 {
+			t.Fatalf("overshoot %.2f too large", o)
+		}
+	}
+}
+
+func TestAnalyzeMismatchedPlant(t *testing.T) {
+	// 50% stronger plant gains: feedback must still converge.
+	plant := plantModel()
+	for j := range plant.B {
+		plant.B[j] = plant.B[j].Clone().Scale(1.5)
+	}
+	plant.Gamma *= 1.5
+	cfg := defaultConfig()
+	ctl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts, _ := simulate(t, ctl, plant, 80, midRange(cfg), 3.0); !settled(ts, cfg.Setpoint) {
+		t.Fatalf("loop with 1.5× plant gains did not converge: %v", ts[len(ts)-20:])
 	}
 }
 

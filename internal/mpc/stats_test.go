@@ -14,7 +14,7 @@ func TestSolveStatsAccumulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simulate(t, ctl, 10, mat.Vec{1, 1}, 2.0)
+	simulate(t, ctl, plantModel(), 10, mat.Vec{1, 1}, 2.0)
 	st := ctl.Stats()
 	if st.Solves != 10 {
 		t.Fatalf("solves = %d, want 10", st.Solves)
@@ -68,7 +68,7 @@ func TestSolveStatsDisabledWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simulate(t, ctl, 5, mat.Vec{1, 1}, 2.0)
+	simulate(t, ctl, plantModel(), 5, mat.Vec{1, 1}, 2.0)
 	st := ctl.Stats()
 	if st.Solves != 0 || st.WarmAttempts != 0 {
 		t.Fatalf("stats with warm start disabled = %+v, want zero QP tallies", st)

@@ -1,6 +1,6 @@
 package mpc
 
-// Warm-start equivalence (ROADMAP item 2): a controller reusing the
+// Warm-start equivalence (DESIGN §12): a controller reusing the
 // previous period's active set must produce the same closed-loop moves
 // as one that starts every QP cold. The programs are strictly convex
 // (R > 0), so the minimizer is unique and the two paths may differ only

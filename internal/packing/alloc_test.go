@@ -1,7 +1,7 @@
 package packing
 
 // Steady-state zero-allocation gate for the packing/minslack hot path
-// (ROADMAP item 2): once a Pool has warmed up, repeated MinimumSlack
+// (DESIGN §12): once a Pool has warmed up, repeated MinimumSlack
 // calls through it must not touch the heap. Skipped under -race.
 
 import (

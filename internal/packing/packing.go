@@ -109,7 +109,7 @@ type MinSlackConfig struct {
 	// whole consolidation pass.
 	Stats *SearchStats
 	// Pool, when non-nil, supplies reusable search buffers so repeated
-	// calls allocate nothing in steady state (ROADMAP item 2). Like
+	// calls allocate nothing in steady state (DESIGN §12). Like
 	// Stats, the pointer survives config copies. See Pool for the
 	// result-ownership consequences.
 	Pool *Pool

@@ -1,7 +1,7 @@
 //go:build !race
 
 // Package race reports whether the binary was built with the race
-// detector. The zero-allocation test gates (ROADMAP item 2) skip
+// detector. The zero-allocation test gates (DESIGN §12) skip
 // themselves under -race: the detector instruments every memory access
 // and allocates shadow state, so testing.AllocsPerRun measures the
 // instrumentation, not the code under test.

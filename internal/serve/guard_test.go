@@ -113,8 +113,8 @@ func TestHealthAnswersWhileStepHoldsMutex(t *testing.T) {
 	}
 }
 
-// Satellite 3: the end-to-end wedge shape of ROADMAP item 6 — loosened
-// setpoints under a fast tick — now completes with the breaker opening on
+// The end-to-end wedge shape of DESIGN §14 — loosened setpoints
+// under a fast tick — now completes with the breaker opening on
 // injected budget exhaustion and recovering once it stops. Runs under
 // -race in CI.
 func TestWedgeEndToEndBreakerOpensAndRecovers(t *testing.T) {

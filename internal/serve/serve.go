@@ -86,7 +86,7 @@ type Server struct {
 // liveDoc is the read model behind /health and /status: rebuilt under
 // s.mu at every state change, read without any lock. A wedged or merely
 // slow step can therefore never block a readiness probe — the bug that
-// motivated the guard layer (ROADMAP item 6).
+// motivated the guard layer (DESIGN §14).
 type liveDoc struct {
 	status Status
 	health Health

@@ -96,6 +96,21 @@ func (m *Model) Stable() bool {
 	return s < 1
 }
 
+// Credible reports whether the model is fit to steer a controller: it is
+// well formed, stable, and every input's DC gain is negative, since more
+// CPU must not slow the application.
+func (m *Model) Credible() bool {
+	if m.Validate() != nil || !m.Stable() {
+		return false
+	}
+	for i := 0; i < m.NumInputs; i++ {
+		if m.DCGain(i) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // String renders the model equation.
 func (m *Model) String() string {
 	s := "t(k) ="
@@ -124,29 +139,10 @@ func (d *Dataset) Append(t float64, c mat.Vec) {
 	d.C = append(d.C, c.Clone())
 }
 
-// Len returns the number of samples.
-func (d *Dataset) Len() int { return len(d.T) }
-
 // Identify fits an ARX(Na, Nb) model with numInputs inputs to the dataset
 // by batch least squares. It needs at least NumParams + max(Na,Nb)
 // samples.
 func Identify(d *Dataset, na, nb, numInputs int) (*Model, error) {
-	return identify(d, na, nb, numInputs, 0)
-}
-
-// IdentifyRidge fits the same ARX model with Tikhonov regularization
-// (ridge parameter lambda > 0). Use it when the identification experiment
-// lacks persistent excitation — e.g. live data recorded while the
-// controller holds allocations nearly constant — where ordinary least
-// squares is rank-deficient.
-func IdentifyRidge(d *Dataset, na, nb, numInputs int, lambda float64) (*Model, error) {
-	if lambda <= 0 {
-		return nil, fmt.Errorf("sysid: ridge parameter %v must be positive", lambda)
-	}
-	return identify(d, na, nb, numInputs, lambda)
-}
-
-func identify(d *Dataset, na, nb, numInputs int, lambda float64) (*Model, error) {
 	if na < 0 || nb < 1 || numInputs < 1 {
 		return nil, fmt.Errorf("sysid: invalid orders Na=%d Nb=%d inputs=%d", na, nb, numInputs)
 	}
@@ -185,13 +181,7 @@ func identify(d *Dataset, na, nb, numInputs int, lambda float64) (*Model, error)
 		phi.Set(r, col, 1) // affine term
 		y[r] = d.T[k]
 	}
-	var theta mat.Vec
-	var err error
-	if lambda > 0 {
-		theta, err = mat.RidgeLS(phi, y, lambda)
-	} else {
-		theta, err = mat.LeastSquares(phi, y)
-	}
+	theta, err := mat.LeastSquares(phi, y)
 	if err != nil {
 		return nil, fmt.Errorf("sysid: identification failed: %w", err)
 	}

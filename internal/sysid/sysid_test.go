@@ -163,6 +163,27 @@ func TestStable(t *testing.T) {
 	}
 }
 
+func TestCredibleRejectsBadModels(t *testing.T) {
+	unstable := refModel()
+	unstable.A = []float64{1.5}
+	if unstable.Credible() {
+		t.Fatal("unstable model credible")
+	}
+	positive := refModel()
+	positive.B = []mat.Vec{{0.5, 0.4}, {0.15, 0.1}}
+	if positive.Credible() {
+		t.Fatal("positive-gain model credible")
+	}
+	malformed := refModel()
+	malformed.A = nil
+	if malformed.Credible() {
+		t.Fatal("malformed model credible")
+	}
+	if !refModel().Credible() {
+		t.Fatal("good model rejected")
+	}
+}
+
 func TestEvaluatePerfectModel(t *testing.T) {
 	ref := refModel()
 	d := makeARXData(ref, 100, 0, 3)

@@ -61,6 +61,25 @@ type Fig3Result struct {
 	Power              []SeriesPoint // Fig. 3(b)
 }
 
+// LateViolationRate returns the share of response-time samples in the
+// late surge window t ∈ [800, 1200) s that exceed 1.5× the set point,
+// or 0 when the window holds no sample.
+func (r *Fig3Result) LateViolationRate(setpoint float64) float64 {
+	viol, n := 0, 0
+	for _, p := range r.ResponseTime {
+		if p.Time >= 800 && p.Time < 1200 {
+			n++
+			if p.Value > setpoint*1.5 {
+				viol++
+			}
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return float64(viol) / float64(n)
+}
+
 // Fig3 reproduces Figure 3: a typical run with a workload surge on App5
 // from t=600 s to t=1200 s.
 func Fig3(cfg Config) (*Fig3Result, error) {

@@ -287,7 +287,7 @@ func (tb *Testbed) AttachFaults(inj *fault.Injector) {
 
 // SetStepBudget bounds every subsequent control period's event drain.
 // When a bound trips, Run returns the periods completed so far plus a
-// *guard.StepAbort instead of spinning (ROADMAP item 6's wedge becomes a
+// *guard.StepAbort instead of spinning (the wedge of DESIGN §14 becomes a
 // failed step the circuit breaker can react to). The zero budget removes
 // every bound. The budget's Interrupt callback, if any, must not touch
 // the simulation — it is the wall-clock watchdog's only way in, and the

@@ -5,7 +5,7 @@
 // onto the same schema — per-VM CPU utilization sampled on a fixed grid
 // — so this package turns those formats into `workload.Trace` streams
 // the simulators, the serve loop, and the chaos/bench suites can all
-// consume (ROADMAP item 4).
+// consume (DESIGN §15).
 //
 // Three design rules govern the package:
 //

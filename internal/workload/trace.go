@@ -92,7 +92,8 @@ func FromRows(stepSeconds float64, names []string, sectors []Sector, series [][]
 	for first := 0; first < tr.vms; first += tileVMs {
 		tr.setRows(first, series[first:min(first+tileVMs, tr.vms)])
 	}
-	if err := tr.Validate(); err != nil {
+	// Every sample passed checkSample above; only the shape is left.
+	if err := tr.checkShape(); err != nil {
 		return nil, err
 	}
 	return tr, nil
@@ -127,12 +128,8 @@ func (t *Trace) At(vm, k int) float64 {
 
 // Validate checks structural consistency and value ranges.
 func (t *Trace) Validate() error {
-	if t.StepSeconds <= 0 {
-		return fmt.Errorf("workload: nonpositive step %v", t.StepSeconds)
-	}
-	if len(t.Names) != t.vms || len(t.Sectors) != t.vms {
-		return fmt.Errorf("workload: names/sectors/series length mismatch %d/%d/%d",
-			len(t.Names), len(t.Sectors), t.vms)
+	if err := t.checkShape(); err != nil {
+		return err
 	}
 	for i := 0; i < t.vms; i++ {
 		for k := 0; k < t.steps; k++ {
@@ -140,6 +137,19 @@ func (t *Trace) Validate() error {
 				return fmt.Errorf("workload: series %d step %d utilization %v out of [0,1]", i, k, u)
 			}
 		}
+	}
+	return nil
+}
+
+// checkShape is Validate without the pass over the samples: a positive
+// step, and one name and one sector per VM.
+func (t *Trace) checkShape() error {
+	if t.StepSeconds <= 0 {
+		return fmt.Errorf("workload: nonpositive step %v", t.StepSeconds)
+	}
+	if len(t.Names) != t.vms || len(t.Sectors) != t.vms {
+		return fmt.Errorf("workload: names/sectors/series length mismatch %d/%d/%d",
+			len(t.Names), len(t.Sectors), t.vms)
 	}
 	return nil
 }
