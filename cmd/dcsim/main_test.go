@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,5 +35,13 @@ func TestValidateTraceOut(t *testing.T) {
 	}
 	if err := validateTraceOut(write("workload.gob", "\x1f\x8b\x00binary workload")); err == nil {
 		t.Error("non-trace file accepted for overwrite")
+	}
+}
+
+// -h is a request for the usage, not an error: run returns flag.ErrHelp,
+// which main turns into exit status 0.
+func TestHelpFlag(t *testing.T) {
+	if err := run([]string{"-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h = %v, want flag.ErrHelp", err)
 	}
 }

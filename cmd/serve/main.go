@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -31,7 +32,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("serve: ")
-	if err := run(os.Args[1:]); err != nil {
+	// -h prints the usage and exits 0, as flag.ExitOnError would.
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
 }

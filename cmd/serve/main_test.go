@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"strings"
 	"testing"
 )
@@ -14,5 +16,13 @@ func TestRejectsNonPositiveTick(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "-tick") {
 			t.Errorf("-tick %s: err = %v, want a -tick error", tick, err)
 		}
+	}
+}
+
+// -h is a request for the usage, not an error: run returns flag.ErrHelp,
+// which main turns into exit status 0.
+func TestHelpFlag(t *testing.T) {
+	if err := run([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h = %v, want flag.ErrHelp", err)
 	}
 }

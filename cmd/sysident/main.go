@@ -29,7 +29,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sysident: ")
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	// -h prints the usage and exits 0, as flag.ExitOnError would.
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
 }

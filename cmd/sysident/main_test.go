@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -41,5 +44,13 @@ func TestPrintsTheTestbedModel(t *testing.T) {
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("seed %d: -out wrote\n%s\nwant\n%s", seed, got, want.Bytes())
 		}
+	}
+}
+
+// -h is a request for the usage, not an error: run returns flag.ErrHelp,
+// which main turns into exit status 0.
+func TestHelpFlag(t *testing.T) {
+	if err := run([]string{"-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h = %v, want flag.ErrHelp", err)
 	}
 }

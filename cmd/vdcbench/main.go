@@ -17,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -62,6 +63,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		moduleRoot = fs.String("module-root", ".", "directory inside the module the lint scenario analyzes")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0 // -h printed the usage
+		}
 		return 2
 	}
 

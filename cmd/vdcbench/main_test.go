@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -242,5 +243,12 @@ func TestMetricsLine(t *testing.T) {
 	got := metricsLine(map[string]float64{"b-key": 2, "a-key": 1.5})
 	if got != "a-key=1.5 b-key=2" {
 		t.Errorf("metricsLine = %q", got)
+	}
+}
+
+// -h is a request for the usage, not an error: run returns exit status 0.
+func TestHelpFlag(t *testing.T) {
+	if code := run([]string{"-h"}, io.Discard, io.Discard); code != 0 {
+		t.Fatalf("run -h = %d, want 0", code)
 	}
 }

@@ -118,3 +118,10 @@ func TestRunRejectsUnknownAnalyzer(t *testing.T) {
 		t.Fatalf("conflicting flags exit = %d, want 2", code)
 	}
 }
+
+// -h is a request for the usage, not an error: run returns exit status 0.
+func TestHelpFlag(t *testing.T) {
+	if code := run([]string{"-h"}); code != 0 {
+		t.Fatalf("run -h = %d, want 0", code)
+	}
+}

@@ -18,6 +18,7 @@ package main
 import (
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,7 +33,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vdcreplay: ")
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	// -h prints the usage and exits 0, as flag.ExitOnError would.
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -153,5 +155,13 @@ func TestGenWorkloadRejectsPartialDays(t *testing.T) {
 		if _, err := os.Stat(out); !os.IsNotExist(err) {
 			t.Fatalf("-steps %s left %s behind", steps, out)
 		}
+	}
+}
+
+// -h is a request for the usage, not an error: run returns flag.ErrHelp,
+// which main turns into exit status 0.
+func TestHelpFlag(t *testing.T) {
+	if err := run([]string{"-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h = %v, want flag.ErrHelp", err)
 	}
 }

@@ -14,12 +14,16 @@
 //
 // Domains: NewDomain gives a simulator a child with its own clock,
 // sequence counter and heaps, and the parent's RunUntilBudget drains
-// every domain to the same horizon, in creation order. Work that touches
-// nothing outside its domain during a drain, such as one application of
-// the simulated testbed between control periods, fires in the same order
-// as on one shared simulator: within a domain both counters are drawn in
-// the same scheduling order. Each drain only pays for the heaps of its
-// own domain.
+// every domain to the same horizon, at once on a pool of helper
+// goroutines, and folds their results in creation order. Work that
+// touches nothing outside its domain during a drain, such as one
+// application of the simulated testbed between control periods, fires in
+// the same order as on one shared simulator: within a domain both
+// counters are drawn in the same scheduling order, whichever goroutine
+// drains it. Each drain only pays for the heaps of its own domain. The
+// pool grows to GOMAXPROCS−1 helpers and lives as long as the process,
+// so a drain starts no goroutine and allocates nothing; at GOMAXPROCS 1
+// none starts and the domains drain in turn.
 //
 // Allocation: one-shot events are plain (time, seq, fn) entries of a
 // binary heap, and armed timers sit in a second, indexed binary heap, so
@@ -121,6 +125,7 @@ type Simulator struct {
 	events  []event      // min-heap on key
 	timers  []armed      // min-heap on key; each timer's pos tracks its entry
 	domains []*Simulator // children, in creation order; s itself is domain zero
+	fan     *fanout      // the drain of the domains; nil until the first NewDomain
 }
 
 // NewSimulator returns a simulator with the clock at zero.
@@ -130,10 +135,16 @@ func NewSimulator() *Simulator { return &Simulator{} }
 // s's, and its own sequence counter and heaps. Its work fires when s
 // drains or steps, or when it is drained itself. Work queued in a domain
 // must touch nothing outside it during a drain of s: the domains of one
-// drain run one after another, each to the drain's horizon.
+// drain run at the same time on different goroutines, each to the
+// drain's horizon, so work that breaks this rule is a data race, not
+// just a reordering.
 func (s *Simulator) NewDomain() *Simulator {
 	d := &Simulator{now: s.now}
 	s.domains = append(s.domains, d)
+	if s.fan == nil {
+		s.fan = &fanout{sim: s}
+	}
+	s.fan.results = append(s.fan.results, drained{})
 	return d
 }
 

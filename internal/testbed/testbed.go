@@ -147,8 +147,9 @@ func (tb *Testbed) control() error {
 // build assembles the data center and places and starts every
 // application, leaving identification and control to New. Each
 // application runs in its own event domain of tb.Sim: applications touch
-// one another only between control periods, so each drains alone, and
-// fires its events in the order one shared queue would.
+// one another only between control periods, so tb.Sim drains them at
+// once on the devs helper pool, and each fires its events in the order
+// one shared queue would.
 func build(cfg Config) (*Testbed, error) {
 	if cfg.NumServers < 1 || cfg.NumApps < 1 {
 		return nil, fmt.Errorf("testbed: need at least one server and app, got %d/%d", cfg.NumServers, cfg.NumApps)
