@@ -143,7 +143,7 @@ func run(args []string, stdout io.Writer) error {
 		if tr, prov, err = sp.Build(); err != nil {
 			return err
 		}
-		scorecard.SetProvenance(obsProvenance(prov))
+		scorecard.SetProvenance(prov)
 		printf(stdout, "replayed %s: %d records, %d distorted\n", prov.Source, prov.Records, prov.Distorted)
 	} else if tr, err = loadOrGenerate(*workloadP, *vms, *days, *seed, stdout); err != nil {
 		return err
@@ -425,19 +425,6 @@ func writeScorecard(sc *obs.Scorecard, path string) error {
 	fmt.Fprintf(os.Stderr, "wrote controller-health scorecard to %s (SLO %s, %d/%d bad steps)\n",
 		path, rep.SLO.Verdict, rep.SLO.Bad, rep.SLO.Good+rep.SLO.Bad)
 	return nil
-}
-
-// obsProvenance converts the replay engine's provenance into the obs
-// package's import-free mirror of it.
-func obsProvenance(p *trace.Provenance) *obs.ReplayProvenance {
-	if p == nil {
-		return nil
-	}
-	out := &obs.ReplayProvenance{Source: p.Source, Seed: p.Seed, Records: p.Records, Distorted: p.Distorted}
-	for _, d := range p.Distortions {
-		out.Distortions = append(out.Distortions, obs.ReplayDistortion{Name: d.Name, Params: d.Params, Distorted: d.Distorted})
-	}
-	return out
 }
 
 // validateTraceOut guards the historical meaning of -trace (it used to

@@ -23,7 +23,6 @@ import (
 
 	"vdcpower/internal/fault"
 	"vdcpower/internal/guard"
-	"vdcpower/internal/obs"
 	"vdcpower/internal/serve"
 	"vdcpower/internal/testbed"
 	"vdcpower/internal/trace"
@@ -97,19 +96,12 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		src, closer, err := sp.Open()
+		stream, closer, err := sp.Stream()
 		if err != nil {
 			return err
 		}
 		//lint:ignore errcheck read-side close at process exit
 		defer closer.Close()
-		pipeline, err := sp.Pipeline()
-		if err != nil {
-			return err
-		}
-		stream := trace.NewStream(src, trace.ReplayConfig{
-			StepSeconds: sp.StepSeconds(), Seed: sp.Seed, Distortions: pipeline,
-		})
 		maxConc := *replayConc
 		if maxConc <= 0 {
 			maxConc = 2 * cfg.Concurrency
@@ -120,16 +112,8 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		label := sp.SourceLabel()
-		s.AttachReplay(feed, func(final bool) *obs.ReplayProvenance {
-			st := stream.Stats()
-			prov := &obs.ReplayProvenance{Source: label, Seed: sp.Seed, Records: st.Records, Distorted: st.Distorted}
-			for _, d := range st.Distortion {
-				prov.Distortions = append(prov.Distortions, obs.ReplayDistortion{Name: d.Name, Params: d.Params, Distorted: d.Distorted})
-			}
-			return prov
-		})
-		fmt.Printf("replaying %s into %d apps (max concurrency %d)\n", label, cfg.NumApps, maxConc)
+		s.AttachReplay(feed, stream.Provenance)
+		fmt.Printf("replaying %s into %d apps (max concurrency %d)\n", sp.SourceLabel(), cfg.NumApps, maxConc)
 	}
 	s.Start(*tick)
 	defer s.Stop()

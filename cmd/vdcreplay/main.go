@@ -188,17 +188,13 @@ func runBuild(sp *trace.ReplaySpec, out, provP string, stdout io.Writer) error {
 // runPace streams the distorted record stream against the wall clock —
 // the one code path that paces. Output is CSV: vm,time_s,util.
 func runPace(sp *trace.ReplaySpec, out string, stdout io.Writer) error {
-	src, closer, err := sp.Open()
+	st, closer, err := sp.Stream()
 	if err != nil {
 		return err
 	}
 	// The corpus is read-only; its close error carries no data loss.
 	//lint:ignore errcheck read-side close
 	defer closer.Close()
-	pipeline, err := sp.Pipeline()
-	if err != nil {
-		return err
-	}
 	var w io.Writer = stdout
 	var f *os.File
 	if out != "" {
@@ -211,15 +207,22 @@ func runPace(sp *trace.ReplaySpec, out string, stdout io.Writer) error {
 	if speedup <= 0 {
 		speedup = 1
 	}
-	stats, err := trace.Replay(src, trace.SinkFunc(func(r trace.Record) error {
-		_, err := fmt.Fprintf(w, "%s,%g,%.6f\n", r.VM, r.Time, r.Util)
-		return err
-	}), trace.ReplayConfig{
-		StepSeconds: sp.StepSeconds(),
-		Seed:        sp.Seed,
-		Distortions: pipeline,
-		Pacer:       trace.NewPacer(speedup),
-	})
+	pacer := trace.NewPacer(speedup)
+	simSeconds := 0.0
+	for {
+		var rec trace.Record
+		if rec, err = st.Next(); err != nil {
+			break
+		}
+		simSeconds = max(simSeconds, rec.Time)
+		pacer.Wait(rec.Time)
+		if _, err = fmt.Fprintf(w, "%s,%g,%.6f\n", rec.VM, rec.Time, rec.Util); err != nil {
+			break
+		}
+	}
+	if err == io.EOF {
+		err = nil
+	}
 	if f != nil {
 		if cerr := f.Close(); err == nil {
 			err = cerr
@@ -229,6 +232,6 @@ func runPace(sp *trace.ReplaySpec, out string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "vdcreplay: streamed %d records (%.0f sim-seconds at %gx)\n",
-		stats.Records, stats.SimSeconds, speedup)
+		st.Provenance().Records, simSeconds, speedup)
 	return nil
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 
@@ -524,8 +525,8 @@ func prepareReplayCorpus(e *Env) error {
 
 // runTraceIngest times the raw-ingestion half of the replay engine:
 // the streaming Google-usage decoder feeding the 15-minute resampler,
-// drained to a counting sink. The corpus has gaps and empty fields, so
-// the gap policy and skip paths are priced, not just the happy path.
+// pulled dry and counted. The corpus has gaps and empty fields, so the
+// gap policy and skip paths are priced, not just the happy path.
 func runTraceIngest(e *Env) (Metrics, error) {
 	corpus, err := e.ReplayCorpus()
 	if err != nil {
@@ -539,13 +540,17 @@ func runTraceIngest(e *Env) (Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	mass := 0.0
-	n, err := trace.Drain(grid, trace.SinkFunc(func(rec trace.Record) error {
+	n, mass := 0, 0.0
+	for {
+		rec, err := grid.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		n++
 		mass += rec.Util
-		return nil
-	}))
-	if err != nil {
-		return nil, err
 	}
 	return Metrics{
 		"records":   float64(n),
@@ -570,8 +575,7 @@ func runTraceReplay(e *Env) (Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	col := trace.NewCollector(trace.CollectConfig{StepSeconds: grid.StepSeconds(), SectorSalt: 2010})
-	st, err := trace.Replay(grid, col, trace.ReplayConfig{
+	st := trace.NewStream(grid, trace.ReplayConfig{
 		StepSeconds: grid.StepSeconds(),
 		Seed:        2010,
 		Distortions: []trace.Distortion{
@@ -579,16 +583,14 @@ func runTraceReplay(e *Env) (Metrics, error) {
 			&trace.TimeWarp{MaxLagSteps: 4},
 		},
 	})
+	tr, err := trace.Collect(st, trace.CollectConfig{StepSeconds: grid.StepSeconds(), SectorSalt: 2010})
 	if err != nil {
 		return nil, err
 	}
-	tr, err := col.Trace()
-	if err != nil {
-		return nil, err
-	}
+	prov := st.Provenance()
 	return Metrics{
-		"records":   float64(st.Records),
-		"distorted": float64(st.Distorted),
+		"records":   float64(prov.Records),
+		"distorted": float64(prov.Distorted),
 		"trace-vms": float64(len(tr.Names)),
 	}, nil
 }

@@ -247,16 +247,8 @@ func TestMigrationConservationCatchesVMLoss(t *testing.T) {
 func TestReplayConservesMassCatchesDroppedRecords(t *testing.T) {
 	// Broken engine: silently drops every seventh record — the failure
 	// mode of a replayer that loses records across buffer flushes.
-	broken := func(src trace.Source, sink trace.Sink, cfg trace.ReplayConfig) (trace.ReplayStats, error) {
-		n := 0
-		filtered := trace.SinkFunc(func(rec trace.Record) error {
-			n++
-			if n%7 == 0 {
-				return nil
-			}
-			return sink.Emit(rec)
-		})
-		return trace.Replay(src, filtered, cfg)
+	broken := func(src trace.Source, cfg trace.ReplayConfig) trace.Source {
+		return &mutantSource{src: realReplay(src, cfg), drop: 7}
 	}
 	expectCaught(t, "record-dropping replay", func(s int64) error {
 		return replayConservesMass(broken, s)
@@ -267,14 +259,33 @@ func TestReplayConservesMassCatchesUtilRewrite(t *testing.T) {
 	// Broken engine: nudges every utilization by 1e-6 on the way
 	// through — a "harmless" precision bug a record-count check would
 	// never see.
-	broken := func(src trace.Source, sink trace.Sink, cfg trace.ReplayConfig) (trace.ReplayStats, error) {
-		skewed := trace.SinkFunc(func(rec trace.Record) error {
-			rec.Util += 1e-6
-			return sink.Emit(rec)
-		})
-		return trace.Replay(src, skewed, cfg)
+	broken := func(src trace.Source, cfg trace.ReplayConfig) trace.Source {
+		return &mutantSource{src: realReplay(src, cfg), nudge: 1e-6}
 	}
 	expectCaught(t, "mass-skewing replay", func(s int64) error {
 		return replayConservesMass(broken, s)
 	})
+}
+
+// mutantSource breaks a replay: it drops every drop-th record (0 drops
+// none) and adds nudge to every utilization.
+type mutantSource struct {
+	src   trace.Source
+	drop  int
+	nudge float64
+	n     int
+}
+
+func (m *mutantSource) Next() (trace.Record, error) {
+	rec, err := m.src.Next()
+	if err != nil {
+		return rec, err
+	}
+	if m.n++; m.drop > 0 && m.n%m.drop == 0 {
+		if rec, err = m.src.Next(); err != nil {
+			return rec, err
+		}
+	}
+	rec.Util += m.nudge
+	return rec, nil
 }

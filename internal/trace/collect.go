@@ -23,9 +23,9 @@ type CollectConfig struct {
 	// replays with a different salt.
 	SectorSalt int64
 	// MaxVMs and MaxSteps bound the assembled matrix (defaults 2^20
-	// and 2^16): a Collector's memory is O(VMs × steps) — the size of
-	// its output — and these bounds keep a malformed input from
-	// inflating it.
+	// and 2^16): Collect's memory is O(VMs × steps) — the size of its
+	// output — and these bounds keep a malformed input from inflating
+	// it.
 	MaxVMs   int
 	MaxSteps int
 }
@@ -58,66 +58,64 @@ func AssignSector(salt int64, vm string) workload.Sector {
 	return workload.Sector(hashFold(salt, "sector", vm, 0) % 4)
 }
 
-// Collector is the Sink that assembles a gridded stream into a
-// rectangular workload.Trace: VM rows in first-seen order, the union
-// step range as the horizon, ragged edges aligned per the edge policy,
-// and sectors assigned by salted hash. Feed it directly (Drain) or put
-// it behind a Replay pipeline, then call Trace.
-type Collector struct {
-	cfg    CollectConfig
-	series map[string]*vmSeries
-	order  []string
-}
-
-// NewCollector builds a collector. The config's gap-policy name is
-// validated by Trace; construction cannot fail.
-func NewCollector(cfg CollectConfig) *Collector {
-	return &Collector{cfg: cfg.withDefaults(), series: map[string]*vmSeries{}}
-}
-
-// Emit implements Sink.
-func (c *Collector) Emit(rec Record) error {
-	kf := rec.Time / c.cfg.StepSeconds
-	k := int(math.Round(kf))
-	if math.Abs(kf-float64(k)) > 1e-9 {
-		return fmt.Errorf("trace: record for %s at %.3f s is off the %.0f s grid (resample with NewGrid first)",
-			rec.VM, rec.Time, c.cfg.StepSeconds)
-	}
-	s, ok := c.series[rec.VM]
-	if !ok {
-		if len(c.series) >= c.cfg.MaxVMs {
-			return fmt.Errorf("trace: input exceeds the %d-VM bound (CollectConfig.MaxVMs)", c.cfg.MaxVMs)
-		}
-		s = &vmSeries{start: k}
-		c.series[rec.VM] = s
-		c.order = append(c.order, rec.VM)
-	}
-	if want := s.start + len(s.vals); k != want {
-		return fmt.Errorf("trace: VM %s has non-consecutive grid steps (%d after %d); gridded sources emit contiguous steps",
-			rec.VM, k, want-1)
-	}
-	if len(s.vals) >= c.cfg.MaxSteps {
-		return fmt.Errorf("trace: input exceeds the %d-step bound (CollectConfig.MaxSteps)", c.cfg.MaxSteps)
-	}
-	if !validUtil(rec.Util) || rec.Util > 1 {
-		return fmt.Errorf("trace: VM %s step %d utilization %v out of [0,1]", rec.VM, k, rec.Util)
-	}
-	s.vals = append(s.vals, rec.Util)
-	return nil
-}
-
-// Trace assembles the collected records. The result satisfies
-// workload.Trace's Validate contract.
-func (c *Collector) Trace() (*workload.Trace, error) {
-	if err := c.cfg.Edge.Validate(); err != nil {
+// Collect drains a gridded source into a rectangular workload.Trace:
+// VM rows in first-seen order, the union step range as the horizon,
+// ragged edges aligned per the edge policy, and sectors assigned by
+// salted hash. Put a Stream in front of src to collect a distorted
+// replay. The result satisfies workload.Trace's Validate contract.
+func Collect(src Source, cfg CollectConfig) (*workload.Trace, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.Edge.Validate(); err != nil {
 		return nil, err
 	}
-	if len(c.order) == 0 {
+	series := map[string]*vmSeries{}
+	var order []string
+	for {
+		rec, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		kf := rec.Time / cfg.StepSeconds
+		k := int(math.Round(kf))
+		if math.Abs(kf-float64(k)) > 1e-9 {
+			return nil, fmt.Errorf("trace: record for %s at %.3f s is off the %.0f s grid (resample with NewGrid first)",
+				rec.VM, rec.Time, cfg.StepSeconds)
+		}
+		s, ok := series[rec.VM]
+		if !ok {
+			if len(series) >= cfg.MaxVMs {
+				return nil, fmt.Errorf("trace: input exceeds the %d-VM bound (CollectConfig.MaxVMs)", cfg.MaxVMs)
+			}
+			s = &vmSeries{start: k}
+			series[rec.VM] = s
+			order = append(order, rec.VM)
+		}
+		if want := s.start + len(s.vals); k != want {
+			return nil, fmt.Errorf("trace: VM %s has non-consecutive grid steps (%d after %d); gridded sources emit contiguous steps",
+				rec.VM, k, want-1)
+		}
+		if len(s.vals) >= cfg.MaxSteps {
+			return nil, fmt.Errorf("trace: input exceeds the %d-step bound (CollectConfig.MaxSteps)", cfg.MaxSteps)
+		}
+		if !validUtil(rec.Util) || rec.Util > 1 {
+			return nil, fmt.Errorf("trace: VM %s step %d utilization %v out of [0,1]", rec.VM, k, rec.Util)
+		}
+		s.vals = append(s.vals, rec.Util)
+	}
+	return assemble(cfg, series, order)
+}
+
+// assemble aligns the collected series on their union horizon.
+func assemble(cfg CollectConfig, series map[string]*vmSeries, order []string) (*workload.Trace, error) {
+	if len(order) == 0 {
 		return nil, fmt.Errorf("trace: source produced no records")
 	}
 	lo, hi := math.MaxInt, math.MinInt
-	for _, vm := range c.order {
-		s := c.series[vm]
+	for _, vm := range order {
+		s := series[vm]
 		if s.start < lo {
 			lo = s.start
 		}
@@ -126,22 +124,22 @@ func (c *Collector) Trace() (*workload.Trace, error) {
 		}
 	}
 	steps := hi - lo
-	if steps > c.cfg.MaxSteps {
-		return nil, fmt.Errorf("trace: union horizon of %d steps exceeds the %d-step bound", steps, c.cfg.MaxSteps)
+	if steps > cfg.MaxSteps {
+		return nil, fmt.Errorf("trace: union horizon of %d steps exceeds the %d-step bound", steps, cfg.MaxSteps)
 	}
-	names := make([]string, len(c.order))
-	sectors := make([]workload.Sector, len(c.order))
-	rows := make([][]float64, len(c.order))
-	for i, vm := range c.order {
-		s := c.series[vm]
+	names := make([]string, len(order))
+	sectors := make([]workload.Sector, len(order))
+	rows := make([][]float64, len(order))
+	for i, vm := range order {
+		s := series[vm]
 		lead, trail := s.start-lo, hi-(s.start+len(s.vals))
-		if (lead > 0 || trail > 0) && c.cfg.Edge == GapError {
+		if (lead > 0 || trail > 0) && cfg.Edge == GapError {
 			return nil, fmt.Errorf("trace: VM %s covers steps [%d,%d) of [%d,%d) and the edge policy is error",
 				vm, s.start, s.start+len(s.vals), lo, hi)
 		}
 		row := make([]float64, steps)
 		first, last := s.vals[0], s.vals[len(s.vals)-1]
-		if c.cfg.Edge == GapZero {
+		if cfg.Edge == GapZero {
 			first, last = 0, 0
 		}
 		for k := 0; k < lead; k++ {
@@ -152,10 +150,10 @@ func (c *Collector) Trace() (*workload.Trace, error) {
 			row[k] = last
 		}
 		names[i] = vm
-		sectors[i] = AssignSector(c.cfg.SectorSalt, vm)
+		sectors[i] = AssignSector(cfg.SectorSalt, vm)
 		rows[i] = row
 	}
-	return workload.FromRows(c.cfg.StepSeconds, names, sectors, rows)
+	return workload.FromRows(cfg.StepSeconds, names, sectors, rows)
 }
 
 // traceSource replays a workload.Trace as a gridded stream in canonical
@@ -169,7 +167,7 @@ type traceSource struct {
 }
 
 // FromTrace wraps an in-memory trace as a Source. Useful for driving
-// the replayer (and its distortions) from the synthetic generator or a
+// a Stream (and its distortions) from the synthetic generator or a
 // previously collected real trace.
 func FromTrace(tr *workload.Trace) Source {
 	return &traceSource{tr: tr, steps: tr.NumSteps()}

@@ -12,7 +12,7 @@ import (
 // depend only on (seed, vm, step), not on pipeline order or on other
 // distortions. Stateful distortions (TimeWarp) hold bounded per-VM
 // state and are single-replay instances: build a fresh pipeline per
-// Replay call (ReplaySpec.Distortions does).
+// Stream (ReplaySpec.Stream does).
 type Distortion interface {
 	// Name is the distortion's stable provenance label.
 	Name() string
@@ -141,9 +141,9 @@ func (w *TimeWarp) Apply(seed int64, step int, rec Record) (Record, bool) {
 
 // SectorRemix reassigns the deterministic VM→sector mapping with a new
 // salt. Sectors exist only in the assembled workload.Trace, so the
-// record stream passes through untouched; the Collector applies the
-// salt (ReplaySpec.SectorSalt) when building the trace, and the
-// distortion still appears in provenance.
+// record stream passes through untouched; Collect applies the salt
+// (ReplaySpec.SectorSalt) when building the trace, and the distortion
+// still appears in provenance.
 type SectorRemix struct {
 	Salt int64
 }

@@ -34,16 +34,11 @@ type FabConfig struct {
 	// EmptyProb is the per-row probability of an empty utilization
 	// field (the Google trace has them); decoders must skip, not fail.
 	EmptyProb float64
-	// StepSeconds overrides the 900 s grid (tests only).
-	StepSeconds float64
 }
 
 func (c FabConfig) withDefaults() FabConfig {
 	if c.SamplesPerStep <= 0 {
 		c.SamplesPerStep = 3
-	}
-	if c.StepSeconds <= 0 {
-		c.StepSeconds = DefaultStepSeconds
 	}
 	return c
 }
@@ -84,7 +79,7 @@ func WriteGoogleUsage(w io.Writer, cfg FabConfig) (int, error) {
 	cfg = cfg.withDefaults()
 	bw := bufio.NewWriter(w)
 	rows := 0
-	sub := cfg.StepSeconds / float64(cfg.SamplesPerStep)
+	sub := DefaultStepSeconds / float64(cfg.SamplesPerStep)
 	for step := 0; step < cfg.Steps; step++ {
 		for i := 0; i < cfg.SamplesPerStep; i++ {
 			for v := 0; v < cfg.VMs; v++ {
@@ -94,7 +89,7 @@ func WriteGoogleUsage(w io.Writer, cfg FabConfig) (int, error) {
 				if fabGap(cfg, vm, step) {
 					continue
 				}
-				startUS := int64((float64(step)*cfg.StepSeconds + float64(i)*sub) * 1e6)
+				startUS := int64((float64(step)*DefaultStepSeconds + float64(i)*sub) * 1e6)
 				endUS := startUS + int64(sub*1e6)
 				util := ""
 				if hashUnit(cfg.Seed, "fab-empty", vm, step*cfg.SamplesPerStep+i) >= cfg.EmptyProb {
@@ -120,7 +115,7 @@ func WriteAzureVM(w io.Writer, cfg FabConfig) (int, error) {
 		return 0, err
 	}
 	rows := 0
-	sub := cfg.StepSeconds / float64(cfg.SamplesPerStep)
+	sub := DefaultStepSeconds / float64(cfg.SamplesPerStep)
 	for step := 0; step < cfg.Steps; step++ {
 		for i := 0; i < cfg.SamplesPerStep; i++ {
 			for v := 0; v < cfg.VMs; v++ {
@@ -129,7 +124,7 @@ func WriteAzureVM(w io.Writer, cfg FabConfig) (int, error) {
 				if fabGap(cfg, vm, step) {
 					continue
 				}
-				ts := int64(float64(step)*cfg.StepSeconds + float64(i)*sub)
+				ts := int64(float64(step)*DefaultStepSeconds + float64(i)*sub)
 				avg := ""
 				if hashUnit(cfg.Seed, "fab-empty", vm, step*cfg.SamplesPerStep+i) >= cfg.EmptyProb {
 					avg = fmt.Sprintf("%.3f", 100*fabUtil(cfg.Seed, vm, step))

@@ -36,20 +36,21 @@ const (
 	DefaultMaxVMs      = 1 << 20
 )
 
-// GridConfig parameterizes resampling onto the utilization grid.
+// GridConfig parameterizes resampling onto the utilization grid. It is
+// also a replay spec's "grid" section.
 type GridConfig struct {
 	// StepSeconds is the grid interval (default 900 — the paper's
 	// 15-minute schema).
-	StepSeconds float64
+	StepSeconds float64 `json:"step_seconds,omitempty"`
 	// Gap fills steps with no samples (default GapHold).
-	Gap GapPolicy
+	Gap GapPolicy `json:"gap,omitempty"`
 	// MaxGapSteps bounds how many consecutive steps a gap may span
 	// before the input is rejected (default 96; <0 disables the bound
 	// and with it the constant-memory guarantee).
-	MaxGapSteps int
+	MaxGapSteps int `json:"max_gap_steps,omitempty"`
 	// MaxVMs bounds the number of distinct VMs tracked (the resampler
 	// keeps O(#VMs) state); exceeding it is an error. Default 2^20.
-	MaxVMs int
+	MaxVMs int `json:"max_vms,omitempty"`
 }
 
 func (c GridConfig) withDefaults() GridConfig {

@@ -3,17 +3,16 @@ package trace
 // pace.go is the package's registered wall-clock edge (vdclint:
 // wallClockEdges), mirroring internal/bench's sampler.go: replaying a
 // trace against real time is the one job that must read the clock, so
-// exactly this file holds the reads and sleeps. Nothing here can
-// change WHAT a replay emits — only when — so determinism is
-// structural: same-seed replays are byte-identical whether paced at
-// 1x, 1000x, or not at all.
+// exactly this file holds the reads and sleeps. A Stream never waits;
+// a caller that paces calls Wait from its own pull loop, so nothing
+// here can change WHAT a replay emits — only when — and same-seed
+// replays are byte-identical whether paced at 1x, 1000x, or not at all.
 
 import "time"
 
 // Pacer throttles a replay to real time scaled by a speedup factor: a
 // record at sim time t is released no earlier than wall time
-// start + t/speedup. A nil *Pacer never waits (the mode every test and
-// simulator uses).
+// start + t/speedup.
 type Pacer struct {
 	speedup float64
 	started bool
@@ -35,9 +34,6 @@ func NewPacer(speedup float64) *Pacer {
 // The first call anchors the epoch. Records whose release time already
 // passed (a grid flush emitting a batch) do not wait.
 func (p *Pacer) Wait(simTime float64) {
-	if p == nil {
-		return
-	}
 	if !p.started {
 		p.started = true
 		p.wall0 = time.Now()

@@ -20,14 +20,6 @@ const (
 	FormatSynthetic   = "synthetic"    // workload.Generate (no corpus file)
 )
 
-// GridSpec is the resampler section of a replay spec.
-type GridSpec struct {
-	StepSeconds float64 `json:"step_seconds,omitempty"`
-	Gap         string  `json:"gap,omitempty"`
-	MaxGapSteps int     `json:"max_gap_steps,omitempty"`
-	MaxVMs      int     `json:"max_vms,omitempty"`
-}
-
 // SynthSpec parameterizes the synthetic format (workload.Generate).
 type SynthSpec struct {
 	VMs          int   `json:"vms"`
@@ -107,7 +99,7 @@ type ReplaySpec struct {
 	Speedup float64 `json:"speedup,omitempty"`
 	// Grid configures resampling for the raw formats; workload and
 	// synthetic sources are already on their own grid.
-	Grid GridSpec `json:"grid,omitempty"`
+	Grid GridConfig `json:"grid,omitempty"`
 	// Edge aligns ragged VM coverage when assembling the trace
 	// (hold/zero/error; default hold).
 	Edge string `json:"edge,omitempty"`
@@ -174,7 +166,7 @@ func (sp *ReplaySpec) Validate() error {
 	if sp.Speedup < 0 {
 		return fmt.Errorf("trace: replay spec: speedup must be >= 0 (got %v)", sp.Speedup)
 	}
-	if err := GapPolicy(sp.Grid.Gap).Validate(); err != nil {
+	if err := sp.Grid.Gap.Validate(); err != nil {
 		return err
 	}
 	if err := GapPolicy(sp.Edge).Validate(); err != nil {
@@ -188,22 +180,8 @@ func (sp *ReplaySpec) Validate() error {
 	return nil
 }
 
-// Pipeline builds a fresh distortion pipeline (stateful distortions
-// must not be shared across replays).
-func (sp *ReplaySpec) Pipeline() ([]Distortion, error) {
-	out := make([]Distortion, len(sp.Distortions))
-	for i, d := range sp.Distortions {
-		built, err := d.build()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = built
-	}
-	return out, nil
-}
-
-// SectorSalt is the salt a Collector uses for VM→sector assignment: the
-// replay seed, overridden by the last sector-remix distortion if any.
+// SectorSalt is the salt Build collects with for VM→sector assignment:
+// the replay seed, overridden by the last sector-remix distortion if any.
 func (sp *ReplaySpec) SectorSalt() int64 {
 	salt := sp.Seed
 	for _, d := range sp.Distortions {
@@ -230,10 +208,10 @@ func (sp *ReplaySpec) resolve() string {
 	return filepath.Join(sp.dir, sp.Path)
 }
 
-// Open builds the gridded source the spec describes. The caller must
+// open builds the gridded source the spec describes. The caller must
 // Close the returned closer (a no-op for the synthetic format) after
 // draining the source.
-func (sp *ReplaySpec) Open() (Source, io.Closer, error) {
+func (sp *ReplaySpec) open() (Source, io.Closer, error) {
 	switch sp.Format {
 	case FormatSynthetic:
 		cfg := workload.GenConfig{NumVMs: sp.Synthetic.VMs, Days: sp.Synthetic.Days, StepsPerHour: sp.Synthetic.StepsPerHour, Seed: sp.Synthetic.Seed}
@@ -291,29 +269,13 @@ func (sp *ReplaySpec) Open() (Source, io.Closer, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	grid, err := NewGrid(raw, GridConfig{
-		StepSeconds: sp.Grid.StepSeconds,
-		Gap:         GapPolicy(sp.Grid.Gap),
-		MaxGapSteps: sp.Grid.MaxGapSteps,
-		MaxVMs:      sp.Grid.MaxVMs,
-	})
+	grid, err := NewGrid(raw, sp.Grid)
 	if err != nil {
 		//lint:ignore errcheck the config error is already being returned
 		f.Close()
 		return nil, nil, err
 	}
 	return grid, f, nil
-}
-
-// Provenance records where a replayed trace came from and exactly how
-// it was distorted — enough to reproduce it bit for bit from the same
-// corpus.
-type Provenance struct {
-	Source      string           `json:"source"`
-	Seed        int64            `json:"seed"`
-	Records     int              `json:"records"`
-	Distorted   int              `json:"distorted"`
-	Distortions []DistortionStat `json:"distortions,omitempty"`
 }
 
 // SourceLabel renders the spec's corpus identity for provenance.
@@ -324,44 +286,54 @@ func (sp *ReplaySpec) SourceLabel() string {
 	return sp.Format + ":" + filepath.Base(sp.Path)
 }
 
+// Stream opens the corpus, grids it, builds the spec's distortions and
+// wraps them in a Stream with the spec's step and seed; the stream's
+// provenance names the spec's SourceLabel. It is the one way to open a
+// spec: Build collects from it, serve feeds from it and vdcreplay -pace
+// paces it. The caller must Close the returned closer (a no-op for the
+// in-memory formats) after draining the stream.
+func (sp *ReplaySpec) Stream() (*Stream, io.Closer, error) {
+	// A fresh pipeline per stream: stateful distortions must not be
+	// shared across replays.
+	pipeline := make([]Distortion, len(sp.Distortions))
+	for i, d := range sp.Distortions {
+		built, err := d.build()
+		if err != nil {
+			return nil, nil, err
+		}
+		pipeline[i] = built
+	}
+	src, closer, err := sp.open()
+	if err != nil {
+		return nil, nil, err
+	}
+	st := NewStream(src, ReplayConfig{StepSeconds: sp.StepSeconds(), Seed: sp.Seed, Distortions: pipeline})
+	st.prov.Source = sp.SourceLabel()
+	return st, closer, nil
+}
+
 // Build runs the full pipeline — decode, grid, distort, collect — and
 // returns the assembled trace plus its provenance. Build never paces
 // (pacing is cmd/vdcreplay's concern); the result is a deterministic
 // function of (corpus bytes, spec).
 func (sp *ReplaySpec) Build() (*workload.Trace, *Provenance, error) {
-	src, closer, err := sp.Open()
+	st, closer, err := sp.Stream()
 	if err != nil {
 		return nil, nil, err
 	}
 	//lint:ignore errcheck read-side close; the stream was drained
 	defer closer.Close()
-	pipeline, err := sp.Pipeline()
-	if err != nil {
-		return nil, nil, err
-	}
-	col := NewCollector(CollectConfig{
+	tr, err := Collect(st, CollectConfig{
 		StepSeconds: sp.StepSeconds(),
 		Edge:        GapPolicy(sp.Edge),
 		SectorSalt:  sp.SectorSalt(),
 		MaxVMs:      sp.MaxVMs,
 		MaxSteps:    sp.MaxSteps,
 	})
-	stats, err := Replay(src, col, ReplayConfig{StepSeconds: sp.StepSeconds(), Seed: sp.Seed, Distortions: pipeline})
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, err := col.Trace()
-	if err != nil {
-		return nil, nil, err
-	}
-	prov := &Provenance{
-		Source:      sp.SourceLabel(),
-		Seed:        sp.Seed,
-		Records:     stats.Records,
-		Distorted:   stats.Distorted,
-		Distortions: stats.Distortion,
-	}
-	return tr, prov, nil
+	return tr, st.Provenance(), nil
 }
 
 // nopCloser satisfies io.Closer for sources with nothing to close.

@@ -21,9 +21,10 @@
 //     are byte-identical, and adding a distortion cannot perturb the
 //     draws of another.
 //
-//  3. The wall clock appears only at the replayer's pacing edge
-//     (pace.go), mirroring internal/bench's sampler.go; vdclint's
-//     determinism analyzer enforces the boundary structurally.
+//  3. The wall clock appears only in pace.go, whose Pacer a caller
+//     waits on from its own pull loop (cmd/vdcreplay -pace), mirroring
+//     internal/bench's sampler.go; vdclint's determinism analyzer
+//     enforces the boundary structurally.
 package trace
 
 import (
@@ -52,17 +53,6 @@ type Record struct {
 type Source interface {
 	Next() (Record, error)
 }
-
-// Sink consumes replayed records.
-type Sink interface {
-	Emit(Record) error
-}
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Record) error
-
-// Emit implements Sink.
-func (f SinkFunc) Emit(r Record) error { return f(r) }
 
 // RecordError is a typed decode rejection carrying the input line so
 // operators can find the offending row in a multi-gigabyte trace file.
@@ -139,21 +129,3 @@ func validUtil(u float64) bool {
 }
 
 func clamp01(u float64) float64 { return math.Max(0, math.Min(1, u)) }
-
-// Drain pulls src dry into sink, returning the record count.
-func Drain(src Source, sink Sink) (int, error) {
-	n := 0
-	for {
-		rec, err := src.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := sink.Emit(rec); err != nil {
-			return n, err
-		}
-		n++
-	}
-}
