@@ -75,7 +75,7 @@ func main() {
 			}
 			if k >= 40 {
 				tail = append(tail, res.T90)
-				alloc = res.Allocations
+				alloc = append(alloc[:0], res.Allocations...) // a view, valid until the next Step
 			}
 		}
 		fmt.Printf("%10.0f %10.0f %14.2f %14.2f\n",

@@ -114,6 +114,7 @@ type ResponseTimeController struct {
 	heldStreak int              // consecutive periods without a valid measurement
 	trace      *telemetry.Track // set via SetTrace; nil keeps tracing off
 	faults     *fault.Injector  // set via SetFaults; nil keeps injection off
+	scratch    []float64        // the percentile's selection buffer, kept across Steps
 
 	// One-step-ahead prediction bookkeeping for the health scorecard:
 	// the previous period's Predicted[0] is compared against the next
@@ -146,7 +147,9 @@ func (c *ResponseTimeController) SetTrace(tk *telemetry.Track) {
 	c.ctl.SetTrace(tk)
 }
 
-// StepResult reports one control period.
+// StepResult reports one control period. Allocations is a view into the
+// controller's allocation history, valid until its next Step; callers
+// that keep it longer must copy it, and none may write it.
 type StepResult struct {
 	T90             units.Second  // measured 90-percentile response time, seconds
 	Samples         int           // completed requests in the window
@@ -237,7 +240,8 @@ func (c *ResponseTimeController) Step() (StepResult, error) {
 	}
 	valid := false
 	if len(window) >= minW {
-		t := stats.Percentile(window, 90)
+		var t units.Second
+		t, c.scratch = stats.PercentileScratch(window, 90, c.scratch)
 		t, _ = c.faults.SensorRead(c.steps, c.sensorID(), t)
 		// Measurement guard: a non-finite percentile (poisoned window,
 		// injected dropout) must never enter the ARX regressor — a single
@@ -284,7 +288,7 @@ func (c *ResponseTimeController) Step() (StepResult, error) {
 		for i := range next {
 			c.app.SetAllocation(i, next[i])
 		}
-		res.Allocations = next.Clone()
+		res.Allocations = next
 		c.steps++
 		period.Bool("open_loop", true).Int("held_streak", c.heldStreak).End()
 		return res, nil
@@ -322,7 +326,7 @@ func (c *ResponseTimeController) Step() (StepResult, error) {
 		c.app.SetAllocation(i, next[i])
 	}
 	actuate.Int("tiers", len(next)).End()
-	res.Allocations = next.Clone()
+	res.Allocations = next
 	c.steps++
 	period.Bool("relaxed", res.TerminalRelaxed).End()
 	return res, nil

@@ -371,6 +371,65 @@ func TestThrottleAllocatesNothing(t *testing.T) {
 	}
 }
 
+// windowApp lends the same response-time window every period, as
+// appsim lends its drained window, so stepping a controller over it
+// allocates only what the controller itself does.
+type windowApp struct {
+	alloc  mat.Vec
+	window []float64
+}
+
+func (a *windowApp) NumTiers() int                       { return len(a.alloc) }
+func (a *windowApp) Allocations() []float64              { return append([]float64(nil), a.alloc...) }
+func (a *windowApp) SetAllocation(tier int, ghz float64) { a.alloc[tier] = ghz }
+func (a *windowApp) DrainResponseTimes() []float64       { return a.window }
+
+// TestWarmStepAllocatesNothing: a controller runs every control period
+// for the life of the system, so once its buffers have grown a Step
+// allocates nothing, closing the loop or holding it open. The percentile
+// selects in storage the controller keeps, and the result's Allocations
+// is a view of its history.
+func TestWarmStepAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun is meaningless under the race detector")
+	}
+	window := make([]float64, 60)
+	for i := range window {
+		window[i] = 0.5 + 0.02*float64(i%17) // p90 above the set point: the MPC moves
+	}
+	for _, tc := range []struct {
+		name      string
+		minWindow int
+		openLoop  bool
+	}{
+		{"closed loop", 5, false},
+		{"open loop", len(window) + 1, true}, // every window too short: held, then open loop
+	} {
+		app := &windowApp{alloc: mat.Vec{1, 1}, window: window}
+		cfg := DefaultControllerConfig(testModel(), 0.6)
+		cfg.MinWindow = tc.minWindow
+		ctl, err := NewResponseTimeController(app, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res StepResult
+		step := func() {
+			if res, err = ctl.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := 0; k < 20; k++ {
+			step()
+		}
+		if n := testing.AllocsPerRun(100, step); n != 0 {
+			t.Errorf("%s: a warmed Step allocates %v times", tc.name, n)
+		}
+		if res.OpenLoop != tc.openLoop || len(res.Allocations) != 2 {
+			t.Errorf("%s: last step %+v", tc.name, res)
+		}
+	}
+}
+
 func BenchmarkControllerStep(b *testing.B) {
 	app := newFakeApp(testModel(), mat.Vec{1, 1}, 2.0)
 	ctl, err := NewResponseTimeController(app, DefaultControllerConfig(testModel(), 1.0))

@@ -110,7 +110,7 @@ func TestHoldWindowThenOpenLoopThenRecovery(t *testing.T) {
 				}
 			}
 		}
-		last = res.Allocations
+		last = append(last[:0], res.Allocations...) // a view, valid until the next Step
 	}
 	if inj.InjectedByKind()[fault.SensorDropout] != blackout {
 		t.Fatalf("dropouts injected = %v", inj.InjectedByKind())

@@ -32,14 +32,17 @@ func Identify(app ControlledApp, advance func(units.Second), e Experiment) (*sys
 	rng := rand.New(rand.NewSource(e.Seed))
 	advance(e.Warmup)
 	app.DrainResponseTimes()
-	nTiers := app.NumTiers()
 	ds := &sysid.Dataset{}
+	// Append copies each draw, so one vector and one selection buffer
+	// serve every period.
+	c := make(mat.Vec, app.NumTiers())
+	var scratch []float64
 	for k := 0; k < e.Periods; k++ {
-		c := make(mat.Vec, nTiers)
 		for j := range c {
 			c[j] = e.CMin + (e.CMax-e.CMin)*(0.15+0.7*rng.Float64())
 		}
-		t90 := stats.Percentile(app.DrainResponseTimes(), 90)
+		var t90 units.Second
+		t90, scratch = stats.PercentileScratch(app.DrainResponseTimes(), 90, scratch)
 		if math.IsNaN(t90) {
 			t90 = 0
 		}
@@ -49,7 +52,7 @@ func Identify(app ControlledApp, advance func(units.Second), e Experiment) (*sys
 		}
 		advance(e.Period)
 	}
-	model, err := sysid.Identify(ds, 1, 2, nTiers)
+	model, err := sysid.Identify(ds, 1, 2, len(c))
 	if err != nil {
 		return nil, sysid.FitMetrics{}, fmt.Errorf("core: identification failed: %w", err)
 	}

@@ -14,6 +14,7 @@ package guard
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -58,38 +59,78 @@ func (b StepBudget) DevsBudget(interrupt func() bool) devs.Budget {
 	}
 }
 
-// Watchdog is a lock-free wall-clock deadline. Arm starts a timer for the
-// current step; Expired reports whether the armed deadline has passed;
-// Disarm invalidates it. Generation counters make a late timer firing
-// after Disarm or re-Arm harmless, so no timer bookkeeping races matter.
-// Disarm and re-Arm also stop the superseded timer, so a step that ends
-// in time leaves nothing queued in the runtime's timer heap pinning the
-// watchdog (and whatever owns it) until the deadline would have passed.
+// Watchdog is a wall-clock deadline whose Expired is lock-free. Arm
+// starts the deadline for the current step; Expired reports whether the
+// armed deadline has passed; Disarm invalidates it. Generation counters
+// make a deadline that fired after Disarm or re-Arm harmless.
+//
+// The watchdog keeps one timer for its life and re-arms it with Reset, so
+// a warmed Arm/Disarm cycle allocates nothing, and Disarm and re-Arm stop
+// the superseded deadline, so a step that ends in time leaves nothing
+// queued in the runtime's timer heap. A callback the runtime started
+// before a Reset or Stop could not cancel it runs late; it is counted in
+// stale and expires nothing, so a late callback never expires a later
+// step. Arm, Disarm and the callback serialize on mu.
 type Watchdog struct {
-	gen     atomic.Uint64              // current arming generation; bumped by Arm and Disarm
-	expired atomic.Uint64              // generation whose deadline fired
-	timer   atomic.Pointer[time.Timer] // the armed deadline's timer, nil when none
+	gen     atomic.Uint64 // current arming generation; bumped by Arm and Disarm
+	expired atomic.Uint64 // generation whose deadline fired
+
+	mu     sync.Mutex
+	timer  *time.Timer // created by the first positive Arm, then reused
+	armed  bool        // the timer holds a deadline no Stop or firing consumed
+	target uint64      // the generation the armed deadline expires
+	stale  int         // callbacks started for deadlines since superseded
 }
 
 // Arm starts (or restarts) the deadline. A non-positive duration arms
 // nothing: the step is unbounded in wall time.
 func (w *Watchdog) Arm(d time.Duration) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	g := w.gen.Add(1)
-	var t *time.Timer
-	if d > 0 {
-		t = time.AfterFunc(d, func() { w.expired.Store(g) })
+	if d <= 0 {
+		w.stop()
+		return
 	}
-	if old := w.timer.Swap(t); old != nil {
-		old.Stop()
+	w.target = g
+	switch {
+	case w.timer == nil:
+		w.timer = time.AfterFunc(d, w.fire)
+	case !w.timer.Reset(d) && w.armed:
+		// The superseded deadline fired, and its callback has yet to take
+		// mu: it must not expire this one.
+		w.stale++
 	}
+	w.armed = true
 }
 
 // Disarm invalidates the current deadline and stops its timer.
 func (w *Watchdog) Disarm() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.gen.Add(1)
-	if t := w.timer.Swap(nil); t != nil {
-		t.Stop()
+	w.stop()
+}
+
+// stop cancels the armed deadline. Callers hold mu.
+func (w *Watchdog) stop() {
+	if w.armed && !w.timer.Stop() {
+		w.stale++ // fired, and its callback has yet to take mu
 	}
+	w.armed = false
+}
+
+// fire is the timer's callback: it expires the armed generation unless
+// it was started for a deadline since superseded.
+func (w *Watchdog) fire() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.stale > 0 {
+		w.stale--
+		return
+	}
+	w.armed = false
+	w.expired.Store(w.target)
 }
 
 // Expired reports whether the currently armed deadline has passed. It is

@@ -1,13 +1,16 @@
 package guard
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"vdcpower/internal/devs"
+	"vdcpower/internal/race"
 )
 
 func TestDefaultStepBudget(t *testing.T) {
@@ -162,30 +165,102 @@ func TestStateName(t *testing.T) {
 	}
 }
 
-// Disarm and re-Arm must stop the superseded timer: an armed timer holds
-// the watchdog (and the server embedding it) reachable until it fires.
+// Disarm and re-Arm must stop the superseded deadline: an armed timer
+// holds the watchdog (and the server embedding it) reachable until it
+// fires. Every Arm re-arms the watchdog's one timer.
 func TestWatchdogStopsSupersededTimer(t *testing.T) {
 	var w Watchdog
+	w.Arm(0)
+	if w.timer != nil {
+		t.Fatal("a zero-duration Arm started a timer")
+	}
 	w.Arm(time.Hour)
-	first := w.timer.Load()
-	if first == nil {
+	timer := w.timer
+	if timer == nil {
 		t.Fatal("Arm left no timer")
 	}
 	w.Arm(time.Hour)
-	if first.Stop() {
-		t.Fatal("re-Arm left the previous timer running")
+	if w.timer != timer {
+		t.Fatal("re-Arm made a second timer")
 	}
-	second := w.timer.Load()
 	w.Disarm()
-	if second.Stop() {
+	if timer.Stop() || w.armed {
 		t.Fatal("Disarm left the timer running")
 	}
-	if w.timer.Load() != nil {
-		t.Fatal("Disarm kept a timer")
-	}
+	w.Arm(time.Hour)
 	w.Arm(0)
-	if w.timer.Load() != nil {
-		t.Fatal("a zero-duration Arm started a timer")
+	if timer.Stop() || w.armed {
+		t.Fatal("a zero-duration Arm left the previous deadline running")
+	}
+}
+
+// firing reports whether some watchdog's timer callback is running,
+// from every goroutine's stack.
+func firing() bool {
+	buf := make([]byte, 1<<20)
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*Watchdog).fire"))
+}
+
+// settle waits until no watchdog callback is running, then checks that
+// each late one used up the count Arm or Disarm made for it: a count left
+// over would make the watchdog ignore a later deadline.
+func settle(t *testing.T, w *Watchdog) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); firing(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("a watchdog callback never finished")
+		}
+	}
+	w.mu.Lock()
+	stale := w.stale
+	w.mu.Unlock()
+	if stale != 0 {
+		t.Fatalf("%d late callbacks counted, none left to run", stale)
+	}
+}
+
+// A deadline that fires while the watchdog is being re-armed or disarmed
+// runs its callback late, after the watchdog moved on, and must expire
+// nothing. The test holds mu while the deadline fires, so its callback
+// waits on mu as it would behind a concurrent Arm or Disarm.
+func TestWatchdogLateCallbackExpiresNothing(t *testing.T) {
+	for _, next := range []struct {
+		name string
+		do   func(w *Watchdog)
+	}{
+		{"re-Arm", func(w *Watchdog) { w.Arm(time.Hour) }},
+		{"Disarm, then Arm", func(w *Watchdog) { w.Disarm(); w.Arm(time.Hour) }},
+	} {
+		var w Watchdog
+		w.Arm(time.Millisecond)
+		w.mu.Lock()
+		for deadline := time.Now().Add(2 * time.Second); !firing(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the deadline never fired", next.name)
+			}
+		}
+		w.mu.Unlock()
+		next.do(&w)
+		settle(t, &w)
+		if w.Expired() {
+			t.Fatalf("%s: the superseded deadline's callback expired the next step", next.name)
+		}
+		w.Disarm()
+	}
+}
+
+// TestWatchdogArmDisarmAllocatesNothing: serve arms and disarms the
+// watchdog around every step, so a warmed cycle stays off the heap.
+func TestWatchdogArmDisarmAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun is meaningless under the race detector")
+	}
+	var w Watchdog
+	if n := testing.AllocsPerRun(100, func() {
+		w.Arm(time.Hour)
+		w.Disarm()
+	}); n != 0 {
+		t.Fatalf("an Arm/Disarm cycle allocates %v times", n)
 	}
 }
 
@@ -215,7 +290,14 @@ func TestWatchdogConcurrentUse(t *testing.T) {
 	if w.Expired() {
 		t.Fatal("expired after the final Disarm")
 	}
-	if w.timer.Load() != nil {
-		t.Fatal("a timer survived the final Disarm")
+	w.mu.Lock()
+	running := w.armed || w.timer != nil && w.timer.Stop()
+	w.mu.Unlock()
+	if running {
+		t.Fatal("a deadline survived the final Disarm")
+	}
+	settle(t, &w)
+	if w.Expired() {
+		t.Fatal("a late callback expired the disarmed watchdog")
 	}
 }

@@ -12,6 +12,8 @@ import (
 
 // replayFeed opens a replay feed for s's applications over a fabricated
 // Google-usage corpus of 6 VMs × 5 steps, flash-crowded in steps 1–2.
+// Its one-step watermark makes each feed step read one grid step of
+// records, so the stream's counts rise step by step.
 func replayFeed(t *testing.T, s *Server, corpus []byte) (*trace.Stream, *trace.Feed) {
 	t.Helper()
 	src, err := trace.NewGoogleUsage(bytes.NewReader(corpus))
@@ -25,7 +27,7 @@ func replayFeed(t *testing.T, s *Server, corpus []byte) (*trace.Stream, *trace.F
 	stream := trace.NewStream(grid, trace.ReplayConfig{Seed: 9, Distortions: []trace.Distortion{
 		trace.FlashCrowd{StartStep: 1, Steps: 2, Amplify: 1.5, VMFraction: 0.5},
 	}})
-	feed, err := trace.NewFeed(stream, trace.FeedConfig{Apps: len(s.tb.Apps), Seed: 9})
+	feed, err := trace.NewFeed(stream, trace.FeedConfig{Apps: len(s.tb.Apps), Seed: 9, LagSteps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +43,23 @@ func concurrency(s *Server) []int {
 	return out
 }
 
+// scorecardReplay reads the replay section of /scorecard.
+func scorecardReplay(t *testing.T, s *Server) *trace.Provenance {
+	t.Helper()
+	var doc struct {
+		Replay *trace.Provenance `json:"replay"`
+	}
+	if err := json.Unmarshal(get(t, s.Handler(), "/scorecard").Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.Replay
+}
+
 // TestReplayDrivesConcurrency attaches a replay feed and steps until it
 // runs out: every step's levels reach the applications, the last levels
-// hold afterwards, and /scorecard carries the stream's final provenance.
+// hold afterwards, and /scorecard carries the stream's provenance as it
+// stands after every step — its record count rising step by step — and
+// the final provenance once the feed has run out.
 func TestReplayDrivesConcurrency(t *testing.T) {
 	s := testServer(t)
 	var corpus bytes.Buffer
@@ -68,6 +84,7 @@ func TestReplayDrivesConcurrency(t *testing.T) {
 	s.AttachReplay(feed, stream.Provenance)
 	initial := concurrency(s)
 	held := concurrency(s)
+	records := 0
 	for k, levels := range want {
 		if err := s.Step(); err != nil {
 			t.Fatal(err)
@@ -80,6 +97,14 @@ func TestReplayDrivesConcurrency(t *testing.T) {
 		if got := concurrency(s); !reflect.DeepEqual(got, held) {
 			t.Fatalf("step %d: concurrency %v, want %v (feed levels %v)", k, got, held, levels)
 		}
+		got, now := scorecardReplay(t, s), stream.Provenance()
+		if !reflect.DeepEqual(got, now) {
+			t.Fatalf("step %d: /scorecard replay = %+v, want the stream's provenance %+v", k, got, now)
+		}
+		if got.Records <= records {
+			t.Fatalf("step %d: /scorecard counts %d replayed records, %d the step before", k, got.Records, records)
+		}
+		records = got.Records
 	}
 	if reflect.DeepEqual(held, initial) {
 		t.Fatalf("the feed never moved a level from %v — the test is vacuous", initial)
@@ -97,14 +122,8 @@ func TestReplayDrivesConcurrency(t *testing.T) {
 	if final.Records != 6*5 || final.Distorted == 0 {
 		t.Fatalf("stream provenance %+v, want 30 records and some distorted", final)
 	}
-	var doc struct {
-		Replay *trace.Provenance `json:"replay"`
-	}
-	if err := json.Unmarshal(get(t, s.Handler(), "/scorecard").Body.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(doc.Replay, final) {
-		t.Fatalf("/scorecard replay = %+v, want the stream's final provenance %+v", doc.Replay, final)
+	if got := scorecardReplay(t, s); !reflect.DeepEqual(got, final) {
+		t.Fatalf("/scorecard replay = %+v, want the stream's final provenance %+v", got, final)
 	}
 	for _, d := range s.obs.Audit().Records() {
 		if d.Action == "replay-failed" {

@@ -43,14 +43,13 @@ var logf = log.Printf
 // All access — stepping and HTTP handling — is serialized by a mutex:
 // the simulator itself is deliberately single-threaded.
 type Server struct {
-	mu         sync.Mutex
-	tb         *testbed.Testbed
-	history    []testbed.PeriodRecord
-	maxHistory int
-	stop       chan struct{}
-	wg         sync.WaitGroup
-	lastErr    error        // most recent step error; nil after a successful step
-	step       func() error // Step, indirected so tests can inject failures
+	mu      sync.Mutex
+	tb      *testbed.Testbed
+	history historyRing // the newest period records, served at /history
+	stop    chan struct{}
+	wg      sync.WaitGroup
+	lastErr error        // most recent step error; nil after a successful step
+	step    func() error // Step, indirected so tests can inject failures
 
 	// Degraded mode: the background loop survives step errors, and the
 	// breaker decides which ticks run a step (see Start).
@@ -98,7 +97,7 @@ type liveDoc struct {
 // one probe, and the server itself measures the wall-clock cost of each
 // control period at this edge.
 func New(tb *testbed.Testbed) *Server {
-	s := &Server{tb: tb, maxHistory: 2048}
+	s := &Server{tb: tb, history: historyRing{max: 2048}}
 	s.step = s.Step
 	s.snapshot = func() (Status, error) { return s.snapshotStatus(), nil }
 	s.metrics = telemetry.NewRegistry()
@@ -194,12 +193,12 @@ func (s *Server) AttachFaults(inj *fault.Injector) {
 // the loop controls against real (optionally distorted) workload
 // instead of the synthetic client mix. prov, when non-nil, reports the
 // replay's provenance for the scorecard (cmd/serve passes the stream's
-// Provenance); it runs once at attach and once when the feed is
-// exhausted, for the final counts. Reading it every step would add a
-// Provenance copy, plus the scorecard's own clone, to each step on top
-// of the levels slice Feed.Step already allocates. A feed level of -1
-// holds the app's current setting; an exhausted feed holds the last
-// applied levels.
+// Provenance); it runs at attach and after every step that pulls from
+// the feed, so /scorecard counts the records read so far and ends on the
+// final counts. A step with a feed attached allocates the levels slice
+// Feed.Step returns, prov's copy and the scorecard's own; a step without
+// one allocates none of them. A feed level of -1 holds the app's
+// current setting; an exhausted feed holds the last applied levels.
 func (s *Server) AttachReplay(feed *trace.Feed, prov func() *trace.Provenance) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -219,11 +218,11 @@ func (s *Server) applyReplay() {
 		return
 	}
 	levels, ok := s.replay.Step()
+	if s.replayProv != nil {
+		s.obs.SetProvenance(s.replayProv())
+	}
 	if !ok {
 		s.replayDone = true
-		if s.replayProv != nil {
-			s.obs.SetProvenance(s.replayProv())
-		}
 		if err := s.replay.Err(); err != nil {
 			s.obs.Audit().Record(obs.Decision{
 				Step: s.totalSteps, TimeSec: s.tb.Sim.Now(),
@@ -263,9 +262,8 @@ func (s *Server) Step() error {
 	}
 	start := telemetry.WallClock()
 	recs, err := s.tb.Run(s.tb.Cfg.Period, nil)
-	s.history = append(s.history, recs...)
-	if len(s.history) > s.maxHistory {
-		s.history = s.history[len(s.history)-s.maxHistory:]
+	for _, rec := range recs {
+		s.history.push(rec)
 	}
 	if err != nil {
 		return err
@@ -422,8 +420,8 @@ func (s *Server) snapshotStatus() Status {
 		st.LastError = s.lastErr.Error()
 	}
 	var latest *testbed.PeriodRecord
-	if len(s.history) > 0 {
-		latest = &s.history[len(s.history)-1]
+	if n := s.history.len(); n > 0 {
+		latest = s.history.at(n - 1)
 	}
 	tiers := 0
 	for _, app := range s.tb.Apps {
@@ -583,15 +581,12 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
+	// The copy is made under s.mu: a step that wraps the ring overwrites
+	// the rows held.
 	s.mu.Lock()
-	recs := s.history
-	if len(recs) > n {
-		recs = recs[len(recs)-n:]
-	}
-	out := make([]testbed.PeriodRecord, len(recs))
-	copy(out, recs)
+	recs := s.history.last(n)
 	s.mu.Unlock()
-	writeJSON(w, out)
+	writeJSON(w, recs)
 }
 
 // handleMetrics renders the whole registry in Prometheus text format.

@@ -12,7 +12,8 @@ import (
 	"vdcpower/internal/testbed"
 )
 
-func testServer(t *testing.T) *Server {
+// testTestbed builds the small testbed every serve test runs.
+func testTestbed(t *testing.T) *testbed.Testbed {
 	t.Helper()
 	cfg := testbed.DefaultConfig()
 	cfg.NumApps = 2
@@ -23,7 +24,12 @@ func testServer(t *testing.T) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(tb)
+	return tb
+}
+
+func testServer(t *testing.T) *Server {
+	t.Helper()
+	return New(testTestbed(t))
 }
 
 func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
@@ -278,7 +284,7 @@ func TestBackgroundLoop(t *testing.T) {
 	deadline := time.After(2 * time.Second)
 	for {
 		s.mu.Lock()
-		n := len(s.history)
+		n := s.history.len()
 		s.mu.Unlock()
 		if n >= 3 {
 			break
@@ -291,11 +297,11 @@ func TestBackgroundLoop(t *testing.T) {
 	}
 	s.Stop()
 	s.mu.Lock()
-	n := len(s.history)
+	n := s.history.len()
 	s.mu.Unlock()
 	time.Sleep(20 * time.Millisecond)
 	s.mu.Lock()
-	after := len(s.history)
+	after := s.history.len()
 	s.mu.Unlock()
 	if after != n {
 		t.Fatal("loop kept running after Stop")

@@ -17,15 +17,24 @@ import (
 // It selects the two ranks it needs instead of sorting, and returns
 // exactly what interpolating the sorted copy would.
 func Percentile(xs []float64, p float64) float64 {
+	v, _ := PercentileScratch(xs, p, nil)
+	return v
+}
+
+// PercentileScratch is Percentile selecting in scratch instead of a
+// fresh copy of xs, and it returns the scratch for the caller's next
+// call. It grows the scratch as append does, so a caller that keeps it
+// allocates only while its windows reach new highs, and ever more
+// rarely. What scratch held before is overwritten; xs is not modified.
+func PercentileScratch(xs []float64, p float64, scratch []float64) (float64, []float64) {
 	if len(xs) == 0 {
-		return math.NaN()
+		return math.NaN(), scratch
 	}
-	lo, hi, frac := ranks(len(xs), p)
-	buf := make([]float64, len(xs))
-	copy(buf, xs)
+	buf := append(scratch[:0], xs...)
+	lo, hi, frac := ranks(len(buf), p)
 	selectRank(buf, lo)
 	if lo == hi {
-		return buf[lo]
+		return buf[lo], buf
 	}
 	// Nothing after lo sorts before buf[lo], so the hi-th (lo+1-th) order
 	// statistic is the least of what follows it.
@@ -35,7 +44,7 @@ func Percentile(xs []float64, p float64) float64 {
 			next = x
 		}
 	}
-	return buf[lo]*(1-frac) + next*frac
+	return buf[lo]*(1-frac) + next*frac, buf
 }
 
 // ranks places the p-th percentile of n sorted values frac of the way

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"vdcpower/internal/race"
 )
 
 func TestPercentileBasics(t *testing.T) {
@@ -29,6 +31,29 @@ func TestPercentileBasics(t *testing.T) {
 func TestPercentileEmptyIsNaN(t *testing.T) {
 	if !math.IsNaN(Percentile(nil, 90)) {
 		t.Fatal("expected NaN for empty input")
+	}
+}
+
+// A kept scratch buffer serves every window no longer than the longest
+// so far without allocating, and an empty window leaves it as it was.
+func TestPercentileScratchReuses(t *testing.T) {
+	xs := []float64{5, 3, 9, 1, 7, 2, 8, 6, 4, 0}
+	_, scratch := PercentileScratch(xs, 90, nil)
+	if cap(scratch) < len(xs) {
+		t.Fatalf("scratch has capacity %d for a window of %d", cap(scratch), len(xs))
+	}
+	if v, kept := PercentileScratch(nil, 90, scratch); !math.IsNaN(v) || &kept[0] != &scratch[0] {
+		t.Fatalf("empty window: %v, scratch replaced: %v", v, &kept[0] != &scratch[0])
+	}
+	if race.Enabled {
+		return
+	}
+	k := 0
+	if n := testing.AllocsPerRun(100, func() {
+		k = k%len(xs) + 1
+		_, scratch = PercentileScratch(xs[:k], 90, scratch)
+	}); n != 0 {
+		t.Fatalf("PercentileScratch allocates %v times with a kept scratch", n)
 	}
 }
 
@@ -86,9 +111,12 @@ func sortPercentile(xs []float64, p float64) float64 {
 
 // Percentile must return exactly what the sort-based definition returns,
 // on every window size up to 300 and on inputs full of ties, infinities
-// and NaNs, without touching its input.
+// and NaNs, without touching its input. So must PercentileScratch, with
+// one scratch buffer kept across every call: it is stale from the
+// previous window, and longer or shorter than the next.
 func TestPercentileMatchesSortDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	var scratch []float64
 	special := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1), 1}
 	fixed := []float64{0, 50, 90, 95, 99, 100}
 	for n := 1; n <= 300; n++ {
@@ -117,6 +145,9 @@ func TestPercentileMatchesSortDefinition(t *testing.T) {
 				got, want := Percentile(xs, p), sortPercentile(xs, p)
 				if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 					t.Fatalf("n %d trial %d p %v: Percentile = %v, sort definition %v\ninput %v", n, trial, p, got, want, orig)
+				}
+				if got, scratch = PercentileScratch(xs, p, scratch[:rng.Intn(cap(scratch)+1)]); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("n %d trial %d p %v: PercentileScratch = %v, sort definition %v\ninput %v", n, trial, p, got, want, orig)
 				}
 			}
 			for i := range xs {

@@ -14,12 +14,16 @@ import (
 // and the metrics registry subscribed, a warmed control period allocates
 // no more than the same period unobserved — the probe's subscribers
 // resolve their instruments once and fold facts in place. The unobserved
-// period itself stays at maxBare allocations: arbitration throttles each
-// server without building grants, and the testbed reads each controller's
-// demands from its step result; a grant slice per server and a demand
-// clone per application would add 12.
+// period itself stays at maxBare allocations: the drain allocates
+// nothing, each controller selects its percentile in storage it keeps and
+// lends its allocations as a view, arbitration throttles each server
+// without building grants, and Run's records and their T90 rows are
+// storage the testbed reuses. The warm-up is long because buffers grow
+// only when a window or an MPC active set reaches a new high: in the 25
+// periods after the first 75 of this run they still grow about 20 times,
+// and after 100 periods at most once in 25.
 func TestObservedPeriodAllocatesNoMoreThanBare(t *testing.T) {
-	const maxBare = 19
+	const maxBare, warm = 0, 100
 	if race.Enabled {
 		t.Skip("the race detector allocates shadow state")
 	}
@@ -34,7 +38,7 @@ func TestObservedPeriodAllocatesNoMoreThanBare(t *testing.T) {
 			sc := obs.New(obs.Config{SLOTargetSec: cfg.Setpoint})
 			tb.AttachProbe(probe.New(probe.Scorecard(sc), probe.Metrics(telemetry.NewRegistry())))
 		}
-		for i := 0; i < 10; i++ {
+		for i := 0; i < warm; i++ {
 			if _, err := tb.Run(cfg.Period, nil); err != nil {
 				t.Fatal(err)
 			}

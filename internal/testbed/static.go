@@ -12,20 +12,21 @@ import (
 // per-app 90-percentiles and power so controller-on and controller-off
 // runs can be compared under identical workloads (the comparison behind
 // Figure 3's caption, where the baseline lacks response time control).
+// The records are a view into the storage Run uses, with Run's rules.
 func (tb *Testbed) RunStatic(duration float64, hook func(period int, now float64)) ([]PeriodRecord, error) {
-	periods := int(duration / tb.Cfg.Period)
-	records := make([]PeriodRecord, 0, periods)
+	records := tb.periodRecords(int(duration / tb.Cfg.Period))
 	last := make([]float64, len(tb.Apps))
 	for i := range last {
 		last[i] = tb.Cfg.Setpoint
 	}
 	t0 := tb.Sim.Now()
-	for k := 0; k < periods; k++ {
+	for k := range records {
 		if hook != nil {
 			hook(k, tb.Sim.Now()-t0)
 		}
 		tb.Sim.RunUntil(tb.Sim.Now() + tb.Cfg.Period)
-		rec := PeriodRecord{Time: tb.Sim.Now() - t0, T90: make([]float64, len(tb.Apps))}
+		rec := &records[k]
+		rec.Time = tb.Sim.Now() - t0
 		for i, app := range tb.Apps {
 			if t90 := stats.Percentile(app.DrainResponseTimes(), 90); !math.IsNaN(t90) {
 				last[i] = t90
@@ -36,7 +37,6 @@ func (tb *Testbed) RunStatic(duration float64, hook func(period int, now float64
 			arb.Throttle()
 		}
 		rec.PowerW = tb.DC.TotalPower()
-		records = append(records, rec)
 	}
 	return records, nil
 }

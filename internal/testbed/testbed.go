@@ -91,7 +91,8 @@ type Testbed struct {
 	// Data-center level (optional): a consolidator invoked during Run,
 	// with live-migration downtime applied to the affected tiers.
 	cons      optimizer.Consolidator
-	consEvery int // periods between invocations
+	consPass  func() (optimizer.Report, error) // cons over DC, bound once for probe.Pass
+	consEvery int                              // periods between invocations
 	migModel  cluster.MigrationModel
 
 	probe   *probe.Probe
@@ -106,6 +107,11 @@ type Testbed struct {
 	// The zero budget imposes no bound, preserving the unguarded behavior
 	// byte for byte.
 	stepBudget devs.Budget
+
+	// records and t90 hold the period records Run and RunStatic return
+	// and their T90 rows, reused by every call (periodRecords).
+	records []PeriodRecord
+	t90     []float64
 }
 
 // New builds the testbed, runs the identification experiment on the first
@@ -250,6 +256,7 @@ func (tb *Testbed) AttachOptimizer(cons optimizer.Consolidator, everyPeriods int
 		return err
 	}
 	tb.cons = cons
+	tb.consPass = func() (optimizer.Report, error) { return cons.Consolidate(tb.DC) }
 	tb.consEvery = everyPeriods
 	tb.migModel = model
 	if tb.tracer != nil {
@@ -342,9 +349,7 @@ func (tb *Testbed) AttachProbe(p *probe.Probe) {
 // skipped and retried at the next interval; a real error aborts the run.
 func (tb *Testbed) consolidate(period int) error {
 	pass := probe.Pass{Kind: check.EvConsolidate, Step: period, TimeSec: tb.Sim.Now(), Span: "optimizer", Policy: tb.cons.Name()}
-	rep, _, err := tb.probe.Pass(tb.DC, pass, tb.cons, func() (optimizer.Report, error) {
-		return tb.cons.Consolidate(tb.DC)
-	})
+	rep, _, err := tb.probe.Pass(tb.DC, pass, tb.cons, tb.consPass)
 	if err != nil {
 		return err
 	}
@@ -364,17 +369,40 @@ type PeriodRecord struct {
 	Relaxed int       // controllers that relaxed the terminal constraint
 }
 
+// periodRecords lends Run and RunStatic n zeroed period records whose
+// T90 rows have one entry per application. The records and rows live in
+// storage the testbed grows to the longest run so far and reuses on every
+// call.
+func (tb *Testbed) periodRecords(n int) []PeriodRecord {
+	apps := len(tb.Apps)
+	if cap(tb.records) < n {
+		tb.records = make([]PeriodRecord, n)
+		tb.t90 = make([]float64, n*apps)
+	}
+	recs := tb.records[:n]
+	for k := range recs {
+		recs[k] = PeriodRecord{T90: tb.t90[k*apps : (k+1)*apps : (k+1)*apps]}
+	}
+	return recs
+}
+
 // Run executes the control loop for the given duration (seconds) and
 // returns one record per control period. Times are relative to the start
 // of the loop (the identification phase consumed simulator time already).
 // The optional hook runs at the start of every period (workload steps,
 // set point changes) and receives the relative time.
+//
+// The records and their T90 rows are a view into storage the testbed
+// reuses, valid until the next Run or RunStatic; callers that keep them
+// longer must copy them, and none may write them. So a warmed period
+// allocates nothing.
+//
+//vdc:hotpath fig2/response-time
 func (tb *Testbed) Run(duration float64, hook func(period int, now float64)) ([]PeriodRecord, error) {
-	periods := int(duration / tb.Cfg.Period)
-	records := make([]PeriodRecord, 0, periods)
+	records := tb.periodRecords(int(duration / tb.Cfg.Period))
 	tk := tb.tracer.Track("testbed")
 	t0 := tb.Sim.Now()
-	for k := 0; k < periods; k++ {
+	for k := range records {
 		if hook != nil {
 			hook(k, tb.Sim.Now()-t0)
 		}
@@ -396,6 +424,7 @@ func (tb *Testbed) Run(duration float64, hook func(period int, now float64)) ([]
 			SameTime: stats.SameTime, Tripped: derr != nil, Aborted: derr != nil, Err: derr}
 		if derr != nil {
 			var be *devs.BudgetError
+			//lint:ignore hotalloc the abort path: &be escapes into errors.As once, as the run ends
 			g.Wall = errors.As(derr, &be) && be.Reason == devs.ReasonInterrupt
 		}
 		tb.probe.Emit(check.Event{Kind: check.EvGuard, Step: p, TimeSec: tb.Sim.Now(), Span: "testbed.period", Guard: g})
@@ -403,11 +432,13 @@ func (tb *Testbed) Run(duration float64, hook func(period int, now float64)) ([]
 			// Budget exhausted: fail the step bounded instead of hanging.
 			// The records so far are the partial result; the caller's
 			// breaker reacts to the typed abort.
-			return records, &guard.StepAbort{Period: p, Wall: g.Wall, Err: derr}
+			//lint:ignore hotalloc the abort path: one StepAbort ends the run
+			return records[:k], &guard.StepAbort{Period: p, Wall: g.Wall, Err: derr}
 		}
 		psp := tk.Start("testbed.period").Int("period", k)
 		now := tb.Sim.Now()
-		rec := PeriodRecord{Time: now - t0, T90: make([]float64, len(tb.Apps))}
+		rec := &records[k]
+		rec.Time = now - t0
 		for i, ctl := range tb.Controllers {
 			res, err := ctl.Step()
 			if err != nil {
@@ -463,7 +494,6 @@ func (tb *Testbed) Run(duration float64, hook func(period int, now float64)) ([]
 			PowerW: rec.PowerW, EnergyJ: tb.energyJ, HasPower: true, HasEnergy: true,
 			Active: tb.DC.NumActive(), Solve: solve,
 		})
-		records = append(records, rec)
 	}
 	return records, tb.probe.Err()
 }
