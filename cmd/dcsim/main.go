@@ -173,7 +173,9 @@ func run(args []string, stdout io.Writer) error {
 		t := report.New("per-step series (IPAC)", "step", "hour", "power_W", "active_servers", "demand_GHz")
 		cfg := dcsim.DefaultConfig(tr, *series, optimizer.NewIPAC())
 		cfg.Telemetry = tracer.Track("main")
-		cfg.Probe = probe.New(probe.Scorecard(scorecard))
+		if scorecard != nil {
+			cfg.Probe = probe.New(scorecard)
+		}
 		if prof != nil {
 			cfg.Faults = fault.New(*prof)
 		}
@@ -332,13 +334,15 @@ func runChecked(tr *workload.Trace, sizes []int, tracer *telemetry.Tracer, prof 
 			// One track per run: tracks are sequential execution units,
 			// and the checked sweep runs serially.
 			cfg.Telemetry = tracer.Track(fmt.Sprintf("%s-%d", pol.name, n))
+			subs := []probe.Subscriber{checker}
 			var sc *obs.Scorecard
 			if scorecard != nil {
 				jc := scorecard.Config()
 				jc.Label = fmt.Sprintf("%s/%d", pol.name, n)
 				sc = obs.New(jc)
+				subs = append(subs, sc)
 			}
-			cfg.Probe = probe.New(checker, probe.Scorecard(sc))
+			cfg.Probe = probe.New(subs...)
 			res, err := dcsim.Run(cfg)
 			if err != nil && checker.NumViolations() == 0 {
 				return err

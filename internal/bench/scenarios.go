@@ -249,7 +249,9 @@ func fig6Run(e *Env, tk *telemetry.Track, inj *fault.Injector, sc *obs.Scorecard
 	cfg := dcsim.DefaultConfig(tr, e.DCVMs(), optimizer.NewIPAC())
 	cfg.Telemetry = tk
 	cfg.Faults = inj
-	cfg.Probe = probe.New(probe.Scorecard(sc))
+	if sc != nil {
+		cfg.Probe = probe.New(sc)
+	}
 	res, err := dcsim.Run(cfg)
 	return res, cfg, err
 }

@@ -6,7 +6,10 @@ import (
 	"math"
 	"math/rand"
 
+	"vdcpower/internal/check"
+	"vdcpower/internal/mpc"
 	"vdcpower/internal/obs"
+	"vdcpower/internal/optimizer"
 )
 
 // sketchMergeFn is Sketch.Merge's shape, injectable for mutation tests.
@@ -118,49 +121,40 @@ func sketchMergeVsSingleStream(observe sketchObserveFn, merge sketchMergeFn, see
 	return nil
 }
 
-// realScorecardBuild feeds one seeded synthetic observation stream into
-// a fresh scorecard and serializes it: app registrations, per-step
-// responses, power, residuals, control decisions, and audit records.
+// realScorecardBuild feeds one seeded synthetic fact stream into a
+// fresh scorecard and serializes it: the init fact's applications, then
+// per step a control fact per application, a step fact with power and
+// solve tallies, and a pass fact every few steps. Open-loop transitions
+// put records in the audit ring.
 func realScorecardBuild(seed int64) ([]byte, error) {
-	return scorecardBuildWith(seed, func(sc *obs.Scorecard, names []string, rrefs []float64) []int {
-		idx := make([]int, len(names))
-		for i, n := range names {
-			idx[i] = sc.RegisterApp(n, rrefs[i])
-		}
-		return idx
-	})
+	return scorecardBuildWith(seed, func(names []string) []string { return names })
 }
 
-// scorecardBuildWith parameterizes the registration step so a mutation
-// test can inject a nondeterministic (map-ordered) variant.
-func scorecardBuildWith(seed int64, register func(*obs.Scorecard, []string, []float64) []int) ([]byte, error) {
+// scorecardBuildWith parameterizes the init fact's application order so
+// a mutation test can inject a nondeterministic (map-ordered) variant.
+func scorecardBuildWith(seed int64, order func(names []string) []string) ([]byte, error) {
 	r := NewRand(seed)
 	sc := obs.New(obs.Config{Label: "quick", SLOTargetSec: 1, FastWindow: 8, SlowWindow: 32, AuditCapacity: 16})
-	names := []string{"App1", "App2", "App3"}
-	rrefs := make([]float64, len(names))
-	for i := range rrefs {
-		rrefs[i] = uniform(r, 0.5, 1.5)
-	}
-	idx := register(sc, names, rrefs)
+	apps := order([]string{"App1", "App2", "App3"})
+	sc.Observe(check.Event{Kind: check.EvInit, Step: -1, Apps: apps, SetpointSec: uniform(r, 0.5, 1.5)})
 	steps := 30 + r.Intn(40)
+	var solve mpc.SolveStats
 	for k := 0; k < steps; k++ {
-		sc.ObserveStep()
-		for i := range idx {
-			sc.ObserveResponse(idx[i], uniform(r, 0.2, 2.0))
+		held, open := r.Intn(8) == 0, r.Intn(6) == 0
+		for i, app := range apps {
+			sc.Observe(check.Event{Kind: check.EvControl, Step: k, Control: check.ControlObservation{
+				App: app, Index: i, Held: held, OpenLoop: open, T90: uniform(r, 0.2, 2.0),
+				Residual: uniform(r, -0.2, 0.2), HasResidual: true}})
 		}
-		sc.ObservePower(uniform(r, 500, 5000))
-		sc.ObserveResidual(uniform(r, -0.2, 0.2))
-		held := r.Intn(8) == 0
-		sc.RecordControl(held, false, false, 0)
-		if r.Intn(10) == 0 {
-			sc.Audit().Record(obs.Decision{
-				Step: k, Component: "quick", Action: "probe",
-				Reason: "synthetic", Value: float64(r.Intn(5)),
-			})
+		solve.Solves += len(apps)
+		solve.WarmAttempts += len(apps) - r.Intn(2)
+		solve.ColdRetries += r.Intn(2)
+		sc.Observe(check.Event{Kind: check.EvStep, Step: k, PowerW: uniform(r, 500, 5000), HasPower: true, Solve: solve})
+		if k%10 == 9 {
+			sc.Observe(check.Event{Kind: check.EvConsolidate, Step: k, Policy: "IPAC", Nodes: r.Intn(100),
+				Report: &optimizer.Report{Migrations: r.Intn(6), Vetoed: r.Intn(2)}})
 		}
 	}
-	sc.SetMPC(steps, steps-1, r.Intn(3), r.Intn(2), 0)
-	sc.AddOptimizerPass(r.Intn(6), r.Intn(2), 0, 0, false)
 	var b bytes.Buffer
 	if err := sc.WriteJSON(&b); err != nil {
 		return nil, err

@@ -67,21 +67,22 @@ func TestSingleStreamCatchesDoubleCountingMerge(t *testing.T) {
 	})
 }
 
-// TestScorecardDeterministicCatchesMapOrderedRegistration: registering
-// apps by iterating a map leaks Go's randomized map order into the app
-// indices, so same-seed builds route observations to different apps.
+// TestScorecardDeterministicCatchesMapOrderedRegistration: listing the
+// init fact's apps by iterating a map leaks Go's randomized map order
+// into the app indices, so same-seed builds route observations to
+// different apps.
 func TestScorecardDeterministicCatchesMapOrderedRegistration(t *testing.T) {
 	broken := func(seed int64) ([]byte, error) {
-		return scorecardBuildWith(seed, func(sc *obs.Scorecard, names []string, rrefs []float64) []int {
-			byName := map[string]float64{}
-			for i, n := range names {
-				byName[n] = rrefs[i]
+		return scorecardBuildWith(seed, func(names []string) []string {
+			set := map[string]bool{}
+			for _, n := range names {
+				set[n] = true
 			}
-			idx := make([]int, 0, len(names))
-			for n, rref := range byName { // map order: nondeterministic
-				idx = append(idx, sc.RegisterApp(n, rref))
+			apps := make([]string, 0, len(names))
+			for n := range set { // map order: nondeterministic
+				apps = append(apps, n)
 			}
-			return idx
+			return apps
 		})
 	}
 	expectCaught(t, "scorecard-deterministic", func(s int64) error {

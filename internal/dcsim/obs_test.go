@@ -22,7 +22,7 @@ func obsRun(t *testing.T, seed int64) []byte {
 	cfg := DefaultConfig(trace, 40, optimizer.NewIPAC())
 	cfg.Seed = seed
 	cfg.WatchdogEverySteps = 4
-	cfg.Probe = probe.New(probe.Scorecard(sc))
+	cfg.Probe = probe.New(sc)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestObsAuditRecordsDecisions(t *testing.T) {
 	}
 	sc := obs.New(obs.Config{})
 	cfg := DefaultConfig(trace, 60, optimizer.NewIPAC())
-	cfg.Probe = probe.New(probe.Scorecard(sc))
+	cfg.Probe = probe.New(sc)
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -82,8 +82,8 @@ func Fig6Sweep(trace *workload.Trace, sizes []int, policies []func() optimizer.C
 					jc := opt.Obs.Config()
 					jc.Label = fmt.Sprintf("%s/%d", cons.Name(), sizes[j.sizeIdx])
 					sc = obs.New(jc)
+					cfg.Probe = probe.New(sc)
 				}
-				cfg.Probe = probe.New(probe.Scorecard(sc))
 				sp := tk.Start("dcsim.job").Int("vms", sizes[j.sizeIdx]).Str("policy", cons.Name())
 				res, err := Run(cfg)
 				sp.Float("per_vm_wh", res.EnergyPerVMWh).Bool("failed", err != nil).End()

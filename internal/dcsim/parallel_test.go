@@ -1,9 +1,12 @@
 package dcsim
 
 import (
+	"sync/atomic"
 	"testing"
 
+	"vdcpower/internal/obs"
 	"vdcpower/internal/optimizer"
+	"vdcpower/internal/packing"
 )
 
 // TestFig6ParallelMatchesSerial is the determinism regression gate: the
@@ -70,5 +73,47 @@ func TestFig6ParallelPropagatesErrors(t *testing.T) {
 	}, SweepOptions{Workers: 2})
 	if err == nil {
 		t.Fatal("oversized slice did not error")
+	}
+}
+
+// countingIPAC counts the reads of its search effort.
+type countingIPAC struct {
+	*optimizer.IPAC
+	reads *atomic.Int64
+}
+
+func (c countingIPAC) SearchStats() *packing.SearchStats {
+	c.reads.Add(1)
+	return c.IPAC.SearchStats()
+}
+
+// TestSweepProbesOnlyObservedRuns: a probe reads the search effort before
+// and after every consolidation pass, and an unprobed run never does. A
+// sweep without a scorecard must build no probe — a nil scorecard held
+// in a probe.Subscriber would be a live subscriber.
+func TestSweepProbesOnlyObservedRuns(t *testing.T) {
+	tr := testTrace(t)
+	for _, observed := range []bool{false, true} {
+		var reads atomic.Int64
+		policies := []func() optimizer.Consolidator{func() optimizer.Consolidator {
+			return countingIPAC{IPAC: optimizer.NewIPAC(), reads: &reads}
+		}}
+		var opt SweepOptions
+		if observed {
+			opt.Obs = obs.New(obs.Config{})
+		}
+		if _, err := Fig6Sweep(tr, []int{40}, policies, opt); err != nil {
+			t.Fatal(err)
+		}
+		var want int64
+		if observed {
+			want = 2 * int64(opt.Obs.Report().Optimizer.Passes)
+			if want == 0 {
+				t.Fatal("the observed sweep scored no consolidation pass")
+			}
+		}
+		if got := reads.Load(); got != want {
+			t.Errorf("observed %t: %d search-effort reads, want %d", observed, got, want)
+		}
 	}
 }

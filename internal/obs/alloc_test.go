@@ -3,6 +3,10 @@ package obs
 import (
 	"testing"
 
+	"vdcpower/internal/check"
+	"vdcpower/internal/guard"
+	"vdcpower/internal/mpc"
+	"vdcpower/internal/optimizer"
 	"vdcpower/internal/race"
 )
 
@@ -58,17 +62,22 @@ func TestAuditRecordZeroAlloc(t *testing.T) {
 	requireZeroAllocs(t, "Audit.Record", func() { a.Record(d) })
 }
 
+// Every fact a steady-state period emits folds without allocating: the
+// step, control, drain and breaker facts, and a pass that switched no
+// server.
 func TestScorecardHotPathsZeroAlloc(t *testing.T) {
 	s := New(Config{})
-	app := s.RegisterApp("app", 1.0)
+	initApps(s, 1.0, "app")
+	pass := &optimizer.Report{Migrations: 1}
 	i := 0
 	requireZeroAllocs(t, "Scorecard hot updates", func() {
-		s.ObserveStep()
-		s.ObserveResponse(app, 0.5+0.001*float64(i%100))
-		s.ObserveSLO(i%11 != 0)
-		s.ObservePower(900 + float64(i%13))
-		s.RecordControl(i%9 == 0, false, false, i%9)
-		s.ObserveResidual(0.01 * float64(i%5))
+		s.Observe(check.Event{Kind: check.EvGuard, Guard: check.GuardObservation{Events: 100 + i%50, SameTime: i % 9}})
+		s.Observe(check.Event{Kind: check.EvControl, Control: check.ControlObservation{App: "app", T90: 0.5 + 0.001*float64(i%100),
+			Held: i%9 == 0, HeldStreak: i % 9, Residual: 0.01 * float64(i%5), HasResidual: true}})
+		s.Observe(check.Event{Kind: check.EvStep, SLOMet: i%11 != 0, HasSLO: true, PowerW: 900 + float64(i%13), HasPower: true,
+			Solve: mpc.SolveStats{Solves: i + 1}})
+		s.Observe(check.Event{Kind: check.EvConsolidate, Policy: "IPAC", Report: pass, Nodes: i % 7})
+		s.Observe(check.Event{Kind: check.EvBreaker, Breaker: check.BreakerObservation{State: guard.Closed, Prev: guard.Closed}})
 		i++
 	})
 }

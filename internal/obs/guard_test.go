@@ -2,18 +2,36 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"vdcpower/internal/check"
+	"vdcpower/internal/guard"
 )
+
+var errBudget = errors.New("step budget exhausted")
+
+// drain is a bounded drain's fact; an aborted one trips its budget, on
+// the wall-clock watchdog when wall is set.
+func drain(events, sameTime int, aborted, wall bool) check.Event {
+	g := check.GuardObservation{Events: events, SameTime: sameTime, Tripped: aborted, Aborted: aborted, Wall: wall}
+	if aborted {
+		g.Err = errBudget
+	}
+	return check.Event{Kind: check.EvGuard, Guard: g}
+}
+
+// quarantine is the breaker fact that enters quarantine.
+var quarantine = check.Event{Kind: check.EvBreaker, Breaker: check.BreakerObservation{
+	State: guard.Open, Prev: guard.HalfOpen, Cooldown: 60, Quarantined: true}}
 
 func TestScorecardGuardReport(t *testing.T) {
 	s := New(Config{})
-	s.RecordDrain(100, 3)
-	s.RecordDrain(250, 7)
-	s.RecordDrain(40, 1)
-	s.RecordBudgetTrip(false)
-	s.RecordBudgetTrip(true)
-	s.RecordQuarantine()
+	s.Observe(drain(100, 3, false, false))
+	s.Observe(drain(250, 7, true, false))
+	s.Observe(drain(40, 1, true, true))
+	s.Observe(quarantine)
 	g := s.Report().Guard
 	if g.Drains != 3 {
 		t.Fatalf("Drains = %d", g.Drains)
@@ -31,7 +49,7 @@ func TestScorecardGuardReport(t *testing.T) {
 
 func TestScorecardGuardJSONFields(t *testing.T) {
 	s := New(Config{})
-	s.RecordDrain(5, 2)
+	s.Observe(drain(5, 2, false, false))
 	var b bytes.Buffer
 	if err := s.WriteJSON(&b); err != nil {
 		t.Fatal(err)
@@ -45,11 +63,9 @@ func TestScorecardGuardJSONFields(t *testing.T) {
 
 func TestScorecardGuardMerge(t *testing.T) {
 	a, b := New(Config{}), New(Config{})
-	a.RecordDrain(10, 2)
-	a.RecordBudgetTrip(false)
-	b.RecordDrain(90, 5)
-	b.RecordBudgetTrip(true)
-	b.RecordQuarantine()
+	a.Observe(drain(10, 2, true, false))
+	b.Observe(drain(90, 5, true, true))
+	b.Observe(quarantine)
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
@@ -64,21 +80,18 @@ func TestScorecardGuardMerge(t *testing.T) {
 
 func TestScorecardGuardNilSafe(t *testing.T) {
 	var s *Scorecard
-	s.RecordDrain(1, 1)
-	s.RecordBudgetTrip(true)
-	s.RecordQuarantine()
+	s.Observe(drain(1, 1, true, true))
+	s.Observe(quarantine)
 }
 
-// RecordDrain runs every control period, budget or no budget — it shares
-// the zero-allocation discipline of the other scorecard hot paths.
+// A drain fact arrives every control period, budget or no budget — it
+// shares the zero-allocation discipline of the other steady-state facts,
+// and so does a trip's audit record once the ring is allocated.
 func TestScorecardGuardZeroAlloc(t *testing.T) {
 	s := New(Config{})
 	i := 0
 	requireZeroAllocs(t, "Scorecard guard updates", func() {
-		s.RecordDrain(100+i%50, i%9)
-		if i%17 == 0 {
-			s.RecordBudgetTrip(i%2 == 0)
-		}
+		s.Observe(drain(100+i%50, i%9, i%17 == 0, i%2 == 0))
 		i++
 	})
 }

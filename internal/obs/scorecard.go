@@ -6,6 +6,10 @@ import (
 	"io"
 	"math"
 
+	"vdcpower/internal/check"
+	"vdcpower/internal/cluster"
+	"vdcpower/internal/guard"
+	"vdcpower/internal/mpc"
 	"vdcpower/internal/trace"
 )
 
@@ -20,8 +24,8 @@ const (
 // Config parameterizes a Scorecard. The zero value is usable: New fills
 // the SLO budget, burn windows, and audit capacity with the defaults
 // above. SLOTargetSec is informational (the response-time R_ref the
-// per-app violation counts are judged against is given per app in
-// RegisterApp); 0 marks an objective that is not a response time, e.g.
+// per-app violation counts are judged against is the init fact's set
+// point); 0 marks an objective that is not a response time, e.g.
 // dcsim's "no server overloaded this step".
 type Config struct {
 	Label         string  // run label carried into the report
@@ -49,13 +53,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// appHealth is one registered application's health slice.
+// appHealth is one registered application's health slice: its report
+// counters and the sketch its response summary is read from.
 type appHealth struct {
-	name       string
-	rref       float64
-	samples    uint64
-	violations uint64
-	resp       *Sketch
+	AppReport
+	resp *Sketch
 }
 
 // Scorecard aggregates one control loop's health: MPC solve quality
@@ -64,77 +66,47 @@ type appHealth struct {
 // activations), breaker state, optimizer effort (passes, migrations,
 // vetoes, B&B nodes and widenings), cluster faults, per-app response
 // time versus R_ref, and the SLO burn state — plus the decision audit
-// ring. It is single-writer (harnesses own it; serve serializes under
-// its mutex), every method is nil-safe, and the hot update paths
-// (ObserveStep, ObserveResponse, ObserveSLO, ObservePower, RecordControl,
-// ObserveResidual) are allocation-free in steady state. Merge combines
-// per-worker scorecards exactly, in any order.
+// ring. It subscribes to a harness's probe: Observe folds every fact the
+// harness emits. It is single-writer (harnesses own it; serve serializes
+// under its mutex), every method is nil-safe, and steady-state facts fold
+// without allocating. Merge combines per-worker scorecards exactly, in
+// any order.
 type Scorecard struct {
 	cfg   Config
 	steps uint64
 
-	// MPC solve quality (cumulative; SetMPC overwrites).
-	qpSolves     int
-	warmAttempts int
-	coldRetries  int
-	relaxations  int
-	fallbacks    int
-	residual     *Sketch
+	// The report's slices, each counter kept once. Report fills the
+	// derived fields: the warm-hit rate and the sketch summaries.
+	mpc       MPCReport // cumulative; each step fact's solve tally overwrites it
+	control   ControlReport
+	breaker   BreakerReport
+	optimizer OptimizerReport
+	cluster   ClusterReport
+	guard     GuardReport
+	apps      []appHealth
 
-	// Measurement-plane control health.
-	periods       uint64
-	held          uint64
-	dropped       uint64
-	openLoop      uint64
-	maxHeldStreak int
+	residual *Sketch
+	power    *Sketch
+	slo      *SLO
+	audit    *Audit
+	replay   *trace.Provenance
 
-	// Circuit breaker (serve).
-	breakerState    string
-	breakerCooldown int
-	breakerTrans    uint64
-
-	// Optimizer effort.
-	passes         int
-	migrations     int
-	vetoes         int
-	failedMoves    int
-	unresolved     int
-	watchdogPasses int
-	watchdogMoves  int
-	degradedPasses int
-	bnbNodes       int
-	widenings      int
-
-	// Cluster fault plane.
-	crashes      int
-	vmsEvacuated int
-	vmsLost      int
-
-	// Bounded execution (guard layer).
-	drains         uint64
-	budgetTrips    uint64
-	wallTrips      uint64
-	quarantines    uint64
-	maxDrainEvents int
-	maxSameTime    int
-
-	apps   []appHealth
-	power  *Sketch
-	slo    *SLO
-	audit  *Audit
-	replay *trace.Provenance
+	// Transitions within one run, which Merge does not fold.
+	appIndex    []int  // scorecard app index per harness application, from the init fact
+	openLoop    []bool // per application, the previous control fact's open-loop flag
+	quarantined bool   // the previous breaker fact's quarantine flag
 }
 
 // New builds an empty scorecard with cfg's knobs (defaults applied).
 func New(cfg Config) *Scorecard {
 	cfg = cfg.withDefaults()
 	return &Scorecard{
-		cfg:          cfg,
-		residual:     NewSketch(),
-		power:        NewSketch(),
-		slo:          newSLO(cfg.SLOTargetSec, cfg.SLOBudget, cfg.FastWindow, cfg.SlowWindow),
-		audit:        newAudit(cfg.AuditCapacity),
-		breakerState: "closed",
+		cfg:      cfg,
+		breaker:  BreakerReport{State: guard.StateName(guard.Closed)},
+		residual: NewSketch(),
+		power:    NewSketch(),
+		slo:      newSLO(cfg.SLOTargetSec, cfg.SLOBudget, cfg.FastWindow, cfg.SlowWindow),
+		audit:    newAudit(cfg.AuditCapacity),
 	}
 }
 
@@ -147,215 +119,210 @@ func (s *Scorecard) Config() Config {
 	return s.cfg
 }
 
-// RegisterApp adds an application with its response-time target R_ref
-// and returns its index for the hot ObserveResponse path. Registration
-// order is the report order, so callers must register deterministically
-// (and must do so before observing).
-func (s *Scorecard) RegisterApp(name string, rrefSec float64) int {
-	if s == nil {
-		return -1
-	}
-	s.apps = append(s.apps, appHealth{name: name, rref: rrefSec, resp: NewSketch()})
+// registerApp adds an application with its response-time target R_ref
+// and returns its index. Registration order is the report order.
+func (s *Scorecard) registerApp(name string, rrefSec float64) int {
+	s.apps = append(s.apps, appHealth{AppReport: AppReport{Name: name, RRefSec: rrefSec}, resp: NewSketch()})
 	return len(s.apps) - 1
 }
 
-// ObserveStep counts one harness step (trace step in dcsim, control
-// period in testbed/serve).
+// Observe folds one probe fact. The init fact registers the harness's
+// applications against their set point; every later fact lands in the
+// tallies, sketches, SLO windows and decision audit ring. Facts the
+// scorecard does not read (packing, migration) leave it unchanged.
 //
 //vdc:hotpath fig6/obs-on
-func (s *Scorecard) ObserveStep() {
+func (s *Scorecard) Observe(ev check.Event) {
 	if s == nil {
 		return
 	}
-	s.steps++
+	switch ev.Kind {
+	case check.EvInit:
+		s.init(ev)
+	case check.EvGuard:
+		s.foldDrain(ev)
+	case check.EvControl:
+		s.foldControl(ev)
+	case check.EvConsolidate, check.EvWatchdog:
+		s.foldPass(ev)
+	case check.EvCrash:
+		c, lost := ev.Crash, len(ev.LostVMs)
+		s.cluster.Crashes++
+		s.cluster.VMsEvacuated += c.Evacuated
+		s.cluster.VMsLost += lost
+		reason := "crashed by the fault plane; its VMs were evacuated"
+		if c.Lose {
+			reason = "crashed by the fault plane; its VMs were lost"
+		}
+		s.record(ev, Decision{Component: "fault-plane", Action: "server-crash", Target: c.Server,
+			Reason: reason, Value: float64(c.Evacuated + lost)})
+	case check.EvStep:
+		s.steps++
+		if ev.HasSLO {
+			s.slo.Observe(ev.SLOMet)
+		}
+		if ev.HasPower {
+			s.power.Observe(ev.PowerW)
+		}
+		// The tally is cumulative over the run, so it overwrites.
+		if st := ev.Solve; st != (mpc.SolveStats{}) {
+			s.mpc.Solves, s.mpc.WarmAttempts, s.mpc.ColdRetries = st.Solves, st.WarmAttempts, st.ColdRetries
+			s.mpc.TerminalRelaxations, s.mpc.Fallbacks = st.Relaxations, st.Fallbacks
+		}
+	case check.EvBreaker:
+		s.foldBreaker(ev)
+	}
 }
 
-// ObserveResponse records app's measured response time for one period:
-// the per-app sketch, the violation count against its R_ref, and one
-// SLO event (good = within target).
-//
-//vdc:hotpath fig6/obs-on
-func (s *Scorecard) ObserveResponse(app int, tSec float64) {
-	if s == nil || app < 0 || app >= len(s.apps) {
+// record audits d stamped with the fact's step and time.
+func (s *Scorecard) record(ev check.Event, d Decision) {
+	d.Step, d.TimeSec = ev.Step, ev.TimeSec
+	s.audit.Record(d)
+}
+
+// init registers the init fact's applications in their harness order.
+func (s *Scorecard) init(ev check.Event) {
+	for _, name := range ev.Apps {
+		s.appIndex = append(s.appIndex, s.registerApp(name, ev.SetpointSec))
+	}
+	s.openLoop = make([]bool, len(s.appIndex))
+}
+
+// foldDrain folds one control period's bounded event drain and audits
+// a step it aborted. It runs every period whether or not a budget is in
+// force.
+func (s *Scorecard) foldDrain(ev check.Event) {
+	g, t := ev.Guard, &s.guard
+	t.Drains++
+	t.MaxDrainEvents = max(t.MaxDrainEvents, g.Events)
+	t.MaxSameTime = max(t.MaxSameTime, g.SameTime)
+	if !g.Aborted {
 		return
 	}
-	a := &s.apps[app]
-	a.samples++
-	a.resp.Observe(tSec)
-	good := tSec <= a.rref
-	if !good {
-		a.violations++
+	t.BudgetTrips++
+	if g.Wall {
+		t.WallTrips++
 	}
-	s.slo.Observe(good)
+	s.record(ev, Decision{Component: "guard", Action: "step-abort", Target: "testbed",
+		Reason: g.Err.Error(), Value: float64(g.Events), Span: ev.Span})
 }
 
-// ObserveSLO records one generic SLO event for harnesses whose
-// objective is not a per-app response time (dcsim: good = no server
-// overloaded this step).
-//
-//vdc:hotpath fig6/obs-on
-func (s *Scorecard) ObserveSLO(good bool) {
-	if s == nil {
+// foldControl folds one controller step and audits open-loop
+// transitions.
+func (s *Scorecard) foldControl(ev check.Event) {
+	c, t := ev.Control, &s.control
+	t.Periods++
+	if c.Held {
+		t.Held++
+	}
+	if c.Dropped {
+		t.Dropped++
+	}
+	if c.OpenLoop {
+		t.OpenLoop++
+	}
+	t.MaxHeldStreak = max(t.MaxHeldStreak, c.HeldStreak)
+	if c.HasResidual {
+		s.residual.Observe(math.Abs(c.Residual))
+	}
+	if c.Index < 0 || c.Index >= len(s.appIndex) {
 		return
 	}
-	s.slo.Observe(good)
-}
-
-// ObservePower records one step's total power draw (watts).
-//
-//vdc:hotpath fig6/obs-on
-func (s *Scorecard) ObservePower(w float64) {
-	if s == nil {
+	// A held period carries no fresh measurement — it must not produce an
+	// SLO sample or a response observation.
+	if !c.Held {
+		a := &s.apps[s.appIndex[c.Index]]
+		a.Samples++
+		a.resp.Observe(c.T90)
+		good := c.T90 <= a.RRefSec
+		if !good {
+			a.Violations++
+		}
+		s.slo.Observe(good)
+	}
+	if c.OpenLoop == s.openLoop[c.Index] {
 		return
 	}
-	s.power.Observe(w)
+	s.openLoop[c.Index] = c.OpenLoop
+	action, reason := "open-loop", "hold window exhausted: frozen at the last-good allocation"
+	if !c.OpenLoop {
+		action, reason = "close-loop", "valid measurement returned: resuming MPC control"
+	}
+	s.record(ev, Decision{Component: "controller", Action: action, Target: c.App,
+		Reason: reason, Value: float64(c.HeldStreak), Span: "mpc-" + c.App})
 }
 
-// RecordControl folds one controller period's measurement-plane flags.
-//
-//vdc:hotpath fig6/obs-on
-func (s *Scorecard) RecordControl(held, dropped, openLoop bool, heldStreak int) {
-	if s == nil {
+// foldPass folds one consolidation or watchdog pass and audits every
+// server it switched on or off. A fact without a before-snapshot that
+// matches its data center audits nothing.
+func (s *Scorecard) foldPass(ev check.Event) {
+	rep, t := ev.Report, &s.optimizer
+	t.Migrations += rep.Migrations
+	t.FailedMoves += rep.FailedMoves
+	t.Unresolved += rep.Unresolved
+	if ev.Degraded {
+		t.DegradedPasses++
+	}
+	if ev.Kind == check.EvWatchdog {
+		t.WatchdogPasses++
+		t.WatchdogMoves += rep.Migrations
+	} else {
+		t.Passes++
+		t.Vetoes += rep.Vetoed
+		t.BnBNodes += ev.Nodes
+		t.Widenings += ev.Widenings
+	}
+	if ev.DC == nil || len(ev.ActiveBefore) != len(ev.DC.Servers) {
 		return
 	}
-	s.periods++
-	if held {
-		s.held++
-	}
-	if dropped {
-		s.dropped++
-	}
-	if openLoop {
-		s.openLoop++
-	}
-	if heldStreak > s.maxHeldStreak {
-		s.maxHeldStreak = heldStreak
+	for i, srv := range ev.DC.Servers {
+		on := srv.State() == cluster.Active
+		if on == ev.ActiveBefore[i] {
+			continue
+		}
+		action, reason := "server-off", "its load was packed onto fewer servers"
+		if on {
+			action, reason = "server-on", "woken to host re-placed load"
+		}
+		s.record(ev, Decision{Component: ev.Policy, Action: action, Target: srv.ID, Reason: reason, Span: ev.Span})
 	}
 }
 
-// ObserveResidual records one MPC prediction residual |t(k) − t̂(k|k−1)|.
-//
-//vdc:hotpath fig6/obs-on
-func (s *Scorecard) ObserveResidual(r float64) {
-	if s == nil {
+// foldBreaker mirrors serve's breaker state — its name ("closed" until
+// the first fact), remaining cooldown and a transition per name change —
+// and audits every transition, each quarantine entry or exit first.
+func (s *Scorecard) foldBreaker(ev check.Event) {
+	b := ev.Breaker
+	if b.Quarantined != s.quarantined {
+		s.quarantined = b.Quarantined
+		d := Decision{Component: "serve", Action: "quarantine-exit",
+			Reason: "successful step while quarantined", Span: ev.Span}
+		if b.Quarantined {
+			s.guard.Quarantines++
+			d.Action, d.Reason = "quarantine-enter", "repeated step-budget exhaustion"
+			d.Value = float64(s.guard.Quarantines)
+		}
+		s.record(ev, d)
+	}
+	if state := guard.StateName(b.State); state != s.breaker.State {
+		s.breaker.State = state
+		s.breaker.Transitions++
+	}
+	s.breaker.CooldownTicks = b.Cooldown
+	if b.State == b.Prev {
 		return
 	}
-	s.residual.Observe(math.Abs(r))
-}
-
-// SetMPC overwrites the cumulative MPC solver tallies (harnesses read
-// them from mpc.SolveStats each period; the stats are themselves
-// cumulative, so set semantics avoid double counting).
-func (s *Scorecard) SetMPC(solves, warmAttempts, coldRetries, relaxations, fallbacks int) {
-	if s == nil {
-		return
+	action, reason := "breaker-half-open", "cooldown expired: probing with one real step"
+	switch {
+	case b.State == guard.Closed:
+		action, reason = "breaker-close", "probe step succeeded"
+	case b.State == guard.Open && b.Prev == guard.HalfOpen:
+		action, reason = "breaker-open", "probe step failed: cooldown re-armed"
+	case b.State == guard.Open:
+		action, reason = "breaker-open", "consecutive step failures reached the threshold"
 	}
-	s.qpSolves = solves
-	s.warmAttempts = warmAttempts
-	s.coldRetries = coldRetries
-	s.relaxations = relaxations
-	s.fallbacks = fallbacks
-}
-
-// RecordBreaker publishes the breaker's current state, by name ("closed"
-// until the first call), and remaining cooldown ticks; a state change
-// counts one transition.
-func (s *Scorecard) RecordBreaker(state string, cooldownTicks int) {
-	if s == nil {
-		return
-	}
-	if state != s.breakerState {
-		s.breakerTrans++
-	}
-	s.breakerState = state
-	s.breakerCooldown = cooldownTicks
-}
-
-// AddOptimizerPass folds one consolidation pass's report.
-func (s *Scorecard) AddOptimizerPass(migrations, vetoed, failedMoves, unresolved int, degraded bool) {
-	if s == nil {
-		return
-	}
-	s.passes++
-	s.migrations += migrations
-	s.vetoes += vetoed
-	s.failedMoves += failedMoves
-	s.unresolved += unresolved
-	if degraded {
-		s.degradedPasses++
-	}
-}
-
-// AddWatchdogPass folds one on-demand overload-relief pass.
-func (s *Scorecard) AddWatchdogPass(moves, failedMoves, unresolved int, degraded bool) {
-	if s == nil {
-		return
-	}
-	s.watchdogPasses++
-	s.migrations += moves
-	s.watchdogMoves += moves
-	s.failedMoves += failedMoves
-	s.unresolved += unresolved
-	if degraded {
-		s.degradedPasses++
-	}
-}
-
-// AddSearch folds one pass's branch-and-bound effort deltas.
-func (s *Scorecard) AddSearch(nodes, widenings int) {
-	if s == nil {
-		return
-	}
-	s.bnbNodes += nodes
-	s.widenings += widenings
-}
-
-// RecordCrash folds one server crash and the fate of its VMs.
-func (s *Scorecard) RecordCrash(evacuated, lost int) {
-	if s == nil {
-		return
-	}
-	s.crashes++
-	s.vmsEvacuated += evacuated
-	s.vmsLost += lost
-}
-
-// RecordDrain folds one control period's bounded event drain: the event
-// count and the longest same-instant run. It runs every period whether or
-// not a budget is in force, so it must stay allocation-free.
-func (s *Scorecard) RecordDrain(events, sameTime int) {
-	if s == nil {
-		return
-	}
-	s.drains++
-	if events > s.maxDrainEvents {
-		s.maxDrainEvents = events
-	}
-	if sameTime > s.maxSameTime {
-		s.maxSameTime = sameTime
-	}
-}
-
-// RecordBudgetTrip counts one drain cut short by its budget; wall marks
-// the wall-clock watchdog (as opposed to an event bound) as the cause.
-func (s *Scorecard) RecordBudgetTrip(wall bool) {
-	if s == nil {
-		return
-	}
-	s.budgetTrips++
-	if wall {
-		s.wallTrips++
-	}
-}
-
-// RecordQuarantine counts one quarantine entry (repeated budget
-// exhaustion escalated past the breaker) and returns the entries so far.
-func (s *Scorecard) RecordQuarantine() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.quarantines++
-	return s.quarantines
+	s.record(ev, Decision{Component: "serve", Action: action, Reason: reason,
+		Value: float64(b.ConsecFails), Span: ev.Span})
 }
 
 // Audit returns the decision ring (nil on a nil scorecard; Record on a
@@ -379,9 +346,9 @@ func (s *Scorecard) SLO() *SLO {
 // windows fold their tallies, and o's audit records re-sequence into
 // s's ring. The SLO geometry (budget and window sizes) must match — the
 // burn semantics of mismatched windows cannot be combined — and apps
-// must line up by index and name when both sides registered any. The
-// breaker state/cooldown keep s's view (gauges don't sum); transitions
-// add. o is not modified.
+// must line up by index and name when both sides registered any; an
+// empty s adopts o's. The breaker state/cooldown keep s's view (gauges
+// don't sum); transitions add. o is not modified.
 func (s *Scorecard) Merge(o *Scorecard) error {
 	if s == nil || o == nil {
 		return nil
@@ -391,65 +358,66 @@ func (s *Scorecard) Merge(o *Scorecard) error {
 		return fmt.Errorf("obs: merging scorecards with different SLO geometry (budget %v/%v, windows %d/%d vs %d/%d)",
 			s.cfg.SLOBudget, o.cfg.SLOBudget, s.cfg.FastWindow, s.cfg.SlowWindow, o.cfg.FastWindow, o.cfg.SlowWindow)
 	}
-	if len(s.apps) == 0 && len(o.apps) > 0 {
-		// Adopt o's app set (s was an empty aggregate).
+	if len(s.apps) == 0 {
 		for _, a := range o.apps {
-			i := s.RegisterApp(a.name, a.rref)
-			s.apps[i].samples = a.samples
-			s.apps[i].violations = a.violations
-			s.apps[i].resp.Merge(a.resp)
+			s.registerApp(a.Name, a.RRefSec)
 		}
-	} else {
-		if len(o.apps) > 0 && len(o.apps) != len(s.apps) {
-			return fmt.Errorf("obs: merging scorecards with %d vs %d apps", len(s.apps), len(o.apps))
+	}
+	if len(o.apps) > 0 && len(o.apps) != len(s.apps) {
+		return fmt.Errorf("obs: merging scorecards with %d vs %d apps", len(s.apps), len(o.apps))
+	}
+	for i := range o.apps {
+		a, b := &s.apps[i], &o.apps[i]
+		if a.Name != b.Name {
+			return fmt.Errorf("obs: app %d is %q on one side, %q on the other", i, a.Name, b.Name)
 		}
-		for i := range o.apps {
-			if s.apps[i].name != o.apps[i].name {
-				return fmt.Errorf("obs: app %d is %q on one side, %q on the other", i, s.apps[i].name, o.apps[i].name)
-			}
-			s.apps[i].samples += o.apps[i].samples
-			s.apps[i].violations += o.apps[i].violations
-			s.apps[i].resp.Merge(o.apps[i].resp)
-		}
+		a.Samples += b.Samples
+		a.Violations += b.Violations
+		a.resp.Merge(b.resp)
 	}
 	s.steps += o.steps
-	s.qpSolves += o.qpSolves
-	s.warmAttempts += o.warmAttempts
-	s.coldRetries += o.coldRetries
-	s.relaxations += o.relaxations
-	s.fallbacks += o.fallbacks
+
+	m := &s.mpc
+	m.Solves += o.mpc.Solves
+	m.WarmAttempts += o.mpc.WarmAttempts
+	m.ColdRetries += o.mpc.ColdRetries
+	m.TerminalRelaxations += o.mpc.TerminalRelaxations
+	m.Fallbacks += o.mpc.Fallbacks
 	s.residual.Merge(o.residual)
-	s.periods += o.periods
-	s.held += o.held
-	s.dropped += o.dropped
-	s.openLoop += o.openLoop
-	if o.maxHeldStreak > s.maxHeldStreak {
-		s.maxHeldStreak = o.maxHeldStreak
-	}
-	s.breakerTrans += o.breakerTrans
-	s.passes += o.passes
-	s.migrations += o.migrations
-	s.vetoes += o.vetoes
-	s.failedMoves += o.failedMoves
-	s.unresolved += o.unresolved
-	s.watchdogPasses += o.watchdogPasses
-	s.watchdogMoves += o.watchdogMoves
-	s.degradedPasses += o.degradedPasses
-	s.bnbNodes += o.bnbNodes
-	s.widenings += o.widenings
-	s.crashes += o.crashes
-	s.vmsEvacuated += o.vmsEvacuated
-	s.vmsLost += o.vmsLost
-	s.drains += o.drains
-	s.budgetTrips += o.budgetTrips
-	s.wallTrips += o.wallTrips
-	s.quarantines += o.quarantines
-	if o.maxDrainEvents > s.maxDrainEvents {
-		s.maxDrainEvents = o.maxDrainEvents
-	}
-	if o.maxSameTime > s.maxSameTime {
-		s.maxSameTime = o.maxSameTime
-	}
+
+	c := &s.control
+	c.Periods += o.control.Periods
+	c.Held += o.control.Held
+	c.Dropped += o.control.Dropped
+	c.OpenLoop += o.control.OpenLoop
+	c.MaxHeldStreak = max(c.MaxHeldStreak, o.control.MaxHeldStreak)
+
+	s.breaker.Transitions += o.breaker.Transitions
+
+	p := &s.optimizer
+	p.Passes += o.optimizer.Passes
+	p.Migrations += o.optimizer.Migrations
+	p.Vetoes += o.optimizer.Vetoes
+	p.FailedMoves += o.optimizer.FailedMoves
+	p.Unresolved += o.optimizer.Unresolved
+	p.WatchdogPasses += o.optimizer.WatchdogPasses
+	p.WatchdogMoves += o.optimizer.WatchdogMoves
+	p.DegradedPasses += o.optimizer.DegradedPasses
+	p.BnBNodes += o.optimizer.BnBNodes
+	p.Widenings += o.optimizer.Widenings
+
+	s.cluster.Crashes += o.cluster.Crashes
+	s.cluster.VMsEvacuated += o.cluster.VMsEvacuated
+	s.cluster.VMsLost += o.cluster.VMsLost
+
+	g := &s.guard
+	g.Drains += o.guard.Drains
+	g.BudgetTrips += o.guard.BudgetTrips
+	g.WallTrips += o.guard.WallTrips
+	g.Quarantines += o.guard.Quarantines
+	g.MaxDrainEvents = max(g.MaxDrainEvents, o.guard.MaxDrainEvents)
+	g.MaxSameTime = max(g.MaxSameTime, o.guard.MaxSameTime)
+
 	s.power.Merge(o.power)
 	s.slo.merge(o.slo)
 	s.audit.merge(o.audit)
@@ -557,79 +525,33 @@ func (s *Scorecard) Report() Report {
 	if s == nil {
 		return Report{Schema: SchemaVersion}
 	}
-	hit := 0.0
-	if s.qpSolves > 0 {
-		hit = float64(s.warmAttempts-s.coldRetries) / float64(s.qpSolves)
-	}
 	rep := Report{
-		Schema: SchemaVersion,
-		Label:  s.cfg.Label,
-		Steps:  s.steps,
-		SLO:    s.slo.report(),
-		MPC: MPCReport{
-			Solves:              s.qpSolves,
-			WarmAttempts:        s.warmAttempts,
-			ColdRetries:         s.coldRetries,
-			WarmHitRate:         hit,
-			TerminalRelaxations: s.relaxations,
-			Fallbacks:           s.fallbacks,
-			Residual:            s.residual.Summary(),
-		},
-		Control: ControlReport{
-			Periods:       s.periods,
-			Held:          s.held,
-			Dropped:       s.dropped,
-			OpenLoop:      s.openLoop,
-			MaxHeldStreak: s.maxHeldStreak,
-		},
-		Breaker: BreakerReport{
-			State:         s.breakerState,
-			CooldownTicks: s.breakerCooldown,
-			Transitions:   s.breakerTrans,
-		},
-		Optimizer: OptimizerReport{
-			Passes:         s.passes,
-			Migrations:     s.migrations,
-			Vetoes:         s.vetoes,
-			FailedMoves:    s.failedMoves,
-			Unresolved:     s.unresolved,
-			WatchdogPasses: s.watchdogPasses,
-			WatchdogMoves:  s.watchdogMoves,
-			DegradedPasses: s.degradedPasses,
-			BnBNodes:       s.bnbNodes,
-			Widenings:      s.widenings,
-		},
-		Cluster: ClusterReport{
-			Crashes:      s.crashes,
-			VMsEvacuated: s.vmsEvacuated,
-			VMsLost:      s.vmsLost,
-		},
-		Guard: GuardReport{
-			Drains:         s.drains,
-			BudgetTrips:    s.budgetTrips,
-			WallTrips:      s.wallTrips,
-			Quarantines:    s.quarantines,
-			MaxDrainEvents: s.maxDrainEvents,
-			MaxSameTime:    s.maxSameTime,
-		},
-		Apps:  []AppReport{},
-		Audit: s.audit.report(),
+		Schema:    SchemaVersion,
+		Label:     s.cfg.Label,
+		Steps:     s.steps,
+		SLO:       s.slo.report(),
+		MPC:       s.mpc,
+		Control:   s.control,
+		Breaker:   s.breaker,
+		Optimizer: s.optimizer,
+		Cluster:   s.cluster,
+		Guard:     s.guard,
+		Apps:      make([]AppReport, len(s.apps)),
+		Replay:    s.replay.Clone(),
+		Audit:     s.audit.report(),
 	}
-	for i := range s.apps {
-		a := &s.apps[i]
-		rep.Apps = append(rep.Apps, AppReport{
-			Name:       a.name,
-			RRefSec:    a.rref,
-			Samples:    a.samples,
-			Violations: a.violations,
-			Response:   a.resp.Summary(),
-		})
+	if s.mpc.Solves > 0 {
+		rep.MPC.WarmHitRate = float64(s.mpc.WarmAttempts-s.mpc.ColdRetries) / float64(s.mpc.Solves)
+	}
+	rep.MPC.Residual = s.residual.Summary()
+	for i, a := range s.apps {
+		rep.Apps[i] = a.AppReport
+		rep.Apps[i].Response = a.resp.Summary()
 	}
 	if s.power.Count() > 0 {
 		sum := s.power.Summary()
 		rep.Power = &sum
 	}
-	rep.Replay = s.replay.Clone()
 	return rep
 }
 

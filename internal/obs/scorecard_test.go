@@ -2,9 +2,15 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
+
+	"vdcpower/internal/check"
+	"vdcpower/internal/guard"
+	"vdcpower/internal/mpc"
+	"vdcpower/internal/optimizer"
 )
 
 func TestSLOVerdicts(t *testing.T) {
@@ -114,25 +120,22 @@ func TestAuditNilSafe(t *testing.T) {
 
 func TestScorecardNilSafe(t *testing.T) {
 	var s *Scorecard
-	s.ObserveStep()
-	s.ObserveResponse(0, 1)
-	s.ObserveSLO(true)
-	s.ObservePower(100)
-	s.RecordControl(true, false, false, 1)
-	s.ObserveResidual(0.1)
-	s.SetMPC(1, 1, 0, 0, 0)
-	s.RecordBreaker("open", 5)
-	s.AddOptimizerPass(1, 0, 0, 0, false)
-	s.AddWatchdogPass(1, 0, 0, false)
-	s.AddSearch(10, 1)
-	s.RecordCrash(2, 0)
+	for _, ev := range []check.Event{
+		{Kind: check.EvInit, Apps: []string{"x"}, SetpointSec: 1},
+		{Kind: check.EvStep, HasSLO: true, HasPower: true, PowerW: 100, Solve: mpc.SolveStats{Solves: 1}},
+		{Kind: check.EvControl, Control: check.ControlObservation{App: "x", Held: true, HeldStreak: 1, Residual: 0.1, HasResidual: true}},
+		{Kind: check.EvBreaker, Breaker: check.BreakerObservation{State: guard.Open, Cooldown: 5}},
+		{Kind: check.EvConsolidate, Report: &optimizer.Report{Migrations: 1}, Nodes: 10, Widenings: 1},
+		{Kind: check.EvWatchdog, Report: &optimizer.Report{Migrations: 1}},
+		{Kind: check.EvCrash, Crash: check.CrashObservation{Server: "s", Evacuated: 2}},
+		{Kind: check.EvGuard, Guard: check.GuardObservation{Events: 1, Aborted: true, Err: errors.New("budget")}},
+	} {
+		s.Observe(ev)
+	}
 	s.Audit().Record(Decision{})
 	s.SLO().Observe(true)
 	if err := s.Merge(New(Config{})); err != nil {
 		t.Fatal(err)
-	}
-	if s.RegisterApp("x", 1) != -1 {
-		t.Fatal("nil RegisterApp should return -1")
 	}
 	rep := s.Report()
 	if rep.Schema != SchemaVersion {
@@ -140,25 +143,39 @@ func TestScorecardNilSafe(t *testing.T) {
 	}
 }
 
+// initApps registers apps against one set point, as a harness's init fact
+// does.
+func initApps(s *Scorecard, setpointSec float64, apps ...string) {
+	s.Observe(check.Event{Kind: check.EvInit, Step: -1, Apps: apps, SetpointSec: setpointSec})
+}
+
+// measure is app's control fact for one period that measured t90.
+func measure(app int, t90 float64) check.Event {
+	return check.Event{Kind: check.EvControl, Control: check.ControlObservation{Index: app, T90: t90}}
+}
+
 func buildScorecard(label string) *Scorecard {
 	s := New(Config{Label: label, SLOTargetSec: 1.0, SLOBudget: 0.1, FastWindow: 4, SlowWindow: 8})
-	a0 := s.RegisterApp("gold", 1.0)
-	a1 := s.RegisterApp("silver", 1.5)
+	initApps(s, 1.0, "gold", "silver")
 	for i := 0; i < 50; i++ {
-		s.ObserveStep()
-		s.ObserveResponse(a0, 0.8+0.01*float64(i%10))
-		s.ObserveResponse(a1, 1.2+0.05*float64(i%12))
-		s.ObservePower(900 + float64(i%7)*10)
-		s.RecordControl(i%9 == 0, false, i%25 == 0, i%9)
-		s.ObserveResidual(0.02 * float64(i%5))
+		gold := measure(0, 0.8+0.01*float64(i%10))
+		gold.Control.HeldStreak = i % 9
+		gold.Control.Residual, gold.Control.HasResidual = 0.02*float64(i%5), true
+		s.Observe(gold)
+		s.Observe(measure(1, 1.2+0.05*float64(i%12)))
+		step := check.Event{Kind: check.EvStep, Step: i, PowerW: 900 + float64(i%7)*10, HasPower: true}
+		if i == 49 {
+			step.Solve = mpc.SolveStats{Solves: 100, WarmAttempts: 98, ColdRetries: 3, Relaxations: 2, Fallbacks: 1}
+		}
+		s.Observe(step)
 	}
-	s.SetMPC(100, 98, 3, 2, 1)
-	s.AddOptimizerPass(4, 1, 0, 0, false)
-	s.AddWatchdogPass(2, 1, 1, true)
-	s.AddSearch(1234, 2)
-	s.RecordCrash(3, 1)
-	s.RecordBreaker("open", 10)
-	s.RecordBreaker("closed", 0)
+	s.Observe(check.Event{Kind: check.EvConsolidate, Policy: "pac", Report: &optimizer.Report{Migrations: 4, Vetoed: 1},
+		Nodes: 1234, Widenings: 2})
+	s.Observe(check.Event{Kind: check.EvWatchdog, Policy: "watchdog",
+		Report: &optimizer.Report{Migrations: 2, FailedMoves: 1, Unresolved: 1}, Degraded: true})
+	s.Observe(check.Event{Kind: check.EvCrash, LostVMs: []string{"v1"}, Crash: check.CrashObservation{Server: "server-9", Evacuated: 3}})
+	s.Observe(check.Event{Kind: check.EvBreaker, Breaker: check.BreakerObservation{State: guard.Open, Prev: guard.Closed, Cooldown: 10}})
+	s.Observe(check.Event{Kind: check.EvBreaker, Breaker: check.BreakerObservation{State: guard.Closed, Prev: guard.Open}})
 	s.Audit().Record(Decision{Step: 5, TimeSec: 300, Component: "pac", Action: "server-off",
 		Target: "server-3", Reason: "load packed onto 2 servers", Span: "dcsim.consolidate"})
 	return s
@@ -183,7 +200,7 @@ func TestScorecardReport(t *testing.T) {
 		t.Fatalf("gold violations = %d, want 0", rep.Apps[0].Violations)
 	}
 	if rep.Apps[1].Violations == 0 {
-		t.Fatal("silver should violate its 1.5s target sometimes")
+		t.Fatal("silver should violate its 1s target sometimes")
 	}
 	if rep.SLO.Good+rep.SLO.Bad != 100 {
 		t.Fatalf("slo totals = %d good %d bad", rep.SLO.Good, rep.SLO.Bad)
@@ -202,8 +219,13 @@ func TestScorecardReport(t *testing.T) {
 	if rep.Power == nil || rep.Power.Count != 50 {
 		t.Fatalf("power slice wrong: %+v", rep.Power)
 	}
-	if len(rep.Audit.Records) != 1 || rep.Audit.Records[0].Action != "server-off" {
-		t.Fatalf("audit slice wrong: %+v", rep.Audit)
+	// The crash and both breaker transitions audit themselves.
+	var actions []string
+	for _, d := range rep.Audit.Records {
+		actions = append(actions, d.Action)
+	}
+	if got := strings.Join(actions, " "); got != "server-crash breaker-open breaker-close server-off" {
+		t.Fatalf("audit slice wrong: %s", got)
 	}
 }
 
@@ -224,22 +246,18 @@ func TestScorecardDeterministicJSON(t *testing.T) {
 }
 
 func TestScorecardMerge(t *testing.T) {
-	mk := func() *Scorecard {
+	mk := func(t90 float64, solve mpc.SolveStats, nodes int) *Scorecard {
 		s := New(Config{SLOBudget: 0.1, FastWindow: 4, SlowWindow: 8})
-		s.RegisterApp("app", 1.0)
+		initApps(s, 1.0, "app")
+		for i := 0; i < 10; i++ {
+			s.Observe(measure(0, t90))
+			s.Observe(check.Event{Kind: check.EvStep, Solve: solve})
+		}
+		s.Observe(check.Event{Kind: check.EvConsolidate, Report: &optimizer.Report{}, Nodes: nodes})
 		return s
 	}
-	a, b := mk(), mk()
-	for i := 0; i < 10; i++ {
-		a.ObserveStep()
-		a.ObserveResponse(0, 0.5)
-		b.ObserveStep()
-		b.ObserveResponse(0, 2.0)
-	}
-	a.SetMPC(10, 9, 1, 0, 0)
-	b.SetMPC(20, 18, 2, 1, 1)
-	a.AddSearch(100, 1)
-	b.AddSearch(50, 0)
+	a := mk(0.5, mpc.SolveStats{Solves: 10, WarmAttempts: 9, ColdRetries: 1}, 100)
+	b := mk(2.0, mpc.SolveStats{Solves: 20, WarmAttempts: 18, ColdRetries: 2, Relaxations: 1, Fallbacks: 1}, 50)
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +276,8 @@ func TestScorecardMerge(t *testing.T) {
 func TestScorecardMergeIntoEmptyAdoptsApps(t *testing.T) {
 	agg := New(Config{SLOBudget: 0.1, FastWindow: 4, SlowWindow: 8})
 	w := New(agg.Config())
-	w.RegisterApp("app", 1.0)
-	w.ObserveResponse(0, 0.5)
+	initApps(w, 1.0, "app")
+	w.Observe(measure(0, 0.5))
 	if err := agg.Merge(w); err != nil {
 		t.Fatal(err)
 	}
@@ -276,14 +294,13 @@ func TestScorecardMergeRejectsMismatch(t *testing.T) {
 		t.Fatal("merge should reject mismatched SLO geometry")
 	}
 	c := New(a.Config())
-	a.RegisterApp("x", 1)
-	c.RegisterApp("y", 1)
+	initApps(a, 1, "x")
+	initApps(c, 1, "y")
 	if err := a.Merge(c); err == nil {
 		t.Fatal("merge should reject mismatched app names")
 	}
 	d := New(a.Config())
-	d.RegisterApp("x", 1)
-	d.RegisterApp("z", 1)
+	initApps(d, 1, "x", "z")
 	if err := a.Merge(d); err == nil {
 		t.Fatal("merge should reject mismatched app counts")
 	}
@@ -292,12 +309,12 @@ func TestScorecardMergeRejectsMismatch(t *testing.T) {
 func TestScorecardMergeOrderInvariant(t *testing.T) {
 	mk := func(seed int) *Scorecard {
 		s := New(Config{SLOBudget: 0.1, FastWindow: 4, SlowWindow: 8})
-		s.RegisterApp("app", 1.0)
+		initApps(s, 1.0, "app")
 		for i := 0; i < 20+seed; i++ {
-			s.ObserveStep()
-			s.ObserveResponse(0, 0.1*float64((i*seed)%30))
-			s.ObservePower(800 + float64(seed*i%100))
-			s.ObserveResidual(0.01 * float64(seed))
+			ev := measure(0, 0.1*float64((i*seed)%30))
+			ev.Control.Residual, ev.Control.HasResidual = 0.01*float64(seed), true
+			s.Observe(ev)
+			s.Observe(check.Event{Kind: check.EvStep, PowerW: 800 + float64(seed*i%100), HasPower: true})
 		}
 		return s
 	}
@@ -323,7 +340,7 @@ func TestScorecardMergeOrderInvariant(t *testing.T) {
 
 func TestScorecardResidualAbs(t *testing.T) {
 	s := New(Config{})
-	s.ObserveResidual(-0.5)
+	s.Observe(check.Event{Kind: check.EvControl, Control: check.ControlObservation{Residual: -0.5, HasResidual: true}})
 	rep := s.Report()
 	if math.Abs(rep.MPC.Residual.Max-0.5) > 1e-12 {
 		t.Fatalf("residual should be absolute: %+v", rep.MPC.Residual)
@@ -337,8 +354,8 @@ func TestBreakerStateName(t *testing.T) {
 	if b := s.Report().Breaker; b.State != "closed" || b.Transitions != 0 {
 		t.Fatalf("fresh breaker = %+v", b)
 	}
-	s.RecordBreaker("closed", 0)
-	s.RecordBreaker("half-open", 0)
+	s.Observe(check.Event{Kind: check.EvBreaker, Breaker: check.BreakerObservation{State: guard.Closed, Prev: guard.Closed}})
+	s.Observe(check.Event{Kind: check.EvBreaker, Breaker: check.BreakerObservation{State: guard.HalfOpen, Prev: guard.Closed}})
 	if b := s.Report().Breaker; b.State != "half-open" || b.Transitions != 1 {
 		t.Fatalf("breaker = %+v, want half-open after 1 transition", b)
 	}

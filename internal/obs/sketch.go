@@ -1,13 +1,12 @@
 // Package obs is the controller-health observability layer: mergeable
 // quantile sketches, per-loop health scorecards, SLO burn-rate
-// accounting, and a bounded decision-audit ring. It sits on top of
-// package telemetry but is independent of it: everything here is
-// deterministic (no wall clocks, no randomness — step counters and
-// caller-provided sim time only), so same-seed runs produce
-// byte-identical scorecard JSON, and every per-worker piece of state
-// merges exactly (commutatively and associatively), which is what lets
-// sharded sweeps and a future multi-tenant serve aggregate
-// constant-memory summaries without loss.
+// accounting, and a bounded decision-audit ring. A scorecard subscribes
+// to a harness's probe and folds the facts it emits. Everything here is
+// deterministic (no wall clocks, no randomness — step counters and the
+// facts' sim time only), so same-seed runs produce byte-identical
+// scorecard JSON, and every per-worker piece of state merges exactly
+// (commutatively and associatively), which is what lets sharded sweeps
+// aggregate constant-memory summaries without loss.
 package obs
 
 import "math"

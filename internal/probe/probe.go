@@ -2,9 +2,10 @@
 // testbed, the data-center simulator and the HTTP server — emits every
 // fact it observes once, as a check.Event, into one nil-safe Probe, and
 // runs every optimizer pass through Probe.Pass, so a pass fact has one
-// shape in every harness; the invariant checker, the health scorecard and
-// the metrics registry subscribe to it. Facts carry logical simulation
-// time only, so subscribers observe same-seed runs byte-identically.
+// shape in every harness. The invariant checker and the health scorecard
+// subscribe to it as they stand, and Metrics adapts the metrics registry.
+// Facts carry logical simulation time only, so subscribers observe
+// same-seed runs byte-identically.
 package probe
 
 import (
@@ -14,7 +15,7 @@ import (
 
 // Subscriber receives every fact a probe emits, in emission order;
 // pointer fields of the event are valid only during the call.
-// *check.Checker is a Subscriber as it stands.
+// *check.Checker and *obs.Scorecard are Subscribers as they stand.
 type Subscriber interface {
 	Observe(check.Event)
 }
@@ -30,7 +31,9 @@ type Probe struct {
 
 // New returns a probe over the non-nil subscribers, or nil when none is
 // left: a nil *Probe drops every fact, so an unobserved run pays only for
-// building the event values.
+// building the event values. A nil pointer held in a Subscriber is not a
+// nil subscriber, so a caller subscribes a scorecard only when it built
+// one.
 func New(subs ...Subscriber) *Probe {
 	var p Probe
 	for _, s := range subs {

@@ -111,7 +111,7 @@ func New(tb *testbed.Testbed) *Server {
 	s.degraded = s.metrics.Counter("vdcpower_degraded_steps_total",
 		"control steps failed or skipped while the loop ran degraded")
 	s.obs = obs.New(obs.Config{Label: "serve", SLOTargetSec: tb.Cfg.Setpoint})
-	s.probe = probe.New(probe.Scorecard(s.obs), probe.Metrics(s.metrics))
+	s.probe = probe.New(s.obs, probe.Metrics(s.metrics))
 	tb.AttachProbe(s.probe)
 	s.publishBreaker(guard.Closed) // the initial state is the breaker's first fact
 	s.setGuard(guard.DefaultStepBudget())

@@ -36,7 +36,7 @@ func TestObservedPeriodAllocatesNoMoreThanBare(t *testing.T) {
 		}
 		if observed {
 			sc := obs.New(obs.Config{SLOTargetSec: cfg.Setpoint})
-			tb.AttachProbe(probe.New(probe.Scorecard(sc), probe.Metrics(telemetry.NewRegistry())))
+			tb.AttachProbe(probe.New(sc, probe.Metrics(telemetry.NewRegistry())))
 		}
 		for i := 0; i < warm; i++ {
 			if _, err := tb.Run(cfg.Period, nil); err != nil {

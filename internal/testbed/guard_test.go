@@ -22,7 +22,7 @@ func TestRunStepBudgetAbort(t *testing.T) {
 	}
 	sc := obs.New(obs.Config{})
 	ck := check.New(check.GuardInvariants()...)
-	tb.AttachProbe(probe.New(ck, probe.Scorecard(sc)))
+	tb.AttachProbe(probe.New(ck, sc))
 
 	recs, err := tb.Run(40, nil)
 	if err != nil {
@@ -84,7 +84,7 @@ func TestRunInjectedBudgetExhaustionRecovers(t *testing.T) {
 	}
 	sc := obs.New(obs.Config{})
 	ck := check.New(check.GuardInvariants()...)
-	tb.AttachProbe(probe.New(ck, probe.Scorecard(sc)))
+	tb.AttachProbe(probe.New(ck, sc))
 	tb.AttachFaults(fault.New(fault.Profile{Seed: 3, Guard: fault.GuardProfile{ExhaustProb: 1, UntilStep: 2}}))
 
 	aborts := 0
@@ -121,7 +121,7 @@ func TestRunByteIdenticalUnderUntrippedBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc := obs.New(obs.Config{})
-		tb.AttachProbe(probe.New(probe.Scorecard(sc)))
+		tb.AttachProbe(probe.New(sc))
 		tb.SetStepBudget(budget)
 		recs, err := tb.Run(100, nil)
 		if err != nil {

@@ -195,7 +195,7 @@ func TestPassFactsAuditEveryServer(t *testing.T) {
 			t.Errorf("pass at period %d snapshots %d servers, want %d", ev.Step, len(ev.ActiveBefore), cfg.NumServers)
 		}
 	})
-	tb.AttachProbe(probe.New(probe.Scorecard(sc), snapshot))
+	tb.AttachProbe(probe.New(sc, snapshot))
 	if _, err := tb.Run(40*cfg.Period, nil); err != nil {
 		t.Fatal(err)
 	}

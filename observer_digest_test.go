@@ -133,7 +133,7 @@ func TestObserverDigestsTestbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := tb.AttachTelemetry(0)
-	tb.AttachProbe(probe.New(ck, probe.Scorecard(sc), probe.Metrics(reg)))
+	tb.AttachProbe(probe.New(ck, sc, probe.Metrics(reg)))
 	inj.AttachMetrics(reg)
 	tb.AttachFaults(inj)
 	if _, err := tb.Run(40*cfg.Period, nil); err != nil {
@@ -181,7 +181,7 @@ func TestObserverDigestsDCSim(t *testing.T) {
 	cfg.Faults = fault.New(prof)
 	cfg.Faults.AttachMetrics(reg)
 	cfg.Telemetry = tracer.Track("IPAC-30")
-	cfg.Probe = probe.New(ck, probe.Scorecard(sc), probe.Metrics(reg))
+	cfg.Probe = probe.New(ck, sc, probe.Metrics(reg))
 	res, err := dcsim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
