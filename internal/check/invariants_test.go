@@ -55,7 +55,11 @@ func TestVMConservationCatchesLostVM(t *testing.T) {
 		t.Fatalf("baseline event rejected: %v", err)
 	}
 	// A migration conserves the set.
-	if _, err := dc.Migrate(vms[1], dc.Servers[0]); err != nil {
+	tx, err := dc.BeginMigration(vms[1], dc.Servers[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if err := inv.Check(Event{Kind: EvConsolidate, DC: dc}); err != nil {
@@ -65,7 +69,7 @@ func TestVMConservationCatchesLostVM(t *testing.T) {
 	if err := dc.Remove(vms[0]); err != nil {
 		t.Fatal(err)
 	}
-	err := inv.Check(Event{Kind: EvStep, DC: dc})
+	err = inv.Check(Event{Kind: EvStep, DC: dc})
 	if err == nil {
 		t.Fatal("lost VM not caught")
 	}

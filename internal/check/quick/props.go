@@ -536,7 +536,11 @@ func randomMigration(r *rand.Rand, dc *cluster.DataCenter, vms []*cluster.VM) er
 	if dc.HostOf(v.ID) == target || target.Cordoned() || !admits(target, v) {
 		return nil // inadmissible: skip this step
 	}
-	_, err := dc.Migrate(v, target)
+	tx, err := dc.BeginMigration(v, target)
+	if err != nil {
+		return err
+	}
+	_, err = tx.Commit()
 	return err
 }
 

@@ -334,18 +334,6 @@ func (dc *DataCenter) HostOf(id string) *Server { return dc.index[id] }
 // Server returns the server with the given ID, or nil.
 func (dc *DataCenter) Server(id string) *Server { return dc.servers[id] }
 
-// Migrate moves v to target (live migration). The source server is left
-// active; the optimizer decides separately whether to sleep it. Migrate
-// is the atomic form of the two-phase BeginMigration/Commit protocol:
-// reserve and commit in one call, for callers with no abort path.
-func (dc *DataCenter) Migrate(v *VM, target *Server) (Migration, error) {
-	tx, err := dc.BeginMigration(v, target)
-	if err != nil {
-		return Migration{}, err
-	}
-	return tx.Commit()
-}
-
 // Remove unplaces a VM entirely (application decommissioned).
 func (dc *DataCenter) Remove(v *VM) error {
 	src, ok := dc.index[v.ID]

@@ -177,13 +177,22 @@ func TestPlaceWakesSleepingServer(t *testing.T) {
 	}
 }
 
+// migrate live-migrates v to target through both phases at once.
+func migrate(dc *DataCenter, v *VM, target *Server) (Migration, error) {
+	tx, err := dc.BeginMigration(v, target)
+	if err != nil {
+		return Migration{}, err
+	}
+	return tx.Commit()
+}
+
 func TestMigrate(t *testing.T) {
 	dc := testDC(t, 2)
 	v := newVM("v1", 1, 1)
 	if err := dc.Place(v, dc.Servers[0]); err != nil {
 		t.Fatal(err)
 	}
-	mig, err := dc.Migrate(v, dc.Servers[1])
+	mig, err := migrate(dc, v, dc.Servers[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,13 +213,13 @@ func TestMigrate(t *testing.T) {
 func TestMigrateErrors(t *testing.T) {
 	dc := testDC(t, 2)
 	v := newVM("v1", 1, 1)
-	if _, err := dc.Migrate(v, dc.Servers[0]); err == nil {
+	if _, err := migrate(dc, v, dc.Servers[0]); err == nil {
 		t.Fatal("unplaced VM must fail")
 	}
 	if err := dc.Place(v, dc.Servers[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dc.Migrate(v, dc.Servers[0]); err == nil {
+	if _, err := migrate(dc, v, dc.Servers[0]); err == nil {
 		t.Fatal("self-migration must fail")
 	}
 }
@@ -222,7 +231,7 @@ func TestMigrateWakesTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	dc.Servers[1].Sleep()
-	if _, err := dc.Migrate(v, dc.Servers[1]); err != nil {
+	if _, err := migrate(dc, v, dc.Servers[1]); err != nil {
 		t.Fatal(err)
 	}
 	if dc.Servers[1].State() != Active {

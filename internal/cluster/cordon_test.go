@@ -25,13 +25,13 @@ func TestCordonRejectsMigrationTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	dc.Servers[1].Cordon()
-	if _, err := dc.Migrate(v, dc.Servers[1]); err == nil {
+	if _, err := migrate(dc, v, dc.Servers[1]); err == nil {
 		t.Fatal("migration onto cordoned server accepted")
 	}
 	// Migrating AWAY from a cordoned server must work (that's the point).
 	dc.Servers[0].Cordon()
 	dc.Servers[1].Uncordon()
-	if _, err := dc.Migrate(v, dc.Servers[1]); err != nil {
+	if _, err := migrate(dc, v, dc.Servers[1]); err != nil {
 		t.Fatal(err)
 	}
 }

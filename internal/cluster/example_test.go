@@ -19,8 +19,13 @@ func ExampleDataCenter() {
 	if err := dc.Place(vm, dc.Servers[1]); err != nil {
 		panic(err)
 	}
-	// Live-migrate to the efficient server and sleep the empty one.
-	if _, err := dc.Migrate(vm, dc.Servers[0]); err != nil {
+	// Live-migrate to the efficient server: reserve the target, commit
+	// the move, and sleep the empty source.
+	tx, err := dc.BeginMigration(vm, dc.Servers[0])
+	if err != nil {
+		panic(err)
+	}
+	if _, err := tx.Commit(); err != nil {
 		panic(err)
 	}
 	dc.SleepIdle()

@@ -61,7 +61,7 @@ func TestRandomOperationSequencePreservesInvariants(t *testing.T) {
 				if dc.HostOf(v.ID) == target {
 					continue
 				}
-				if _, err := dc.Migrate(v, target); err != nil {
+				if _, err := migrate(dc, v, target); err != nil {
 					t.Fatalf("seed %d op %d: migrate: %v", seed, op, err)
 				}
 			case 3: // remove a random VM

@@ -158,7 +158,7 @@ func TestMigrationObserverSeesAllPhases(t *testing.T) {
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dc.Migrate(v, dc.Servers[1]); err != nil {
+	if _, err := migrate(dc, v, dc.Servers[1]); err != nil {
 		t.Fatal(err)
 	}
 	want := []TxPhase{TxReserved, TxRolledBack, TxReserved, TxCommitted}

@@ -106,6 +106,43 @@ func TestIPACTransientPassError(t *testing.T) {
 	}
 }
 
+// pMapper draws from the same fault plane as IPAC: with every migration
+// aborting it skips each planned move and loses nothing, an injected
+// pass error surfaces typed, and a fault-free pass then consolidates.
+func TestPMapperDrawsFaults(t *testing.T) {
+	dc := scatteredDC(t)
+	before := dc.NumActive()
+	pm := NewPMapper()
+	pm.SetFaults(fault.New(fault.Profile{Seed: 4, Migration: fault.MigrationProfile{AbortProb: 1}}))
+	rep, err := pm.Consolidate(dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Migrations != 0 || rep.FailedMoves == 0 || dc.NumActive() != before {
+		t.Fatalf("moves under abort_prob 1: %s, active %d -> %d", rep, before, dc.NumActive())
+	}
+	if err := dc.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if len(dc.InFlight()) != 0 {
+		t.Fatal("leaked reservation after aborted pass")
+	}
+
+	pm.SetFaults(fault.New(fault.Profile{Seed: 5, Optimizer: fault.OptimizerProfile{ErrorProb: 1}}))
+	rep, err = pm.Consolidate(dc)
+	if !fault.IsInjected(err) || rep.Migrations != 0 || len(rep.FaultLog) != 1 {
+		t.Fatalf("injected pass: error %v, report %s (log %v)", err, rep, rep.FaultLog)
+	}
+
+	pm.SetFaults(nil)
+	if _, err := pm.Consolidate(dc); err != nil {
+		t.Fatal(err)
+	}
+	if dc.NumActive() >= before {
+		t.Fatalf("recovery pass did not consolidate: active %d -> %d", before, dc.NumActive())
+	}
+}
+
 func TestResolveOverloadsWithFaultsLeavesOverloadReported(t *testing.T) {
 	// One overloaded mid server (cap 4), relief target available, but every
 	// relief migration aborts: the overload must stay reported as

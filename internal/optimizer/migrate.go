@@ -8,6 +8,19 @@ import (
 	"vdcpower/internal/telemetry"
 )
 
+// passError draws the fault plane's transient failure for a pass of the
+// consolidator named name. An injected one is logged in rep and returned
+// typed, so harnesses skip the pass and continue (fault.IsInjected tells
+// it from a real error).
+func passError(dc *cluster.DataCenter, inj *fault.Injector, name string, rep *Report) error {
+	err := inj.OptimizerError(name)
+	if err != nil {
+		rep.FaultLog = append(rep.FaultLog, fault.Record{Kind: fault.OptimizerError, Step: inj.Step(), Target: name})
+		rep.ActiveAfter = dc.NumActive()
+	}
+	return err
+}
+
 // migrateWithRetry performs one planned migration through the two-phase
 // protocol under the fault plane: each attempt reserves the target, and an
 // injected mid-copy abort rolls the reservation back (the VM stays on the

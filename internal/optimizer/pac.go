@@ -178,13 +178,7 @@ func (o *IPAC) Consolidate(dc *cluster.DataCenter) (Report, error) {
 		root.Int("rounds", rep.Rounds).Int("migrations", rep.Migrations).
 			Int("vetoed", rep.Vetoed).Int("active_after", rep.ActiveAfter).End()
 	}()
-	if err := o.Faults.OptimizerError(o.Name()); err != nil {
-		// Transient injected pass failure: report it typed so harnesses
-		// skip this pass and continue (fault.IsInjected distinguishes it
-		// from real errors).
-		rep.FaultLog = append(rep.FaultLog, fault.Record{
-			Kind: fault.OptimizerError, Step: o.Faults.Step(), Target: o.Name()})
-		rep.ActiveAfter = dc.NumActive()
+	if err := passError(dc, o.Faults, o.Name(), &rep); err != nil {
 		return rep, err
 	}
 	if err := resolveOverloads(dc, o.Constraint, o.MinSlack, o.Faults, &rep, &o.pass); err != nil {

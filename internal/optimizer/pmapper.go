@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"vdcpower/internal/cluster"
+	"vdcpower/internal/fault"
 	"vdcpower/internal/packing"
 	"vdcpower/internal/telemetry"
 )
@@ -24,11 +25,16 @@ type PMapper struct {
 	Constraint packing.VectorConstraint
 	Policy     CostPolicy
 
-	trace *telemetry.Track // set via SetTrace; nil keeps tracing off
+	trace  *telemetry.Track // set via SetTrace; nil keeps tracing off
+	faults *fault.Injector  // set via SetFaults; nil keeps injection off
 }
 
 // SetTrace implements telemetry.Traceable.
 func (p *PMapper) SetTrace(tk *telemetry.Track) { p.trace = tk }
+
+// SetFaults implements fault.Injectable: a pass draws transient errors
+// and its migrations draw aborts from in, as IPAC's do.
+func (p *PMapper) SetFaults(in *fault.Injector) { p.faults = in }
 
 // NewPMapper returns the baseline with the default constraint and the
 // allow-all policy.
@@ -51,6 +57,9 @@ func (p *PMapper) Consolidate(dc *cluster.DataCenter) (Report, error) {
 		root.Int("migrations", rep.Migrations).Int("vetoed", rep.Vetoed).
 			Int("active_after", rep.ActiveAfter).End()
 	}()
+	if err := passError(dc, p.faults, p.Name(), &rep); err != nil {
+		return rep, err
+	}
 
 	// Phase 1: virtual target allocation over empty bins for every
 	// server (first-fit in decreasing demand order, the strongest common
@@ -160,12 +169,9 @@ func (p *PMapper) Consolidate(dc *cluster.DataCenter) (Report, error) {
 				Str("from", pd.from.ID).Str("to", to.ID).End()
 			continue
 		}
-		mig, err := dc.Migrate(pd.vm, to)
-		if err != nil {
+		if _, err := migrateWithRetry(dc, pd.vm, to, p.faults, &rep, p.trace); err != nil {
 			return rep, fmt.Errorf("optimizer: pMapper migration failed: %w", err)
 		}
-		rep.Moves = append(rep.Moves, mig)
-		rep.Migrations++
 	}
 	dc.SleepIdle()
 	rep.ActiveAfter = dc.NumActive()
