@@ -138,7 +138,7 @@ func (s *Scorecard) Observe(ev check.Event) {
 	}
 	switch ev.Kind {
 	case check.EvInit:
-		s.init(ev)
+		s.foldInit(ev)
 	case check.EvGuard:
 		s.foldDrain(ev)
 	case check.EvControl:
@@ -180,8 +180,8 @@ func (s *Scorecard) record(ev check.Event, d Decision) {
 	s.audit.Record(d)
 }
 
-// init registers the init fact's applications in their harness order.
-func (s *Scorecard) init(ev check.Event) {
+// foldInit registers the init fact's applications in their harness order.
+func (s *Scorecard) foldInit(ev check.Event) {
 	for _, name := range ev.Apps {
 		s.appIndex = append(s.appIndex, s.registerApp(name, ev.SetpointSec))
 	}
