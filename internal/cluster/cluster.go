@@ -178,12 +178,15 @@ func (s *Server) Slack() float64 { return s.Spec.Capacity() - s.TotalDemand() }
 
 // Utilization returns demand relative to the capacity available at the
 // current frequency.
-func (s *Server) Utilization() float64 {
+func (s *Server) Utilization() float64 { return s.utilization(s.TotalDemand()) }
+
+// utilization is Utilization for the total demand.
+func (s *Server) utilization(total float64) float64 {
 	cap := s.Spec.CapacityAt(s.freq)
 	if cap <= 0 {
 		return 0
 	}
-	u := s.TotalDemand() / cap
+	u := total / cap
 	if u > 1 {
 		u = 1
 	}
@@ -191,17 +194,25 @@ func (s *Server) Utilization() float64 {
 }
 
 // Overloaded reports whether demand exceeds capacity at max frequency.
-func (s *Server) Overloaded() bool { return s.TotalDemand() > s.Spec.Capacity()+1e-9 }
+func (s *Server) Overloaded() bool { return s.OverloadedFor(s.TotalDemand()) }
+
+// OverloadedFor is Overloaded for a caller that has summed the server's
+// demand already: total is TotalDemand's value.
+func (s *Server) OverloadedFor(total float64) bool { return total > s.Spec.Capacity()+1e-9 }
 
 // Power returns current power draw in watts.
-func (s *Server) Power() float64 {
+func (s *Server) Power() float64 { return s.PowerFor(s.TotalDemand()) }
+
+// PowerFor is Power for a caller that has summed the server's demand
+// already: total is TotalDemand's value.
+func (s *Server) PowerFor(total float64) float64 {
 	switch s.state {
 	case Sleeping:
 		return s.Spec.PSleep
 	case Failed:
 		return 0
 	}
-	return s.Spec.Power(s.freq, s.Utilization())
+	return s.Spec.Power(s.freq, s.utilization(total))
 }
 
 // host attaches a VM (internal; use DataCenter.Place / Migrate).

@@ -397,9 +397,14 @@ func (a *Arbitrator) Arbitrate() ([]Grant, units.Hertz) {
 // the scale every grant takes (1 unless the demand exceeds capacity). It
 // records the same "arbitrator.pass" span and allocates nothing untraced.
 func (a *Arbitrator) Throttle() (units.Hertz, units.Fraction) {
+	return a.ThrottleFor(a.Server.TotalDemand())
+}
+
+// ThrottleFor is Throttle for a caller that has summed the server's
+// demand already: total is Server.TotalDemand's value.
+func (a *Arbitrator) ThrottleFor(total units.Hertz) (units.Hertz, units.Fraction) {
 	srv := a.Server
 	sp := a.Trace.Start("arbitrator.pass").Str("server", srv.ID)
-	total := srv.TotalDemand()
 	capacity := srv.Spec.Capacity()
 	scale := 1.0
 	if total > capacity {

@@ -278,6 +278,7 @@ func Run(cfg Config) (Result, error) {
 	}()
 	var meter power.Meter
 	activeSum := 0.0
+	usesDVFS := cfg.Consolidator.UsesDVFS()
 	// finish fills the aggregate fields from whatever the run accumulated,
 	// so error paths return a usable partial Result alongside the error
 	// (stepsDone counts fully accounted steps).
@@ -343,7 +344,9 @@ func Run(cfg Config) (Result, error) {
 		// Server-level frequency decision for the step, and energy
 		// accounting. Suspended and crashed servers are treated as powered
 		// off and unaccounted, as in the paper, so the sweep walks only the
-		// active list, in fleet order.
+		// active list, in fleet order. Each server's demand is summed once,
+		// in VMs() order, and the arbitrator, the overload count and the
+		// power model all read that sum.
 		var dvfs *telemetry.Span
 		if tk != nil {
 			dvfs = tk.Start("arbitrate.dvfs").Int("step", k)
@@ -351,27 +354,31 @@ func Run(cfg Config) (Result, error) {
 		stepPower := 0.0
 		overloadsBefore := res.OverloadSteps
 		for _, s := range dc.Active() {
-			if cfg.Consolidator.UsesDVFS() {
+			total := s.TotalDemand()
+			if usesDVFS {
 				arb := core.Arbitrator{Server: s, Headroom: cfg.Headroom, Trace: tk, Faults: cfg.Faults}
-				arb.Throttle()
+				arb.ThrottleFor(total)
 			} else {
 				s.SetFreq(s.Spec.MaxFreq)
 			}
-			if s.Overloaded() {
+			if s.OverloadedFor(total) {
 				res.OverloadSteps++
 			}
-			stepPower += s.Power()
+			stepPower += s.PowerFor(total)
 		}
 		dvfs.Float("power_w", stepPower).End()
 		nActive := dc.NumActive()
 		meter.Accumulate(stepPower, tr.StepSeconds)
 		// The paper's performance objective at data-center scale: no
-		// active server's demand exceeds its capacity this step.
-		cfg.Probe.Emit(check.Event{
-			Kind: check.EvStep, Step: k, TimeSec: float64(k) * tr.StepSeconds, DC: dc,
-			PowerW: stepPower, EnergyJ: meter.Joules(), HasPower: true, HasEnergy: true,
-			Active: nActive, SLOMet: res.OverloadSteps == overloadsBefore, HasSLO: true,
-		})
+		// active server's demand exceeds its capacity this step. The fact
+		// is built only for a probe to read.
+		if cfg.Probe != nil {
+			cfg.Probe.Emit(check.Event{
+				Kind: check.EvStep, Step: k, TimeSec: float64(k) * tr.StepSeconds, DC: dc,
+				PowerW: stepPower, EnergyJ: meter.Joules(), HasPower: true, HasEnergy: true,
+				Active: nActive, SLOMet: res.OverloadSteps == overloadsBefore, HasSLO: true,
+			})
+		}
 		activeSum += float64(nActive)
 		if cfg.OnStep != nil {
 			cfg.OnStep(k, stepPower, nActive, demand)

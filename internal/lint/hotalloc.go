@@ -13,11 +13,13 @@ import (
 //	//vdc:hotpath <scenario>
 //
 // where <scenario> names the vdcbench scenario whose allocs/op the code
-// dominates. Inside a root, the hot region is every loop body (one-time
-// setup before the loop is exempt); any package-local function called
-// from a hot region is hot over its whole body, transitively — which
-// also makes a recursive root hot everywhere. Findings name the
-// scenario so a hit can be reproduced with vdcbench run.
+// dominates. Inside a root with a for or range statement, the hot region
+// is every loop body (one-time setup before the loop is exempt). A root
+// with no loop is hot over its whole body: it runs once per event, so
+// its caller's loop is its loop. Any package-local function called from
+// a hot region is hot over its whole body, transitively — which also
+// makes a recursive root hot everywhere. Findings name the scenario so a
+// hit can be reproduced with vdcbench run.
 //
 // Flagged allocation sites: make(map/slice/chan), map/slice composite
 // literals, &composite literals, new(), growing append, function
@@ -74,7 +76,7 @@ func runHotalloc(p *Pass) {
 		frontier = append(frontier, fn)
 	}
 	for _, r := range roots {
-		walkHotRegions(r.decl.Body, false, func(n ast.Node) {
+		walkHotRegions(r.decl.Body, !hasLoop(r.decl.Body), func(n ast.Node) {
 			if call, ok := n.(*ast.CallExpr); ok {
 				absorb(calleeFunc(p.Pkg.Info, call), r.scenario)
 			}
@@ -92,10 +94,11 @@ func runHotalloc(p *Pass) {
 		})
 	}
 
-	// Report pass. Whole-hot functions are checked everywhere; roots
-	// that are not themselves whole-hot (e.g. via recursion) only inside
-	// their loops. Allocations on aborting paths (panic messages,
-	// error-typed return results) are steady-state-free and exempt.
+	// Report pass. Whole-hot functions and loop-less roots are checked
+	// everywhere; other roots that are not themselves whole-hot (e.g.
+	// via recursion) only inside their loops. Allocations on aborting
+	// paths (panic messages, error-typed return results) are
+	// steady-state-free and exempt.
 	report := func(decl *ast.FuncDecl, wholeBody bool, scenario string) {
 		cold := coldRanges(p.Pkg.Info, decl.Body)
 		walkHotRegions(decl.Body, wholeBody, func(n ast.Node) {
@@ -118,8 +121,21 @@ func runHotalloc(p *Pass) {
 		if reported[r.decl] {
 			continue
 		}
-		report(r.decl, false, r.scenario)
+		report(r.decl, !hasLoop(r.decl.Body), r.scenario)
 	}
+}
+
+// hasLoop reports whether body holds a for or range statement.
+func hasLoop(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.ForStmt, *ast.RangeStmt:
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // coldRanges collects source ranges whose allocations do not count as

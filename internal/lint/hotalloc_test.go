@@ -159,3 +159,41 @@ func Solve(xs []float64) []float64 {
 	wantFindings(t, got, "hotalloc",
 		"append may grow its backing array")
 }
+
+// TestHotallocRootWithoutLoop: a root with no for or range statement
+// runs once per event, so its caller's loop is its loop: its whole body
+// is hot, and so is every package-local function it calls. A root with
+// a loop keeps its set-up exempt.
+func TestHotallocRootWithoutLoop(t *testing.T) {
+	got := analyzeFixture(t, "fixturemod/internal/hot", `package hot
+
+type card struct{ steps int }
+
+//vdc:hotpath fig6/obs-on
+func (c *card) Observe(kind int) {
+	switch kind {
+	case 0:
+		c.steps++
+		_ = make([]int, 4) // no loop in the root: hot
+	case 1:
+		c.fold(kind)
+	}
+}
+
+func (c *card) fold(kind int) {
+	_ = []int{kind} // hot through the call edge
+}
+
+//vdc:hotpath mpc/solve
+func Copy(xs []float64) []float64 {
+	buf := make([]float64, len(xs)) // set-up before the loop: exempt
+	for i := range xs {
+		buf[i] = xs[i]
+	}
+	return buf
+}
+`, HotallocAnalyzer())
+	wantFindings(t, got, "hotalloc",
+		"make allocates in a hot path (vdcbench scenario fig6/obs-on)",
+		"slice literal allocates in a hot path (vdcbench scenario fig6/obs-on)")
+}

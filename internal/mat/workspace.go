@@ -83,23 +83,25 @@ func (w *Workspace) LU() *LU { return &w.lu }
 func (w *Workspace) QR() *QR { return &w.qr }
 
 // reshape resizes m to rows×cols, reusing the backing array when its
-// capacity suffices. Contents are unspecified afterwards.
+// capacity suffices and growing it geometrically otherwise (grownCap).
+// Contents are unspecified afterwards.
 func (m *Mat) reshape(rows, cols int) {
 	n := rows * cols
 	if cap(m.Data) < n {
 		//lint:ignore hotalloc capacity growth happens only until the buffer reaches its steady-state size
-		m.Data = make([]float64, n)
+		m.Data = make([]float64, grownCap(cap(m.Data), n))
 	}
 	m.Data = m.Data[:n]
 	m.Rows, m.Cols = rows, cols
 }
 
 // growVec returns buf with length n, reusing its backing array when the
-// capacity suffices. Contents are unspecified.
+// capacity suffices and growing it geometrically otherwise (grownCap).
+// Contents are unspecified.
 func growVec(buf Vec, n int) Vec {
 	if cap(buf) < n {
 		//lint:ignore hotalloc capacity growth happens only until the buffer reaches its steady-state size
-		buf = make(Vec, n)
+		buf = make(Vec, grownCap(cap(buf), n))
 	}
 	return buf[:n]
 }
@@ -108,7 +110,13 @@ func growVec(buf Vec, n int) Vec {
 func growInts(buf []int, n int) []int {
 	if cap(buf) < n {
 		//lint:ignore hotalloc capacity growth happens only until the buffer reaches its steady-state size
-		buf = make([]int, n)
+		buf = make([]int, grownCap(cap(buf), n))
 	}
 	return buf[:n]
 }
+
+// grownCap is the capacity a buffer of capacity c grows to when n > c
+// elements are asked of it: at least twice c, so a buffer that meets
+// one new high after another (an MPC active set growing a constraint at
+// a time) allocates a logarithmic number of times, not once per high.
+func grownCap(c, n int) int { return max(n, 2*c) }

@@ -46,8 +46,9 @@ func (a *Audit) Record(d Decision) {
 	}
 	d.Seq = a.seq
 	a.seq++
-	if len(a.ring) < cap(a.ring) {
-		a.ring = append(a.ring, d)
+	if n := len(a.ring); n < cap(a.ring) {
+		a.ring = a.ring[:n+1]
+		a.ring[n] = d
 		return
 	}
 	a.ring[a.head] = d

@@ -122,6 +122,7 @@ func (s *Scorecard) Config() Config {
 // registerApp adds an application with its response-time target R_ref
 // and returns its index. Registration order is the report order.
 func (s *Scorecard) registerApp(name string, rrefSec float64) int {
+	//lint:ignore hotalloc the init fact arrives once per run: registering its applications is set-up
 	s.apps = append(s.apps, appHealth{AppReport: AppReport{Name: name, RRefSec: rrefSec}, resp: NewSketch()})
 	return len(s.apps) - 1
 }
@@ -183,8 +184,10 @@ func (s *Scorecard) record(ev check.Event, d Decision) {
 // foldInit registers the init fact's applications in their harness order.
 func (s *Scorecard) foldInit(ev check.Event) {
 	for _, name := range ev.Apps {
+		//lint:ignore hotalloc the init fact arrives once per run: its application index is set-up
 		s.appIndex = append(s.appIndex, s.registerApp(name, ev.SetpointSec))
 	}
+	//lint:ignore hotalloc the init fact arrives once per run: its open-loop flags are set-up
 	s.openLoop = make([]bool, len(s.appIndex))
 }
 

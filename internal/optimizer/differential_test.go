@@ -21,6 +21,7 @@ import (
 	"vdcpower/internal/packing"
 	"vdcpower/internal/power"
 	"vdcpower/internal/race"
+	"vdcpower/internal/telemetry"
 )
 
 // hashVeto vetoes a deterministic quarter of the moves, keyed on the VM
@@ -167,6 +168,39 @@ func compareFleets(what string, got, want *cluster.DataCenter) error {
 	return got.CheckInvariants()
 }
 
+// compareSearches reports the first Minimum Slack search whose span
+// differs between two traced passes, attribute by attribute and a float
+// by its bits. Every search must see bins whose sums match a fresh load
+// bit for bit, so every slack it reports must match too: a bin reused
+// with its sums added in another order can still reach every decision
+// the fresh one reaches.
+func compareSearches(what string, got, want *telemetry.Tracer) error {
+	if got.Dropped() > 0 || want.Dropped() > 0 {
+		return fmt.Errorf("%s: the trace rings dropped %d and %d records", what, got.Dropped(), want.Dropped())
+	}
+	g, w := searchSpans(got), searchSpans(want)
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			return fmt.Errorf("%s: search %d recorded %s, reference %s", what, i, g[i], w[i])
+		}
+	}
+	if len(g) != len(w) {
+		return fmt.Errorf("%s: %d searches recorded, reference %d", what, len(g), len(w))
+	}
+	return nil
+}
+
+// searchSpans renders the attributes of every packing.minslack span.
+func searchSpans(tr *telemetry.Tracer) []string {
+	var out []string
+	for _, rec := range tr.Snapshot() {
+		if rec.Name == "packing.minslack" {
+			out = append(out, fmt.Sprint(rec.Attrs))
+		}
+	}
+	return out
+}
+
 func vmIDs(s *cluster.Server) []string {
 	var out []string
 	for _, v := range s.VMs() {
@@ -179,6 +213,10 @@ func vmIDs(s *cluster.Server) []string {
 // show its coverage holds.
 type diffTally struct {
 	passes, overloaded, migrations, vetoed, unresolved, failed, passErrors, aborts, cordonedDonors, widened int
+	// multiDrain counts the passes whose drain rounds emptied two or
+	// more donors: from the second such round on, IPAC plans onto the
+	// views it still holds.
+	multiDrain int
 }
 
 // runDifferential drives one seeded history through both passes and
@@ -240,6 +278,11 @@ func runDifferential(t *testing.T, seed int64, tally *diffTally) error {
 		for _, s := range worlds[0].dc.Servers {
 			cordonedDonor = cordonedDonor || (s.Cordoned() && s.State() == cluster.Active && s.NumVMs() > 0)
 		}
+		// Each side records its searches afresh, so the pass's Minimum
+		// Slack calls can be compared one by one.
+		tracers := [2]*telemetry.Tracer{telemetry.New(nil, 1<<18), telemetry.New(nil, 1<<18)}
+		ipac.SetTrace(tracers[0].Track("pass"))
+		ref.MinSlack.Trace = tracers[1].Track("pass")
 		for i, w := range worlds {
 			w.inj.SetStep(pass)
 			before := *w.stats
@@ -257,6 +300,9 @@ func runDifferential(t *testing.T, seed int64, tally *diffTally) error {
 		if stats[0] != stats[1] {
 			return fmt.Errorf("%s: search effort %+v, reference %+v", what, stats[0], stats[1])
 		}
+		if err := compareSearches(what, tracers[0], tracers[1]); err != nil {
+			return err
+		}
 		tally.passes++
 		tally.overloaded += min(overloaded, 1)
 		tally.migrations += reps[0].Migrations
@@ -266,6 +312,9 @@ func runDifferential(t *testing.T, seed int64, tally *diffTally) error {
 		tally.widened += stats[0].Widenings
 		if cordonedDonor {
 			tally.cordonedDonors++
+		}
+		if ref.emptied >= 2 {
+			tally.multiDrain++
 		}
 		for _, rec := range reps[0].FaultLog {
 			switch rec.Kind {
@@ -297,18 +346,35 @@ func TestIPACMatchesReference(t *testing.T) {
 	t.Logf("exercised: %+v", tally)
 	for name, n := range map[string]int{"overloaded passes": tally.overloaded, "migrations": tally.migrations,
 		"vetoes": tally.vetoed, "failed moves": tally.failed, "pass errors": tally.passErrors,
-		"migration aborts": tally.aborts, "passes with a cordoned donor": tally.cordonedDonors, "widenings": tally.widened} {
+		"migration aborts": tally.aborts, "passes with a cordoned donor": tally.cordonedDonors, "widenings": tally.widened,
+		"passes that emptied two or more donors": tally.multiDrain} {
 		if n == 0 {
 			t.Errorf("the histories never exercised %s", name)
 		}
 	}
 }
 
-// fleetSizeDC builds the allocation gate's data center: 40 active
-// servers with the same VMs, one of them overloaded, then sleeping
-// servers up to the fleet size. The sleeping servers' IDs sort after the
-// active ones, so relief wakes the same server on every fleet size.
-func fleetSizeDC(t *testing.T, fleet int) *cluster.DataCenter {
+// FuzzIPACMatchesReference drives the seeded history of any seed
+// through IPAC and the per-round rebuild side by side. The committed
+// corpus holds histories whose drains reuse views: under allow-all, with
+// the fault plane, and under a vetoing policy with the fault plane.
+func FuzzIPACMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64) {
+		var tally diffTally
+		if err := runDifferential(t, seed, &tally); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// fleetSizeDC builds the allocation gates' data center: 40 active
+// servers with the same VMs, one of them overloaded by a VM of the
+// given share of its host's capacity, then sleeping servers up to the
+// fleet size. The sleeping servers' IDs sort after the active ones, so
+// relief wakes the same server on every fleet size. At share 1 the VM
+// fits no server under the 10% headroom, so relief searches every one;
+// at 0.85 it fits the first empty high-end server PAC reaches.
+func fleetSizeDC(t *testing.T, fleet int, share float64) *cluster.DataCenter {
 	t.Helper()
 	types := power.AllTypes()
 	servers := make([]*cluster.Server, fleet)
@@ -324,7 +390,7 @@ func fleetSizeDC(t *testing.T, fleet int) *cluster.DataCenter {
 		host := servers[i%40]
 		demand := 0.3 + 1.2*r.Float64()
 		if i%40 == 0 {
-			demand = host.Spec.Capacity() // overloads its host
+			demand = share * host.Spec.Capacity() // overloads its host
 		}
 		v := &cluster.VM{ID: fmt.Sprintf("vm%03d", i), Demand: demand, MemoryGB: 0.5}
 		if err := dc.Place(v, host); err != nil {
@@ -335,16 +401,13 @@ func fleetSizeDC(t *testing.T, fleet int) *cluster.DataCenter {
 	return dc
 }
 
-// passMallocs measures one warmed IPAC pass with an overload on a fleet
-// of the given size: the heap objects allocated by the pass alone.
-func passMallocs(t *testing.T, fleet int) (uint64, Report) {
-	ipac := NewIPAC()
-	for i := 0; i < 2; i++ { // warm the pool on identical passes
-		if _, err := ipac.Consolidate(fleetSizeDC(t, fleet)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dc := fleetSizeDC(t, fleet)
+// passMallocs measures one IPAC pass over dc: the heap objects
+// allocated by the pass alone. Like testing.AllocsPerRun it measures at
+// GOMAXPROCS 1: with a second P, the runtime's own allocations now and
+// then land in the window, a few objects at a time.
+func passMallocs(t *testing.T, ipac *IPAC, dc *cluster.DataCenter) (uint64, Report) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -356,6 +419,18 @@ func passMallocs(t *testing.T, fleet int) (uint64, Report) {
 	return after.Mallocs - before.Mallocs, rep
 }
 
+// warmPassMallocs measures one warmed IPAC pass with an overload on a
+// fleet of the given size.
+func warmPassMallocs(t *testing.T, fleet int) (uint64, Report) {
+	ipac := NewIPAC()
+	for i := 0; i < 2; i++ { // warm the pool on identical passes
+		if _, err := ipac.Consolidate(fleetSizeDC(t, fleet, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return passMallocs(t, ipac, fleetSizeDC(t, fleet, 1))
+}
+
 // TestPassAllocsIndependentOfFleetSize: a warmed pass allocates for the
 // VMs it moves and the servers it works on, not for the sleeping rest of
 // the fleet. Per-pass maps or bins over every server would grow with it.
@@ -363,12 +438,30 @@ func TestPassAllocsIndependentOfFleetSize(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates shadow state")
 	}
-	small, smallRep := passMallocs(t, 300)
-	large, largeRep := passMallocs(t, 3000)
+	small, smallRep := warmPassMallocs(t, 300)
+	large, largeRep := warmPassMallocs(t, 3000)
 	if smallRep.Migrations == 0 || smallRep.Migrations != largeRep.Migrations {
 		t.Fatalf("the passes differ: %s vs %s", smallRep, largeRep)
 	}
 	if small != large {
 		t.Fatalf("a warmed pass allocates %d objects on 300 servers but %d on 3000 (%s)", small, large, largeRep)
+	}
+}
+
+// TestColdPassAllocsIndependentOfFleetSize: the first pass of a new IPAC
+// (vdcperf builds one per run) allocates the same on 300 and 3 000
+// servers when relief resolves its overload: relief views only the
+// servers PAC reaches, not every one it may wake.
+func TestColdPassAllocsIndependentOfFleetSize(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates shadow state")
+	}
+	small, smallRep := passMallocs(t, NewIPAC(), fleetSizeDC(t, 300, 0.85))
+	large, largeRep := passMallocs(t, NewIPAC(), fleetSizeDC(t, 3000, 0.85))
+	if smallRep.Migrations == 0 || smallRep.Unresolved != 0 || smallRep.String() != largeRep.String() {
+		t.Fatalf("the passes differ or leave the overload: %s vs %s", smallRep, largeRep)
+	}
+	if small != large {
+		t.Fatalf("a cold pass allocates %d objects on 300 servers but %d on 3000 (%s)", small, large, largeRep)
 	}
 }

@@ -39,12 +39,22 @@ func placeVM(t *testing.T, dc *cluster.DataCenter, id string, demand, mem float6
 	return v
 }
 
-// pac packs items onto bins as an IPAC pass does: the bins sorted most
-// power-efficient first, then place. It returns the plan.
-func pac(items []packing.Item, bins []*packing.Bin) *packing.Plan {
-	packing.SortBinsByEfficiency(bins)
-	pl := &packing.Plan{Items: items, Bins: bins}
-	place(pl, packing.VectorConstraint{}, packing.DefaultMinSlackConfig())
+// pac packs items as overload relief does, onto views of a data center
+// whose servers have the bins' IDs, capacities and efficiencies, most
+// power-efficient first. It returns the plan.
+func pac(t *testing.T, items []packing.Item, bins []*packing.Bin) *packing.Plan {
+	t.Helper()
+	servers := make([]*cluster.Server, len(bins))
+	for i, b := range bins {
+		servers[i] = cluster.NewServer(b.ID, power.Spec{Name: b.ID, Cores: 1, MaxFreq: b.CPUCap,
+			PStates: []float64{b.CPUCap}, PDynMax: b.CPUCap / b.Efficiency, MemoryGB: b.MemCap})
+	}
+	dc, err := cluster.NewDataCenter(servers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := &packing.Plan{Items: items}
+	(&passState{}).place(dc, pl, packing.VectorConstraint{}, packing.DefaultMinSlackConfig())
 	return pl
 }
 
@@ -57,7 +67,7 @@ func TestPACPrefersEfficientBins(t *testing.T) {
 		{ID: "a", CPU: 2, Mem: 1},
 		{ID: "b", CPU: 2, Mem: 1},
 	}
-	pl := pac(items, bins)
+	pl := pac(t, items, bins)
 	if len(pl.Rest) != 0 {
 		t.Fatalf("unplaced: %v", pl.Rest)
 	}
@@ -77,7 +87,7 @@ func TestPACOverflowsToNextBin(t *testing.T) {
 		{ID: "a", CPU: 3, Mem: 1},
 		{ID: "b", CPU: 3, Mem: 1},
 	}
-	pl := pac(items, bins)
+	pl := pac(t, items, bins)
 	if len(pl.Rest) != 0 {
 		t.Fatalf("unplaced: %v", pl.Rest)
 	}
@@ -89,7 +99,7 @@ func TestPACOverflowsToNextBin(t *testing.T) {
 func TestPACReportsUnplaceable(t *testing.T) {
 	bins := []*packing.Bin{{ID: "b", CPUCap: 1, MemCap: 1, Efficiency: 1}}
 	items := []packing.Item{{ID: "huge", CPU: 50, Mem: 1}}
-	if pl := pac(items, bins); len(pl.Rest) != 1 || pl.Targets[0] != nil {
+	if pl := pac(t, items, bins); len(pl.Rest) != 1 || pl.Targets[0] != nil {
 		t.Fatalf("unplaced %v, target %v: expected the item unplaced", pl.Rest, pl.Targets[0])
 	}
 }

@@ -12,21 +12,30 @@ import (
 )
 
 // place solves the power-aware consolidation sub-problem of Section V
-// (PAC) on plan storage: it packs pl.Items onto pl.Bins, taken in the
-// order given (most power-efficient first), minimizing each bin's slack
-// with Algorithm 1 until every item is placed or bins run out. The bins
-// carry the planned load. It records in pl.Targets the bin each item
-// was planned onto (nil if none) and leaves the unplaced items in
-// pl.Rest, in their original order. It returns how many items stayed
-// unplaced.
-func place(pl *packing.Plan, cons packing.VectorConstraint, cfg packing.MinSlackConfig) int {
-	sp := cfg.Trace.Start("optimizer.pac").Int("items", len(pl.Items)).Int("bins", len(pl.Bins))
+// (PAC) on plan storage: it packs pl.Items onto the bin views of the
+// candidate servers (offers), taken most power-efficient first
+// (dc.ByEfficiency), minimizing each bin's slack with Algorithm 1 until
+// every item is placed or candidates run out. It views a candidate only
+// when it reaches it (view): PAC usually places every item long before
+// the end of the fleet. The bins carry the planned load. It records in
+// pl.Targets the bin each item was planned onto (nil if none) and
+// leaves the unplaced items in pl.Rest, in their original order. It
+// returns how many items stayed unplaced.
+func (st *passState) place(dc *cluster.DataCenter, pl *packing.Plan, cons packing.VectorConstraint, cfg packing.MinSlackConfig) int {
+	sp := cfg.Trace.Start("optimizer.pac").Int("items", len(pl.Items))
+	if sp != nil {
+		sp.Int("bins", st.candidates(dc))
+	}
 	pl.Targets = slices.Grow(pl.Targets[:0], len(pl.Items))[:len(pl.Items)]
 	clear(pl.Targets)
 	rest := append(pl.Rest[:0], pl.Items...)
-	for _, b := range pl.Bins {
+	for _, i := range dc.ByEfficiency() {
 		if len(rest) == 0 {
 			break
+		}
+		b := st.view(dc, pl, i)
+		if b == nil {
+			continue
 		}
 		res := packing.MinimumSlack(b, rest, cons, cfg)
 		if len(res.Chosen) == 0 {
@@ -35,14 +44,15 @@ func place(pl *packing.Plan, cons packing.VectorConstraint, cfg packing.MinSlack
 		for _, it := range res.Chosen {
 			b.Add(it)
 		}
+		pl.Drop(i) // it carries planned items now, not its server's load
 		// Rebuild the rest from the items no bin has taken, in order. It
 		// only shrinks, so it is rewritten in place.
 		n := 0
-		for i, it := range pl.Items {
-			if pl.Targets[i] == nil && chosen(res.Chosen, it.ID) {
-				pl.Targets[i] = b
+		for k, it := range pl.Items {
+			if pl.Targets[k] == nil && chosen(res.Chosen, it.ID) {
+				pl.Targets[k] = b
 			}
-			if pl.Targets[i] == nil {
+			if pl.Targets[k] == nil {
 				rest[n] = it
 				n++
 			}
@@ -52,6 +62,49 @@ func place(pl *packing.Plan, cons packing.VectorConstraint, cfg packing.MinSlack
 	pl.Rest = rest
 	sp.Int("placed", len(pl.Items)-len(rest)).Int("unplaced", len(rest)).End()
 	return len(rest)
+}
+
+// offers reports whether PAC may plan onto server s: during overload
+// relief every non-cordoned, non-failed server, since a sleeping one may
+// be woken; during a drain round every active, non-cordoned server but
+// the donor.
+func (st *passState) offers(s *cluster.Server) bool {
+	if st.donor == nil {
+		return !s.Cordoned() && s.State() != cluster.Failed
+	}
+	return s.State() == cluster.Active && s != st.donor && !s.Cordoned()
+}
+
+// candidates counts the servers PAC may plan onto, for the trace.
+func (st *passState) candidates(dc *cluster.DataCenter) int {
+	n := 0
+	for _, s := range dc.Servers {
+		if st.offers(s) {
+			n++
+		}
+	}
+	return n
+}
+
+// view returns the bin view of candidate server dc.Servers[i], or nil
+// when PAC may not plan onto it. Relief's views leave out the VMs it
+// sheds. A drain round reloads only a view the plan no longer holds:
+// within a pass's drain rounds, only the views PAC planned onto change,
+// and the migrations that follow move VMs onto no other server.
+func (st *passState) view(dc *cluster.DataCenter, pl *packing.Plan, i int) *packing.Bin {
+	s := dc.Servers[i]
+	if !st.offers(s) {
+		return nil
+	}
+	b, held := pl.View(i)
+	if held {
+		return b
+	}
+	var shed []shedding
+	if st.donor == nil {
+		shed = st.shedFrom(i)
+	}
+	return loadBin(b, s, shed)
 }
 
 // chosen reports whether the search result holds the item with this ID.
@@ -81,16 +134,17 @@ type IPAC struct {
 	pass  passState        // the pass's lists of servers and VMs, reused
 }
 
-// passState holds the lists of cluster objects a pass works through:
-// the donor order, the donor's VMs and the shed list. The bins and items
-// a pass plans with live in the MinSlack pool (packing.Plan). Only the
-// capacity of these lists carries over from one pass to the next:
-// release clears them, so the consolidator keeps no pointer into a data
-// center between passes.
+// passState holds the cluster objects a pass works through: the donor
+// order, the donor's VMs, the shed list and the donor of the running
+// drain round. The bins and items a pass plans with live in the
+// MinSlack pool (packing.Plan). Only the capacity of these lists
+// carries over from one pass to the next: release clears them, so the
+// consolidator keeps no pointer into a data center between passes.
 type passState struct {
 	donors []donorKey
 	vms    []*cluster.VM
 	shed   []shedding
+	donor  *cluster.Server // nil while overload relief places the shed VMs
 }
 
 // donorKey is a server with its drain-order key, computed once per pass
@@ -126,6 +180,7 @@ func (st *passState) release() {
 	clear(st.vms[:cap(st.vms)])
 	clear(st.shed[:cap(st.shed)])
 	st.donors, st.vms, st.shed = st.donors[:0], st.vms[:0], st.shed[:0]
+	st.donor = nil
 }
 
 // SetFaults implements fault.Injectable; harnesses wire the fault plane by
@@ -186,6 +241,9 @@ func (o *IPAC) Consolidate(dc *cluster.DataCenter) (Report, error) {
 	}
 
 	o.orderDonors(dc)
+	// Relief's views leave out the VMs it shed, and an earlier pass's
+	// views predate this pass's demands: the drain rounds hold none.
+	o.MinSlack.Pool.Plan().Forget()
 	for {
 		donor := o.pickDonor()
 		if donor == nil {
@@ -213,10 +271,8 @@ func (o *IPAC) Consolidate(dc *cluster.DataCenter) (Report, error) {
 // candidates would pick.
 func (o *IPAC) orderDonors(dc *cluster.DataCenter) {
 	o.pass.donors = o.pass.donors[:0]
-	for _, s := range dc.Servers {
-		if s.State() == cluster.Active {
-			o.pass.donors = append(o.pass.donors, donorKey{s: s, eff: s.Spec.Efficiency()})
-		}
+	for _, s := range dc.Active() {
+		o.pass.donors = append(o.pass.donors, donorKey{s: s, eff: s.Spec.Efficiency()})
 	}
 	slices.SortFunc(o.pass.donors, compareDonors)
 }
@@ -250,7 +306,10 @@ func (o *IPAC) pickDonor() *cluster.Server {
 
 // drain plans moving every VM off donor via PAC onto the other active
 // servers and commits the plan if it empties the donor. It reports
-// whether the active-server count was reduced.
+// whether the active-server count was reduced. A round that does not
+// reduce it ends the pass, and after one that does the donor sleeps, so
+// the views the plan still holds carry their servers' load into the
+// next round.
 func (o *IPAC) drain(dc *cluster.DataCenter, donor *cluster.Server, rep *Report) bool {
 	// The donor's VMs in ID order, and its items in the same order: the
 	// i-th item is vms[i], and migrations commit in ID order.
@@ -262,12 +321,8 @@ func (o *IPAC) drain(dc *cluster.DataCenter, donor *cluster.Server, rep *Report)
 	for i, v := range vms {
 		pl.Items[i] = itemFor(v)
 	}
-	for _, i := range dc.ByEfficiency() {
-		if s := dc.Servers[i]; s.State() == cluster.Active && s != donor && !s.Cordoned() {
-			loadBin(pl.AddBin(i), s, nil)
-		}
-	}
-	if place(pl, o.Constraint, o.MinSlack) > 0 {
+	o.pass.donor = donor
+	if o.pass.place(dc, pl, o.Constraint, o.MinSlack) > 0 {
 		return false // the donor cannot be emptied: no reduction possible
 	}
 	emptied := true
@@ -332,7 +387,11 @@ func resolveOverloads(dc *cluster.DataCenter, cons packing.VectorConstraint, msC
 	}()
 	st.shed = st.shed[:0]
 	for i, s := range dc.Servers {
-		if s.State() != cluster.Active || !s.Overloaded() {
+		if s.State() != cluster.Active {
+			continue
+		}
+		total := s.TotalDemand()
+		if !s.OverloadedFor(total) {
 			continue
 		}
 		// Shed the largest VMs first: fewest migrations to relieve the
@@ -340,7 +399,7 @@ func resolveOverloads(dc *cluster.DataCenter, cons packing.VectorConstraint, msC
 		vms := append(st.vms[:0], s.VMs()...)
 		slices.SortFunc(vms, compareShedOrder)
 		st.vms = vms
-		excess := s.TotalDemand() - s.Spec.Capacity()
+		excess := total - s.Spec.Capacity()
 		for _, v := range vms {
 			if excess <= 0 {
 				break
@@ -354,18 +413,14 @@ func resolveOverloads(dc *cluster.DataCenter, cons packing.VectorConstraint, msC
 		return nil
 	}
 	// Bins: every non-cordoned, non-failed server (sleeping ones may be
-	// woken), minus the shed VMs, most power-efficient first.
+	// woken), minus the shed VMs, viewed afresh.
 	pl := msCfg.Pool.Plan()
-	for _, i := range dc.ByEfficiency() {
-		if s := dc.Servers[i]; !s.Cordoned() && s.State() != cluster.Failed {
-			loadBin(pl.AddBin(i), s, st.shedFrom(i))
-		}
-	}
+	pl.Forget()
 	pl.Items = slices.Grow(pl.Items, len(st.shed))[:len(st.shed)]
 	for i, sh := range st.shed {
 		pl.Items[i] = itemFor(sh.vm)
 	}
-	rep.Unresolved += place(pl, cons, msCfg)
+	rep.Unresolved += st.place(dc, pl, cons, msCfg)
 	for i, sh := range st.shed {
 		if pl.Targets[i] == nil {
 			continue // unplaced: the overload stays (reported)

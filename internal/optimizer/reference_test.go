@@ -52,6 +52,7 @@ type refIPAC struct {
 	MinSlack   packing.MinSlackConfig
 	Policy     CostPolicy
 	Faults     *fault.Injector
+	emptied    int // donors the last pass's drain rounds emptied
 }
 
 // Name matches IPAC's, so both draw the same injected pass errors.
@@ -70,6 +71,7 @@ func (o *refIPAC) Consolidate(dc *cluster.DataCenter) (Report, error) {
 		return rep, err
 	}
 	tried := map[string]bool{}
+	o.emptied = 0
 	for {
 		donor := o.pickDonor(dc, tried)
 		if donor == nil {
@@ -80,6 +82,7 @@ func (o *refIPAC) Consolidate(dc *cluster.DataCenter) (Report, error) {
 		if !o.drain(dc, donor, &rep) {
 			break
 		}
+		o.emptied++
 	}
 	dc.SleepIdle()
 	rep.ActiveAfter = dc.NumActive()

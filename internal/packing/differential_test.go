@@ -158,10 +158,12 @@ func TestFirstFitAllocsIndependentOfBins(t *testing.T) {
 	}
 }
 
-// TestPlanAddBinReusesStorage: AddBin returns the same zeroed bin for
-// the same index, keeps its item storage, and a rebuilt bin carries the
-// sums of a fresh one bit for bit.
-func TestPlanAddBinReusesStorage(t *testing.T) {
+// TestPlanViewReusesStorage: View returns the same bin for the same
+// index and keeps its item storage; it hands a bin back with its load
+// while the plan holds it, across lends, and zeroed after Drop or
+// Forget; and a refilled bin carries the sums of a fresh one bit for
+// bit.
+func TestPlanViewReusesStorage(t *testing.T) {
 	pool := NewPool()
 	fill := func(b *Bin) {
 		b.ID, b.CPUCap = "x", 10
@@ -169,30 +171,42 @@ func TestPlanAddBinReusesStorage(t *testing.T) {
 			b.Add(Item{ID: fmt.Sprint(i), CPU: 0.1 * float64(i+1), Mem: 0.3})
 		}
 	}
+	zeroed := func(b *Bin) bool {
+		return b.ID == "" && len(b.Items()) == 0 && b.CPUUsed() == 0 && b.MemUsed() == 0
+	}
 	pl := pool.Plan()
-	first := pl.AddBin(7)
+	first, held := pl.View(7)
+	if held || !zeroed(first) {
+		t.Fatalf("a new view came back held %v as %+v", held, first)
+	}
 	fill(first)
 	pl.Items = append(pl.Items, Item{ID: "stale"})
 	pl = pool.Plan()
-	if len(pl.Bins) != 0 || len(pl.Items) != 0 {
-		t.Fatalf("a new lend keeps %d bins and %d items", len(pl.Bins), len(pl.Items))
+	if len(pl.Items) != 0 {
+		t.Fatalf("a new lend keeps %d items", len(pl.Items))
 	}
-	again := pl.AddBin(7)
-	if again != first || again.ID != "" || len(again.Items()) != 0 || again.CPUUsed() != 0 || again.MemUsed() != 0 {
-		t.Fatalf("index 7 came back as %p %+v, want %p zeroed", again, again, first)
+	if again, held := pl.View(7); again != first || !held || len(again.Items()) != 5 {
+		t.Fatalf("a held view came back as %p held %v with %d items, want %p held with 5", again, held, len(again.Items()), first)
+	}
+	pl.Drop(7)
+	again, held := pl.View(7)
+	if again != first || held || !zeroed(again) {
+		t.Fatalf("a dropped view came back as %p held %v %+v, want %p zeroed", again, held, again, first)
 	}
 	if cap(again.items) < 5 {
 		t.Fatalf("item storage dropped: cap %d", cap(again.items))
 	}
 	fill(again)
+	pl.Forget()
+	if b, held := pl.View(7); b != first || held || !zeroed(b) {
+		t.Fatalf("a forgotten view came back as %p held %v %+v, want %p zeroed", b, held, b, first)
+	}
+	fill(again)
 	fresh := &Bin{}
 	fill(fresh)
-	//lint:ignore floatcompare a rebuilt bin must carry a fresh bin's sums bit for bit
+	//lint:ignore floatcompare a refilled bin must carry a fresh bin's sums bit for bit
 	if again.CPUUsed() != fresh.CPUUsed() || again.MemUsed() != fresh.MemUsed() {
-		t.Fatalf("rebuilt sums %v/%v, fresh %v/%v", again.CPUUsed(), again.MemUsed(), fresh.CPUUsed(), fresh.MemUsed())
-	}
-	if pl.Bins[0] != again || len(pl.Bins) != 1 {
-		t.Fatalf("AddBin did not append to Bins: %v", pl.Bins)
+		t.Fatalf("refilled sums %v/%v, fresh %v/%v", again.CPUUsed(), again.MemUsed(), fresh.CPUUsed(), fresh.MemUsed())
 	}
 	var nilPool *Pool
 	if a, b := nilPool.Plan(), nilPool.Plan(); a == b {

@@ -143,47 +143,60 @@ func NewPool() *Pool { return &Pool{} }
 // Plan is the planning storage of a caller that views many servers as
 // bins and packs items onto them, round after round: IPAC's overload
 // relief and drain rounds. It is scratch. A Plan lent by a Pool is
-// valid until the next Pool.Plan call, and only the capacity of its
-// buffers carries over from one lend to the next.
+// valid until the next Pool.Plan call. Its bin views carry over from
+// one lend to the next (View), and only the capacity of its other
+// buffers does.
 type Plan struct {
-	Bins    []*Bin // the bins to pack onto
 	Items   []Item // the items to place
 	Targets []*Bin // Targets[i] is the bin Items[i] was planned onto, nil if none
 	Rest    []Item // the packer's list of items not yet planned
-	views   []*Bin // AddBin's bins, allocated on first use of each index
+	views   []*Bin // View's bins, allocated on first use of each index
+	held    []bool // held[i]: views[i] still carries the load it was filled with
 }
 
-// Plan lends the pool's planning storage with Bins and Items emptied. A
-// nil pool returns fresh storage, so pool-less callers allocate as they
-// would without one.
+// Plan lends the pool's planning storage with Items emptied. A nil pool
+// returns fresh storage, so pool-less callers allocate as they would
+// without one.
 func (p *Pool) Plan() *Plan {
 	if p == nil {
 		return &Plan{}
 	}
-	p.plan.Bins = p.plan.Bins[:0]
 	p.plan.Items = p.plan.Items[:0]
 	return &p.plan
 }
 
-// AddBin appends planning bin i to Bins and returns it as a zero Bin
-// for the caller to fill. Index i is the same bin on every call, and it
-// keeps its item storage: a caller that always views its i-th server as
-// bin i keeps each bin's storage at that server's high-water mark. The
-// load is rebuilt from zero every time, so the bin's sums are those of a
-// new bin filled in the same order, bit for bit.
-func (pl *Plan) AddBin(i int) *Bin {
+// View returns planning bin i. Index i is the same bin on every call,
+// and it keeps its item storage: a caller that always views its i-th
+// server as bin i keeps each bin's storage at that server's high-water
+// mark. held reports that the bin still carries the load the caller
+// filled it with, neither dropped (Drop) nor forgotten (Forget) since.
+// Otherwise View returns it as a zero Bin for the caller to fill, and
+// holds it from then on. The load is filled from zero, so the bin's
+// sums are those of a new bin filled in the same order, bit for bit.
+func (pl *Plan) View(i int) (b *Bin, held bool) {
 	if i >= len(pl.views) {
 		pl.views = append(pl.views, make([]*Bin, i+1-len(pl.views))...)
+		pl.held = append(pl.held, make([]bool, i+1-len(pl.held))...)
 	}
-	b := pl.views[i]
+	b = pl.views[i]
 	if b == nil {
 		b = &Bin{}
 		pl.views[i] = b
 	}
+	if pl.held[i] {
+		return b, true
+	}
 	*b = Bin{items: b.items[:0]}
-	pl.Bins = append(pl.Bins, b)
-	return b
+	pl.held[i] = true
+	return b, false
 }
+
+// Drop tells the plan that view i no longer carries the load it was
+// filled with, so the next View returns it zeroed.
+func (pl *Plan) Drop(i int) { pl.held[i] = false }
+
+// Forget drops every view.
+func (pl *Plan) Forget() { clear(pl.held) }
 
 // SearchStats aggregates Algorithm 1 search effort across calls.
 // Harnesses read it via the optional SearchStats() accessor on
